@@ -336,6 +336,84 @@ func BenchmarkEndToEndAcquisition(b *testing.B) {
 	}
 }
 
+// --- Execute: realizing a purchase on full data ---------------------------
+
+// benchExecuteRecord times ExecuteRecord alone: the plans are searched once,
+// outside the timer, and every iteration buys and joins one of them (cycling)
+// and measures realized correlation and quality on the purchase.
+func benchExecuteRecord(b *testing.B, mw *core.Dance, reqs []search.Request) {
+	b.Helper()
+	var recs []*core.PlanRecord
+	for _, req := range reqs {
+		plan, err := mw.Acquire(bg, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := plan.Record()
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mw.ExecuteRecord(bg, recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecuteRecordChain50k is the bulk shape: a 50k-row owned base
+// joined through a planted chain of bought listings.
+func BenchmarkExecuteRecordChain50k(b *testing.B) {
+	spec, err := workload.ParseSpec("chain:3,rows=50000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mw := core.New(w.MarketplaceWithoutBase(), core.Config{SampleRate: 0.2, SampleSeed: 78, Workers: 1})
+	mw.AddSource(w.Base(), w.FDs[w.Base().Name])
+	benchExecuteRecord(b, mw, []search.Request{{
+		SourceAttrs:  []string{w.Truth.X},
+		TargetAttrs:  []string{w.Truth.Y},
+		Budget:       w.Truth.PlanCostOwned * (1 + experiments.BudgetSlack),
+		Iterations:   60,
+		Eta:          2000,
+		ResampleRate: 0.2,
+		Seed:         1,
+		Workers:      1,
+	}})
+}
+
+// BenchmarkExecuteRecordTPCH is the small-join shape: TPC-H Q1–Q3 plans over
+// a scale-15 marketplace, where each execute joins a few thousand rows and
+// the fixed per-execute costs show.
+func BenchmarkExecuteRecordTPCH(b *testing.B) {
+	tables, fds := dance.GenerateTPCH(15, 1, -1)
+	market := marketplace.NewInMemory(pricing.Cached(pricing.DefaultEntropyModel()))
+	for _, t := range tables {
+		market.Register(t, fds[t.Name])
+	}
+	mw := core.New(market, core.Config{SampleRate: 0.9, SampleSeed: 1, Workers: 1})
+	var reqs []search.Request
+	for i, q := range experiments.TPCHQueries() {
+		reqs = append(reqs, search.Request{
+			SourceAttrs:  q.SourceAttrs,
+			TargetAttrs:  q.TargetAttrs,
+			Iterations:   80,
+			Eta:          150,
+			ResampleRate: 0.3,
+			Seed:         int64(i + 1),
+			Workers:      1,
+		})
+	}
+	benchExecuteRecord(b, mw, reqs)
+}
+
 // --- Incremental escalation vs. the seed-era full rebuild ------------------
 
 // benchEscalationServer hosts a TPC-H marketplace over a real HTTP listener:

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"github.com/dance-db/dance/internal/fd"
-	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/offline"
@@ -93,9 +92,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// source is a shopper-owned instance.
+// source is a shopper-owned instance. cols is its columnar encoding, built
+// once at registration and shared by the searcher (as the instance's
+// sample) and by every execute (as the full data).
 type source struct {
 	table *relation.Table
+	cols  *relation.Columnar
 	fds   []fd.FD
 }
 
@@ -266,9 +268,10 @@ func (d *Dance) persistRound(snap *offline.Snapshot, rate float64) error {
 // AddSource registers shopper-owned data (the S of the acquisition request).
 // Must be called before the first Offline/Acquire.
 func (d *Dance) AddSource(t *relation.Table, fds []fd.FD) {
+	cols := relation.ToColumnar(t)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.sources = append(d.sources, source{table: t, fds: fds})
+	d.sources = append(d.sources, source{table: t, cols: cols, fds: fds})
 }
 
 // SampleCost returns what DANCE has paid the marketplace for samples so far.
@@ -576,6 +579,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 		instances = append(instances, &joingraph.Instance{
 			Name:     s.table.Name,
 			Sample:   s.table, // owned data needs no sampling
+			Columnar: s.cols,
 			FullRows: s.table.NumRows(),
 			FDs:      s.fds,
 			Owned:    true,
@@ -819,8 +823,9 @@ type Purchase struct {
 	// Tables are the bought projections, in query order.
 	Tables []*relation.Table
 	// Joined is the equi-join of owned sources and purchases along the
-	// plan's target graph.
-	Joined *relation.Table
+	// plan's target graph, in columnar form (ToTable decodes it to rows;
+	// see search.Realize for which columns stay raw floats).
+	Joined *relation.Columnar
 	// TotalPrice is the sum actually charged by the marketplace.
 	TotalPrice float64
 	// Realized are the metrics measured on the purchased (full) data:
@@ -908,54 +913,29 @@ func (d *Dance) ExecuteRecord(ctx context.Context, rec *PlanRecord) (*Purchase, 
 		p.TotalPrice += price
 		bought[q.Instance] = t
 	}
-	// Owned sources join with their full local tables.
+	// Owned sources join with their full local data, encoded once at
+	// registration; bought projections are encoded for this execute only.
+	owned := map[string]*relation.Columnar{}
 	d.mu.Lock()
 	for _, s := range d.sources {
-		bought[s.table.Name] = s.table
+		owned[s.table.Name] = s.cols
 	}
 	d.mu.Unlock()
-	full := make([]relation.PathStep, len(rec.Steps))
+	steps := make([]search.FullStep, len(rec.Steps))
 	for i, st := range rec.Steps {
-		bt, ok := bought[st.Table]
-		if !ok {
+		steps[i] = search.FullStep{Encoded: owned[st.Table], Table: bought[st.Table], On: st.On}
+		if steps[i].Encoded == nil && steps[i].Table == nil {
 			return p, fmt.Errorf("dance: plan references %q which was neither bought nor owned", st.Table)
 		}
-		full[i] = relation.PathStep{Table: bt, On: st.On}
 	}
-	joined, err := relation.JoinPath(full)
+	// Realized metrics on the actual purchase.
+	joined, realized, err := search.Realize(steps, rec.Request, rec.FDs)
 	if err != nil {
 		return p, err
 	}
 	p.Joined = joined
-
-	// Realized metrics on the actual purchase.
-	x, y, err := corrAttrsOf(rec.Request)
-	if err != nil {
-		return p, err
-	}
+	p.Realized = realized
 	p.Realized.Weight = rec.Weight
 	p.Realized.Price = p.TotalPrice
-	if joined.NumRows() > 0 {
-		if p.Realized.Correlation, err = infotheory.Correlation(joined, x, y); err != nil {
-			return p, err
-		}
-		if p.Realized.Quality, err = fd.QualitySet(joined, rec.FDs); err != nil {
-			return p, err
-		}
-	}
 	return p, nil
-}
-
-// corrAttrsOf mirrors search.Request.corrAttrs for realized metrics.
-func corrAttrsOf(r search.Request) (x, y []string, err error) {
-	if len(r.TargetAttrs) == 0 {
-		return nil, nil, fmt.Errorf("dance: request has no target attributes")
-	}
-	if len(r.SourceAttrs) > 0 {
-		return r.SourceAttrs, r.TargetAttrs, nil
-	}
-	if len(r.TargetAttrs) < 2 {
-		return nil, nil, fmt.Errorf("dance: source-less request needs ≥ 2 target attributes")
-	}
-	return r.TargetAttrs[:1], r.TargetAttrs[1:], nil
 }

@@ -40,13 +40,13 @@ func TestTPCEEndToEnd(t *testing.T) {
 	if purchase.Joined.NumRows() == 0 {
 		t.Fatal("purchased join is empty")
 	}
-	if !purchase.Joined.Schema.Has("cabalance") || !purchase.Joined.Schema.Has("sectorname") {
-		t.Fatalf("join misses requested attributes: %v", purchase.Joined.Schema.Names())
+	if !purchase.Joined.Schema().Has("cabalance") || !purchase.Joined.Schema().Has("sectorname") {
+		t.Fatalf("join misses requested attributes: %v", purchase.Joined.Schema().Names())
 	}
 	if purchase.TotalPrice <= 0 || purchase.TotalPrice > plan.Est.Price+1e-6 {
 		t.Fatalf("charged %v vs quoted %v", purchase.TotalPrice, plan.Est.Price)
 	}
-	if m.Ledger().TotalByKind("sample") != mw.SampleCost() {
-		t.Fatal("sample billing mismatch")
+	if got := sampleChargesInCatalogOrder(t, m); got != mw.SampleCost() {
+		t.Fatalf("sample billing mismatch: ledger %v, middleware %v", got, mw.SampleCost())
 	}
 }

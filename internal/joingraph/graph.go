@@ -46,7 +46,8 @@ type Instance struct {
 	// in joins but costs nothing to "purchase".
 	Owned bool
 	// Columnar optionally carries the dictionary-encoded form of Sample,
-	// prebuilt by the offline sample store. When set it must hold exactly
+	// prebuilt by the offline sample store (or, for owned sources, at
+	// registration). When set it must hold exactly
 	// Sample's rows; the searcher then skips re-encoding the instance.
 	Columnar *relation.Columnar
 	// Version identifies the sample's offline state: it increases whenever

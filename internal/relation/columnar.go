@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
-// This file implements the columnar, dictionary-encoded fast path for the
-// evaluator. The row-store Table stays the compatibility surface (marketplace
-// wire format, examples, Execute); Columnar is the representation the MCMC
-// inner loop evaluates on:
+// This file implements the columnar, dictionary-encoded engine. The
+// row-store Table stays the compatibility surface (marketplace wire format,
+// CSV, examples); Columnar is the representation the MCMC inner loop
+// evaluates on and execute realizes purchases on:
 //
 //   - Each column is dictionary-encoded into dense uint32 codes. Code 0 is
 //     always NULL. The dictionary identity of a value mirrors AppendKey's
@@ -21,9 +22,12 @@ import (
 //     or small int-keyed maps instead of injective byte-string map keys.
 //   - Equi-joins hash-join on code columns and produce row-index pairings;
 //     output columns are gathered uint32 codes that share the input
-//     dictionaries, so no value is ever re-encoded downstream.
+//     dictionaries, so no value is ever re-encoded downstream. Probe values
+//     find their build-side group through the build dictionaries, never
+//     through byte-string keys.
 //
-// Columnar values are immutable after construction: instances built once per
+// Columnar values are immutable after construction (a dictionary's lookup
+// maps are rebuilt at most once, under sync.Once): instances built once per
 // sampled table are shared freely across MCMC candidates and workers.
 
 // numKey is the normalized identity of a numeric Value, mirroring AppendKey's
@@ -50,14 +54,33 @@ func numKeyOf(v Value) numKey {
 // which is EqualValue-identical.
 type Dict struct {
 	vals []Value
-	str  map[string]uint32
-	num  map[numKey]uint32
-	// smallInt short-circuits the num map for integer values in [0, 256):
-	// key-like columns (TPC ids, category codes) are dominated by small
-	// ints, and the map hash is the hot spot of dictionary building.
-	// 0 means unassigned (0 is the NULL code, never a value's code).
-	smallInt [256]uint32
+	// dense short-circuits the maps for small non-negative integers:
+	// dense[i] is the code of integer i (0: unassigned — 0 is the NULL code,
+	// never a value's code). Key-like columns (ids, foreign keys, category
+	// codes) are dominated by such ints, and the map hash is the hot spot of
+	// dictionary building. The table grows on demand up to maxDenseInt
+	// slots, and only while it stays within denseSpread slots per code, so
+	// a few large ids never allocate a table much bigger than the map they
+	// replace. Invariant: an integer below len(dense) is never in num.
+	dense []uint32
+	// str and num intern every other value. They exist while a column is
+	// being encoded; publish drops them, because most columns are never
+	// looked up by value again (for a column of distinct floats the maps
+	// are as large as vals), and the first lookup that needs them rebuilds
+	// them once, under reindex.
+	str     map[string]uint32
+	num     map[numKey]uint32
+	reindex sync.Once
 }
+
+const (
+	// maxDenseInt bounds the dense table at 256 KiB of slots.
+	maxDenseInt = 1 << 16
+	// denseSpread bounds the dense table's size relative to the dictionary.
+	denseSpread = 8
+	// minDense is the dense table's first size and its size floor.
+	minDense = 256
+)
 
 func newDict() *Dict { return &Dict{vals: []Value{Null()}} }
 
@@ -85,14 +108,14 @@ func (d *Dict) code(v Value) uint32 {
 		return c
 	default:
 		k := numKeyOf(v)
-		if k.isInt && k.bits < uint64(len(d.smallInt)) {
-			// Normalized first, so FloatValue(3.0) hits IntValue(3)'s slot.
-			if c := d.smallInt[k.bits]; c != 0 {
+		// Normalized first, so FloatValue(3.0) hits IntValue(3)'s slot.
+		if k.isInt && d.denseCovers(k.bits) {
+			if c := d.dense[k.bits]; c != 0 {
 				return c
 			}
 			c := uint32(len(d.vals))
 			d.vals = append(d.vals, v)
-			d.smallInt[k.bits] = c
+			d.dense[k.bits] = c
 			return c
 		}
 		if c, ok := d.num[k]; ok {
@@ -108,24 +131,92 @@ func (d *Dict) code(v Value) uint32 {
 	}
 }
 
-// clone deep-copies the dictionary so codes can be appended without racing
-// readers of the original: Columnar values are immutable after construction
-// and shared across snapshots, so a merge must never mutate a published
-// Dict in place.
+// denseCovers reports whether integer i has a dense slot, growing the table
+// to cover it when the growth bounds allow.
+func (d *Dict) denseCovers(i uint64) bool {
+	if i < uint64(len(d.dense)) {
+		return true
+	}
+	if i >= maxDenseInt || i >= uint64(denseSpread*len(d.vals)+minDense) {
+		return false
+	}
+	n := max(minDense, 2*len(d.dense))
+	for uint64(n) <= i {
+		n *= 2
+	}
+	grown := make([]uint32, min(n, maxDenseInt))
+	copy(grown, d.dense)
+	// Integers interned while the table was too small move into it, so
+	// every value keeps exactly one home.
+	for k, c := range d.num {
+		if k.isInt && k.bits < uint64(len(grown)) {
+			grown[k.bits] = c
+			delete(d.num, k)
+		}
+	}
+	d.dense = grown
+	return true
+}
+
+// publish ends the encoding of d: its intern maps are dropped, and d is
+// immutable from here on.
+func (d *Dict) publish() *Dict {
+	d.str, d.num = nil, nil
+	return d
+}
+
+// index builds the intern maps of every value dense does not cover.
+func (d *Dict) index() {
+	for code := 1; code < len(d.vals); code++ {
+		v := d.vals[code]
+		if v.Kind == KindString {
+			if d.str == nil {
+				d.str = make(map[string]uint32)
+			}
+			d.str[v.S] = uint32(code)
+			continue
+		}
+		k := numKeyOf(v)
+		if k.isInt && k.bits < uint64(len(d.dense)) {
+			continue
+		}
+		if d.num == nil {
+			d.num = make(map[numKey]uint32)
+		}
+		d.num[k] = uint32(code)
+	}
+}
+
+// lookup returns v's code in the published dictionary d without interning
+// it; ok is false when v is not in d. NULL is always present as code 0.
+// Safe for concurrent use.
+func (d *Dict) lookup(v Value) (code uint32, ok bool) {
+	switch v.Kind {
+	case KindNull:
+		return 0, true
+	case KindString:
+		d.reindex.Do(d.index)
+		code, ok = d.str[v.S]
+		return code, ok
+	default:
+		k := numKeyOf(v)
+		if k.isInt && k.bits < uint64(len(d.dense)) {
+			code = d.dense[k.bits]
+			return code, code != 0
+		}
+		d.reindex.Do(d.index)
+		code, ok = d.num[k]
+		return code, ok
+	}
+}
+
+// clone copies the dictionary, intern maps rebuilt, so codes can be
+// appended without racing readers of the original: Columnar values are
+// immutable after construction and shared across snapshots, so a merge must
+// never mutate a published Dict in place.
 func (d *Dict) clone() *Dict {
-	c := &Dict{vals: append([]Value(nil), d.vals...), smallInt: d.smallInt}
-	if d.str != nil {
-		c.str = make(map[string]uint32, len(d.str))
-		for k, v := range d.str {
-			c.str[k] = v
-		}
-	}
-	if d.num != nil {
-		c.num = make(map[numKey]uint32, len(d.num))
-		for k, v := range d.num {
-			c.num[k] = v
-		}
-	}
+	c := &Dict{vals: append([]Value(nil), d.vals...), dense: append([]uint32(nil), d.dense...)}
+	c.index()
 	return c
 }
 
@@ -148,7 +239,7 @@ type Columnar struct {
 	n      int
 }
 
-// encodeColumn dictionary-encodes column j of t. The small-int fast path is
+// encodeColumn dictionary-encodes column j of t. The dense-slot hit is
 // inlined: key-like columns are dominated by small non-negative ints, and
 // the per-cell call plus kind switch of Dict.code is measurable on the
 // per-evaluation subset path.
@@ -157,19 +248,19 @@ func encodeColumn(t *Table, j int) CCol {
 	codes := make([]uint32, len(t.Rows))
 	for i, r := range t.Rows {
 		v := r[j]
-		if v.Kind == KindInt && v.I >= 0 && v.I < int64(len(d.smallInt)) {
-			c := d.smallInt[v.I]
+		if v.Kind == KindInt && uint64(v.I) < uint64(len(d.dense)) {
+			c := d.dense[v.I]
 			if c == 0 {
 				c = uint32(len(d.vals))
 				d.vals = append(d.vals, v)
-				d.smallInt[v.I] = c
+				d.dense[v.I] = c
 			}
 			codes[i] = c
 			continue
 		}
 		codes[i] = d.code(v)
 	}
-	return CCol{Codes: codes, Dict: d}
+	return CCol{Codes: codes, Dict: d.publish()}
 }
 
 // ToColumnar dictionary-encodes every column of t. Build cost is one
@@ -249,7 +340,7 @@ func (c *Columnar) AppendTable(delta *Table) (*Columnar, error) {
 			for _, r := range delta.Rows {
 				codes = append(codes, d.code(r[j]))
 			}
-			out.cols[j] = CCol{Codes: codes, Dict: d}
+			out.cols[j] = CCol{Codes: codes, Dict: d.publish()}
 		case src.Nums != nil:
 			nums := make([]float64, c.n, out.n)
 			null := make([]bool, c.n, out.n)
@@ -598,16 +689,24 @@ func (c *Columnar) GroupCounts(names ...string) ([]int64, error) {
 }
 
 // JoinIndex is a precomputed build-side hash index for equi-joins on a fixed
-// attribute set: rows bucketed by fused join-attribute group, plus a
-// canonical-key map that aligns the groups with any probe side's dictionary
-// space. Immutable after construction; shared across candidates and workers.
+// attribute set: rows bucketed by fused join-attribute group, plus an
+// alignment of the groups with any probe side's dictionary space through
+// the build columns' own dictionaries — a probe value is looked up, never
+// re-encoded. Immutable after construction; shared across candidates and
+// workers.
 type JoinIndex struct {
 	On     []string
-	cols   []int
-	g      *Grouping
 	starts []int32
 	rows   []int32
-	byKey  map[string]uint32
+	// dicts are the build columns' dictionaries. codeGroup maps each code
+	// of dicts[0] to a group (-1: no indexed row carries the code —
+	// dictionaries are shared with row subsets); it aligns single-column
+	// indexes. A multi-column index fuses a tuple's build codes left to
+	// right instead: fuse[s-1] maps prefix<<32 | code of column s to the
+	// next prefix id, and the last stage's ids are group ids.
+	dicts     []*Dict
+	codeGroup []int32
+	fuse      []map[uint64]uint32
 }
 
 // BuildJoinIndex indexes c on the named join attributes.
@@ -631,15 +730,68 @@ func (c *Columnar) BuildJoinIndexWorkers(workers int, on ...string) (*JoinIndex,
 	if err != nil {
 		return nil, err
 	}
-	idx := &JoinIndex{On: append([]string(nil), on...), cols: cols, g: g}
+	idx := &JoinIndex{On: append([]string(nil), on...)}
 	idx.starts, idx.rows = g.RowLists()
-	idx.byKey = make(map[string]uint32, g.N())
-	var buf []byte
-	for gid := 0; gid < g.N(); gid++ {
-		buf = c.AppendRowKey(buf[:0], int(g.First[gid]), cols)
-		idx.byKey[string(buf)] = uint32(gid)
+	for _, ci := range cols {
+		idx.dicts = append(idx.dicts, c.cols[ci].Dict)
+	}
+	first := c.cols[cols[0]].Codes
+	if len(cols) == 1 {
+		idx.codeGroup = make([]int32, idx.dicts[0].Len())
+		for code := range idx.codeGroup {
+			idx.codeGroup[code] = -1
+		}
+		for gid, row := range g.First {
+			idx.codeGroup[first[row]] = int32(gid)
+		}
+		return idx, nil
+	}
+	idx.fuse = make([]map[uint64]uint32, len(cols)-1)
+	for s := range idx.fuse {
+		idx.fuse[s] = make(map[uint64]uint32, g.N())
+	}
+	for gid, row := range g.First {
+		p := uint64(first[row])
+		for s := 1; s < len(cols); s++ {
+			stage := idx.fuse[s-1]
+			key := p<<32 | uint64(c.cols[cols[s]].Codes[row])
+			if s == len(cols)-1 {
+				stage[key] = uint32(gid)
+				break
+			}
+			id, ok := stage[key]
+			if !ok {
+				id = uint32(len(stage))
+				stage[key] = id
+			}
+			p = uint64(id)
+		}
 	}
 	return idx, nil
+}
+
+// groupOf returns the build-side group whose join attributes equal the
+// given probe values (one per indexed column), or -1.
+func (idx *JoinIndex) groupOf(vals []Value) int32 {
+	code, ok := idx.dicts[0].lookup(vals[0])
+	if !ok {
+		return -1
+	}
+	if idx.fuse == nil {
+		return idx.codeGroup[code]
+	}
+	p := uint64(code)
+	for s := 1; s < len(vals); s++ {
+		if code, ok = idx.dicts[s].lookup(vals[s]); !ok {
+			return -1
+		}
+		id, ok := idx.fuse[s-1][p<<32|uint64(code)]
+		if !ok {
+			return -1
+		}
+		p = uint64(id)
+	}
+	return int32(p)
 }
 
 // gatherGroup gathers the source columns srcIdx (nil: all of src, in order)
@@ -761,56 +913,43 @@ func EquiJoinColumnarOpts(a, b *Columnar, on []string, idx *JoinIndex, opt JoinO
 	}
 
 	// Map every probe row to a build-side group (-1: no match). Single-column
-	// joins remap the probe dictionary directly — one canonical key per
-	// distinct value; multi-column joins group the probe rows first so each
-	// distinct tuple is encoded once. The probe-group and remap tables are
-	// scratch (pooled).
+	// joins remap the probe dictionary directly — one build-dictionary
+	// lookup per distinct value; multi-column joins group the probe rows
+	// first so each distinct tuple is looked up once. The probe-group and
+	// remap tables are scratch (pooled).
 	pg := poolInt32.get(a.n)
-	if len(aCols) == 1 && a.cols[aCols[0]].Codes != nil {
-		dict := a.cols[aCols[0]].Dict
-		remap := poolInt32.get(dict.Len())
-		buf := poolBytes.get(0)
-		for code := range remap {
-			buf = dict.vals[code].AppendKey(buf[:0])
-			if g, ok := idx.byKey[string(buf)]; ok {
-				remap[code] = int32(g)
-			} else {
-				remap[code] = -1
-			}
+	var probe []uint32
+	var remap []int32
+	if col := &a.cols[aCols[0]]; len(aCols) == 1 && col.Codes != nil {
+		probe = col.Codes
+		remap = poolInt32.get(col.Dict.Len())
+		vals := make([]Value, 1)
+		for code, v := range col.Dict.vals {
+			vals[0] = v
+			remap[code] = idx.groupOf(vals)
 		}
-		poolBytes.put(buf)
-		codes := a.cols[aCols[0]].Codes
-		runChunks(workers, a.n, func(_, lo, hi int) {
-			for row := lo; row < hi; row++ {
-				pg[row] = remap[codes[row]]
-			}
-		})
-		poolInt32.put(remap)
 	} else {
 		ag, err := a.groupBy(aCols, workers)
 		if err != nil {
 			poolInt32.put(pg)
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
-		remap := poolInt32.get(ag.N())
-		buf := poolBytes.get(0)
-		for gid := 0; gid < ag.N(); gid++ {
-			buf = a.AppendRowKey(buf[:0], int(ag.First[gid]), aCols)
-			if g, ok := idx.byKey[string(buf)]; ok {
-				remap[gid] = int32(g)
-			} else {
-				remap[gid] = -1
+		probe = ag.Codes
+		remap = poolInt32.get(ag.N())
+		vals := make([]Value, len(aCols))
+		for gid, row := range ag.First {
+			for j, ci := range aCols {
+				vals[j] = a.ValueAt(int(row), ci)
 			}
+			remap[gid] = idx.groupOf(vals)
 		}
-		poolBytes.put(buf)
-		agCodes := ag.Codes
-		runChunks(workers, a.n, func(_, lo, hi int) {
-			for row := lo; row < hi; row++ {
-				pg[row] = remap[agCodes[row]]
-			}
-		})
-		poolInt32.put(remap)
 	}
+	runChunks(workers, a.n, func(_, lo, hi int) {
+		for row := lo; row < hi; row++ {
+			pg[row] = remap[probe[row]]
+		}
+	})
+	poolInt32.put(remap)
 
 	// Size the output exactly from the build-side match counts — per chunk,
 	// so the pairing sweep can run chunks in parallel while writing every

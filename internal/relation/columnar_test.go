@@ -93,7 +93,7 @@ func TestColumnarDictMergesIntAndFloat(t *testing.T) {
 	tab.AppendValues(IntValue(3))
 	tab.AppendValues(FloatValue(3.0))
 	tab.AppendValues(FloatValue(3.5))
-	tab.AppendValues(IntValue(300)) // past the small-int fast path? still small
+	tab.AppendValues(IntValue(300)) // a dense slot
 	tab.AppendValues(FloatValue(300.0))
 	tab.AppendValues(IntValue(1 << 40))
 	tab.AppendValues(FloatValue(float64(int64(1) << 40)))

@@ -41,5 +41,4 @@ func (sp *slicePool[T]) put(s []T) {
 var (
 	poolInt32  slicePool[int32]
 	poolUint32 slicePool[uint32]
-	poolBytes  slicePool[byte]
 )

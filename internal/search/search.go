@@ -365,20 +365,106 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	if err != nil {
 		return Metrics{}, err
 	}
-	if j.NumRows() == 0 {
-		// Empty join sample: no correlation evidence, quality vacuous.
-		m.Correlation, m.Quality = 0, 0
-		return m, nil
-	}
-	m.Correlation, err = infotheory.CorrelationColumnar(j, x, y)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.Quality, err = fd.QualitySetColumnar(j, tg.FDs())
-	if err != nil {
+	if err := m.measure(j, x, y, tg.FDs()); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
+}
+
+// measure sets m's correlation and quality on the joined relation j. An
+// empty join carries no correlation evidence and its quality is vacuous:
+// both stay zero.
+func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD) error {
+	if j.NumRows() == 0 {
+		m.Correlation, m.Quality = 0, 0
+		return nil
+	}
+	var err error
+	if m.Correlation, err = infotheory.CorrelationColumnar(j, x, y); err != nil {
+		return err
+	}
+	m.Quality, err = fd.QualitySetColumnar(j, fds)
+	return err
+}
+
+// FullStep is one hop of a full-data join path for Realize. Encoded, when
+// set, is a prebuilt encoding of Table (an owned source's, built once at
+// registration); otherwise Realize encodes Table itself.
+type FullStep struct {
+	Table   *relation.Table
+	Encoded *relation.Columnar
+	On      []string // ignored for the first step
+}
+
+// Realize joins full (not sampled) tables along steps, left to right, and
+// measures the join's correlation (req's X/Y split) and its quality under
+// fds: the "measure on full data" step of DANCE's online phase and of the
+// Sec 6 evaluation protocol. Only Correlation and Quality of the returned
+// metrics are set; weight and price are the caller's. The join runs on up
+// to req.Workers goroutines (≤ 0: one per CPU) and is bit-identical for
+// every worker count.
+//
+// Tables without a prebuilt encoding are encoded for this call only, and
+// float measure columns that are never joined or grouped on stay raw
+// floats: a dictionary of mostly distinct prices costs a hash insert per
+// cell and buys the metrics nothing. Such columns of the returned join are
+// therefore not dictionary-coded.
+func Realize(steps []FullStep, req Request, fds []fd.FD) (*relation.Columnar, Metrics, error) {
+	x, y, err := req.corrAttrs()
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	grouped := map[string]bool{}
+	for _, st := range steps {
+		for _, a := range st.On {
+			grouped[a] = true
+		}
+	}
+	for _, a := range y {
+		grouped[a] = true
+	}
+	for _, f := range fds {
+		for _, a := range f.Attrs() {
+			grouped[a] = true
+		}
+	}
+	csteps := make([]sampling.ColumnarStep, len(steps))
+	for i, st := range steps {
+		c := st.Encoded
+		if c == nil {
+			if c, err = encodeFull(st.Table, grouped); err != nil {
+				return nil, Metrics{}, err
+			}
+		}
+		csteps[i] = sampling.ColumnarStep{C: c, On: st.On}
+	}
+	// Eta 0 never re-samples: a plain left-deep join.
+	opts := sampling.PathJoinOptions{Workers: parallel.DefaultWorkers(req.Workers)}
+	j, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	var m Metrics
+	if err := m.measure(j, x, y, fds); err != nil {
+		return nil, Metrics{}, err
+	}
+	return j, m, nil
+}
+
+// encodeFull encodes t for Realize: non-categorical float columns that are
+// not in grouped stay raw, every other column is dictionary-coded. The
+// metrics only read such a column as numbers (a numeric X attribute) or
+// carry it along.
+func encodeFull(t *relation.Table, grouped map[string]bool) (*relation.Columnar, error) {
+	var coded, raw []string
+	for _, col := range t.Schema.Columns() {
+		if col.Kind == relation.KindFloat && !col.IsCategorical() && !grouped[col.Name] {
+			raw = append(raw, col.Name)
+		} else {
+			coded = append(coded, col.Name)
+		}
+	}
+	return relation.ToColumnarSubset(t, coded, raw)
 }
 
 // EvaluateOnTables computes *real* metrics of tg by joining the given full
@@ -386,41 +472,25 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 // protocol of Sec 6 measures real correlation even for sample-based
 // searches. Prices remain marketplace quotes.
 func (s *Searcher) EvaluateOnTables(ctx context.Context, tg *joingraph.TargetGraph, req Request, tables map[string]*relation.Table) (Metrics, error) {
-	x, y, err := req.corrAttrs()
-	if err != nil {
-		return Metrics{}, err
-	}
-	steps, err := tg.JoinSteps()
+	hops, err := tg.JoinSteps()
 	if err != nil {
 		return Metrics{}, err
 	}
 	// Swap each sample for its full table.
-	full := make([]relation.PathStep, len(steps))
-	for i, st := range steps {
+	steps := make([]FullStep, len(hops))
+	for i, st := range hops {
 		ft, ok := tables[st.Table.Name]
 		if !ok {
 			return Metrics{}, fmt.Errorf("search: no full table for instance %q", st.Table.Name)
 		}
-		full[i] = relation.PathStep{Table: ft, On: st.On}
+		steps[i] = FullStep{Table: ft, On: st.On}
 	}
-	j, err := relation.JoinPath(full)
+	_, m, err := Realize(steps, req, tg.FDs())
 	if err != nil {
 		return Metrics{}, err
 	}
-	m := Metrics{Weight: tg.Weight()}
-	m.Price, err = tg.Price(ctx)
-	if err != nil {
-		return Metrics{}, err
-	}
-	if j.NumRows() == 0 {
-		return m, nil
-	}
-	m.Correlation, err = infotheory.Correlation(j, x, y)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.Quality, err = fd.QualitySet(j, tg.FDs())
-	if err != nil {
+	m.Weight = tg.Weight()
+	if m.Price, err = tg.Price(ctx); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil

@@ -414,6 +414,64 @@ func BenchmarkExecuteRecordTPCH(b *testing.B) {
 	benchExecuteRecord(b, mw, reqs)
 }
 
+// BenchmarkEvaluateTPCHResample times one cold MCMC evaluation — the
+// resample-search workload's dominant cost — of 5–6-hop TPC-H Q3 target
+// graphs (the search's pick and its one-variant-swap neighbours) at η=150,
+// ρ=0.3 over scale-15 samples. Every iteration uses a fresh request seed, so
+// the hasher (and with it the evaluation and join-prefix keys) is new and
+// the whole re-sampled join is recomputed; instance encodings, projected
+// views and join indexes stay warm, as they do across a danced session's
+// acquires.
+func BenchmarkEvaluateTPCHResample(b *testing.B) {
+	env, err := experiments.NewEnv(experiments.EnvConfig{Dataset: "tpch", Scale: 15, Seed: 1, Rate: 0.9, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := experiments.TPCHQueries()[2]
+	req := env.Request(q, 1)
+	req.Iterations = 20
+	req.Eta = 150
+	req.ResampleRate = 0.3
+	s := env.SampledSearcher()
+	res, err := s.Heuristic(bg, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tgs []*joingraph.TargetGraph
+	for _, tg := range append([]*joingraph.TargetGraph{res.TG}, variantSwaps(env.Sampled, res.TG)...) {
+		if n := len(tg.Vertices); n >= 5 && n <= 6 {
+			tgs = append(tgs, tg)
+		}
+	}
+	if len(tgs) == 0 {
+		b.Fatalf("no 5–6-hop target graph for %s (found %d hops)", q.Name, len(res.TG.Vertices))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Seed = int64(i) + 2
+		if _, err := s.Evaluate(bg, tgs[i%len(tgs)], req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// variantSwaps returns every single-edge variant swap of tg: the moves the
+// MCMC proposes from it.
+func variantSwaps(g *joingraph.Graph, tg *joingraph.TargetGraph) []*joingraph.TargetGraph {
+	var out []*joingraph.TargetGraph
+	for ei, e := range tg.Edges {
+		for v := range g.EdgeBetween(e.I, e.J).Variants {
+			if v != e.Variant {
+				cand := tg.Clone()
+				cand.Edges[ei].Variant = v
+				out = append(out, cand)
+			}
+		}
+	}
+	return out
+}
+
 // --- Incremental escalation vs. the seed-era full rebuild ------------------
 
 // benchEscalationServer hosts a TPC-H marketplace over a real HTTP listener:

@@ -87,6 +87,9 @@ type Flow struct {
 	paramOf map[types.Object]int
 	// assigns records every assignment to a local variable.
 	assigns map[types.Object][]flowDef
+	// writes records every Write* call on a local strings.Builder, in
+	// source order: the builder's String() is their concatenation.
+	writes map[types.Object][]*ast.CallExpr
 
 	values     map[types.Object][]Op
 	valueState map[types.Object]int
@@ -109,6 +112,7 @@ func newFlow(p *Pass) *Flow {
 		decls:        make(map[*types.Func]*ast.FuncDecl),
 		paramOf:      make(map[types.Object]int),
 		assigns:      make(map[types.Object][]flowDef),
+		writes:       make(map[types.Object][]*ast.CallExpr),
 		values:       make(map[types.Object][]Op),
 		valueState:   make(map[types.Object]int),
 		summaries:    make(map[*types.Func][][]Op),
@@ -136,6 +140,10 @@ func newFlow(p *Pass) *Flow {
 				}
 			case *ast.AssignStmt:
 				fl.recordAssign(n)
+			case *ast.CallExpr:
+				if obj, m := fl.builderCall(n); obj != nil && strings.HasPrefix(m, "Write") {
+					fl.writes[obj] = append(fl.writes[obj], n)
+				}
 			case *ast.ValueSpec:
 				for i, name := range n.Names {
 					if i < len(n.Values) {
@@ -313,6 +321,9 @@ func (fl *Flow) flattenCall(call *ast.CallExpr, depth int) []Op {
 		// Numbers cannot contain separators; quoted strings escape them.
 		return []Op{{Sep: "", Pos: call.Pos()}}
 	}
+	if obj, m := fl.builderCall(call); obj != nil && m == "String" {
+		return fl.flattenBuilder(obj, depth)
+	}
 	if taint := fl.taintOfCall(call); taint != "" {
 		return []Op{{Dynamic: true, Param: -1, Taint: taint, Pos: call.Pos()}}
 	}
@@ -322,6 +333,73 @@ func (fl *Flow) flattenCall(call *ast.CallExpr, depth int) []Op {
 		}
 	}
 	return fl.dynamicIfString(call, nil)
+}
+
+// builderCall reports a method call on a local strings.Builder variable
+// (b.WriteString(x), (&b).String(), …): the builder's object and the method
+// name, or nil.
+func (fl *Flow) builderCall(call *ast.CallExpr) (types.Object, string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	f := calleeFunc(fl.pass.TypesInfo, call)
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "strings" {
+		return nil, ""
+	}
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil, ""
+	}
+	if p, ok := recv.Type().(*types.Pointer); !ok {
+		return nil, ""
+	} else if named, ok := p.Elem().(*types.Named); !ok || named.Obj().Name() != "Builder" {
+		return nil, ""
+	}
+	x := ast.Unparen(sel.X)
+	if u, ok := x.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		x = ast.Unparen(u.X)
+	}
+	id, ok := x.(*ast.Ident)
+	if !ok {
+		return nil, ""
+	}
+	obj := fl.pass.ObjectOf(id)
+	if v, ok := obj.(*types.Var); !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+		return nil, "" // only locals, like assignments
+	}
+	return obj, f.Name()
+}
+
+// flattenBuilder is the composition of a local builder's String(): its
+// writes in source order. A write inside a loop appears once — the
+// separators around it are what matter, not the repetition.
+func (fl *Flow) flattenBuilder(obj types.Object, depth int) []Op {
+	var ops []Op
+	for _, w := range fl.writes[obj] {
+		_, m := fl.builderCall(w)
+		arg := w.Args[0]
+		switch m {
+		case "WriteString":
+			ops = append(ops, fl.flatten(arg, depth+1)...)
+		case "WriteByte", "WriteRune":
+			tv := fl.pass.TypesInfo.Types[arg]
+			if tv.Value != nil {
+				if r, ok := constant.Int64Val(tv.Value); ok {
+					ops = append(ops, Op{Sep: string(rune(r)), Pos: arg.Pos()})
+					continue
+				}
+			}
+			// A computed byte is a boundary an adversary does not choose.
+			ops = append(ops, Op{Sep: "", Pos: arg.Pos()})
+		default: // Write([]byte): opaque content
+			ops = append(ops, Op{Dynamic: true, Param: -1, Pos: arg.Pos()})
+		}
+	}
+	if ops == nil {
+		ops = []Op{}
+	}
+	return ops
 }
 
 // flattenTupleResult resolves result #index of a multi-value call.

@@ -133,10 +133,19 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	sort.Slice(selected, func(i, j int) bool { return selected[i].ImportPath < selected[j].ImportPath })
 
 	fset := token.NewFileSet()
-	shared := newExportImporter(fset, exports)
+	shared := newExportImporter(fset, exports, "")
 	var pkgs []*Package
 	for _, lp := range selected {
-		pkg, err := typecheckListed(fset, lp, shared)
+		imp := shared
+		if i := strings.IndexByte(lp.ImportPath, ' '); i >= 0 {
+			// A test variant ("pkg [pkg.test]") sees its whole import
+			// closure as that test binary builds it: every dependency that
+			// has a variant for the same binary resolves to it, so symbols
+			// an in-package _test.go file adds (export_test.go hooks) are
+			// visible to the external test package.
+			imp = newExportImporter(fset, exports, lp.ImportPath[i:])
+		}
+		pkg, err := typecheckListed(fset, lp, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +154,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func typecheckListed(fset *token.FileSet, lp *listPackage, shared *exportImporter) (*Package, error) {
+func typecheckListed(fset *token.FileSet, lp *listPackage, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		path := name
@@ -160,7 +169,7 @@ func typecheckListed(fset *token.FileSet, lp *listPackage, shared *exportImporte
 	}
 	info := newTypesInfo()
 	conf := types.Config{
-		Importer: &mappedImporter{shared: shared, importMap: lp.ImportMap},
+		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	// The import path go/types records is the plain path even for test
@@ -196,16 +205,21 @@ func newTypesInfo() *types.Info {
 }
 
 // exportImporter resolves import paths through the compiler export data
-// `go list -export` reported, via the stdlib gc importer.
+// `go list -export` reported, via the stdlib gc importer. With a non-empty
+// variant suffix (" [pkg.test]"), a path's test-variant build is preferred
+// over its plain one.
 type exportImporter struct {
 	imp     types.Importer
 	exports map[string]string
 }
 
-func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
+func newExportImporter(fset *token.FileSet, exports map[string]string, variant string) *exportImporter {
 	e := &exportImporter{exports: exports}
 	e.imp = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := e.exports[path]
+		file, ok := e.exports[path+variant]
+		if !ok {
+			file, ok = e.exports[path]
+		}
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
@@ -273,24 +287,4 @@ func (g *goListImporter) exportFile(path string) (string, error) {
 		return "", fmt.Errorf("analysis: no export data for %q", path)
 	}
 	return f, nil
-}
-
-// mappedImporter applies one package's ImportMap (test variants import the
-// "pkg [pkg.test]" builds of their dependencies) before delegating to the
-// shared export importer. When a mapped variant has no export data the
-// plain package is used instead — the only loss is symbols test files added.
-type mappedImporter struct {
-	shared    *exportImporter
-	importMap map[string]string
-}
-
-func (m *mappedImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := m.importMap[path]; ok {
-		if _, have := m.shared.exports[mapped]; have {
-			if pkg, err := m.shared.Import(mapped); err == nil {
-				return pkg, nil
-			}
-		}
-	}
-	return m.shared.Import(path)
 }

@@ -18,3 +18,8 @@ func sum(m map[int]float64) float64 {
 }
 
 var _ = sum
+
+// Pair is a two-part key; its test hook lives in export_test.go.
+type Pair struct{ A, B string }
+
+func (p Pair) render() string { return p.A + "\x00" + p.B }

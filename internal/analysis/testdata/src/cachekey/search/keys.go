@@ -55,6 +55,41 @@ func assigned(c *cache, name, attr string) float64 {
 	return v
 }
 
+// builderKeyBad is the join-prefix key shape: a strings.Builder assembling
+// step IDs and join attributes with printable separators, so step "b@1"
+// joined on "5@x" and step "b@1@5" joined on "x" render one key.
+func builderKeyBad(ids, attrs []string) string {
+	var b strings.Builder
+	for i := range ids {
+		b.WriteByte('|')
+		b.WriteString(ids[i])
+		b.WriteByte('@')
+		b.WriteString(attrs[i])
+	}
+	return b.String() // want "printable separator"
+}
+
+func builderKeyGood(ids, attrs []string) string {
+	var b strings.Builder
+	for i := range ids {
+		b.WriteString(ids[i])
+		b.WriteByte(0)
+		b.WriteString(attrs[i])
+		b.WriteByte(1)
+	}
+	return b.String()
+}
+
+// Numbers between printable separators cannot smuggle one.
+func builderNumericKeyGood(xs []int) string {
+	var b strings.Builder
+	for _, x := range xs {
+		b.WriteString(strconv.Itoa(x))
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
 // Joining for human-readable output is fine outside key contexts.
 func describe(a, b string) string {
 	return a + ", " + b

@@ -95,3 +95,60 @@ func TestQualitySetColumnarEdgeCases(t *testing.T) {
 		t.Fatalf("inapplicable FDs: got %v, %v, want 1", q, err)
 	}
 }
+
+// QualitySetColumnar groups each distinct LHS once and refines it for every
+// FD sharing it, with one scratch across FDs of different RHS dictionary
+// sizes. The result must equal intersecting the per-FD correct-row sets —
+// for every pair of FDs (a stale count carried from one FD to the next would
+// shift a pair's intersection) and for the whole set.
+func TestQualitySetColumnarSharedLHS(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	fds := []FD{
+		New("d", "a"),      // LHS {a}, RHS dictionary of 9 codes
+		New("b", "a", "c"), // LHS {a, c}
+		New("c", "a"),      // LHS {a} again, a smaller RHS dictionary
+		New("d", "c", "a"), // LHS {a, c} again (sorted by New)
+		New("b", "a"),      // LHS {a} a third time
+		New("a", "d"),
+	}
+	sets := [][]FD{fds}
+	for i := range fds {
+		for j := range fds {
+			if i != j {
+				sets = append(sets, []FD{fds[i], fds[j]})
+			}
+		}
+	}
+	for trial := 0; trial < 25; trial++ {
+		tab := randomFDTable(rng, 1+rng.Intn(250), []float64{0, 0.2, 0.5}[trial%3])
+		c := relation.ToColumnar(tab)
+		for _, set := range sets {
+			acc, err := CorrectRowsColumnar(c, set[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range set[1:] {
+				cr, err := CorrectRowsColumnar(c, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc.And(cr)
+			}
+			want := float64(acc.Count()) / float64(c.NumRows())
+			got, err := QualitySetColumnar(c, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("trial %d %v: shared-LHS quality %v != per-FD intersection %v", trial, set, got, want)
+			}
+			rowQ, err := QualitySet(tab, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != rowQ {
+				t.Fatalf("trial %d %v: columnar quality %v != row quality %v", trial, set, got, rowQ)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package infotheory
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/dance-db/dance/internal/relation"
@@ -73,41 +74,145 @@ func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		starts, rows := g.RowLists()
-		total := float64(c.NumRows())
-		logTab := log2Table(make([]float64, 0, c.NumRows()+1), c.NumRows())
-		var vals, gbuf []float64
+		logTab := log2Upto(c.NumRows())
 		for _, a := range xn {
-			ai := c.Schema().Index(a)
-			vals = c.AppendNumeric(vals[:0], ai, nil)
-			lo, hi := rangeOf(vals)
-			if hi <= lo {
-				continue // constant column: zero information either way
-			}
-			scale := 1 / (hi - lo)
-			// Normalization is applied element-wise exactly as the row
-			// path's normalize closure does, so the floats agree bitwise;
-			// the buffers are owned here, so they are sorted in place
-			// (normalization is monotone and equal floats interchangeable,
-			// so sort-after-normalize yields the same sequence the row
-			// path's copy-and-sort produces).
-			for i := range vals {
-				vals[i] = (vals[i] - lo) * scale
-			}
-			sort.Float64s(vals)
-			h := cumulativeEntropySorted(vals, logTab)
-			hc := 0.0
-			for gid := 0; gid < g.N(); gid++ {
-				grows := rows[starts[gid]:starts[gid+1]]
-				gbuf = c.AppendNumeric(gbuf[:0], ai, grows)
-				for i := range gbuf {
-					gbuf[i] = (gbuf[i] - lo) * scale
-				}
-				sort.Float64s(gbuf)
-				hc += float64(len(grows)) / total * cumulativeEntropySorted(gbuf, logTab)
-			}
-			corr += h - hc
+			corr += cumulativeGain(c, c.Schema().Index(a), g, logTab)
 		}
 	}
 	return clampCorr(corr), nil
+}
+
+// cumulativeGain returns h(A) − h(A|Y) for the numeric column ai of c,
+// where g groups c by Y: zero for a constant (or all-NULL) column, which
+// carries no information either way.
+//
+// Normalization x ↦ (x − lo)/(hi − lo) is monotone, and cumulative entropy
+// reads only the sorted multiset of normalized values, in which equal
+// floats are interchangeable. So when A is dictionary-coded with a
+// dictionary no larger than 2× the rows, the values are put in order by
+// counting codes along the dictionary's shared NumericOrder, and every
+// Y-group's sorted sequence falls out of one stable scatter of that order
+// (rankedGain) — no sort at all, bit-identical to normalizing and sorting
+// (sortedGain). Raw-numeric columns, larger dictionaries (ordering one
+// costs more than sorting the rows) and non-finite values sort.
+func cumulativeGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64) float64 {
+	if d := c.Dict(ai); d != nil && d.Len() <= 2*c.NumRows() {
+		if order, ok := d.NumericOrder(); ok {
+			if gain, ok := rankedGain(c, ai, g, d, order, logTab); ok {
+				return gain
+			}
+		}
+	}
+	return sortedGain(c, ai, g, logTab)
+}
+
+// sortedGain normalizes and sorts the values of the whole column and of
+// each Y-group.
+func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64) float64 {
+	vals := c.AppendNumeric(nil, ai, nil)
+	lo, hi := rangeOf(vals)
+	if hi <= lo {
+		return 0
+	}
+	scale := 1 / (hi - lo)
+	// Normalization is applied element-wise exactly as the row path's
+	// normalize closure does, so the floats agree bitwise; the buffers are
+	// owned here, so they are sorted in place (normalization is monotone and
+	// equal floats interchangeable, so sort-after-normalize yields the same
+	// sequence the row path's copy-and-sort produces).
+	for i := range vals {
+		vals[i] = (vals[i] - lo) * scale
+	}
+	sort.Float64s(vals)
+	h := cumulativeEntropySorted(vals, logTab)
+	starts, rows := g.RowLists()
+	total := float64(c.NumRows())
+	hc := 0.0
+	var gbuf []float64
+	for gid := 0; gid < g.N(); gid++ {
+		grows := rows[starts[gid]:starts[gid+1]]
+		gbuf = c.AppendNumeric(gbuf[:0], ai, grows)
+		for i := range gbuf {
+			gbuf[i] = (gbuf[i] - lo) * scale
+		}
+		sort.Float64s(gbuf)
+		hc += float64(len(grows)) / total * cumulativeEntropySorted(gbuf, logTab)
+	}
+	return h - hc
+}
+
+// rankedGain computes h(A) − h(A|Y) from d's numeric code order. ok is
+// false when the observed range makes normalization non-monotone in
+// floating point (an infinite width or scale); the caller then sorts.
+func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.Dict, order []uint32, logTab []float64) (gain float64, ok bool) {
+	codes := c.Codes(ai)
+	counts := make([]int32, d.Len())
+	for _, code := range codes {
+		counts[code]++
+	}
+	first, last := -1, -1
+	for i, code := range order {
+		if counts[code] > 0 {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	if first < 0 {
+		return 0, true // all NULL
+	}
+	lo, hi := d.Value(order[first]).Num(), d.Value(order[last]).Num()
+	if hi <= lo {
+		return 0, true
+	}
+	scale := 1 / (hi - lo)
+	if math.IsInf(hi-lo, 0) || math.IsInf(scale, 0) {
+		return 0, false
+	}
+	// Counting sort: each present code's run, in value order; counts[code]
+	// becomes the run's next free position.
+	vals := make([]float64, 0, len(codes)-int(counts[0]))
+	for _, code := range order[first : last+1] {
+		k := counts[code]
+		if k == 0 {
+			continue
+		}
+		counts[code] = int32(len(vals))
+		v := (d.Value(code).Num() - lo) * scale
+		for ; k > 0; k-- {
+			vals = append(vals, v)
+		}
+	}
+	h := cumulativeEntropySorted(vals, logTab)
+
+	// Stable scatter: gidAt[p] is the Y-group of the row holding sorted
+	// position p; walking p upward appends each group's values in order.
+	gidAt := make([]uint32, len(vals))
+	end := make([]int32, g.N()+1) // group sizes, then offsets
+	for row, code := range codes {
+		if code != 0 {
+			gid := g.Codes[row]
+			gidAt[counts[code]] = gid
+			counts[code]++
+			end[gid+1]++
+		}
+	}
+	for gid := 0; gid < g.N(); gid++ {
+		end[gid+1] += end[gid]
+	}
+	gvals := make([]float64, len(vals))
+	for p, gid := range gidAt {
+		gvals[end[gid]] = vals[p]
+		end[gid]++
+	}
+	// end[gid] now closes group gid; group gid opens where gid−1 closes.
+	total := float64(c.NumRows())
+	hc := 0.0
+	open := int32(0)
+	for gid := 0; gid < g.N(); gid++ {
+		hc += float64(g.Counts[gid]) / total * cumulativeEntropySorted(gvals[open:end[gid]], logTab)
+		open = end[gid]
+	}
+	return h - hc, true
 }

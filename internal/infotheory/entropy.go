@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"github.com/dance-db/dance/internal/relation"
 )
@@ -130,25 +131,45 @@ func CumulativeEntropy(xs []float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return cumulativeEntropySorted(sorted, log2Table(make([]float64, 0, len(sorted)+1), len(sorted)))
+	return cumulativeEntropySorted(sorted, log2Upto(len(sorted)))
 }
 
-// log2Table extends tab so that tab[k] = log2(k) for k in [0, n] (entry 0 is
-// unused). The empirical CDF steps of cumulative entropy are all of the form
-// k/n, so one table shared across every conditioning group replaces the
-// per-step log calls that dominate the numeric correlation profile:
-// log2(k/n) is evaluated as tab[k] − tab[n].
-func log2Table(tab []float64, n int) []float64 {
-	for k := len(tab); k <= n; k++ {
-		tab = append(tab, log2(float64(k)))
+// log2Shared is the process-wide table of log2(k) (entry 0 is unused). The
+// empirical CDF steps of cumulative entropy are all of the form k/n, so one
+// table replaces the per-step log calls that dominate the numeric
+// correlation profile: log2(k/n) is evaluated as tab[k] − tab[n]. A
+// published table is never written again; growth builds a longer copy and
+// publishes it by atomic pointer swap, so readers never lock.
+var log2Shared atomic.Pointer[[]float64]
+
+// log2Upto returns a table tab with tab[k] = log2(k) for every k in [0, n].
+// Entries are math.Log2 of the same arguments whichever table serves them,
+// so results never depend on which call grew the table.
+func log2Upto(n int) []float64 {
+	for {
+		cur := log2Shared.Load()
+		var old []float64
+		if cur != nil {
+			old = *cur
+			if len(old) > n {
+				return old
+			}
+		}
+		tab := make([]float64, max(n+1, 2*len(old), 1024))
+		copy(tab, old)
+		for k := len(old); k < len(tab); k++ {
+			tab[k] = log2(float64(k))
+		}
+		if log2Shared.CompareAndSwap(cur, &tab) {
+			return tab
+		}
 	}
-	return tab
 }
 
 // cumulativeEntropySorted is CumulativeEntropy for callers that own xs (and
 // may therefore sort it in place, skipping the defensive copy) and hold a
-// log2Table covering len(xs). The columnar hot path calls it once per
-// conditioning group with one shared table.
+// log2Upto table covering len(xs). The columnar hot path calls it once per
+// conditioning group.
 func cumulativeEntropySorted(sorted []float64, logTab []float64) float64 {
 	n := len(sorted)
 	if n < 2 {

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -71,6 +73,10 @@ type Dict struct {
 	str     map[string]uint32
 	num     map[numKey]uint32
 	reindex sync.Once
+	// order is NumericOrder's result, computed at most once.
+	order     []uint32
+	orderOK   bool
+	orderOnce sync.Once
 }
 
 const (
@@ -208,6 +214,38 @@ func (d *Dict) lookup(v Value) (code uint32, ok bool) {
 		code, ok = d.num[k]
 		return code, ok
 	}
+}
+
+// NumericOrder returns d's non-NULL codes sorted by numeric value, ascending.
+// It is computed once per dictionary, on first use, and shared by every
+// relation whose columns carry d — the sampled instance and every join or
+// filter gathered from it — so a caller that needs a column's values in
+// sorted order can count codes and walk this order instead of sorting. ok is
+// false when some value is not a finite number (a string, NaN or ±Inf):
+// those have no total order that normalization preserves, so callers sort.
+// Safe for concurrent use.
+func (d *Dict) NumericOrder() (order []uint32, ok bool) {
+	d.orderOnce.Do(func() {
+		type entry struct {
+			v    float64
+			code uint32
+		}
+		entries := make([]entry, 0, len(d.vals)-1)
+		for code := 1; code < len(d.vals); code++ {
+			v := d.vals[code]
+			if v.Kind != KindInt && (v.Kind != KindFloat || math.IsNaN(v.F) || math.IsInf(v.F, 0)) {
+				return
+			}
+			entries = append(entries, entry{v.Num(), uint32(code)})
+		}
+		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+		order := make([]uint32, len(entries))
+		for i, e := range entries {
+			order[i] = e.code
+		}
+		d.order, d.orderOK = order, true
+	})
+	return d.order, d.orderOK
 }
 
 // clone copies the dictionary, intern maps rebuilt, so codes can be
@@ -366,6 +404,30 @@ func (c *Columnar) Schema() *Schema { return c.schema }
 // Codes returns the code column at col, or nil if the column is stored in
 // raw-numeric mode.
 func (c *Columnar) Codes(col int) []uint32 { return c.cols[col].Codes }
+
+// Dict returns the dictionary of a coded column, or nil if the column is
+// stored in raw-numeric mode.
+func (c *Columnar) Dict(col int) *Dict { return c.cols[col].Dict }
+
+// Project returns a view of c restricted to the columns keep names, in
+// schema order. The view shares c's column storage (both are immutable), so
+// projecting costs one schema and one column-header slice; a join over
+// projected views gathers only the kept columns. c itself is returned when
+// every column is kept.
+func (c *Columnar) Project(keep map[string]bool) *Columnar {
+	var cols []Column
+	var kept []CCol
+	for j, col := range c.schema.cols {
+		if keep[col.Name] {
+			cols = append(cols, col)
+			kept = append(kept, c.cols[j])
+		}
+	}
+	if len(cols) == len(c.cols) {
+		return c
+	}
+	return &Columnar{Name: c.Name, schema: NewSchema(cols...), cols: kept, n: c.n}
+}
 
 // DictLen returns the dictionary size of a coded column (0 for raw-numeric).
 func (c *Columnar) DictLen(col int) int {

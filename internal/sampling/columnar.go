@@ -2,9 +2,9 @@ package sampling
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/safekey"
 )
 
 // Columnar fast path for the re-sampled multi-way join (Sec 3.2). The
@@ -104,31 +104,29 @@ type PrefixCache interface {
 // (and possibly re-sampled) intermediate after joining steps[0..i]. The key
 // covers the sampling options (η, ρ, hasher seed — PathJoinOptions.CacheKey,
 // for the same reason the evaluator cache includes it: equal spines under
-// different sampling options produce different tables), every step's table
-// identity and join attributes, and — when re-sampling is enabled — the
-// *next* step's join attributes, because the intermediate is re-sampled on
-// the attributes it will join on next, and a path that ends at step i must
-// not share state with one that continues through it.
+// different sampling options produce different tables), the projection tag,
+// every step's table identity and join attributes, and — when re-sampling is
+// enabled — the *next* step's join attributes, because the intermediate is
+// re-sampled on the attributes it will join on next, and a path that ends at
+// step i must not share state with one that continues through it.
+//
+// Step IDs and attribute names are seller- and shopper-controlled text, so
+// every part is length-prefixed (safekey.Join); keys of different paths can
+// never alias, whatever the names contain.
 func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 	keys := make([]string, len(steps))
-	var b strings.Builder
-	b.WriteString(opts.CacheKey())
-	b.WriteByte('|')
-	b.WriteString(steps[0].ID)
+	key := safekey.Join(opts.CacheKey(), opts.ProjectionTag, steps[0].ID)
 	for i := 1; i < len(steps); i++ {
-		b.WriteByte('|')
-		b.WriteString(steps[i].ID)
-		b.WriteByte('@')
-		b.WriteString(strings.Join(steps[i].On, "\x00"))
+		next := ""
 		if opts.Eta > 0 {
-			b.WriteByte('^')
 			if i < len(steps)-1 {
-				b.WriteString(strings.Join(steps[i+1].On, "\x00"))
+				next = safekey.Join(steps[i+1].On...)
 			} else {
-				b.WriteByte('$')
+				next = "$" // terminal: a Join of one or more parts starts with a digit
 			}
 		}
-		keys[i] = b.String()
+		key += safekey.Join(steps[i].ID, safekey.Join(steps[i].On...), next)
+		keys[i] = key
 	}
 	return keys
 }

@@ -239,3 +239,49 @@ func TestPrefixKeysDisambiguateEta(t *testing.T) {
 		t.Fatal("η = 0 prefixes should share keys")
 	}
 }
+
+// TestPrefixKeysDoNotAlias pins the join-prefix keys against hostile names:
+// step "b@1" joined on a column named "5@x" and a listing "b@1" at version
+// 5 (step ID "b@1@5") joined on "x" once rendered the same key, so one path
+// was served the other's intermediate. Keys are length-prefixed now.
+func TestPrefixKeysDoNotAlias(t *testing.T) {
+	left := relation.NewTable("a", relation.NewSchema(
+		relation.Cat("5@x", relation.KindInt), relation.Cat("x", relation.KindInt)))
+	byOdd := relation.NewTable("b", relation.NewSchema(
+		relation.Cat("5@x", relation.KindInt), relation.Cat("p", relation.KindString)))
+	byX := relation.NewTable("b", relation.NewSchema(
+		relation.Cat("x", relation.KindInt), relation.Cat("p", relation.KindString)))
+	for i := 0; i < 6; i++ {
+		left.Append([]relation.Value{relation.IntValue(int64(i)), relation.IntValue(int64(i % 2))})
+		byOdd.Append([]relation.Value{relation.IntValue(int64(i)), relation.StringValue("odd")})
+		byX.Append([]relation.Value{relation.IntValue(int64(i % 3)), relation.StringValue("x")})
+	}
+	a := relation.ToColumnar(left)
+	pathOdd := []ColumnarStep{{C: a, ID: "a"}, {C: relation.ToColumnar(byOdd), On: []string{"5@x"}, ID: "b@1"}}
+	pathX := []ColumnarStep{{C: a, ID: "a"}, {C: relation.ToColumnar(byX), On: []string{"x"}, ID: "b@1@5"}}
+	for _, opts := range []PathJoinOptions{{}, {Eta: 1, ResampleRate: 0.5, Hasher: NewHasher(3)}} {
+		if prefixKeys(pathOdd, opts)[1] == prefixKeys(pathX, opts)[1] {
+			t.Fatalf("opts %s: distinct paths share a prefix key", opts.CacheKey())
+		}
+		cache := &mapPrefixCache{m: map[string]*relation.Columnar{}}
+		if _, _, err := ResampledJoinPathColumnar(pathOdd, opts, cache); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ResampledJoinPathColumnar(pathX, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ResampledJoinPathColumnar(pathX, opts, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache.hits != 0 {
+			t.Fatalf("opts %s: path served another path's intermediate", opts.CacheKey())
+		}
+		assertTablesEqual(t, want.ToTable(), got.ToTable())
+	}
+	// The projection tag separates otherwise equal paths.
+	if prefixKeys(pathX, PathJoinOptions{ProjectionTag: "t1"})[1] == prefixKeys(pathX, PathJoinOptions{ProjectionTag: "t2"})[1] {
+		t.Fatal("projection tag is not part of the prefix key")
+	}
+}

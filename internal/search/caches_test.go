@@ -102,3 +102,51 @@ func TestSharedCachesVersionedInvalidation(t *testing.T) {
 		t.Fatalf("shared-cache result %+v != fresh-cache result %+v", res3.Est, res4.Est)
 	}
 }
+
+// TestRetainPrunesProjectedViews pins that Retain drops the projected views
+// (and encodings and join indexes) of superseded instance versions, and
+// keeps every live instance's state.
+func TestRetainPrunesProjectedViews(t *testing.T) {
+	caches := NewCaches()
+	v1 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 3, "tgt2": 4}
+	g1, _ := rebuildGraph(t, 3, v1, nil)
+	if _, err := NewSearcherWithCaches(g1, caches).Heuristic(bg, baseRequest()); err != nil {
+		t.Fatal(err)
+	}
+	v2 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 30, "tgt2": 4}
+	g2, _ := rebuildGraph(t, 3, v2, nil)
+	s2 := NewSearcherWithCaches(g2, caches)
+	if _, err := s2.Heuristic(bg, baseRequest()); err != nil {
+		t.Fatal(err)
+	}
+	viewInsts := func() map[string]bool {
+		caches.views.mu.RLock()
+		defer caches.views.mu.RUnlock()
+		out := map[string]bool{}
+		for k := range caches.views.m {
+			out[k.inst] = true
+		}
+		return out
+	}
+	dead := g1.Instances[g1.InstanceIndex("tgt1")].CacheKey()
+	live := s2.instKey[g2.InstanceIndex("tgt1")]
+	if before := viewInsts(); !before[dead] || !before[live] {
+		t.Fatalf("expected views of both %s and %s before pruning, have %v", dead, live, before)
+	}
+	caches.RetainInstances(s2)
+	after := viewInsts()
+	if after[dead] {
+		t.Fatalf("Retain kept projected views of dead instance %s", dead)
+	}
+	for _, k := range s2.instKey {
+		if !after[k] {
+			t.Fatalf("Retain dropped projected views of live instance %s (have %v)", k, after)
+		}
+	}
+	caches.cols.mu.RLock()
+	deadCols := caches.cols.m[dead]
+	caches.cols.mu.RUnlock()
+	if deadCols != nil {
+		t.Fatalf("Retain kept the encoding of dead instance %s", dead)
+	}
+}

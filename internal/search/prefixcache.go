@@ -124,6 +124,21 @@ type joinIndexStore struct {
 	m  map[string]*relation.JoinIndex // guarded by mu
 }
 
+// maxViews bounds the projected-view store. Views are cheap to rebuild (a
+// schema and a column-header slice), so the store is simply emptied when it
+// is full: distinct keep sets grow with the X/Y splits shoppers ask for.
+const maxViews = 4096
+
+// viewStore shares each instance's projected view per keep set.
+type viewStore struct {
+	mu sync.RWMutex                   // lockorder: leaf
+	m  map[viewKey]*relation.Columnar // guarded by mu
+}
+
+// viewKey is a (versioned instance, keep-set tag) pair; a struct key needs
+// no separator between its two attacker-controlled parts.
+type viewKey struct{ inst, tag string }
+
 func joinIndexKey(instKey string, on []string) string {
 	var b strings.Builder
 	b.WriteString(instKey)
@@ -135,8 +150,8 @@ func joinIndexKey(instKey string, on []string) string {
 }
 
 // Caches bundles the memoized evaluation state — metric evaluations,
-// columnar encodings, join indexes and join prefixes — so it can outlive a
-// single Searcher. Every key incorporates the owning instance's
+// columnar encodings and their projected views, join indexes and join
+// prefixes — so it can outlive a single Searcher. Every key incorporates the owning instance's
 // (name, version) identity; a sample-rate escalation therefore invalidates
 // exactly the entries of datasets whose rows changed, while state derived
 // from unchanged datasets (empty deltas, owned sources) keeps hitting.
@@ -144,6 +159,7 @@ func joinIndexKey(instKey string, on []string) string {
 type Caches struct {
 	eval     *evalCache
 	cols     colStore
+	views    viewStore
 	joinIdx  joinIndexStore
 	prefixes *prefixCache
 }
@@ -153,14 +169,15 @@ func NewCaches() *Caches {
 	return &Caches{
 		eval:     newEvalCache(),
 		cols:     colStore{m: make(map[string]*relation.Columnar)},
+		views:    viewStore{m: make(map[viewKey]*relation.Columnar)},
 		joinIdx:  joinIndexStore{m: make(map[string]*relation.JoinIndex)},
 		prefixes: newPrefixCache(),
 	}
 }
 
-// Retain drops the heavyweight cached state — columnar encodings and
-// join indexes — of instances whose versioned key is no longer live.
-// A long-lived session escalates repeatedly, and every escalation
+// Retain drops the heavyweight cached state — columnar encodings, their
+// projected views and join indexes — of instances whose versioned key is
+// no longer live. A long-lived session escalates repeatedly, and every escalation
 // supersedes most dataset versions; without pruning, each round would
 // strand a full generation of per-row indexes in memory. (The evaluator
 // cache is entry-capped instead — its values are small — and the prefix
@@ -173,6 +190,13 @@ func (c *Caches) Retain(live map[string]bool) {
 		}
 	}
 	c.cols.mu.Unlock()
+	c.views.mu.Lock()
+	for key := range c.views.m {
+		if !live[key.inst] {
+			delete(c.views.m, key)
+		}
+	}
+	c.views.mu.Unlock()
 	c.joinIdx.mu.Lock()
 	for key := range c.joinIdx.m {
 		// joinIndexKey is instKey + "\x00" + attr…; recover the instance.

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/graphalg"
@@ -19,6 +20,7 @@ import (
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/parallel"
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/safekey"
 	"github.com/dance-db/dance/internal/sampling"
 )
 
@@ -164,6 +166,9 @@ type Searcher struct {
 	caches *Caches
 	// instKey is each instance's versioned cache identity, precomputed.
 	instKey []string
+
+	keepMu sync.Mutex          // lockorder: leaf
+	keeps  map[string]*keepSet // by Request.corrKey; guarded by keepMu
 }
 
 // NewSearcher wraps a join graph with a private cache set (the classic
@@ -176,7 +181,7 @@ func NewSearcher(g *joingraph.Graph) *Searcher {
 // middleware passes one Caches across sample-rate escalations so that
 // evaluation state derived from unchanged datasets survives the rebuild.
 func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches}
+	s := &Searcher{G: g, caches: caches, keeps: make(map[string]*keepSet)}
 	s.instKey = make([]string, len(g.Instances))
 	for i, inst := range g.Instances {
 		s.instKey[i] = inst.CacheKey()
@@ -205,6 +210,112 @@ func (s *Searcher) columnarOf(v int) *relation.Columnar {
 		return prev
 	}
 	s.caches.cols.m[key] = c
+	return c
+}
+
+// keepSet is the column projection evaluateUncached joins under: X ∪ Y,
+// every attribute of every instance's FDs, every attribute two instances
+// share (the union of the I-edges' Shared sets), and every name the join's
+// right-side renaming could produce (joinedSchema's base_r / base_rN). A
+// dropped column therefore lives in exactly one instance, is never joined,
+// grouped or measured, and can neither be renamed nor push a kept column to
+// a different rename suffix — so the projected join is the unprojected one
+// restricted to the kept columns, names and all, and every metric is
+// bit-identical. The set is request-wide (a function of the X/Y split and
+// the graph), not per target graph, so MCMC neighbours keep sharing join
+// prefixes.
+type keepSet struct {
+	names map[string]bool
+	// tag is the injective rendering of the sorted names; it is part of the
+	// projected-view and join-prefix keys.
+	tag string
+}
+
+// maxKeepSets bounds a Searcher's memo of keep sets; it is emptied when
+// full, since the X/Y splits it is keyed by are shopper-chosen.
+const maxKeepSets = 64
+
+// keepFor returns req's keep set, computed once per X/Y split.
+func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
+	key := req.corrKey()
+	s.keepMu.Lock()
+	defer s.keepMu.Unlock()
+	if k := s.keeps[key]; k != nil {
+		return k
+	}
+	if len(s.keeps) >= maxKeepSets {
+		clear(s.keeps)
+	}
+	names := map[string]bool{}
+	for _, a := range x {
+		names[a] = true
+	}
+	for _, a := range y {
+		names[a] = true
+	}
+	for _, inst := range s.G.Instances {
+		for _, f := range inst.FDs {
+			for _, a := range f.Attrs() {
+				names[a] = true
+			}
+		}
+		for _, col := range inst.Sample.Schema.Names() {
+			if renameShaped(col) {
+				names[col] = true
+			}
+		}
+	}
+	for _, e := range s.G.Edges {
+		for _, a := range e.Shared {
+			names[a] = true
+		}
+	}
+	sorted := make([]string, 0, len(names))
+	for a := range names {
+		sorted = append(sorted, a)
+	}
+	sort.Strings(sorted)
+	k := &keepSet{names: names, tag: safekey.Join(sorted...)}
+	s.keeps[key] = k
+	return k
+}
+
+// renameShaped reports whether name has the shape of a name joinedSchema
+// gives a clashing right-side column: base + "_r", optionally followed by
+// a decimal suffix.
+func renameShaped(name string) bool {
+	i := strings.LastIndex(name, "_r")
+	if i < 0 {
+		return false
+	}
+	for _, ch := range name[i+2:] {
+		if ch < '0' || ch > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// viewOf returns instance v's columnar encoding projected to keep, shared
+// per (versioned instance, keep set).
+func (s *Searcher) viewOf(v int, keep *keepSet) *relation.Columnar {
+	key := viewKey{inst: s.instKey[v], tag: keep.tag}
+	s.caches.views.mu.RLock()
+	c := s.caches.views.m[key]
+	s.caches.views.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	c = s.columnarOf(v).Project(keep.names)
+	s.caches.views.mu.Lock()
+	defer s.caches.views.mu.Unlock()
+	if prev := s.caches.views.m[key]; prev != nil {
+		return prev
+	}
+	if len(s.caches.views.m) >= maxViews {
+		clear(s.caches.views.m)
+	}
+	s.caches.views.m[key] = c
 	return c
 }
 
@@ -256,7 +367,7 @@ func fingerprint(tg *joingraph.TargetGraph) string {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		b.WriteString(k)
+		b.WriteString(strconv.Quote(k)) // attribute names are free text
 		b.WriteByte('=')
 		b.WriteString(strconv.Itoa(tg.Assign[k]))
 		b.WriteByte(';')
@@ -286,19 +397,18 @@ func (r Request) corrKey() string {
 // of every participating instance: metrics are a function of the samples,
 // so a cache shared across rebuilds must distinguish dataset versions —
 // and, by keying per instance, entries for target graphs touching only
-// unchanged datasets keep hitting after an escalation.
+// unchanged datasets keep hitting after an escalation. Instance keys carry
+// seller-controlled names, so the parts are length-prefixed (safekey.Join):
+// instance keys "p@1;q@2", "r@3" and "p@1", "q@2;r@3" must not render one
+// key.
 func (s *Searcher) evalKey(tg *joingraph.TargetGraph, req Request) string {
-	var b strings.Builder
-	b.WriteString(fingerprint(tg))
+	parts := make([]string, 0, len(tg.Vertices)+3)
+	parts = append(parts, fingerprint(tg))
 	for _, v := range tg.Vertices {
-		b.WriteString(s.instKey[v])
-		b.WriteByte(';')
+		parts = append(parts, s.instKey[v])
 	}
-	b.WriteByte('|')
-	b.WriteString(req.corrKey())
-	b.WriteByte('|')
-	b.WriteString(req.samplingOptions().CacheKey())
-	return b.String()
+	parts = append(parts, req.corrKey(), req.samplingOptions().CacheKey())
+	return safekey.Join(parts...)
 }
 
 // Evaluate computes the estimated metrics of tg on the held samples,
@@ -329,12 +439,14 @@ func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 }
 
 // evaluateUncached runs entirely on the columnar fast path: instance
-// samples are dictionary-encoded once per Searcher, build-side join indexes
-// are shared per (instance, join-attrs), the join never materializes rows,
-// and common path prefixes are reused through the prefix cache. The metrics
-// are bit-identical to joining the row samples with
-// sampling.ResampledJoinPath and calling infotheory.CorrelationOnRows and
-// fd.QualitySet (pinned by the columnar equivalence tests).
+// samples are dictionary-encoded once per Searcher, the join runs over
+// views projected to the request's keep set (so it gathers only the columns
+// the metrics or later hops read), build-side join indexes are shared per
+// (instance, join-attrs), the join never materializes rows, and common path
+// prefixes are reused through the prefix cache. The metrics are
+// bit-identical to joining the row samples with sampling.ResampledJoinPath
+// and calling infotheory.CorrelationOnRows and fd.QualitySet (pinned by the
+// columnar equivalence tests).
 func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
 	x, y, err := req.corrAttrs()
 	if err != nil {
@@ -344,9 +456,10 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	if err != nil {
 		return Metrics{}, err
 	}
+	keep := s.keepFor(req, x, y)
 	steps := make([]sampling.ColumnarStep, len(hops))
 	for i, hp := range hops {
-		st := sampling.ColumnarStep{C: s.columnarOf(hp.Vertex), On: hp.On, ID: s.instKey[hp.Vertex]}
+		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, keep), On: hp.On, ID: s.instKey[hp.Vertex]}
 		if i > 0 {
 			if st.Index, err = s.joinIndexOf(hp.Vertex, hp.On, workers); err != nil {
 				return Metrics{}, err
@@ -356,6 +469,7 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	}
 	opts := req.samplingOptions()
 	opts.Workers = workers
+	opts.ProjectionTag = keep.tag
 	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, s.caches.prefixes)
 	if err != nil {
 		return Metrics{}, err

@@ -218,7 +218,15 @@ func Correlation(t *Table, x, y []string) (float64, error) {
 // JoinInformativeness computes JI(a, b) of Def 2.4 over the full outer join
 // on the given attributes; lower is a more informative join.
 func JoinInformativeness(a, b *Table, on []string) (float64, error) {
-	return infotheory.JoinInformativeness(a, b, on)
+	ca, err := relation.ToColumnarSubset(a, on, nil)
+	if err != nil {
+		return 0, err
+	}
+	cb, err := relation.ToColumnarSubset(b, on, nil)
+	if err != nil {
+		return 0, err
+	}
+	return infotheory.JoinInformativeness(ca, cb, on)
 }
 
 // Quality computes Q of Defs 2.2/2.3: the fraction of rows consistent with

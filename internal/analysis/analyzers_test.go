@@ -32,6 +32,7 @@ func TestCachekey(t *testing.T) {
 	analysistest.Run(t, td, analysis.Cachekey, "cachekey/search")
 	analysistest.Run(t, td, analysis.Cachekey, "cachekey/web")
 	analysistest.Run(t, td, analysis.Cachekey, "cachekey/flow/offline")
+	analysistest.Run(t, td, analysis.Cachekey, "cachekey/pricing")
 }
 
 func TestLockorder(t *testing.T) {

@@ -18,6 +18,7 @@ var CacheKeyPackages = map[string]bool{
 	"offline":      true,
 	"core":         true,
 	"sampling":     true,
+	"pricing":      true,
 	"safekey":      true,
 	"analysis":     true,
 	"analysistest": true,

@@ -619,7 +619,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	searcher := search.NewSearcherWithCaches(g, d.caches)
 	// Drop cached state of superseded dataset versions: a long-lived
 	// session escalates many times, and each round would otherwise strand
-	// a generation of columnar encodings and join indexes.
+	// a generation of projected views and join indexes.
 	d.caches.RetainInstances(searcher)
 	d.mu.Lock()
 	d.rate = rate
@@ -682,7 +682,7 @@ func (h policyHost) Sources() []policy.Source {
 	defer h.d.mu.Unlock()
 	out := make([]policy.Source, len(h.d.sources))
 	for i, s := range h.d.sources {
-		out[i] = policy.Source{Table: s.table, FDs: s.fds}
+		out[i] = policy.Source{Table: s.table, Columnar: s.cols, FDs: s.fds}
 	}
 	return out
 }

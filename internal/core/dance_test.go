@@ -64,27 +64,36 @@ func buildScenario(seed int64) (*marketplace.InMemory, *relation.Table) {
 	return m, src
 }
 
-// sampleChargesInCatalogOrder sums the ledger's full-sample charges dataset
-// by dataset in catalog order. Offline samples datasets concurrently, so the
-// ledger holds them in arrival order, while Dance sums a round's charges in
-// catalog order; float addition is not associative, so only the catalog-order
-// sum can be compared with SampleCost exactly. Each dataset is charged at
-// most once per round, so this is exact for single-round fixtures.
+// sampleChargesInCatalogOrder sums the ledger's sample and delta charges
+// the way Dance sums SampleCost: each round's charges in catalog order, then
+// the rounds in order. Offline samples datasets concurrently, so the ledger
+// holds a round's charges in arrival order; float addition is not
+// associative, so only this association can be compared with SampleCost
+// exactly. Rounds run one after another, so a dataset's r-th charge belongs
+// to round r — exact for fixtures that charge every dataset in every round.
 func sampleChargesInCatalogOrder(t *testing.T, m *marketplace.InMemory) float64 {
 	t.Helper()
 	catalog, err := m.Catalog(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDataset := map[string]float64{}
+	byDataset := map[string][]float64{}
+	rounds := 0
 	for _, e := range m.Ledger().Entries() {
-		if e.Kind == "sample" {
-			byDataset[e.Dataset] += e.Amount
+		if e.Kind == "sample" || e.Kind == "sample_delta" {
+			byDataset[e.Dataset] = append(byDataset[e.Dataset], e.Amount)
+			rounds = max(rounds, len(byDataset[e.Dataset]))
 		}
 	}
 	total := 0.0
-	for _, info := range catalog {
-		total += byDataset[info.Name]
+	for r := 0; r < rounds; r++ {
+		round := 0.0
+		for _, info := range catalog {
+			if charges := byDataset[info.Name]; r < len(charges) {
+				round += charges[r]
+			}
+		}
+		total += round
 	}
 	return total
 }

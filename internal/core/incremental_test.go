@@ -125,7 +125,7 @@ func TestEscalationBillsOnlyDeltas(t *testing.T) {
 	if math.Abs(total-sumFull) > 1e-9*sumFull {
 		t.Fatalf("escalation to rate 1 should cost ≈ one full sample (%v), billed %v", sumFull, total)
 	}
-	if lt := m.Ledger().TotalByKind("sample") + m.Ledger().TotalByKind("sample_delta"); lt != total {
+	if lt := sampleChargesInCatalogOrder(t, m); lt != total {
 		t.Fatalf("middleware cost %v disagrees with marketplace ledger %v", total, lt)
 	}
 

@@ -156,22 +156,107 @@ func TestDancePolicyPinned(t *testing.T) {
 		}
 	}
 
+	checkPinned(t, pinnedGoldenPath, observed)
+}
+
+// The try-before-you-buy golden freezes the TBYB policy's output on the
+// owned-base scenario shape the load benchmarks use: the shopper owns the
+// base listing (AddSource) and TBYB buys pilot and delta samples of the
+// rest. Every escalation round rebuilds a join graph over fresh pilot
+// samples, so this pins the join-informativeness weights of those graphs
+// bit for bit. Regenerate with PINNED_UPDATE=1 go test ./internal/core -run
+// TestTBYBPolicyPinned (only legitimate when the search engine changes).
+const pinnedTBYBPath = "testdata/pinned_tbyb.json"
+
+func TestTBYBPolicyPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pinned-equivalence sweep")
+	}
+	var observed []pinnedGolden
+	for _, workers := range []int{1, 8} {
+		for _, sc := range []struct {
+			spec string
+			seed int64
+			k    int
+		}{
+			{"star:4,rows=2000,keys=2000,fanout=2", 1, 0},
+			{"chain:3,decoys=3", 2, 3},
+			{"snowflake:2,null=0.05", 3, 0},
+		} {
+			sp, err := workload.ParseSpec(sc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := workload.Generate(sp, sc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mw := New(w.MarketplaceWithoutBase(), Config{SampleRate: 0.3, SampleSeed: uint64(sc.seed) + 77, Workers: workers})
+			mw.AddSource(w.Base(), w.FDs[w.Base().Name])
+			req := search.Request{
+				SourceAttrs: []string{w.Truth.X},
+				TargetAttrs: []string{w.Truth.Y},
+				Budget:      w.Truth.PlanCostOwned * (1 + 1e-6),
+				Iterations:  20,
+				Seed:        sc.seed + 13,
+				Workers:     workers,
+				Policy:      "try-before-you-buy",
+			}
+			name := fmt.Sprintf("tbyb/%s/seed%d/w%d", sc.spec, sc.seed, workers)
+			g := pinnedGolden{Name: name, Workers: workers}
+			plan, err := mw.Acquire(bg, req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, q := range plan.Queries {
+				g.Queries = append(g.Queries, q.String())
+			}
+			g.Est = estBits(plan.Est)
+			g.Evals = plan.Evals
+			if sc.k > 0 {
+				ranked, err := mw.AcquireTopK(bg, req, sc.k, search.DefaultScoreWeights())
+				if err != nil {
+					t.Fatalf("%s: topk: %v", name, err)
+				}
+				for _, rp := range ranked {
+					line := fmt.Sprintf("score=%s est=%v", hexF(rp.Score), estBits(rp.Plan.Est))
+					for _, q := range rp.Plan.Queries {
+						line += " " + q.String()
+					}
+					g.TopK = append(g.TopK, line)
+				}
+			}
+			g.Rate = hexF(mw.SampleRate())
+			g.SampleCost = hexF(mw.SampleCost())
+			for _, r := range mw.SampleRounds() {
+				g.Rounds = append(g.Rounds, [4]string{hexF(r.FromRate), hexF(r.ToRate), hexF(r.FullCost), hexF(r.DeltaCost)})
+			}
+			observed = append(observed, g)
+		}
+	}
+	checkPinned(t, pinnedTBYBPath, observed)
+}
+
+// checkPinned compares observed with the golden at path, or rewrites the
+// golden when PINNED_UPDATE is set.
+func checkPinned(t *testing.T, path string, observed []pinnedGolden) {
+	t.Helper()
 	if os.Getenv("PINNED_UPDATE") != "" {
 		buf, err := json.MarshalIndent(observed, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(pinnedGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(pinnedGoldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d pinned cases to %s", len(observed), pinnedGoldenPath)
+		t.Logf("wrote %d pinned cases to %s", len(observed), path)
 		return
 	}
 
-	buf, err := os.ReadFile(pinnedGoldenPath)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +274,28 @@ func TestDancePolicyPinned(t *testing.T) {
 		if string(wb) != string(ob) {
 			t.Errorf("pinned case %s diverged from pre-refactor output:\nwant %s\ngot  %s", w.Name, wb, ob)
 		}
+	}
+}
+
+// TestPolicySourcesShareOwnedEncoding pins that policies see the encoding
+// AddSource built, so a policy's join graphs never re-encode the shopper's
+// owned base.
+func TestPolicySourcesShareOwnedEncoding(t *testing.T) {
+	sp, err := workload.ParseSpec("chain:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw := New(w.MarketplaceWithoutBase(), Config{})
+	mw.AddSource(w.Base(), nil)
+	srcs := policyHost{d: mw}.Sources()
+	mw.mu.Lock()
+	owned := mw.sources[0].cols
+	mw.mu.Unlock()
+	if len(srcs) != 1 || srcs[0].Columnar == nil || srcs[0].Columnar != owned {
+		t.Fatal("policy sources do not carry the encoding AddSource built")
 	}
 }

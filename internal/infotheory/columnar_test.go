@@ -166,10 +166,10 @@ func TestJIFromPairCountsDeterministic(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		joint[[2]string{string(rune('a' + rng.Intn(20))), string(rune('A' + rng.Intn(20)))}] += int64(rng.Intn(5) + 1)
 	}
-	first := JIFromPairCounts(joint)
+	first := jiFromPairCounts(joint)
 	for i := 0; i < 50; i++ {
-		if got := JIFromPairCounts(joint); got != first {
-			t.Fatalf("JIFromPairCounts nondeterministic: %v then %v", first, got)
+		if got := jiFromPairCounts(joint); got != first {
+			t.Fatalf("jiFromPairCounts nondeterministic: %v then %v", first, got)
 		}
 	}
 }

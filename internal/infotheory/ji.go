@@ -2,13 +2,12 @@ package infotheory
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/dance-db/dance/internal/relation"
 )
 
-// JoinInformativeness computes JI(D, D') of Def 2.4 for tables a and b over
-// join attributes on:
+// JoinInformativeness computes JI(D, D') of Def 2.4 for relations a and b
+// over join attributes on:
 //
 //	JI = (H(a.J, b.J) − I(a.J; b.J)) / H(a.J, b.J)
 //
@@ -17,71 +16,22 @@ import (
 // pairs and are penalized. The value lies in [0, 1]; smaller is a more
 // informative join. A degenerate outer join with a single distinct pair
 // (H = 0) returns 0, the most informative value, since the join loses
-// nothing.
-func JoinInformativeness(a, b *relation.Table, on []string) (float64, error) {
+// nothing. The distribution is counted on dictionary codes
+// (relation.OuterJoinCounts), in the fixed key order that makes the
+// entropy sums, and so JI, deterministic to the last bit.
+func JoinInformativeness(a, b *relation.Columnar, on []string) (float64, error) {
 	if len(on) == 0 {
 		return 0, fmt.Errorf("infotheory: join informativeness of %s/%s with no join attributes", a.Name, b.Name)
 	}
-	joint, err := relation.OuterJoinPairCounts(a, b, on)
+	joint, left, right, err := relation.OuterJoinCounts(a, b, on)
 	if err != nil {
 		return 0, err
 	}
-	return JIFromPairCounts(joint), nil
-}
-
-// JIFromPairCounts computes JI from a precomputed joint pair distribution
-// (as produced by relation.OuterJoinPairCounts). Exposed so the sampling
-// estimators can reuse it. Pair keys are sorted before the counts are
-// collected: EntropyFromCounts sums in input order, so iterating the map
-// directly would make JI nondeterministic in the last ulps.
-func JIFromPairCounts(joint map[[2]string]int64) float64 {
-	if len(joint) == 0 {
-		return 0
-	}
-	keys := make([][2]string, 0, len(joint))
-	for k := range joint {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	var total int64
-	left := make(map[string]int64)
-	right := make(map[string]int64)
-	var leftOrder, rightOrder []string
-	jointCounts := make([]int64, 0, len(joint))
-	for _, k := range keys {
-		c := joint[k]
-		total += c
-		if _, ok := left[k[0]]; !ok {
-			leftOrder = append(leftOrder, k[0])
-		}
-		left[k[0]] += c
-		if _, ok := right[k[1]]; !ok {
-			rightOrder = append(rightOrder, k[1])
-		}
-		right[k[1]] += c
-		jointCounts = append(jointCounts, c)
-	}
-	if total == 0 {
-		return 0
-	}
-	hJoint := EntropyFromCounts(jointCounts)
+	hJoint := EntropyFromCounts(joint)
 	if hJoint == 0 {
-		return 0
+		return 0, nil
 	}
-	lc := make([]int64, 0, len(left))
-	for _, k := range leftOrder {
-		lc = append(lc, left[k])
-	}
-	rc := make([]int64, 0, len(right))
-	for _, k := range rightOrder {
-		rc = append(rc, right[k])
-	}
-	mi := EntropyFromCounts(lc) + EntropyFromCounts(rc) - hJoint
+	mi := EntropyFromCounts(left) + EntropyFromCounts(right) - hJoint
 	ji := (hJoint - mi) / hJoint
 	// Clamp numeric noise into [0, 1].
 	if ji < 0 {
@@ -90,5 +40,5 @@ func JIFromPairCounts(joint map[[2]string]int64) float64 {
 	if ji > 1 {
 		ji = 1
 	}
-	return ji
+	return ji, nil
 }

@@ -23,7 +23,7 @@ func TestJIPerfectMatch(t *testing.T) {
 	// always, so I = H and JI = 0 (most informative).
 	a := kv("a", []int64{1, 2, 3, 4})
 	b := kv("b", []int64{1, 2, 3, 4})
-	ji, err := JoinInformativeness(a, b, []string{"k"})
+	ji, err := jiTables(a, b, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestJICompletelyDisjoint(t *testing.T) {
 	// equals the joint support split; JI must be far from 0.
 	a := kv("a", []int64{1, 2, 3, 4})
 	b := kv("b", []int64{5, 6, 7, 8})
-	ji, err := JoinInformativeness(a, b, []string{"k"})
+	ji, err := jiTables(a, b, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestJIOrderingMatchesIntuition(t *testing.T) {
 	mostly := kv("b1", []int64{1, 2, 3, 9})
 	barely := kv("b2", []int64{1, 9, 8, 7})
 	a := kv("a", []int64{1, 2, 3, 4})
-	jiMostly, err := JoinInformativeness(a, mostly, []string{"k"})
+	jiMostly, err := jiTables(a, mostly, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jiBarely, err := JoinInformativeness(a, barely, []string{"k"})
+	jiBarely, err := jiTables(a, barely, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +71,20 @@ func TestJIDegenerate(t *testing.T) {
 	// Single shared constant key: H(joint) = 0 → JI defined as 0.
 	a := kv("a", []int64{7, 7})
 	b := kv("b", []int64{7})
-	ji, err := JoinInformativeness(a, b, []string{"k"})
+	ji, err := jiTables(a, b, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ji != 0 {
 		t.Fatalf("degenerate JI = %v, want 0", ji)
 	}
-	if _, err := JoinInformativeness(a, b, nil); err == nil {
+	if _, err := jiTables(a, b, nil); err == nil {
 		t.Fatal("no join attributes should error")
 	}
 }
 
 func TestJIFromPairCountsEmpty(t *testing.T) {
-	if got := JIFromPairCounts(nil); got != 0 {
+	if got := jiFromPairCounts(nil); got != 0 {
 		t.Fatalf("JI(nil) = %v", got)
 	}
 }
@@ -92,11 +92,11 @@ func TestJIFromPairCountsEmpty(t *testing.T) {
 func TestJISymmetric(t *testing.T) {
 	a := kv("a", []int64{1, 1, 2, 3, 5})
 	b := kv("b", []int64{1, 2, 2, 8})
-	j1, err := JoinInformativeness(a, b, []string{"k"})
+	j1, err := jiTables(a, b, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := JoinInformativeness(b, a, []string{"k"})
+	j2, err := jiTables(b, a, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestQuickJIRange(t *testing.T) {
 		for i, k := range bKeys {
 			bk[i] = int64(k % 16)
 		}
-		ji, err := JoinInformativeness(kv("a", ak), kv("b", bk), []string{"k"})
+		ji, err := jiTables(kv("a", ak), kv("b", bk), []string{"k"})
 		return err == nil && ji >= 0 && ji <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -147,8 +147,8 @@ func TestQuickJIIgnoresPayload(t *testing.T) {
 		for i := range b2.Rows {
 			b2.Rows[i][pi] = relation.IntValue(int64(i) * 1337)
 		}
-		j1, err1 := JoinInformativeness(a, b1, []string{"k"})
-		j2, err2 := JoinInformativeness(a, b2, []string{"k"})
+		j1, err1 := jiTables(a, b1, []string{"k"})
+		j2, err2 := jiTables(a, b2, []string{"k"})
 		return err1 == nil && err2 == nil && almost(j1, j2, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

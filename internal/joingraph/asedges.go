@@ -70,7 +70,7 @@ func (g *Graph) ASEdges(i, j int, maxAttrs int) ([]ASEdge, error) {
 		if ji, ok := jiBySet[k]; ok {
 			return ji, nil
 		}
-		ji, err := infotheory.JoinInformativeness(instI.Sample, instJ.Sample, attrs)
+		ji, err := infotheory.JoinInformativeness(instI.Columnar, instJ.Columnar, attrs)
 		if err != nil {
 			return 0, err
 		}

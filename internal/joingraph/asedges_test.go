@@ -69,7 +69,7 @@ func TestASEdgesProperty41(t *testing.T) {
 			}
 		}
 		direct, err := infotheory.JoinInformativeness(
-			insts[0].Sample, insts[1].Sample, strings.Split(k, ","))
+			insts[0].Columnar, insts[1].Columnar, strings.Split(k, ","))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,10 +45,11 @@ type Instance struct {
 	// Owned marks the data shopper's own source instance: it participates
 	// in joins but costs nothing to "purchase".
 	Owned bool
-	// Columnar optionally carries the dictionary-encoded form of Sample,
-	// prebuilt by the offline sample store (or, for owned sources, at
-	// registration). When set it must hold exactly
-	// Sample's rows; the searcher then skips re-encoding the instance.
+	// Columnar is the dictionary-encoded form of Sample, and must hold
+	// exactly Sample's rows. The offline sample store and owned-source
+	// registration prebuild it; Build encodes every instance that arrives
+	// without one. Join informativeness and the searcher both read it, so
+	// each sample is encoded once.
 	Columnar *relation.Columnar
 	// Version identifies the sample's offline state: it increases whenever
 	// the dataset's rows (or FDs) change, and 0 for state that never
@@ -165,10 +166,16 @@ type Graph struct {
 }
 
 // Build constructs the join graph from instances and estimates every
-// variant weight from the samples.
+// variant weight from the samples. Instances without a Columnar encoding
+// get one here.
 func Build(instances []*Instance, cfg Config) (*Graph, error) {
 	if cfg.MaxJoinAttrs <= 0 {
 		cfg.MaxJoinAttrs = 3
+	}
+	for _, inst := range instances {
+		if inst.Columnar == nil {
+			inst.Columnar = relation.ToColumnar(inst.Sample)
+		}
 	}
 	g := &Graph{
 		Instances:  instances,
@@ -203,7 +210,7 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 				}
 				if !hit {
 					var err error
-					ji, err = infotheory.JoinInformativeness(instances[i].Sample, instances[j].Sample, attrs)
+					ji, err = infotheory.JoinInformativeness(instances[i].Columnar, instances[j].Columnar, attrs)
 					if err != nil {
 						return nil, fmt.Errorf("joingraph: JI(%s, %s) on %v: %w",
 							instances[i].Name, instances[j].Name, attrs, err)

@@ -228,3 +228,39 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildEncodesEachInstanceOnce pins the one-encoding contract: Build
+// fills Columnar for every instance that arrives without one, with exactly
+// the sample's rows, and keeps a prebuilt encoding as it is.
+func TestBuildEncodesEachInstanceOnce(t *testing.T) {
+	insts := figure3Instances(4)
+	prebuilt := relation.ToColumnar(insts[1].Sample)
+	insts[1].Columnar = prebuilt
+	if _, err := Build(insts, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if insts[1].Columnar != prebuilt {
+		t.Fatal("Build replaced a prebuilt encoding")
+	}
+	c := insts[0].Columnar
+	if c == nil {
+		t.Fatal("Build left an instance unencoded")
+	}
+	got, want := c.ToTable(), insts[0].Sample
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("encoding holds %d rows, sample %d", got.NumRows(), want.NumRows())
+	}
+	for i := range want.Rows {
+		for j, v := range want.Rows[i] {
+			if !got.Rows[i][j].EqualValue(v) {
+				t.Fatalf("row %d col %d: encoding %v, sample %v", i, j, got.Rows[i][j], v)
+			}
+		}
+	}
+	if _, err := Build(insts, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if insts[0].Columnar != c {
+		t.Fatal("a second Build re-encoded an instance")
+	}
+}

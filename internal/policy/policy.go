@@ -97,7 +97,10 @@ type Limits struct {
 // Source is one shopper-owned instance (the S of the request).
 type Source struct {
 	Table *relation.Table
-	FDs   []fd.FD
+	// Columnar is Table's dictionary encoding, built once at registration;
+	// join graphs over the source reuse it instead of re-encoding.
+	Columnar *relation.Columnar
+	FDs      []fd.FD
 }
 
 // SpendRound reports sample purchases a policy made directly against the

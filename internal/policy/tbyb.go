@@ -206,6 +206,7 @@ func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tby
 		instances = append(instances, &joingraph.Instance{
 			Name:     s.Table.Name,
 			Sample:   s.Table,
+			Columnar: s.Columnar,
 			FullRows: s.Table.NumRows(),
 			FDs:      s.FDs,
 			Owned:    true,

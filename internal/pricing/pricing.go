@@ -20,11 +20,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/safekey"
 )
 
 // Model prices projection queries against a data instance.
@@ -136,9 +138,11 @@ func (c *cached) Name() string { return c.inner.Name() }
 
 // PriceProjection implements Model.
 func (c *cached) PriceProjection(t *relation.Table, attrs []string) (float64, error) {
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	key := fmt.Sprintf("%s|%d|%s", t.Name, t.NumRows(), strings.Join(sorted, "\x00"))
+	// Listing and column names are seller-controlled free text:
+	// length-prefixed parts keep any name from aliasing another key.
+	parts := append([]string{t.Name, strconv.Itoa(t.NumRows())}, attrs...)
+	sort.Strings(parts[2:])
+	key := safekey.Join(parts...)
 	c.mu.Lock()
 	if p, ok := c.cache[key]; ok {
 		c.mu.Unlock()

@@ -172,6 +172,40 @@ func TestCachedModelAgreesAndCaches(t *testing.T) {
 	}
 }
 
+// TestCachedKeysDoNotAlias is the regression for the cache key that joined
+// the seller-controlled listing and column names with printable
+// separators: listing "x" (3 rows, column "a|5|b") and listing "x|3|a"
+// (5 rows, column "b") both rendered "x|3|a|5|b", so the second quote was
+// served the first one's price.
+func TestCachedKeysDoNotAlias(t *testing.T) {
+	x := relation.NewTable("x", relation.NewSchema(relation.Cat("a|5|b", relation.KindInt)))
+	for i := 0; i < 3; i++ {
+		x.AppendValues(relation.IntValue(1))
+	}
+	x3a := relation.NewTable("x|3|a", relation.NewSchema(relation.Cat("b", relation.KindInt)))
+	for i := 0; i < 5; i++ {
+		x3a.AppendValues(relation.IntValue(int64(i)))
+	}
+	inner := DefaultEntropyModel()
+	c := Cached(inner)
+	for _, q := range []struct {
+		t    *relation.Table
+		attr string
+	}{{x, "a|5|b"}, {x3a, "b"}} {
+		want, err := inner.PriceProjection(q.t, []string{q.attr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.PriceProjection(q.t, []string{q.attr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("cached price of %s%v = %v, want %v", q.t.Name, []string{q.attr}, got, want)
+		}
+	}
+}
+
 func TestQueryString(t *testing.T) {
 	q := Query{Instance: "orders", Attrs: []string{"totalprice", "custkey"}}
 	got := q.String()

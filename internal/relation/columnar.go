@@ -77,6 +77,9 @@ type Dict struct {
 	order     []uint32
 	orderOK   bool
 	orderOnce sync.Once
+	// byKey is keyOrder's result, computed at most once.
+	byKey     []uint32
+	byKeyOnce sync.Once
 }
 
 const (

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -288,6 +290,114 @@ func TestPrebuiltJoinIndexMatchesInPlace(t *testing.T) {
 				t.Fatal(err)
 			}
 			tablesEqual(t, want, got[i].ToTable())
+		}
+	}
+}
+
+// TestKeyOrderMatchesAppendKeyBytes pins keyOrder to a byte sort of the
+// values' AppendKey encodings, over every value class and over dictionaries
+// whose dense slot table has grown past its first size, whose integers fall
+// outside it, and which were extended by AppendTable.
+func TestKeyOrderMatchesAppendKeyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	strs := []string{"", "a", "b", "ab", "ba", "3"}
+	for _, n := range []int{127, 128, 129, 255, 256, 16383, 16384} {
+		strs = append(strs, string(make([]byte, n)), string(make([]byte, n-1))+"z")
+	}
+	randomValue := func() Value {
+		switch rng.Intn(6) {
+		case 0:
+			return Null()
+		case 1:
+			return StringValue(strs[rng.Intn(len(strs))])
+		case 2:
+			return IntValue(int64(rng.Intn(3000)) - 20)
+		case 3:
+			return IntValue(rng.Int63() - rng.Int63())
+		case 4:
+			return FloatValue(float64(rng.Intn(600)) - 3)
+		default:
+			return FloatValue(rng.NormFloat64() * 1e3)
+		}
+	}
+	check := func(tag string, d *Dict) {
+		t.Helper()
+		order := d.keyOrder()
+		if len(order) != d.Len() {
+			t.Fatalf("%s: keyOrder has %d codes, dictionary %d", tag, len(order), d.Len())
+		}
+		seen := make([]bool, d.Len())
+		for i, code := range order {
+			if seen[code] {
+				t.Fatalf("%s: code %d listed twice", tag, code)
+			}
+			seen[code] = true
+			if i == 0 {
+				continue
+			}
+			prev, cur := d.Value(order[i-1]).AppendKey(nil), d.Value(code).AppendKey(nil)
+			if bytes.Compare(prev, cur) >= 0 {
+				t.Fatalf("%s: position %d: %v (%x) does not sort before %v (%x)", tag, i,
+					d.Value(order[i-1]), prev, d.Value(code), cur)
+			}
+		}
+	}
+	for iter := 0; iter < 40; iter++ {
+		vals := make([]Value, rng.Intn(4000))
+		for i := range vals {
+			vals[i] = randomValue()
+		}
+		tab := oneColumn(KindFloat, vals)
+		c := ToColumnar(tab)
+		check("fresh", c.cols[0].Dict)
+		delta := oneColumn(KindFloat, []Value{IntValue(int64(rng.Intn(70000))), StringValue("zz"), FloatValue(0.25), randomValue()})
+		merged, err := c.AppendTable(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("merged", merged.cols[0].Dict)
+	}
+}
+
+// TestOuterJoinCountsConcurrent runs the outer-join count kernel from several
+// goroutines over shared encodings, so each shared dictionary's key order and
+// lookup index are first built under contention (run with -race); every
+// goroutine must see the serial result.
+func TestOuterJoinCountsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ta, tb := randomTable(t, rng, "A", 300, 0.2), randomTable(t, rng, "B", 300, 0.2)
+	for _, on := range [][]string{{"k"}, {"s"}, {"k", "s"}} {
+		a, b := ToColumnar(ta), ToColumnar(tb) // fresh dictionaries
+		got := make([][3][]int64, 8)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				x, y := a, b
+				if i%2 == 1 {
+					x, y = b, a
+				}
+				got[i][0], got[i][1], got[i][2], errs[i] = OuterJoinCounts(x, y, on)
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			x, y := a, b
+			if i%2 == 1 {
+				x, y = b, a
+			}
+			j, l, r, err := OuterJoinCounts(x, y, on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got[i][0], j) || !slices.Equal(got[i][1], l) || !slices.Equal(got[i][2], r) {
+				t.Fatalf("on %v: goroutine %d counted %v, serial %v", on, i, got[i], [3][]int64{j, l, r})
+			}
 		}
 	}
 }

@@ -171,47 +171,6 @@ func FullOuterJoin(a, b *Table, on []string) (*Table, error) {
 	return out, nil
 }
 
-// OuterJoinPairCounts returns the joint distribution of (a.J, b.J) in the
-// full outer join of a and b on attributes J, without materializing the
-// join. Keys are the injective tuple encodings of each side's join values;
-// the empty string denotes an absent (NULL) side. This is the input to the
-// join informativeness measure (Def 2.4).
-func OuterJoinPairCounts(a, b *Table, on []string) (map[[2]string]int64, error) {
-	aIdx, err := a.Schema.Indexes(on...)
-	if err != nil {
-		return nil, fmt.Errorf("outer join pair counts %s/%s: %w", a.Name, b.Name, err)
-	}
-	bIdx, err := b.Schema.Indexes(on...)
-	if err != nil {
-		return nil, fmt.Errorf("outer join pair counts %s/%s: %w", a.Name, b.Name, err)
-	}
-	countsA := make(map[string]int64, len(a.Rows))
-	countsB := make(map[string]int64, len(b.Rows))
-	var buf []byte
-	for _, r := range a.Rows {
-		buf = EncodeKey(buf[:0], r, aIdx)
-		countsA[string(buf)]++
-	}
-	for _, r := range b.Rows {
-		buf = EncodeKey(buf[:0], r, bIdx)
-		countsB[string(buf)]++
-	}
-	joint := make(map[[2]string]int64, len(countsA)+len(countsB))
-	for v, ca := range countsA {
-		if cb, ok := countsB[v]; ok {
-			joint[[2]string{v, v}] = ca * cb
-		} else {
-			joint[[2]string{v, ""}] = ca
-		}
-	}
-	for v, cb := range countsB {
-		if _, ok := countsA[v]; !ok {
-			joint[[2]string{"", v}] = cb
-		}
-	}
-	return joint, nil
-}
-
 // PathStep is one hop of a multi-way join: join the accumulated result with
 // Table on the shared attributes On.
 type PathStep struct {

@@ -292,7 +292,15 @@ func EstimateJI(a, b *relation.Table, on []string, rate float64, h Hasher) (floa
 	if sa.NumRows() == 0 && sb.NumRows() == 0 {
 		return 0, fmt.Errorf("sampling: JI estimate degenerate, both samples empty (rate %v)", rate)
 	}
-	return infotheory.JoinInformativeness(sa, sb, on)
+	ca, err := relation.ToColumnarSubset(sa, on, nil)
+	if err != nil {
+		return 0, err
+	}
+	cb, err := relation.ToColumnarSubset(sb, on, nil)
+	if err != nil {
+		return 0, err
+	}
+	return infotheory.JoinInformativeness(ca, cb, on)
 }
 
 // EstimateCorrelation estimates CORR(x, y) on the join of the path from

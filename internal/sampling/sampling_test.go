@@ -223,7 +223,7 @@ func TestResampledJoinPathNoEtaMatchesPlainJoin(t *testing.T) {
 func TestJIEstimateApproxUnbiased(t *testing.T) {
 	a := randTable("a", 400, 20, 12)
 	b := randTable("b", 400, 20, 13)
-	exact, err := infotheory.JoinInformativeness(a, b, []string{"k"})
+	exact, err := infotheory.JoinInformativeness(relation.ToColumnar(a), relation.ToColumnar(b), []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,10 +143,37 @@ func TestRetainPrunesProjectedViews(t *testing.T) {
 			t.Fatalf("Retain dropped projected views of live instance %s (have %v)", k, after)
 		}
 	}
-	caches.cols.mu.RLock()
-	deadCols := caches.cols.m[dead]
-	caches.cols.mu.RUnlock()
-	if deadCols != nil {
-		t.Fatalf("Retain kept the encoding of dead instance %s", dead)
+}
+
+// TestSearcherReusesBuildEncoding pins that evaluation reads the encoding
+// joingraph.Build stored on each instance: every projected view the search
+// cached shares its columns' codes and dictionaries with that encoding by
+// pointer, so no sample is encoded twice.
+func TestSearcherReusesBuildEncoding(t *testing.T) {
+	g, _ := rebuildGraph(t, 3, nil, nil)
+	s := NewSearcher(g)
+	if _, err := s.Heuristic(bg, baseRequest()); err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]*relation.Columnar{}
+	for v, inst := range g.Instances {
+		if inst.Columnar == nil {
+			t.Fatalf("instance %s has no encoding after Build", inst.Name)
+		}
+		byKey[s.instKey[v]] = inst.Columnar
+	}
+	s.caches.views.mu.RLock()
+	defer s.caches.views.mu.RUnlock()
+	if len(s.caches.views.m) == 0 {
+		t.Fatal("the search cached no projected views")
+	}
+	for key, view := range s.caches.views.m {
+		enc := byKey[key.inst]
+		for j, col := range view.Schema().Names() {
+			k := enc.Schema().Index(col)
+			if view.Dict(j) != enc.Dict(k) || &view.Codes(j)[0] != &enc.Codes(k)[0] {
+				t.Fatalf("view of %s re-encoded column %s", key.inst, col)
+			}
+		}
 	}
 }

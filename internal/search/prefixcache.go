@@ -108,15 +108,6 @@ func (c *prefixCache) Len() int {
 	return n
 }
 
-// colStore lazily builds and shares the columnar encoding of each instance
-// sample, keyed by the instance's versioned cache key — so a Caches value
-// shared across graph rebuilds keeps serving encodings for instances whose
-// offline state did not change.
-type colStore struct {
-	mu sync.RWMutex                  // lockorder: leaf
-	m  map[string]*relation.Columnar // guarded by mu
-}
-
 // joinIndexStore lazily builds and shares build-side join indexes per
 // (versioned instance, join-attribute set) pair.
 type joinIndexStore struct {
@@ -150,15 +141,14 @@ func joinIndexKey(instKey string, on []string) string {
 }
 
 // Caches bundles the memoized evaluation state — metric evaluations,
-// columnar encodings and their projected views, join indexes and join
-// prefixes — so it can outlive a single Searcher. Every key incorporates the owning instance's
+// projected views of the instances' columnar encodings, join indexes and
+// join prefixes — so it can outlive a single Searcher. Every key incorporates the owning instance's
 // (name, version) identity; a sample-rate escalation therefore invalidates
 // exactly the entries of datasets whose rows changed, while state derived
 // from unchanged datasets (empty deltas, owned sources) keeps hitting.
 // Safe for concurrent use by any number of Searchers.
 type Caches struct {
 	eval     *evalCache
-	cols     colStore
 	views    viewStore
 	joinIdx  joinIndexStore
 	prefixes *prefixCache
@@ -168,28 +158,20 @@ type Caches struct {
 func NewCaches() *Caches {
 	return &Caches{
 		eval:     newEvalCache(),
-		cols:     colStore{m: make(map[string]*relation.Columnar)},
 		views:    viewStore{m: make(map[viewKey]*relation.Columnar)},
 		joinIdx:  joinIndexStore{m: make(map[string]*relation.JoinIndex)},
 		prefixes: newPrefixCache(),
 	}
 }
 
-// Retain drops the heavyweight cached state — columnar encodings, their
-// projected views and join indexes — of instances whose versioned key is
+// Retain drops the heavyweight cached state — projected views and join
+// indexes — of instances whose versioned key is
 // no longer live. A long-lived session escalates repeatedly, and every escalation
 // supersedes most dataset versions; without pruning, each round would
 // strand a full generation of per-row indexes in memory. (The evaluator
 // cache is entry-capped instead — its values are small — and the prefix
 // cache is row-budgeted already.)
 func (c *Caches) Retain(live map[string]bool) {
-	c.cols.mu.Lock()
-	for key := range c.cols.m {
-		if !live[key] {
-			delete(c.cols.m, key)
-		}
-	}
-	c.cols.mu.Unlock()
 	c.views.mu.Lock()
 	for key := range c.views.m {
 		if !live[key.inst] {

@@ -189,30 +189,6 @@ func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
 	return s
 }
 
-// columnarOf returns the shared columnar encoding of instance v's sample:
-// the store-prebuilt encoding when the instance carries one, else the
-// cached (or freshly built) encoding under the instance's versioned key.
-func (s *Searcher) columnarOf(v int) *relation.Columnar {
-	if c := s.G.Instances[v].Columnar; c != nil {
-		return c
-	}
-	key := s.instKey[v]
-	s.caches.cols.mu.RLock()
-	c := s.caches.cols.m[key]
-	s.caches.cols.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	c = relation.ToColumnar(s.G.Instances[v].Sample)
-	s.caches.cols.mu.Lock()
-	defer s.caches.cols.mu.Unlock()
-	if prev := s.caches.cols.m[key]; prev != nil {
-		return prev
-	}
-	s.caches.cols.m[key] = c
-	return c
-}
-
 // keepSet is the column projection evaluateUncached joins under: X ∪ Y,
 // every attribute of every instance's FDs, every attribute two instances
 // share (the union of the I-edges' Shared sets), and every name the join's
@@ -306,7 +282,7 @@ func (s *Searcher) viewOf(v int, keep *keepSet) *relation.Columnar {
 	if c != nil {
 		return c
 	}
-	c = s.columnarOf(v).Project(keep.names)
+	c = s.G.Instances[v].Columnar.Project(keep.names)
 	s.caches.views.mu.Lock()
 	defer s.caches.views.mu.Unlock()
 	if prev := s.caches.views.m[key]; prev != nil {
@@ -333,7 +309,7 @@ func (s *Searcher) joinIndexOf(v int, on []string, workers int) (*relation.JoinI
 	if idx != nil {
 		return idx, nil
 	}
-	built, err := s.columnarOf(v).BuildJoinIndexWorkers(workers, on...)
+	built, err := s.G.Instances[v].Columnar.BuildJoinIndexWorkers(workers, on...)
 	if err != nil {
 		return nil, err
 	}

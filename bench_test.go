@@ -600,7 +600,16 @@ func BenchmarkWorkloadStar(b *testing.B) {
 // fresh search seed per op. Every op buys pilot samples, escalates the
 // survivors and rebuilds a join graph per round over the fresh samples; $/op
 // is the sample spend each acquisition bills.
-func BenchmarkPolicyTBYB(b *testing.B) {
+func BenchmarkPolicyTBYB(b *testing.B) { benchPolicy(b, "try-before-you-buy") }
+
+// BenchmarkPolicyDance and BenchmarkPolicyGreedy time the two policies that
+// search the middleware's own samples on the same set-up. Those samples
+// (and any escalation) are bought once, by the first op, so $/op is that
+// spend amortized over b.N.
+func BenchmarkPolicyDance(b *testing.B)  { benchPolicy(b, "dance") }
+func BenchmarkPolicyGreedy(b *testing.B) { benchPolicy(b, "greedy") }
+
+func benchPolicy(b *testing.B, policy string) {
 	spec, err := workload.ParseSpec("star:4,rows=2000,keys=2000,fanout=2")
 	if err != nil {
 		b.Fatal(err)
@@ -618,7 +627,7 @@ func BenchmarkPolicyTBYB(b *testing.B) {
 		Iterations:   20,
 		ResampleRate: 0.2,
 		Workers:      1,
-		Policy:       "try-before-you-buy",
+		Policy:       policy,
 	}
 	before := mw.SampleCost()
 	b.ReportAllocs()

@@ -203,38 +203,103 @@ func TestTBYBPolicyPinned(t *testing.T) {
 				Policy:      "try-before-you-buy",
 			}
 			name := fmt.Sprintf("tbyb/%s/seed%d/w%d", sc.spec, sc.seed, workers)
-			g := pinnedGolden{Name: name, Workers: workers}
-			plan, err := mw.Acquire(bg, req)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, q := range plan.Queries {
-				g.Queries = append(g.Queries, q.String())
-			}
-			g.Est = estBits(plan.Est)
-			g.Evals = plan.Evals
-			if sc.k > 0 {
-				ranked, err := mw.AcquireTopK(bg, req, sc.k, search.DefaultScoreWeights())
-				if err != nil {
-					t.Fatalf("%s: topk: %v", name, err)
-				}
-				for _, rp := range ranked {
-					line := fmt.Sprintf("score=%s est=%v", hexF(rp.Score), estBits(rp.Plan.Est))
-					for _, q := range rp.Plan.Queries {
-						line += " " + q.String()
-					}
-					g.TopK = append(g.TopK, line)
-				}
-			}
-			g.Rate = hexF(mw.SampleRate())
-			g.SampleCost = hexF(mw.SampleCost())
-			for _, r := range mw.SampleRounds() {
-				g.Rounds = append(g.Rounds, [4]string{hexF(r.FromRate), hexF(r.ToRate), hexF(r.FullCost), hexF(r.DeltaCost)})
-			}
-			observed = append(observed, g)
+			observed = append(observed, policyObserved(t, name, mw, req, sc.k))
 		}
 	}
 	checkPinned(t, pinnedTBYBPath, observed)
+}
+
+// The greedy golden freezes the greedy baseline policy (search.GreedyAcquire
+// and search.GreedyTopK behind the shared escalation loop) on the fixtures
+// of the dance golden: plans, Est bits, Evals, the sample ledger and the
+// ranked options, single-plan and K=3, at Workers 1 and 8. The snowflake
+// fixture starts at a low rate, so the policy escalates on its own.
+// Regenerate with PINNED_UPDATE=1 go test ./internal/core -run
+// TestGreedyPolicyPinned (only legitimate when the search engine changes).
+const pinnedGreedyPath = "testdata/pinned_greedy.json"
+
+func TestGreedyPolicyPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pinned-equivalence sweep")
+	}
+	var observed []pinnedGolden
+	for _, workers := range []int{1, 8} {
+		for _, k := range []int{0, 3} {
+			d := tpce.Generate(tpce.Config{Scale: 1, Seed: 7, DirtyFraction: 0.2})
+			m := marketplace.NewInMemory(nil)
+			for _, tab := range d.Tables {
+				m.Register(tab, d.FDs[tab.Name])
+			}
+			mw := New(m, Config{SampleRate: 0.8, SampleSeed: 11, Workers: workers})
+			req := search.Request{
+				SourceAttrs: []string{"cabalance"},
+				TargetAttrs: []string{"sectorname"},
+				Iterations:  60,
+				Seed:        3,
+				Workers:     workers,
+				Policy:      "greedy",
+			}
+			name := fmt.Sprintf("greedy/tpce/k%d/w%d", k, workers)
+			observed = append(observed, policyObserved(t, name, mw, req, k))
+
+			for _, sc := range []struct {
+				spec string
+				seed int64
+				rate float64
+			}{
+				{"chain:3,decoys=3", 1, 0.5},
+				{"star:3", 2, 0.5},
+				{"snowflake:2,null=0.05", 3, 0.2},
+			} {
+				mw, req := pinnedScenarioMW(t, sc.spec, sc.seed, sc.rate, workers)
+				req.Policy = "greedy"
+				name := fmt.Sprintf("greedy/%s/seed%d/k%d/w%d", sc.spec, sc.seed, k, workers)
+				observed = append(observed, policyObserved(t, name, mw, req, k))
+			}
+		}
+	}
+	checkPinned(t, pinnedGreedyPath, observed)
+}
+
+// policyObserved runs one fixture through the policy req names — the single
+// plan, then (k > 0) the ranked options — and flattens everything the
+// goldens pin.
+func policyObserved(t *testing.T, name string, mw *Dance, req search.Request, k int) pinnedGolden {
+	t.Helper()
+	g := pinnedGolden{Name: name, Workers: req.Workers}
+	plan, err := mw.Acquire(bg, req)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, q := range plan.Queries {
+		g.Queries = append(g.Queries, q.String())
+	}
+	g.Est = estBits(plan.Est)
+	g.Evals = plan.Evals
+	if k > 0 {
+		ranked, err := mw.AcquireTopK(bg, req, k, search.DefaultScoreWeights())
+		if err != nil {
+			t.Fatalf("%s: topk: %v", name, err)
+		}
+		for _, rp := range ranked {
+			line := fmt.Sprintf("score=%s est=%v", hexF(rp.Score), estBits(rp.Plan.Est))
+			if req.Policy == "greedy" {
+				// Only the greedy golden (captured after this field was
+				// added) pins the ranked options' evaluation count.
+				line += fmt.Sprintf(" evals=%d", rp.Plan.Evals)
+			}
+			for _, q := range rp.Plan.Queries {
+				line += " " + q.String()
+			}
+			g.TopK = append(g.TopK, line)
+		}
+	}
+	g.Rate = hexF(mw.SampleRate())
+	g.SampleCost = hexF(mw.SampleCost())
+	for _, r := range mw.SampleRounds() {
+		g.Rounds = append(g.Rounds, [4]string{hexF(r.FromRate), hexF(r.ToRate), hexF(r.FullCost), hexF(r.DeltaCost)})
+	}
+	return g
 }
 
 // checkPinned compares observed with the golden at path, or rewrites the

@@ -194,3 +194,34 @@ func testPolicyWorkersDeterministic(t *testing.T, name string) {
 		t.Errorf("plan diverged across workers:\nw1:\n%s\nw8:\n%s", keys[0], keys[1])
 	}
 }
+
+// The policies that escalate the Host's own sample rate share one round
+// loop but keep their own give-up messages, single-plan and ranked.
+func TestEscalatingPoliciesErrorText(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		k      int
+		want   string
+	}{
+		{"dance", 0, "dance: no feasible acquisition after "},
+		{"dance", 3, "dance: no feasible acquisition options after "},
+		{"greedy", 0, "policy greedy: no feasible acquisition after "},
+		{"greedy", 3, "policy greedy: no feasible acquisition after "},
+	} {
+		mw, req := conformanceMW(t, 2)
+		req.Policy = tc.policy
+		req.Budget = 1e-9 // no plan is this cheap
+		var err error
+		if tc.k > 0 {
+			_, err = mw.AcquireTopK(context.Background(), req, tc.k, search.DefaultScoreWeights())
+		} else {
+			_, err = mw.Acquire(context.Background(), req)
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || !strings.Contains(err.Error(), " sample rounds: search: ") {
+			t.Errorf("%s k=%d: error %v, want %q… sample rounds: search: …", tc.policy, tc.k, err, tc.want)
+		}
+		if !errors.Is(err, search.ErrInfeasible) {
+			t.Errorf("%s k=%d: error %v does not wrap ErrInfeasible", tc.policy, tc.k, err)
+		}
+	}
+}

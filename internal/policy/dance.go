@@ -2,7 +2,8 @@ package policy
 
 import (
 	"context"
-	"fmt"
+
+	"github.com/dance-db/dance/internal/search"
 )
 
 func init() { Register(dancePolicy{}) }
@@ -24,55 +25,9 @@ func (dancePolicy) Doc() string {
 func (dancePolicy) Params() []ParamSpec { return nil }
 
 func (dancePolicy) Acquire(ctx context.Context, h Host, req Request) ([]Ranked, error) {
-	lim := h.Limits()
-	var lastErr error
-	for round := 0; round < lim.MaxSampleRounds; round++ {
-		snap, err := h.Snapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		var (
-			out     []Ranked
-			searchE error
-		)
-		if req.K > 0 {
-			options, err := snap.Searcher.TopK(ctx, req.Request, req.K, req.Weights)
-			if err == nil {
-				out = make([]Ranked, len(options))
-				for i, o := range options {
-					out[i] = Ranked{Result: o.Result, Score: o.Score}
-				}
-			}
-			searchE = err
-		} else {
-			res, err := snap.Searcher.Heuristic(ctx, req.Request)
-			if err == nil {
-				out = []Ranked{{Result: res}}
-			}
-			searchE = err
-		}
-		if searchE == nil {
-			return out, nil
-		}
-		if ctx.Err() != nil {
-			return nil, searchE
-		}
-		lastErr = searchE
-		if round == lim.MaxSampleRounds-1 {
-			break // out of rounds: don't buy samples nothing will search
-		}
-		retry, err := h.Escalate(ctx, snap.Rate)
-		if err != nil {
-			return nil, err
-		}
-		if !retry {
-			break
-		}
-	}
+	what := "dance: no feasible acquisition"
 	if req.K > 0 {
-		return nil, fmt.Errorf("dance: no feasible acquisition options after %d sample rounds: %w",
-			lim.MaxSampleRounds, lastErr)
+		what += " options"
 	}
-	return nil, fmt.Errorf("dance: no feasible acquisition after %d sample rounds: %w",
-		lim.MaxSampleRounds, lastErr)
+	return searchEscalating(ctx, h, req, what, (*search.Searcher).Heuristic, (*search.Searcher).TopK)
 }

@@ -204,6 +204,66 @@ func namesLocked() []string {
 	return out
 }
 
+// searchEscalating is the round loop of the policies that search the
+// Host's own offline state: search the current snapshot — single in
+// single-plan mode, ranked when req.K > 0 — and return on success; on a
+// failed search, unless ctx is done, escalate the sample rate and search
+// again, for up to Limits.MaxSampleRounds rounds. When the rounds run out
+// or the rate cannot grow, the last search error is wrapped as "<what>
+// after N sample rounds".
+func searchEscalating(ctx context.Context, h Host, req Request, what string,
+	single func(*search.Searcher, context.Context, search.Request) (*search.Result, error),
+	ranked func(*search.Searcher, context.Context, search.Request, int, search.ScoreWeights) ([]search.Option, error)) ([]Ranked, error) {
+
+	rounds := h.Limits().MaxSampleRounds
+	var lastErr error
+	for round := 0; round < rounds; round++ {
+		snap, err := h.Snapshot(ctx)
+		if err != nil {
+			return nil, err
+		}
+		var out []Ranked
+		if req.K > 0 {
+			var options []search.Option
+			if options, err = ranked(snap.Searcher, ctx, req.Request, req.K, req.Weights); err == nil {
+				out = rankedOf(options)
+			}
+		} else {
+			var res *search.Result
+			if res, err = single(snap.Searcher, ctx, req.Request); err == nil {
+				out = []Ranked{{Result: res}}
+			}
+		}
+		if err == nil {
+			return out, nil
+		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		lastErr = err
+		if round == rounds-1 {
+			break // out of rounds: don't buy samples nothing will search
+		}
+		retry, err := h.Escalate(ctx, snap.Rate)
+		if err != nil {
+			return nil, err
+		}
+		if !retry {
+			break
+		}
+	}
+	return nil, fmt.Errorf("%s after %d sample rounds: %w", what, rounds, lastErr)
+}
+
+// rankedOf converts scored search options to Ranked plans, in order.
+func rankedOf(options []search.Option) []Ranked {
+	out := make([]Ranked, len(options))
+	for i, o := range options {
+		out[i] = Ranked{Result: o.Result, Score: o.Score}
+	}
+	return out
+}
+
 // PrimaryJoinAttr picks the attribute of info shared with the most other
 // catalog entries: correlated sampling needs a join attribute, and the most
 // widely shared one preserves the most join structure (see DESIGN.md). The

@@ -281,15 +281,7 @@ func tbybEscalate(ctx context.Context, h Host, lim Limits, byName map[string]*tb
 // single-plan mode.
 func tbybFinalize(req Request, survivors []search.Option) []Ranked {
 	if req.K > 0 {
-		k := req.K
-		if len(survivors) < k {
-			k = len(survivors)
-		}
-		out := make([]Ranked, k)
-		for i := 0; i < k; i++ {
-			out[i] = Ranked{Result: survivors[i].Result, Score: survivors[i].Score}
-		}
-		return out
+		return rankedOf(survivors[:min(req.K, len(survivors))])
 	}
 	best := 0
 	for i := 1; i < len(survivors); i++ {

@@ -28,6 +28,15 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		for i, v := range row {
 			rec[i] = v.String()
 		}
+		if len(rec) == 1 && rec[0] == "" {
+			// A lone NULL would be a blank line, which csv.Reader skips:
+			// quote it so the row survives the round trip.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("relation: write csv row: %w", err)
+			}
+			continue
+		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("relation: write csv row: %w", err)
 		}
@@ -36,7 +45,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a table previously written by WriteCSV.
+// ReadCSV parses a table previously written by WriteCSV. Its input may come
+// from outside the program (marketplace responses, journal sample files),
+// so a malformed header — an unknown kind, an empty or duplicate column
+// name — is an error, never a panic.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -46,28 +58,15 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	}
 	cols := make([]Column, len(header))
 	for i, h := range header {
-		parts := strings.Split(h, ":")
-		c := Column{Name: parts[0], Kind: KindString}
-		if len(parts) >= 2 {
-			switch parts[1] {
-			case "string":
-				c.Kind = KindString
-			case "int":
-				c.Kind = KindInt
-			case "float":
-				c.Kind = KindFloat
-			case "null":
-				c.Kind = KindNull
-			default:
-				return nil, fmt.Errorf("relation: unknown kind %q in csv header", parts[1])
-			}
+		if cols[i], err = parseHeaderColumn(h); err != nil {
+			return nil, err
 		}
-		if len(parts) >= 3 && parts[2] == "cat" {
-			c.Categorical = true
-		}
-		cols[i] = c
 	}
-	t := NewTable(name, NewSchema(cols...))
+	schema, err := newSchema(cols...)
+	if err != nil {
+		return nil, err
+	}
+	t := NewTable(name, schema)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -87,4 +86,37 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		t.Append(row)
 	}
 	return t, nil
+}
+
+// parseHeaderColumn parses one "name[:kind[:cat]]" header field. The
+// suffixes are taken from the right, so a name may itself contain ':'
+// ("price:usd:string:cat" is the categorical string column "price:usd"); a
+// field without ':' is a string column.
+func parseHeaderColumn(h string) (Column, error) {
+	i := strings.LastIndexByte(h, ':')
+	if i < 0 {
+		return Column{Name: h, Kind: KindString}, nil
+	}
+	c := Column{}
+	if h[i+1:] == "cat" {
+		c.Categorical = true
+		h = h[:i]
+		if i = strings.LastIndexByte(h, ':'); i < 0 {
+			return Column{}, fmt.Errorf("relation: csv header %q has :cat but no kind", h+":cat")
+		}
+	}
+	switch kind := h[i+1:]; kind {
+	case "string":
+		c.Kind = KindString
+	case "int":
+		c.Kind = KindInt
+	case "float":
+		c.Kind = KindFloat
+	case "null":
+		c.Kind = KindNull
+	default:
+		return Column{}, fmt.Errorf("relation: unknown kind %q in csv header", kind)
+	}
+	c.Name = h[:i]
+	return c, nil
 }

@@ -26,19 +26,29 @@ type Schema struct {
 	byName map[string]int
 }
 
-// NewSchema builds a schema from cols. Column names must be unique.
+// NewSchema builds a schema from cols. Column names must be non-empty and
+// unique; NewSchema panics otherwise (use newSchema for outside input).
 func NewSchema(cols ...Column) *Schema {
+	s, err := newSchema(cols...)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// newSchema is NewSchema reporting empty or duplicate names as errors.
+func newSchema(cols ...Column) (*Schema, error) {
 	s := &Schema{cols: append([]Column(nil), cols...), byName: make(map[string]int, len(cols))}
 	for i, c := range s.cols {
 		if c.Name == "" {
-			panic("relation: empty column name")
+			return nil, fmt.Errorf("relation: empty column name")
 		}
 		if _, dup := s.byName[c.Name]; dup {
-			panic(fmt.Sprintf("relation: duplicate column %q", c.Name))
+			return nil, fmt.Errorf("relation: duplicate column %q", c.Name)
 		}
 		s.byName[c.Name] = i
 	}
-	return s
+	return s, nil
 }
 
 // Cat is shorthand for a categorical column of the given kind.

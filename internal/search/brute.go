@@ -47,16 +47,14 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 
 	// Which instances hold each requested attribute. Source attributes
 	// held by owned instances are pinned to them (the join is over S ∪ T).
-	all := dedupeStrings(append(append([]string{}, req.SourceAttrs...), req.TargetAttrs...))
+	all := dedupe(append(append([]string{}, req.SourceAttrs...), req.TargetAttrs...))
 	holders, err := s.holderMasks(all, req)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{}
-	var bestM Metrics
-	found := false
-
+	var best bestFold
+	evals := 0
 	for mask := uint32(1); mask < 1<<uint(n); mask++ {
 		// Subset must cover every requested attribute.
 		covered := true
@@ -86,16 +84,15 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 			if err != nil {
 				continue
 			}
-			if err := s.enumerateVariants(ctx, verts, treeEdges, assign, req, limits, res, &bestM, &found); err != nil {
+			if err := s.enumerateVariants(ctx, verts, treeEdges, assign, req, limits, &best, &evals); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if !found {
+	if !best.found {
 		return nil, fmt.Errorf("search: brute force found no feasible target graph: %w", ErrInfeasible)
 	}
-	res.Est = bestM
-	return res, nil
+	return &Result{TG: best.tg, Est: best.m, Evals: evals, Considered: evals}, nil
 }
 
 // holderMasks computes, per requested attribute, the bitmask of instances
@@ -266,9 +263,10 @@ func isSpanningTree(verts []int, edges [][2]int) bool {
 }
 
 // enumerateVariants walks the cartesian product of per-edge join-attribute
-// variants, evaluating every resulting target graph.
+// variants, evaluating (and counting in evals) every resulting target graph
+// and folding the feasible ones into best.
 func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges [][2]int, assign map[string]int,
-	req Request, limits BruteForceLimits, res *Result, bestM *Metrics, found *bool) error {
+	req Request, limits BruteForceLimits, best *bestFold, evals *int) error {
 
 	counts := make([]int, len(treeEdges))
 	combos := 1
@@ -302,12 +300,9 @@ func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges
 			if err != nil {
 				return err
 			}
-			res.Evals++
-			res.Considered++
-			if m.Feasible(req) && (!*found || m.Correlation > bestM.Correlation) {
-				*found = true
-				*bestM = m
-				res.TG = tg
+			*evals++
+			if m.Feasible(req) {
+				best.add(tg, m)
 			}
 		}
 		// Advance the odometer.
@@ -404,7 +399,7 @@ func (s *Searcher) PriceRange(ctx context.Context, req Request, limits BruteForc
 	if n > limits.MaxInstances {
 		return 0, 0, fmt.Errorf("search: price range refused for %d instances", n)
 	}
-	all := dedupeStrings(append(append([]string{}, relaxed.SourceAttrs...), relaxed.TargetAttrs...))
+	all := dedupe(append(append([]string{}, relaxed.SourceAttrs...), relaxed.TargetAttrs...))
 	holders, err := s.holderMasks(all, relaxed)
 	if err != nil {
 		return 0, 0, err

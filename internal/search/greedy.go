@@ -3,8 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/parallel"
@@ -75,32 +73,18 @@ type greedyNeighbor struct {
 }
 
 // greedyRun climbs every Step 1 candidate and reports each feasible state
-// it evaluates to visit. It returns the per-request evaluation totals.
-func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joingraph.TargetGraph, Metrics)) (evals, considered int, err error) {
-	cands, err := s.step1Candidates(req)
+// it evaluates to visit. It returns the per-request evaluation count.
+func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joingraph.TargetGraph, Metrics)) (evals int, err error) {
+	plans, workers, err := s.phase0(ctx, req)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	plans, viable := s.chainPlans(cands, req)
-	workers := parallel.DefaultWorkers(req.Workers)
-	perInit := initWorkers(workers, viable)
-	initM, err := parallel.Map(ctx, len(plans), workers, func(i int) (Metrics, error) {
-		if plans[i].tg == nil {
-			return Metrics{}, nil
-		}
-		return s.evaluate(ctx, plans[i].tg, req, perInit)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-
-	for ci, p := range plans {
+	for _, p := range plans {
 		if p.tg == nil {
 			continue
 		}
-		cur, curM := p.tg, initM[ci]
+		cur, curM := p.tg, p.init
 		evals++
-		considered++
 		if curM.Feasible(req) {
 			visit(cur, curM)
 		}
@@ -132,11 +116,10 @@ func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joing
 				return s.evaluate(ctx, tgs[i], req, 1)
 			})
 			if err != nil {
-				return evals, considered, err
+				return evals, err
 			}
 			used += len(nbrs)
 			evals += len(nbrs)
-			considered += len(nbrs)
 			curFeasible := curM.Feasible(req)
 			bestIdx, bestMove := -1, greedyMove{class: -1}
 			for i, nm := range ms {
@@ -153,75 +136,38 @@ func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joing
 			cur, curM = tgs[bestIdx], ms[bestIdx]
 		}
 	}
-	return evals, considered, nil
+	return evals, nil
 }
 
 // GreedyAcquire runs the greedy baseline and returns the feasible state
 // with the highest estimated correlation across all climbs.
 func (s *Searcher) GreedyAcquire(ctx context.Context, req Request) (*Result, error) {
 	req = req.withDefaults()
-	best := &Result{}
-	var bestM Metrics
-	found := false
-	evals, considered, err := s.greedyRun(ctx, req, func(tg *joingraph.TargetGraph, m Metrics) {
-		if !found || m.Correlation > bestM.Correlation {
-			found = true
-			best.TG, bestM = tg, m
-		}
-	})
+	var best bestFold
+	evals, err := s.greedyRun(ctx, req, best.add)
 	if err != nil {
 		return nil, err
 	}
-	best.Evals, best.Considered = evals, considered
-	if !found {
+	if !best.found {
 		return nil, fmt.Errorf("search: greedy found no feasible target graph (budget %v, α %v, β %v): %w",
 			req.Budget, req.Alpha, req.Beta, ErrInfeasible)
 	}
-	best.Est = bestM
-	return best, nil
+	return &Result{TG: best.tg, Est: best.m, Evals: evals, Considered: evals}, nil
 }
 
 // GreedyTopK ranks the distinct feasible states the greedy climbs visited,
 // exactly as TopK ranks the MCMC walk's.
 func (s *Searcher) GreedyTopK(ctx context.Context, req Request, k int, weights ScoreWeights) ([]Option, error) {
-	if k <= 0 {
-		k = 3
-	}
 	req = req.withDefaults()
-	var mu sync.Mutex
-	best := map[string]Option{}
-	evals, considered, err := s.greedyRun(ctx, req, func(tg *joingraph.TargetGraph, m Metrics) {
-		fp := fingerprint(tg)
-		score := weights.Score(m, req)
-		mu.Lock()
-		defer mu.Unlock()
-		if cur, ok := best[fp]; !ok || score > cur.Score {
-			best[fp] = Option{Result: &Result{TG: tg, Est: m}, Score: score}
-		}
-	})
+	fold := newTopKFold(req, weights)
+	evals, err := s.greedyRun(ctx, req, fold.add)
 	if err != nil {
 		return nil, err
 	}
-	if len(best) == 0 {
+	options := fold.ranked(k, evals)
+	if options == nil {
 		return nil, fmt.Errorf("search: greedy found no feasible acquisition options (budget %v, α %v, β %v): %w",
 			req.Budget, req.Alpha, req.Beta, ErrInfeasible)
-	}
-	options := make([]Option, 0, len(best))
-	for _, o := range best {
-		options = append(options, o)
-	}
-	sort.SliceStable(options, func(i, j int) bool {
-		if options[i].Score != options[j].Score {
-			return options[i].Score > options[j].Score
-		}
-		return fingerprint(options[i].Result.TG) < fingerprint(options[j].Result.TG)
-	})
-	if len(options) > k {
-		options = options[:k]
-	}
-	for i := range options {
-		options[i].Result.Evals = evals
-		options[i].Result.Considered = considered
 	}
 	return options, nil
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -9,38 +10,52 @@ import (
 // worker count changes wall-clock time only. Segmentation and RNG streams
 // are derived from (Seed, candidate, segment) — never from Workers — and
 // the reduction is in (candidate, segment) order, so every worker count
-// must reproduce workers=1 bit for bit.
+// must reproduce workers=1 bit for bit. The greedy climb fans each step's
+// neighbour evaluations over indexed slots and must match just the same.
 func TestHeuristicParallelMatchesSerial(t *testing.T) {
-	for _, seed := range []int64{1, 3, 9} {
-		req := baseRequest()
-		req.Seed = seed
-		req.Workers = 1
+	for _, run := range []struct {
+		name   string
+		search func(*Searcher, Request) (*Result, error)
+	}{
+		{"heuristic", func(s *Searcher, r Request) (*Result, error) { return s.Heuristic(bg, r) }},
+		{"greedy", func(s *Searcher, r Request) (*Result, error) { return s.GreedyAcquire(bg, r) }},
+	} {
+		for _, seed := range []int64{1, 3, 9} {
+			req := baseRequest()
+			req.Seed = seed
+			req.Workers = 1
 
-		s1, _ := buildSearcher(t, 1)
-		r1, err := s1.Heuristic(bg, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par := req
-			par.Workers = workers
-			s2, _ := buildSearcher(t, 1)
-			r2, err := s2.Heuristic(bg, par)
+			s1, _ := buildSearcher(t, 1)
+			r1, err := run.search(s1, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fingerprint(r1.TG) != fingerprint(r2.TG) {
-				t.Fatalf("seed %d workers %d: parallel best TG differs from serial:\n%s\nvs\n%s",
-					seed, workers, fingerprint(r1.TG), fingerprint(r2.TG))
-			}
-			if r1.Est != r2.Est {
-				t.Fatalf("seed %d workers %d: metrics differ: %+v vs %+v", seed, workers, r1.Est, r2.Est)
-			}
-			if r1.Evals != r2.Evals || r1.Considered != r2.Considered {
-				t.Fatalf("seed %d workers %d: counters differ: evals %d/%d considered %d/%d",
-					seed, workers, r1.Evals, r2.Evals, r1.Considered, r2.Considered)
+			for _, workers := range []int{2, 3, 8} {
+				par := req
+				par.Workers = workers
+				s2, _ := buildSearcher(t, 1)
+				r2, err := run.search(s2, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s seed %d workers %d", run.name, seed, workers), r1, r2)
 			}
 		}
+	}
+}
+
+// sameResult fails unless a and b agree bit for bit: target graph, metrics
+// and counters.
+func sameResult(t *testing.T, what string, a, b *Result) {
+	t.Helper()
+	if fingerprint(a.TG) != fingerprint(b.TG) {
+		t.Fatalf("%s: parallel TG differs from serial:\n%s\nvs\n%s", what, fingerprint(a.TG), fingerprint(b.TG))
+	}
+	if a.Est != b.Est {
+		t.Fatalf("%s: metrics differ: %+v vs %+v", what, a.Est, b.Est)
+	}
+	if a.Evals != b.Evals || a.Considered != b.Considered {
+		t.Fatalf("%s: counters differ: evals %d/%d considered %d/%d", what, a.Evals, b.Evals, a.Considered, b.Considered)
 	}
 }
 
@@ -71,30 +86,44 @@ func TestSegmentUnitsPartition(t *testing.T) {
 }
 
 func TestTopKParallelMatchesSerial(t *testing.T) {
-	req := baseRequest()
-	serial, par := req, req
-	serial.Workers = 1
-	par.Workers = 8
+	for _, run := range []struct {
+		name   string
+		search func(*Searcher, Request) ([]Option, error)
+	}{
+		{"topk", func(s *Searcher, r Request) ([]Option, error) { return s.TopK(bg, r, 3, DefaultScoreWeights()) }},
+		{"greedy", func(s *Searcher, r Request) ([]Option, error) {
+			return s.GreedyTopK(bg, r, 3, DefaultScoreWeights())
+		}},
+	} {
+		for _, seed := range []int64{1, 3, 9} {
+			req := baseRequest()
+			req.Seed = seed
+			req.Workers = 1
 
-	s1, _ := buildSearcher(t, 1)
-	o1, err := s1.TopK(bg, serial, 3, DefaultScoreWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := buildSearcher(t, 1)
-	o2, err := s2.TopK(bg, par, 3, DefaultScoreWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o1) != len(o2) {
-		t.Fatalf("option counts differ: %d vs %d", len(o1), len(o2))
-	}
-	for i := range o1 {
-		if o1[i].Score != o2[i].Score {
-			t.Fatalf("option %d score differs: %v vs %v", i, o1[i].Score, o2[i].Score)
-		}
-		if fingerprint(o1[i].Result.TG) != fingerprint(o2[i].Result.TG) {
-			t.Fatalf("option %d TG differs", i)
+			s1, _ := buildSearcher(t, 1)
+			o1, err := run.search(s1, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				par := req
+				par.Workers = workers
+				s2, _ := buildSearcher(t, 1)
+				o2, err := run.search(s2, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(o1) != len(o2) {
+					t.Fatalf("%s seed %d workers %d: option counts differ: %d vs %d", run.name, seed, workers, len(o1), len(o2))
+				}
+				for i := range o1 {
+					what := fmt.Sprintf("%s seed %d workers %d option %d", run.name, seed, workers, i)
+					if o1[i].Score != o2[i].Score {
+						t.Fatalf("%s: score differs: %v vs %v", what, o1[i].Score, o2[i].Score)
+					}
+					sameResult(t, what, o1[i].Result, o2[i].Result)
+				}
+			}
 		}
 	}
 }

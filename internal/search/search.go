@@ -635,14 +635,17 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 		g := il
 		switch {
 		case trial == step1JitterTrials:
-			g = unitWeights(il) // fewest-joins candidates
+			// Unit weights: shortest paths minimize join-path length.
+			g = reweighted(il, func(float64) float64 { return 1 })
 		case trial > 0:
-			g = jitterWeights(il, rng, step1JitterFactor)
+			// A uniform factor in [1−factor/2, 1+factor/2] per edge.
+			g = reweighted(il, func(w float64) float64 { return w * (1 + step1JitterFactor*(rng.Float64()-0.5)) })
 		}
 		lm := g.BuildLandmarks(req.Landmarks, rng)
 		for _, sc := range sourceCovers {
 			for _, tc := range targetCovers {
-				terminals := dedupeInts(append(append([]int{}, sc...), tc...))
+				terminals := dedupe(append(append([]int{}, sc...), tc...))
+				sort.Ints(terminals)
 				if len(terminals) == 0 {
 					continue
 				}
@@ -678,23 +681,12 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 	return cands, nil
 }
 
-// jitterWeights returns a copy of g with every edge weight multiplied by a
-// uniform factor in [1−factor/2, 1+factor/2].
-func jitterWeights(g *graphalg.Graph, rng *rand.Rand, factor float64) *graphalg.Graph {
+// reweighted returns a copy of g with every edge weight w replaced by f(w),
+// edges visited in g.Edges() order.
+func reweighted(g *graphalg.Graph, f func(w float64) float64) *graphalg.Graph {
 	out := graphalg.NewGraph(g.N())
 	for _, e := range g.Edges() {
-		f := 1 + factor*(rng.Float64()-0.5)
-		out.AddEdge(e[0], e[1], g.Weight(e[0], e[1])*f)
-	}
-	return out
-}
-
-// unitWeights returns a copy of g with every edge at weight 1, so shortest
-// paths minimize join-path length.
-func unitWeights(g *graphalg.Graph) *graphalg.Graph {
-	out := graphalg.NewGraph(g.N())
-	for _, e := range g.Edges() {
-		out.AddEdge(e[0], e[1], 1)
+		out.AddEdge(e[0], e[1], f(g.Weight(e[0], e[1])))
 	}
 	return out
 }
@@ -716,19 +708,6 @@ func (s *Searcher) nonOwnedCount(cover []int) int {
 		}
 	}
 	return n
-}
-
-func dedupeInts(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func treeFingerprint(tr *graphalg.SteinerTree) string {
@@ -763,16 +742,17 @@ func (s *Searcher) treeToTargetGraph(tr *graphalg.SteinerTree, req Request) (*jo
 		edges = append(edges, joingraph.TGEdge{I: i, J: j, Variant: ie.MinVariant()})
 	}
 	all := append(append([]string{}, req.SourceAttrs...), req.TargetAttrs...)
-	assign, err := s.G.AssignAttrs(dedupeStrings(all), tr.Vertices)
+	assign, err := s.G.AssignAttrs(dedupe(all), tr.Vertices)
 	if err != nil {
 		return nil, err
 	}
 	return joingraph.NewTargetGraph(s.G, tr.Vertices, edges, assign)
 }
 
-func dedupeStrings(xs []string) []string {
-	seen := map[string]bool{}
-	var out []string
+// dedupe returns xs without repeats, keeping first occurrences in order.
+func dedupe[T comparable](xs []T) []T {
+	seen := map[T]bool{}
+	var out []T
 	for _, x := range xs {
 		if !seen[x] {
 			seen[x] = true
@@ -821,6 +801,7 @@ type chainPlan struct {
 	tg        *joingraph.TargetGraph // nil when the candidate was unconvertible (skipped)
 	swappable []int                  // edge indexes with ≥ 2 variants
 	segs      int                    // 0 when nothing is swappable: initial evaluation only
+	init      Metrics                // tg's metrics, evaluated by phase 0
 }
 
 // chainPlans converts Step 1 candidates into target graphs and fixes each
@@ -876,14 +857,67 @@ func segmentUnits(plans []chainPlan, iterations int) []segUnit {
 	return units
 }
 
-// initWorkers splits the pool across phase 0's per-candidate initial
-// evaluations: leftover workers fan into each evaluation's columnar join and
-// grouping kernels (which are bit-identical for every worker count).
-func initWorkers(workers, viable int) int {
-	if viable > 0 && workers/viable > 1 {
-		return workers / viable
+// walkEvals counts a segmented search's metric evaluations: every viable
+// candidate's initial state plus every proposal.
+func walkEvals(plans []chainPlan, units []segUnit) int {
+	n := 0
+	for _, p := range plans {
+		if p.tg != nil {
+			n++
+		}
 	}
-	return 1
+	for _, u := range units {
+		n += u.iters
+	}
+	return n
+}
+
+// phase0 is the start every search shares: Step 1's candidates, converted
+// to chain plans, with each viable candidate's initial target graph
+// evaluated once. The chains all restart from that state, so evaluating it
+// up front (a) avoids re-deriving it per segment and (b) warms the
+// prefix/join-index caches before the fan-out. Workers left over once every
+// candidate has one fan into each evaluation's columnar join and grouping
+// kernels (which are bit-identical for every worker count). It also returns
+// the resolved pool size.
+func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, int, error) {
+	cands, err := s.step1Candidates(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	plans, viable := s.chainPlans(cands, req)
+	workers := parallel.DefaultWorkers(req.Workers)
+	perInit := 1
+	if viable > 0 && workers/viable > 1 {
+		perInit = workers / viable
+	}
+	err = parallel.ForEach(ctx, len(plans), workers, func(i int) error {
+		if plans[i].tg == nil {
+			return nil
+		}
+		var err error
+		plans[i].init, err = s.evaluate(ctx, plans[i].tg, req, perInit)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return plans, workers, nil
+}
+
+// bestFold keeps the feasible state with the highest estimated correlation:
+// the first one added wins ties, so folding in a fixed order is
+// deterministic.
+type bestFold struct {
+	tg    *joingraph.TargetGraph
+	m     Metrics
+	found bool
+}
+
+func (b *bestFold) add(tg *joingraph.TargetGraph, m Metrics) {
+	if !b.found || m.Correlation > b.m.Correlation {
+		b.tg, b.m, b.found = tg, m, true
+	}
 }
 
 // Heuristic runs the full two-step search: Step 1 minimal-weight I-graphs,
@@ -900,136 +934,96 @@ func initWorkers(workers, viable int) int {
 // ctx stops every segment mid-walk and returns ctx.Err().
 func (s *Searcher) Heuristic(ctx context.Context, req Request) (*Result, error) {
 	req = req.withDefaults()
-	cands, err := s.step1Candidates(req)
+	plans, workers, err := s.phase0(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	plans, viable := s.chainPlans(cands, req)
-	workers := parallel.DefaultWorkers(req.Workers)
-
-	// Phase 0: evaluate every candidate's initial target graph once. The
-	// segments of a candidate all restart from this state, so evaluating it
-	// up front (a) avoids re-deriving it per segment and (b) warms the
-	// prefix/join-index caches before the segment fan-out.
-	perInit := initWorkers(workers, viable)
-	initM, err := parallel.Map(ctx, len(plans), workers, func(i int) (Metrics, error) {
-		if plans[i].tg == nil {
-			return Metrics{}, nil
+	// Each segment folds the states its walk accepts. A rejected proposal
+	// was never the walk's state, so it is no candidate.
+	units := segmentUnits(plans, req.Iterations)
+	segBest := make([]bestFold, len(units))
+	err = s.mcmcWalk(ctx, req, plans, units, workers, func(u int, tg *joingraph.TargetGraph, m Metrics, accepted bool) {
+		if accepted {
+			segBest[u].add(tg, m)
 		}
-		return s.evaluate(ctx, plans[i].tg, req, perInit)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	units := segmentUnits(plans, req.Iterations)
-	type segOut struct {
-		tg *joingraph.TargetGraph
-		m  Metrics
-		ok bool
+	// Reduce in candidate-major, then segment, order, each candidate's
+	// initial state first: the outcome is independent of the worker count.
+	var best bestFold
+	ui := 0
+	for ci, p := range plans {
+		if p.tg != nil && p.init.Feasible(req) {
+			best.add(p.tg, p.init)
+		}
+		for ; ui < len(units) && units[ui].cand == ci; ui++ {
+			if segBest[ui].found {
+				best.add(segBest[ui].tg, segBest[ui].m)
+			}
+		}
 	}
-	outs, err := parallel.Map(ctx, len(units), workers, func(u int) (segOut, error) {
+	if !best.found {
+		return nil, fmt.Errorf("search: no feasible target graph (budget %v, α %v, β %v): %w", req.Budget, req.Alpha, req.Beta, ErrInfeasible)
+	}
+	evals := walkEvals(plans, units)
+	return &Result{TG: best.tg, Est: best.m, Evals: evals, Considered: evals}, nil
+}
+
+// mcmcWalk runs every segment of Algorithm 1 (FindJoinTree_AttSet) on a
+// pool of workers goroutines. Segment u makes units[u].iters variant-swap
+// proposals with Metropolis acceptance min(1, CORR'/CORR) (strict
+// improvements only in greedy ablation mode), walking from its candidate's
+// initial target graph with the (Seed, candidate, segment) RNG stream, and
+// reports every feasible proposal to visit together with whether the walk
+// accepted it. visit runs on the segment's goroutine. The context is
+// checked every iteration, so a cancelled request stops mid-walk.
+func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan, units []segUnit, workers int,
+	visit func(u int, tg *joingraph.TargetGraph, m Metrics, accepted bool)) error {
+
+	return parallel.ForEach(ctx, len(units), workers, func(u int) error {
 		un := units[u]
 		p := plans[un.cand]
 		rng := rand.New(rand.NewSource(segmentSeed(req.Seed, un.cand, un.seg)))
-		tg, m, ok, err := s.mcmcSegment(ctx, p.tg, initM[un.cand], p.swappable, un.iters, req, rng)
-		if err != nil {
-			return segOut{}, err
+		cur, curM := p.tg, p.init
+		for it := 0; it < un.iters; it++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			ei := p.swappable[rng.Intn(len(p.swappable))]
+			edge := cur.Edges[ei]
+			variants := s.G.EdgeBetween(edge.I, edge.J).Variants
+			nv := rng.Intn(len(variants) - 1)
+			if nv >= edge.Variant {
+				nv++ // a *different* variant, uniform over the rest
+			}
+			cand := cur.Clone()
+			cand.Edges[ei].Variant = nv
+
+			candM, err := s.evaluate(ctx, cand, req, 1)
+			if err != nil {
+				return err
+			}
+			// Line 8 of Algorithm 1: constraint check first.
+			if !candM.Feasible(req) {
+				continue
+			}
+			// Line 9: accept with probability min(1, CORR'/CORR).
+			accept := true
+			if candM.Correlation < curM.Correlation {
+				if req.Greedy {
+					accept = false
+				} else if curM.Correlation > 0 {
+					accept = rng.Float64() < candM.Correlation/curM.Correlation
+				}
+			}
+			visit(u, cand, candM, accept)
+			if accept {
+				cur, curM = cand, candM
+			}
 		}
-		return segOut{tg: tg, m: m, ok: ok}, nil
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Reduce in candidate-major, then segment, order: worker-count
-	// independent, and per-candidate totals (1 initial + ℓ proposals when
-	// swappable) match the unsegmented walk exactly.
-	best := &Result{}
-	var bestM Metrics
-	found := false
-	consider := func(tg *joingraph.TargetGraph, m Metrics, ok bool) {
-		if ok && (!found || m.Correlation > bestM.Correlation) {
-			found = true
-			best.TG = tg
-			bestM = m
-		}
-	}
-	ui := 0
-	for ci, p := range plans {
-		if p.tg == nil {
-			continue
-		}
-		best.Evals++
-		best.Considered++
-		consider(p.tg, initM[ci], initM[ci].Feasible(req))
-		for ; ui < len(units) && units[ui].cand == ci; ui++ {
-			best.Evals += units[ui].iters
-			best.Considered += units[ui].iters
-			consider(outs[ui].tg, outs[ui].m, outs[ui].ok)
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("search: no feasible target graph (budget %v, α %v, β %v): %w", req.Budget, req.Alpha, req.Beta, ErrInfeasible)
-	}
-	best.Est = bestM
-	return best, nil
-}
-
-// mcmcSegment runs one segment of Algorithm 1 (FindJoinTree_AttSet): iters
-// variant-swap proposals with Metropolis acceptance min(1, CORR'/CORR),
-// walking from the candidate's initial target graph (whose metrics, initM,
-// phase 0 already evaluated — segments count only proposal evaluations) and
-// tracking the best feasible state seen, the initial one included. The
-// context is checked every iteration, so a cancelled request stops mid-walk.
-func (s *Searcher) mcmcSegment(ctx context.Context, tg *joingraph.TargetGraph, initM Metrics, swappable []int, iters int, req Request, rng *rand.Rand) (*joingraph.TargetGraph, Metrics, bool, error) {
-	cur, curM := tg, initM
-	var bestTG *joingraph.TargetGraph
-	var bestM Metrics
-	found := false
-	if curM.Feasible(req) {
-		found = true
-		bestTG, bestM = cur, curM
-	}
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, Metrics{}, false, err
-		}
-		ei := swappable[rng.Intn(len(swappable))]
-		edge := cur.Edges[ei]
-		variants := s.G.EdgeBetween(edge.I, edge.J).Variants
-		nv := rng.Intn(len(variants) - 1)
-		if nv >= edge.Variant {
-			nv++ // a *different* variant, uniform over the rest
-		}
-		cand := cur.Clone()
-		cand.Edges[ei].Variant = nv
-
-		candM, err := s.evaluate(ctx, cand, req, 1)
-		if err != nil {
-			return nil, Metrics{}, false, err
-		}
-		// Line 8 of Algorithm 1: constraint check first.
-		if !candM.Feasible(req) {
-			continue
-		}
-		// Line 9: accept with probability min(1, CORR'/CORR)
-		// (or only strict improvements in greedy ablation mode).
-		accept := true
-		if candM.Correlation < curM.Correlation {
-			if req.Greedy {
-				accept = false
-			} else if curM.Correlation > 0 {
-				accept = rng.Float64() < candM.Correlation/curM.Correlation
-			}
-		}
-		if accept {
-			cur, curM = cand, candM
-			if !found || curM.Correlation > bestM.Correlation {
-				found = true
-				bestTG, bestM = cur, curM
-			}
-		}
-	}
-	return bestTG, bestM, found, nil
 }

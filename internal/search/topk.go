@@ -3,12 +3,10 @@ package search
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"github.com/dance-db/dance/internal/joingraph"
-	"github.com/dance-db/dance/internal/parallel"
 )
 
 // The paper's conclusion sketches a future-work extension: "DANCE may
@@ -63,146 +61,94 @@ type Option struct {
 // candidates are collected during the MCMC walk across every Step 1
 // I-graph and ranked at the end — exactly the brute-ranking fallback the
 // paper anticipates for non-monotone scores.
+//
+// Walks are segmented exactly like Heuristic's, but every feasible state
+// the walk evaluates is a candidate — rejected proposals too — and so is
+// every feasible initial state.
 func (s *Searcher) TopK(ctx context.Context, req Request, k int, weights ScoreWeights) ([]Option, error) {
-	if k <= 0 {
-		k = 3
-	}
 	req = req.withDefaults()
-	cands, err := s.step1Candidates(req)
+	plans, workers, err := s.phase0(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-
-	// fingerprint → best-scored option. Chains record concurrently; since
-	// equal fingerprints imply equal metrics (hence equal scores), the map
-	// contents are independent of recording order.
-	var mu sync.Mutex
-	best := map[string]Option{}
-	record := func(res *Result, m Metrics) {
-		if res.TG == nil {
-			return
+	fold := newTopKFold(req, weights)
+	for _, p := range plans {
+		if p.tg != nil && p.init.Feasible(req) {
+			fold.add(p.tg, p.init)
 		}
-		fp := fingerprint(res.TG)
-		score := weights.Score(m, req)
-		mu.Lock()
-		defer mu.Unlock()
-		if cur, ok := best[fp]; !ok || score > cur.Score {
-			best[fp] = Option{
-				Result: &Result{TG: res.TG, Est: m, Evals: res.Evals, Considered: res.Considered},
-				Score:  score,
-			}
-		}
-	}
-
-	// Walks are segmented exactly like Heuristic: phase 0 evaluates (and,
-	// when feasible, records) every candidate's initial target graph, then a
-	// pool of req.Workers goroutines drains the flattened (candidate,
-	// segment) unit list, each segment restarting from the initial state
-	// with its (Seed, candidate, segment)-derived RNG. Re-recording a
-	// fingerprint another segment already visited is harmless — equal
-	// fingerprints imply equal metrics, hence equal scores — so the option
-	// set stays identical across worker counts.
-	plans, viable := s.chainPlans(cands, req)
-	workers := parallel.DefaultWorkers(req.Workers)
-	perInit := initWorkers(workers, viable)
-	initM, err := parallel.Map(ctx, len(plans), workers, func(i int) (Metrics, error) {
-		if plans[i].tg == nil {
-			return Metrics{}, nil
-		}
-		m, err := s.evaluate(ctx, plans[i].tg, req, perInit)
-		if err != nil {
-			return Metrics{}, err
-		}
-		if m.Feasible(req) {
-			record(&Result{TG: plans[i].tg}, m)
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	units := segmentUnits(plans, req.Iterations)
-	err = parallel.ForEach(ctx, len(units), workers, func(u int) error {
-		un := units[u]
-		p := plans[un.cand]
-		rng := rand.New(rand.NewSource(segmentSeed(req.Seed, un.cand, un.seg)))
-		return s.mcmcCollectSegment(ctx, p.tg, initM[un.cand], p.swappable, un.iters, req, rng, record)
+	err = s.mcmcWalk(ctx, req, plans, units, workers, func(_ int, tg *joingraph.TargetGraph, m Metrics, _ bool) {
+		fold.add(tg, m)
 	})
 	if err != nil {
 		return nil, err
 	}
-	totalEvals, totalConsidered := viable, viable
-	for _, un := range units {
-		totalEvals += un.iters
-		totalConsidered += un.iters
-	}
-	if len(best) == 0 {
+	evals := walkEvals(plans, units)
+	options := fold.ranked(k, evals)
+	if options == nil {
 		return nil, fmt.Errorf("search: no feasible acquisition options (budget %v, α %v, β %v): %w",
 			req.Budget, req.Alpha, req.Beta, ErrInfeasible)
 	}
-	options := make([]Option, 0, len(best))
-	for _, o := range best {
+	return options, nil
+}
+
+// topKFold keeps the best score of every distinct feasible target graph
+// (by fingerprint). It is safe for concurrent use, and since equal
+// fingerprints imply equal metrics (hence equal scores), its contents do
+// not depend on the order states are added in — so the ranking is
+// identical at every worker count.
+type topKFold struct {
+	req     Request
+	weights ScoreWeights
+	mu      sync.Mutex        // lockorder: leaf
+	best    map[string]Option // guarded by mu
+}
+
+func newTopKFold(req Request, weights ScoreWeights) *topKFold {
+	return &topKFold{req: req, weights: weights, best: map[string]Option{}}
+}
+
+func (f *topKFold) add(tg *joingraph.TargetGraph, m Metrics) {
+	fp := fingerprint(tg)
+	score := f.weights.Score(m, f.req)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if cur, ok := f.best[fp]; !ok || score > cur.Score {
+		f.best[fp] = Option{Result: &Result{TG: tg, Est: m}, Score: score}
+	}
+}
+
+// ranked returns the k (3 when k ≤ 0) best options, highest score first
+// with ties broken by fingerprint, each stamped with the search's
+// evaluation count; nil when nothing feasible was added.
+func (f *topKFold) ranked(k, evals int) []Option {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.best) == 0 {
+		return nil
+	}
+	if k <= 0 {
+		k = 3
+	}
+	options := make([]Option, 0, len(f.best))
+	for _, o := range f.best {
 		options = append(options, o)
 	}
 	sort.SliceStable(options, func(i, j int) bool {
 		if options[i].Score != options[j].Score {
 			return options[i].Score > options[j].Score
 		}
-		// Deterministic tie-break.
 		return fingerprint(options[i].Result.TG) < fingerprint(options[j].Result.TG)
 	})
 	if len(options) > k {
 		options = options[:k]
 	}
 	for i := range options {
-		options[i].Result.Evals = totalEvals
-		options[i].Result.Considered = totalConsidered
+		options[i].Result.Evals = evals
+		options[i].Result.Considered = evals
 	}
-	return options, nil
-}
-
-// mcmcCollectSegment is mcmcSegment with a visitor: every *feasible*
-// proposal the segment evaluates is reported, so callers can rank with
-// arbitrary scores. (The initial state is phase 0's to visit — segments
-// evaluate and report only their own proposals.)
-func (s *Searcher) mcmcCollectSegment(ctx context.Context, tg *joingraph.TargetGraph, initM Metrics, swappable []int, iters int, req Request, rng *rand.Rand,
-	visit func(*Result, Metrics)) error {
-
-	cur, curM := tg, initM
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ei := swappable[rng.Intn(len(swappable))]
-		edge := cur.Edges[ei]
-		variants := s.G.EdgeBetween(edge.I, edge.J).Variants
-		nv := rng.Intn(len(variants) - 1)
-		if nv >= edge.Variant {
-			nv++
-		}
-		cand := cur.Clone()
-		cand.Edges[ei].Variant = nv
-		candM, err := s.evaluate(ctx, cand, req, 1)
-		if err != nil {
-			return err
-		}
-		if !candM.Feasible(req) {
-			continue
-		}
-		visit(&Result{TG: cand}, candM)
-		accept := true
-		if candM.Correlation < curM.Correlation {
-			if req.Greedy {
-				accept = false
-			} else if curM.Correlation > 0 {
-				accept = rng.Float64() < candM.Correlation/curM.Correlation
-			}
-		}
-		if accept {
-			cur, curM = cand, candM
-		}
-	}
-	return nil
+	return options
 }
 
 // SpreadScore measures how diverse a slice of options is: the mean pairwise

@@ -21,6 +21,7 @@ import (
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/marketplace"
+	"github.com/dance-db/dance/internal/policy"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
@@ -640,6 +641,77 @@ func benchPolicy(b *testing.B, policy string) {
 	}
 	b.StopTimer()
 	b.ReportMetric((mw.SampleCost()-before)/float64(b.N), "$/op")
+}
+
+// --- Marketplace wire -------------------------------------------------------
+
+// BenchmarkMarketplaceLoopback times the marketplace calls of one
+// try-before-you-buy op on the pilot-durable set-up — the owned-base star:4
+// marketplace (2000 base rows, 2000 keys, fanout 2, seed 1) served by marketd
+// on a loopback httptest server — through the HTTP Client: the catalog, a
+// rate-0.05 pilot Sample and the FDs of each of the 7 listings, the 4
+// SampleDelta top-ups (0.05 → 0.15 → 0.45) of the two escalated listings,
+// and the 2 ExecuteProjection purchases of the plan. Pilot samples reuse the
+// middleware's sample seed, as the policy does, so from the second op on the
+// seller answers from its index. rows/op counts the table rows delivered.
+func BenchmarkMarketplaceLoopback(b *testing.B) {
+	spec, err := workload.ParseSpec("star:4,rows=2000,keys=2000,fanout=2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(marketplace.Handler(w.MarketplaceWithoutBase()))
+	defer srv.Close()
+	c := marketplace.NewClient(srv.URL)
+	const seed = 78 // perfbench's pilot-durable sample seed
+	escalated := []string{"hub", "spoke4"}
+	deltas := [][2]float64{{0.05, 0.15}, {0.15, 0.45}}
+	purchases := []pricing.Query{
+		{Instance: "hub", Attrs: []string{"bk4", "k0"}},
+		{Instance: "spoke4", Attrs: []string{"bk4", "y"}},
+	}
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		catalog, err := c.Catalog(bg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		on := map[string][]string{}
+		for _, info := range catalog {
+			on[info.Name] = []string{policy.PrimaryJoinAttr(info, catalog)}
+			t, _, err := c.Sample(bg, info.Name, on[info.Name], 0.05, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += t.NumRows()
+			if _, err := c.DatasetFDs(bg, info.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, d := range deltas {
+			for _, name := range escalated {
+				t, _, err := c.SampleDelta(bg, name, on[name], d[0], d[1], seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += t.NumRows()
+			}
+		}
+		for _, q := range purchases {
+			t, _, err := c.ExecuteProjection(bg, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += t.NumRows()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // --- Million-row tier -------------------------------------------------------

@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,5 +144,65 @@ func TestWrapMarketReprices(t *testing.T) {
 	}
 	if in.Counts()["reprice"] == 0 {
 		t.Fatal("reprice not counted")
+	}
+}
+
+// recordingTransport remembers the Content-Type of every response.
+type recordingTransport struct {
+	mu     sync.Mutex
+	ctypes []string
+}
+
+func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		rt.mu.Lock()
+		rt.ctypes = append(rt.ctypes, resp.Header.Get("Content-Type"))
+		rt.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestPartialFaultReplaysCSVResponse: a partial fault cuts a raw CSV sample
+// mid-body after the marketplace billed it. The retry carries the same
+// Idempotency-Key, so the replay must restore the whole body and every
+// header — the price travels in one — billing once and yielding the rows
+// and price of an undisturbed purchase.
+func TestPartialFaultReplaysCSVResponse(t *testing.T) {
+	probs := Probabilities{Partial: 0.5}
+	// Pick a fault stream whose first request is cut and whose second (the
+	// retry) is delivered.
+	var seed uint64
+	for ; ; seed++ {
+		in := NewInjector(Config{Seed: seed, Probs: probs})
+		if in.draw() == "partial" && in.draw() == "none" {
+			break
+		}
+	}
+	m := demoMarket(3)
+	c, in := chaoticClient(t, m, Config{Seed: seed, Probs: probs})
+	rt := &recordingTransport{}
+	c.HTTP = &http.Client{Transport: rt}
+
+	got, price, err := c.Sample(bg, "alpha", []string{"k"}, 0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := in.Counts()["partial"]; n != 1 {
+		t.Fatalf("%d partial faults injected, want 1", n)
+	}
+	if len(rt.ctypes) != 2 || rt.ctypes[0] != marketplace.CSVMediaType || rt.ctypes[1] != marketplace.CSVMediaType {
+		t.Fatalf("response content types %q, want two CSV responses (cut, then replayed)", rt.ctypes)
+	}
+	entries := m.Ledger().Entries()
+	if len(entries) != 1 || entries[0].Amount != price {
+		t.Fatalf("ledger %+v, want one sample billed at the replayed price %v", entries, price)
+	}
+	want, wantPrice, err := demoMarket(3).Sample(bg, "alpha", []string{"k"}, 0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if price != wantPrice || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("replayed sample: %d rows at %v, want %d rows at %v", got.NumRows(), price, want.NumRows(), wantPrice)
 	}
 }

@@ -10,9 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"mime"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,6 +32,21 @@ import (
 // Wire representations. Tables travel as CSV (the typed header encoding of
 // relation.WriteCSV round-trips kinds and categorical flags exactly).
 
+// MaxRequestBytes bounds every JSON request body the marketplace handler
+// and the danced service decode; a larger body answers 413.
+const MaxRequestBytes = 1 << 20
+
+// CSVMediaType is the raw table media type. A table request (/sample,
+// /sample_delta, /query) whose Accept header names it gets the table's CSV
+// as the response body, with the price in PriceHeader, instead of CSV
+// escaped inside the {csv, price} JSON object.
+const CSVMediaType = "text/csv"
+
+// PriceHeader carries the exact price of a CSV-mode table response,
+// formatted with strconv.FormatFloat(price, 'g', -1, 64) so it parses back
+// to the same float64.
+const PriceHeader = "Dance-Price"
+
 type wireColumn struct {
 	Name        string `json:"name"`
 	Kind        string `json:"kind"`
@@ -39,6 +57,10 @@ type wireDatasetInfo struct {
 	Name  string       `json:"name"`
 	Rows  int          `json:"rows"`
 	Attrs []wireColumn `json:"attrs"`
+	// FDs are the listing's published FDs in "A,B -> C" syntax, always
+	// present (possibly empty) on servers that send them; older servers
+	// omit the field, which decodes as nil.
+	FDs []string `json:"fds"`
 }
 
 type wireTableResponse struct {
@@ -82,7 +104,10 @@ type errorResponse struct {
 // are 404, caller input errors 400; anything else stays with the caller's
 // fallback status.
 func errCode(err error, fallback int) (string, int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return "", http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownDataset):
 		return "unknown_dataset", http.StatusNotFound
 	case errors.Is(err, ErrBadRate):
@@ -93,17 +118,23 @@ func errCode(err error, fallback int) (string, int) {
 
 // Handler serves a Market over JSON/HTTP:
 //
-//	GET  /catalog            → []DatasetInfo
+//	GET  /catalog            → []DatasetInfo, each with its FDs ("fds")
 //	GET  /fds?name=…         → []string (FDs, "A,B -> C" syntax)
 //	POST /quote {name,attrs} → {price}
-//	POST /sample {…}         → {csv, price}
-//	POST /sample_delta {…}   → {csv, price} (rows in (from_rate, to_rate])
-//	POST /query {name,attrs} → {csv, price}
+//	POST /sample {…}         → table
+//	POST /sample_delta {…}   → table (rows in (from_rate, to_rate])
+//	POST /query {name,attrs} → table
+//
+// A table answers as raw CSV when the request's Accept header names
+// CSVMediaType: Content-Type text/csv, an explicit Content-Length, and the
+// exact price in PriceHeader. Any other request gets the {csv, price} JSON
+// object, byte for byte what servers without the CSV media type send.
 //
 // Errors use the {"error", "code"} payload: unknown datasets answer 404
 // with code "unknown_dataset", invalid sampling rates 400 with "bad_rate",
-// malformed request JSON 400, and everything else 500 — so clients can tell
-// their own mistakes from marketplace failures.
+// malformed request JSON 400, request bodies over MaxRequestBytes 413, and
+// everything else 500 — so clients can tell their own mistakes from
+// marketplace failures.
 //
 // Each marketplace call runs under the request's context, so a client that
 // disconnects (or whose deadline expires) stops the work server-side.
@@ -124,13 +155,24 @@ func Handler(m Market) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(v)
 	}
-	tableResponse := func(w http.ResponseWriter, t *relation.Table, price float64) {
+	decode := func(w http.ResponseWriter, r *http.Request, v interface{}) error {
+		return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	}
+	tableResponse := func(w http.ResponseWriter, r *http.Request, t *relation.Table, price float64) {
 		var buf bytes.Buffer
 		if err := t.WriteCSV(&buf); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, wireTableResponse{CSV: buf.String(), Price: price})
+		if !acceptsCSV(r) {
+			writeJSON(w, wireTableResponse{CSV: buf.String(), Price: price})
+			return
+		}
+		h := w.Header()
+		h.Set("Content-Type", CSVMediaType)
+		h.Set(PriceHeader, strconv.FormatFloat(price, 'g', -1, 64))
+		h.Set("Content-Length", strconv.Itoa(buf.Len()))
+		w.Write(buf.Bytes())
 	}
 
 	mux.HandleFunc("GET /catalog", func(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +183,12 @@ func Handler(m Market) http.Handler {
 		}
 		out := make([]wireDatasetInfo, len(infos))
 		for i, info := range infos {
-			wi := wireDatasetInfo{Name: info.Name, Rows: info.Rows}
+			fds, err := m.DatasetFDs(r.Context(), info.Name)
+			if err != nil {
+				writeErr(w, http.StatusInternalServerError, err)
+				return
+			}
+			wi := wireDatasetInfo{Name: info.Name, Rows: info.Rows, FDs: formatFDs(fds)}
 			for _, c := range info.Attrs {
 				wi.Attrs = append(wi.Attrs, wireColumn{Name: c.Name, Kind: c.Kind.String(), Categorical: c.Categorical})
 			}
@@ -156,16 +203,12 @@ func Handler(m Market) http.Handler {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		out := make([]string, len(fds))
-		for i, f := range fds {
-			out[i] = strings.Join(f.LHS, ",") + " -> " + f.RHS
-		}
-		writeJSON(w, out)
+		writeJSON(w, formatFDs(fds))
 	})
 
 	mux.HandleFunc("POST /quote", func(w http.ResponseWriter, r *http.Request) {
 		var req quoteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decode(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -183,7 +226,7 @@ func Handler(m Market) http.Handler {
 
 	mux.HandleFunc("POST /sample", idem.wrap(func(w http.ResponseWriter, r *http.Request) {
 		var req sampleRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decode(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -192,12 +235,12 @@ func Handler(m Market) http.Handler {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		tableResponse(w, t, price)
+		tableResponse(w, r, t, price)
 	}))
 
 	mux.HandleFunc("POST /sample_delta", idem.wrap(func(w http.ResponseWriter, r *http.Request) {
 		var req sampleDeltaRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decode(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -206,12 +249,12 @@ func Handler(m Market) http.Handler {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		tableResponse(w, t, price)
+		tableResponse(w, r, t, price)
 	}))
 
 	mux.HandleFunc("POST /query", idem.wrap(func(w http.ResponseWriter, r *http.Request) {
 		var req quoteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decode(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -220,10 +263,34 @@ func Handler(m Market) http.Handler {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		tableResponse(w, t, price)
+		tableResponse(w, r, t, price)
 	}))
 
 	return mux
+}
+
+// formatFDs renders FDs in the wire's "A,B -> C" syntax; never nil, so
+// the catalog's fds field is present even for listings without FDs.
+func formatFDs(fds []fd.FD) []string {
+	out := make([]string, len(fds))
+	for i, f := range fds {
+		out[i] = strings.Join(f.LHS, ",") + " -> " + f.RHS
+	}
+	return out
+}
+
+// acceptsCSV reports whether the request's Accept header names
+// CSVMediaType.
+func acceptsCSV(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(v, ",") {
+			mt, _, _ := strings.Cut(part, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), CSVMediaType) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // DefaultClientTimeout caps a single marketplace round trip when the caller
@@ -236,6 +303,8 @@ const DefaultClientTimeout = 2 * time.Minute
 // its context: deadlines and cancellation abort the in-flight HTTP request.
 // Transient failures are retried per the Retry policy; billing calls carry
 // idempotency keys so retries never purchase twice (see RetryPolicy).
+// Table purchases ask for the raw CSV media type and accept the JSON
+// object of older servers too.
 type Client struct {
 	BaseURL string
 	// HTTP is the underlying client. Replace it to tune the transport.
@@ -267,6 +336,13 @@ type Client struct {
 	probeMu    sync.Mutex    // lockorder: leaf
 	probeState int           // guarded by probeMu
 	probeDone  chan struct{} // guarded by probeMu
+
+	// fdSnap holds the FDs the latest catalog listed, by dataset name.
+	// DatasetFDs answers from it and asks GET /fds only for names it lacks:
+	// listings added since, or every name on a server whose catalog carries
+	// no FDs.
+	fdMu   sync.Mutex         // lockorder: leaf
+	fdSnap map[string][]fd.FD // guarded by fdMu
 }
 
 // Probe states for Client.probeState.
@@ -315,21 +391,38 @@ func (c *Client) callCtx(ctx context.Context) (context.Context, context.CancelFu
 }
 
 func (c *Client) get(ctx context.Context, path string, out interface{}) error {
-	return c.do(ctx, http.MethodGet, path, "", nil, out)
+	return c.do(ctx, call{method: http.MethodGet, path: path, decode: jsonDecoder(out)})
 }
 
 func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
-	return c.postIdem(ctx, path, "", in, out)
-}
-
-// postIdem posts with an idempotency key attached to every retry attempt.
-// Billing endpoints must use it; an empty key degrades to a plain post.
-func (c *Client) postIdem(ctx context.Context, path, idemKey string, in, out interface{}) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, path, idemKey, body, out)
+	return c.do(ctx, call{method: http.MethodPost, path: path, body: body, decode: jsonDecoder(out)})
+}
+
+// postTable buys a table: it posts in with an idempotency key attached to
+// every retry attempt (billing endpoints must carry one) and asks for the
+// raw CSV media type, decoding either answer (see decodeTableResponse).
+func (c *Client) postTable(ctx context.Context, path, idemKey, name string, in interface{}) (*relation.Table, float64, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, 0, err
+	}
+	var t *relation.Table
+	var price float64
+	err = c.do(ctx, call{
+		method: http.MethodPost, path: path, idemKey: idemKey, accept: CSVMediaType, body: body,
+		decode: func(resp *http.Response) (err error) {
+			t, price, err = decodeTableResponse(resp, name)
+			return err
+		},
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, price, nil
 }
 
 // errEndpointUnsupported marks responses that came from the HTTP routing
@@ -338,44 +431,100 @@ func (c *Client) postIdem(ctx context.Context, path, idemKey string, in, out int
 // uses it as its capability probe.
 var errEndpointUnsupported = errors.New("endpoint unsupported by server")
 
-func decodeResponse(resp *http.Response, out interface{}) error {
+// readResponse reads a whole response body and turns non-200 statuses
+// into errors.
+func readResponse(resp *http.Response) ([]byte, error) {
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		// Mid-body connection resets surface here; the response is lost but
 		// the round trip is repeatable.
-		return &transientError{fmt.Errorf("marketplace client: reading response: %w", err)}
+		return nil, &transientError{fmt.Errorf("marketplace client: reading response: %w", err)}
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			// Restore the typed sentinels from the wire code so remote and
-			// in-memory marketplaces fail identically under errors.Is. A
-			// JSON error payload is the marketplace speaking — retrying
-			// would repeat the same answer — so none of these is transient.
-			switch e.Code {
-			case "unknown_dataset":
-				return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrUnknownDataset)
-			case "bad_rate":
-				return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrBadRate)
-			}
-			return fmt.Errorf("marketplace client: %s", e.Error)
-		}
-		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-			return fmt.Errorf("marketplace client: status %d: %w", resp.StatusCode, errEndpointUnsupported)
-		}
-		err := fmt.Errorf("marketplace client: status %d", resp.StatusCode)
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			// Payload-less 5xx/429: the infrastructure, not the
-			// marketplace, refused — retry.
-			return &transientError{err}
-		}
-		return err
+		return nil, statusError(resp.StatusCode, data)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		// A 200 with undecodable JSON is a truncated or garbled body.
-		return &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
+	return data, nil
+}
+
+// statusError maps a non-200 response to its error.
+func statusError(code int, data []byte) error {
+	var e errorResponse
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		// Restore the typed sentinels from the wire code so remote and
+		// in-memory marketplaces fail identically under errors.Is. A
+		// JSON error payload is the marketplace speaking — retrying
+		// would repeat the same answer — so none of these is transient.
+		switch e.Code {
+		case "unknown_dataset":
+			return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrUnknownDataset)
+		case "bad_rate":
+			return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrBadRate)
+		}
+		return fmt.Errorf("marketplace client: %s", e.Error)
 	}
-	return nil
+	if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+		return fmt.Errorf("marketplace client: status %d: %w", code, errEndpointUnsupported)
+	}
+	err := fmt.Errorf("marketplace client: status %d", code)
+	if code == http.StatusTooManyRequests || code >= 500 {
+		// Payload-less 5xx/429: the infrastructure, not the
+		// marketplace, refused — retry.
+		return &transientError{err}
+	}
+	return err
+}
+
+// jsonDecoder decodes a 200 JSON response into out.
+func jsonDecoder(out interface{}) func(*http.Response) error {
+	return func(resp *http.Response) error {
+		data, err := readResponse(resp)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(data, out); err != nil {
+			// A 200 with undecodable JSON is a truncated or garbled body.
+			return &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
+		}
+		return nil
+	}
+}
+
+// decodeTableResponse decodes a table endpoint's response in either media
+// type: raw CSV with the price in PriceHeader, or the {csv, price} JSON
+// object of servers (and requests) without the CSV media type. A body that
+// is not exactly Content-Length bytes, an undecodable body and a missing or
+// non-finite price are all transient: the bytes were damaged in transit,
+// and the Idempotency-Key replay of a retry delivers them whole without
+// billing again.
+func decodeTableResponse(resp *http.Response, name string) (*relation.Table, float64, error) {
+	data, err := readResponse(resp)
+	if err != nil {
+		return nil, 0, err
+	}
+	if resp.ContentLength >= 0 && int64(len(data)) != resp.ContentLength {
+		return nil, 0, &transientError{fmt.Errorf("marketplace client: response body is %d bytes, Content-Length %d",
+			len(data), resp.ContentLength)}
+	}
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != CSVMediaType {
+		var wire wireTableResponse
+		if err := json.Unmarshal(data, &wire); err != nil {
+			return nil, 0, &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
+		}
+		t, err := relation.ReadCSV(name, strings.NewReader(wire.CSV))
+		if err != nil {
+			return nil, 0, err
+		}
+		return t, wire.Price, nil
+	}
+	price, err := strconv.ParseFloat(resp.Header.Get(PriceHeader), 64)
+	if err != nil || math.IsNaN(price) || math.IsInf(price, 0) {
+		return nil, 0, &transientError{fmt.Errorf("marketplace client: bad %s header %q", PriceHeader, resp.Header.Get(PriceHeader))}
+	}
+	t, err := relation.ReadCSV(name, bytes.NewReader(data))
+	if err != nil {
+		return nil, 0, &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
+	}
+	return t, price, nil
 }
 
 // Catalog implements Market.
@@ -385,7 +534,15 @@ func (c *Client) Catalog(ctx context.Context) ([]DatasetInfo, error) {
 		return nil, err
 	}
 	out := make([]DatasetInfo, len(wire))
+	snap := make(map[string][]fd.FD, len(wire))
 	for i, wi := range wire {
+		if wi.FDs != nil {
+			// An unparsable entry stays out of the snapshot, so DatasetFDs
+			// reports it from GET /fds exactly as before.
+			if fds, err := parseFDs(wi.FDs); err == nil {
+				snap[wi.Name] = fds
+			}
+		}
 		info := DatasetInfo{Name: wi.Name, Rows: wi.Rows}
 		for _, wc := range wi.Attrs {
 			kind, err := parseKind(wc.Kind)
@@ -396,6 +553,9 @@ func (c *Client) Catalog(ctx context.Context) ([]DatasetInfo, error) {
 		}
 		out[i] = info
 	}
+	c.fdMu.Lock()
+	c.fdSnap = snap
+	c.fdMu.Unlock()
 	return out, nil
 }
 
@@ -413,8 +573,17 @@ func parseKind(s string) (relation.Kind, error) {
 	return 0, fmt.Errorf("marketplace client: unknown kind %q", s)
 }
 
-// DatasetFDs implements Market.
+// DatasetFDs implements Market. It answers from the latest Catalog's FDs
+// without a round trip; names that catalog did not list with FDs (new
+// listings, or a server that predates the catalog's fds field) are fetched
+// from GET /fds.
 func (c *Client) DatasetFDs(ctx context.Context, name string) ([]fd.FD, error) {
+	c.fdMu.Lock()
+	fds, ok := c.fdSnap[name]
+	c.fdMu.Unlock()
+	if ok {
+		return slices.Clone(fds), nil
+	}
 	// Dataset names are seller-controlled free text: escape, or names with
 	// spaces, '&' or '#' corrupt the query string.
 	q := url.Values{"name": {name}}
@@ -422,6 +591,11 @@ func (c *Client) DatasetFDs(ctx context.Context, name string) ([]fd.FD, error) {
 	if err := c.get(ctx, "/fds?"+q.Encode(), &wire); err != nil {
 		return nil, err
 	}
+	return parseFDs(wire)
+}
+
+// parseFDs parses FDs in the wire's "A,B -> C" syntax.
+func parseFDs(wire []string) ([]fd.FD, error) {
 	out := make([]fd.FD, len(wire))
 	for i, s := range wire {
 		f, err := fd.Parse(s)
@@ -446,15 +620,7 @@ func (c *Client) QuoteProjection(ctx context.Context, name string, attrs []strin
 func (c *Client) Sample(ctx context.Context, name string, joinAttrs []string, rate float64, seed uint64) (*relation.Table, float64, error) {
 	key := c.idemKey("sample", append(append([]string{name},
 		joinAttrs...), formatRate(rate), strconv.FormatUint(seed, 10))...)
-	var resp wireTableResponse
-	if err := c.postIdem(ctx, "/sample", key, sampleRequest{Name: name, JoinAttrs: joinAttrs, Rate: rate, Seed: seed}, &resp); err != nil {
-		return nil, 0, err
-	}
-	t, err := relation.ReadCSV(name, strings.NewReader(resp.CSV))
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, resp.Price, nil
+	return c.postTable(ctx, "/sample", key, name, sampleRequest{Name: name, JoinAttrs: joinAttrs, Rate: rate, Seed: seed})
 }
 
 func formatRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
@@ -463,18 +629,9 @@ func formatRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
 func (c *Client) sampleDeltaCall(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
 	key := c.idemKey("sample_delta", append(append([]string{name},
 		joinAttrs...), formatRate(fromRate), formatRate(toRate), strconv.FormatUint(seed, 10))...)
-	var resp wireTableResponse
-	err := c.postIdem(ctx, "/sample_delta", key, sampleDeltaRequest{
+	return c.postTable(ctx, "/sample_delta", key, name, sampleDeltaRequest{
 		Name: name, JoinAttrs: joinAttrs, FromRate: fromRate, ToRate: toRate, Seed: seed,
-	}, &resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := relation.ReadCSV(name, strings.NewReader(resp.CSV))
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, resp.Price, nil
+	})
 }
 
 // sampleDeltaFallback serves SampleDelta against a pre-delta server: buy the
@@ -482,7 +639,7 @@ func (c *Client) sampleDeltaCall(ctx context.Context, name string, joinAttrs []s
 // functionally identical, but billed at the full sample price, since an old
 // server has no way to charge for a difference.
 func (c *Client) sampleDeltaFallback(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
-	if fromRate < 0 || fromRate >= toRate || toRate > 1 {
+	if !validDelta(fromRate, toRate) {
 		return nil, 0, fmt.Errorf("marketplace client: sample delta rates (%v, %v] not within 0 ≤ from < to ≤ 1: %w",
 			fromRate, toRate, ErrBadRate)
 	}
@@ -568,13 +725,5 @@ func (c *Client) SampleDelta(ctx context.Context, name string, joinAttrs []strin
 // ExecuteProjection implements Market.
 func (c *Client) ExecuteProjection(ctx context.Context, q pricing.Query) (*relation.Table, float64, error) {
 	key := c.idemKey("query", append([]string{q.Instance}, q.Attrs...)...)
-	var resp wireTableResponse
-	if err := c.postIdem(ctx, "/query", key, quoteRequest{Name: q.Instance, Attrs: q.Attrs}, &resp); err != nil {
-		return nil, 0, err
-	}
-	t, err := relation.ReadCSV(q.Instance, strings.NewReader(resp.CSV))
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, resp.Price, nil
+	return c.postTable(ctx, "/query", key, q.Instance, quoteRequest{Name: q.Instance, Attrs: q.Attrs})
 }

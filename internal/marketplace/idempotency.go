@@ -19,12 +19,12 @@ const IdempotencyHeader = "Idempotency-Key"
 const idemCacheCap = 4096
 
 // idemEntry is one keyed request. done closes when the first execution
-// finishes; status/ctype/body are written before the close and read only
+// finishes; status/header/body are written before the close and read only
 // after it (or under the cache mutex), so replayers never see a torn entry.
 type idemEntry struct {
 	done   chan struct{}
 	status int
-	ctype  string
+	header http.Header // every recorded header: a CSV table's price travels in one
 	body   []byte
 }
 
@@ -82,8 +82,8 @@ func (c *idempotencyCache) wrap(next http.HandlerFunc) http.HandlerFunc {
 					// retry re-executes it.
 					continue
 				}
-				if e.ctype != "" {
-					w.Header().Set("Content-Type", e.ctype)
+				for k, vs := range e.header {
+					w.Header()[k] = vs
 				}
 				w.WriteHeader(e.status)
 				w.Write(e.body)
@@ -99,7 +99,7 @@ func (c *idempotencyCache) wrap(next http.HandlerFunc) http.HandlerFunc {
 			c.mu.Lock()
 			if rec.status == http.StatusOK {
 				e.status = rec.status
-				e.ctype = rec.header.Get("Content-Type")
+				e.header = rec.header
 				e.body = rec.body.Bytes()
 				c.order = append(c.order, key)
 				for len(c.order) > idemCacheCap {

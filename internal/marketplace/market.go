@@ -17,7 +17,6 @@ import (
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
-	"github.com/dance-db/dance/internal/sampling"
 )
 
 // Typed sentinel errors, so callers — the HTTP handler above all — can map
@@ -75,6 +74,21 @@ type Market interface {
 type Listing struct {
 	Table *relation.Table
 	FDs   []fd.FD
+	// index holds the listing's sample orders; Register starts it empty,
+	// so re-registering a name drops every order of the old table.
+	index *sellerIndex
+}
+
+// sample cuts the (from, to] rows of the listing's canonical sample order
+// under (joinAttrs, seed) — the table
+// sampling.CorrelatedSampleRange(l.Table, joinAttrs, from, to, seed) — from
+// the seller index, building the order on first use.
+func (l *Listing) sample(joinAttrs []string, from, to float64, seed uint64) (*relation.Table, error) {
+	o, err := l.index.get(l.Table, joinAttrs, seed)
+	if err != nil {
+		return nil, err
+	}
+	return o.cut(l.Table, from, to), nil
 }
 
 // LedgerEntry records one charge.
@@ -161,7 +175,7 @@ func (m *InMemory) Register(table *relation.Table, fds []fd.FD) {
 	if _, exists := m.listings[table.Name]; !exists {
 		m.order = append(m.order, table.Name)
 	}
-	m.listings[table.Name] = &Listing{Table: table, FDs: fds}
+	m.listings[table.Name] = &Listing{Table: table, FDs: fds, index: &sellerIndex{}}
 }
 
 // Ledger exposes the marketplace's billing record.
@@ -222,19 +236,21 @@ func (m *InMemory) QuoteProjection(ctx context.Context, name string, attrs []str
 
 // Sample implements Market. The rate is validated before the listing
 // lookup, so a request that is wrong in both ways reports the caller's
-// input error (400 on the wire) rather than the lookup failure.
+// input error (400 on the wire) rather than the lookup failure. The
+// comparison is written so that NaN fails it: a NaN rate would otherwise
+// bill NaN and poison the ledger total for good.
 func (m *InMemory) Sample(ctx context.Context, name string, joinAttrs []string, rate float64, seed uint64) (*relation.Table, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	if rate <= 0 || rate > 1 {
+	if !(rate > 0 && rate <= 1) {
 		return nil, 0, fmt.Errorf("marketplace: sample rate %v out of (0, 1]: %w", rate, ErrBadRate)
 	}
 	l, err := m.listing(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := sampling.CorrelatedSampleRange(l.Table, joinAttrs, 0, rate, sampling.NewHasher(seed))
+	s, err := l.sample(joinAttrs, 0, rate, seed)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -254,7 +270,7 @@ func (m *InMemory) SampleDelta(ctx context.Context, name string, joinAttrs []str
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	if fromRate < 0 || fromRate >= toRate || toRate > 1 {
+	if !validDelta(fromRate, toRate) {
 		return nil, 0, fmt.Errorf("marketplace: sample delta rates (%v, %v] not within 0 ≤ from < to ≤ 1: %w",
 			fromRate, toRate, ErrBadRate)
 	}
@@ -262,7 +278,7 @@ func (m *InMemory) SampleDelta(ctx context.Context, name string, joinAttrs []str
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := sampling.CorrelatedSampleRange(l.Table, joinAttrs, fromRate, toRate, sampling.NewHasher(seed))
+	s, err := l.sample(joinAttrs, fromRate, toRate, seed)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -273,6 +289,11 @@ func (m *InMemory) SampleDelta(ctx context.Context, name string, joinAttrs []str
 	price := pricing.SampleDiscount(full, toRate) - pricing.SampleDiscount(full, fromRate)
 	m.ledger.Add(LedgerEntry{Kind: "sample_delta", Dataset: name, Attrs: joinAttrs, Amount: price})
 	return s, price, nil
+}
+
+// validDelta reports 0 ≤ from < to ≤ 1; NaN on either side fails it.
+func validDelta(from, to float64) bool {
+	return from >= 0 && from < to && to <= 1
 }
 
 // ExecuteProjection implements Market.

@@ -88,9 +88,23 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(j)
 }
 
-// do runs one logical call: marshal-once body, retry loop, decode. idemKey
-// rides every attempt so the server can deduplicate billing across retries.
-func (c *Client) do(ctx context.Context, method, path, idemKey string, body []byte, out interface{}) error {
+// call is one logical marketplace round trip: what every attempt sends and
+// how it decodes the response.
+type call struct {
+	method, path string
+	// idemKey rides every attempt as the Idempotency-Key header, so the
+	// server can deduplicate billing across retries; "" sends none.
+	idemKey string
+	// accept is the Accept header; "" sends none.
+	accept string
+	// body is the marshal-once JSON request body; nil sends none.
+	body []byte
+	// decode consumes a response; a transientError return retries.
+	decode func(*http.Response) error
+}
+
+// do runs one logical call: retry loop around single attempts.
+func (c *Client) do(ctx context.Context, cl call) error {
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
 	attempts := c.Retry.MaxAttempts
@@ -99,7 +113,7 @@ func (c *Client) do(ctx context.Context, method, path, idemKey string, body []by
 	}
 	var last error
 	for attempt := 1; ; attempt++ {
-		err := c.attempt(ctx, method, path, idemKey, body, out)
+		err := c.attempt(ctx, cl)
 		if err == nil {
 			return nil
 		}
@@ -120,11 +134,11 @@ func (c *Client) do(ctx context.Context, method, path, idemKey string, body []by
 			break
 		}
 	}
-	return fmt.Errorf("marketplace client: %s %s failed after retries: %w", method, path, last)
+	return fmt.Errorf("marketplace client: %s %s failed after retries: %w", cl.method, cl.path, last)
 }
 
 // attempt performs a single HTTP round trip under the per-try deadline.
-func (c *Client) attempt(ctx context.Context, method, path, idemKey string, body []byte, out interface{}) error {
+func (c *Client) attempt(ctx context.Context, cl call) error {
 	tryCtx := ctx
 	cancel := func() {}
 	if c.Retry.PerTry > 0 {
@@ -132,22 +146,25 @@ func (c *Client) attempt(ctx context.Context, method, path, idemKey string, body
 	}
 	defer cancel()
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if cl.body != nil {
+		rd = bytes.NewReader(cl.body)
 	}
-	req, err := http.NewRequestWithContext(tryCtx, method, c.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(tryCtx, cl.method, c.BaseURL+cl.path, rd)
 	if err != nil {
 		return err
 	}
-	if body != nil {
+	if cl.body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if idemKey != "" {
-		req.Header.Set(IdempotencyHeader, idemKey)
+	if cl.idemKey != "" {
+		req.Header.Set(IdempotencyHeader, cl.idemKey)
+	}
+	if cl.accept != "" {
+		req.Header.Set("Accept", cl.accept)
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		err = fmt.Errorf("marketplace client: %s %s: %w", method, path, err)
+		err = fmt.Errorf("marketplace client: %s %s: %w", cl.method, cl.path, err)
 		if ctx.Err() == nil {
 			// The overall call is still alive: a transport failure or a
 			// per-try timeout is worth another attempt.
@@ -156,5 +173,5 @@ func (c *Client) attempt(ctx context.Context, method, path, idemKey string, body
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	return cl.decode(resp)
 }

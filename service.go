@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/persist"
 	"github.com/dance-db/dance/internal/policy"
 	"github.com/dance-db/dance/internal/safekey"
@@ -382,10 +383,21 @@ func writeServiceJSON(w http.ResponseWriter, code int, v interface{}) {
 // marketplace protocol plus a status that tells deadline (504), infeasible
 // (422) and not-found (404) apart from generic failures.
 func writeServiceErr(w http.ResponseWriter, code int, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	}
 	writeServiceJSON(w, code, serviceError{Error: err.Error()})
+}
+
+// decodeServiceRequest decodes a JSON request body into v, reading at most
+// the marketplace's MaxRequestBytes; a larger body fails with an
+// *http.MaxBytesError, which writeServiceErr answers with 413.
+func decodeServiceRequest(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, marketplace.MaxRequestBytes)).Decode(v)
 }
 
 // newPlanID mints an opaque identifier. IDs carry no meaning; the store is
@@ -654,7 +666,7 @@ func (s *acquireServer) awaitFlight(w http.ResponseWriter, r *http.Request, time
 
 func (s *acquireServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req AcquireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeServiceRequest(w, r, &req); err != nil {
 		writeServiceErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -687,7 +699,7 @@ func (s *acquireServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
 
 func (s *acquireServer) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req topkWireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeServiceRequest(w, r, &req); err != nil {
 		writeServiceErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -757,7 +769,7 @@ func (s *acquireServer) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *acquireServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req executeWireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeServiceRequest(w, r, &req); err != nil {
 		writeServiceErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -2,7 +2,9 @@ package dance_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -432,5 +434,32 @@ func TestDancedDefaultPolicyOmitted(t *testing.T) {
 	}
 	if plan.Policy != "dance" {
 		t.Fatalf("omitted policy resolved to %q, want dance", plan.Policy)
+	}
+}
+
+// TestDancedOversizedBody413: request bodies past the 1 MiB bound answer
+// 413 with the service's JSON error payload, before any search runs.
+func TestDancedOversizedBody413(t *testing.T) {
+	market, own := marketFixture(3)
+	mw := dance.New(market, dance.Config{SampleRate: 0.9, SampleSeed: 4})
+	mw.AddSource(own, nil)
+	danced := httptest.NewServer(dance.AcquireHandler(mw))
+	t.Cleanup(danced.Close)
+
+	pad := strings.Repeat(" ", 1<<20)
+	for _, path := range []string{"/v1/acquire", "/v1/topk", "/v1/execute"} {
+		resp, err := http.Post(danced.URL+path, "application/json", strings.NewReader(pad+`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || e.Error == "" {
+			t.Fatalf("%s: status %d, error %q (%v); want 413 with a payload", path, resp.StatusCode, e.Error, decErr)
+		}
+	}
+	if got := market.Ledger().Total(); got != 0 {
+		t.Fatalf("oversized requests spent %v", got)
 	}
 }

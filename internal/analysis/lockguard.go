@@ -435,7 +435,13 @@ func (w *lockWalker) checkAccessExpr(e ast.Expr, st state, write bool) {
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
-	guard, ok := w.guards[selection.Obj()]
+	// A field selected through an instantiated generic type is a distinct
+	// object; its Origin is the declared (annotated) field.
+	obj := selection.Obj()
+	if v, isVar := obj.(*types.Var); isVar {
+		obj = v.Origin()
+	}
+	guard, ok := w.guards[obj]
 	if !ok {
 		return
 	}

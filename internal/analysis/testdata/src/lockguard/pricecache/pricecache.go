@@ -167,3 +167,21 @@ func withScratch(n int, f func([]float64)) {
 	f(buf[:n])
 	scratch.Put(buf[:0])
 }
+
+// Shard is generic: accesses inside its methods select instantiated copies
+// of the annotated fields, which must resolve to the declared ones.
+type Shard[V any] struct {
+	mu sync.RWMutex
+	m  map[string]V // guarded by mu
+}
+
+func (s *Shard[V]) Get(key string) (V, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+func (s *Shard[V]) Racy(key string) V {
+	return s.m[key] // want `read of s\.m, guarded by mu, without holding it`
+}

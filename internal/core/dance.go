@@ -310,31 +310,6 @@ type snapshot struct {
 	searcher *search.Searcher
 }
 
-// primaryJoinAttr picks the attribute of info shared with the most other
-// catalog entries: correlated sampling needs a join attribute, and the most
-// widely shared one preserves the most join structure (see DESIGN.md).
-func primaryJoinAttr(info marketplace.DatasetInfo, catalog []marketplace.DatasetInfo) string {
-	best, bestCount := "", -1
-	for _, c := range info.Attrs {
-		count := 0
-		for _, other := range catalog {
-			if other.Name == info.Name {
-				continue
-			}
-			for _, oc := range other.Attrs {
-				if oc.Name == c.Name {
-					count++
-					break
-				}
-			}
-		}
-		if count > bestCount {
-			best, bestCount = c.Name, count
-		}
-	}
-	return best
-}
-
 // Offline runs the offline phase: fetch the catalog, buy correlated samples
 // of every dataset at the current rate, collect published (or discovered)
 // AFDs, and build the join graph. Calling it again refreshes the graph from
@@ -463,7 +438,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	err = parallel.ForEach(ctx, len(catalog), d.cfg.Workers, func(i int) error {
 		info := catalog[i]
 		out := &outcomes[i]
-		out.joinAttr = primaryJoinAttr(info, catalog)
+		out.joinAttr = policy.PrimaryJoinAttr(info, catalog)
 		held := prev.Dataset(info.Name)
 		// A held dataset can be extended only when the sampling run is the
 		// same one: equal join attributes and seed, rate not shrinking —

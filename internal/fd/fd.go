@@ -159,16 +159,6 @@ func QualitySet(t *relation.Table, fds []FD) (float64, error) {
 	return float64(acc.Count()) / float64(t.NumRows()), nil
 }
 
-// Holds reports whether f holds on t as an AFD with error at most maxErr
-// (i.e. Q(t, f) ≥ 1 − maxErr).
-func Holds(t *relation.Table, f FD, maxErr float64) (bool, error) {
-	q, err := Quality(t, f)
-	if err != nil {
-		return false, err
-	}
-	return q >= 1-maxErr, nil
-}
-
 // Applicable filters fds to those whose attributes all exist in schema s.
 func Applicable(fds []FD, s *relation.Schema) []FD {
 	var out []FD

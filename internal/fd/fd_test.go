@@ -190,18 +190,6 @@ func TestQualityEmptyTable(t *testing.T) {
 	}
 }
 
-func TestHolds(t *testing.T) {
-	d := exampleTable2()
-	ok, err := Holds(d, New("B", "A"), 0.5) // error 0.4 ≤ 0.5
-	if err != nil || !ok {
-		t.Fatalf("Holds(0.5) = %v, %v; want true", ok, err)
-	}
-	ok, err = Holds(d, New("B", "A"), 0.1) // error 0.4 > 0.1
-	if err != nil || ok {
-		t.Fatalf("Holds(0.1) = %v, %v; want false", ok, err)
-	}
-}
-
 func TestApplicable(t *testing.T) {
 	d := exampleTable2()
 	fds := []FD{New("B", "A"), New("Z", "A"), New("A", "B")}

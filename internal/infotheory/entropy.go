@@ -104,23 +104,6 @@ func ConditionalEntropy(t *relation.Table, x, y []string) (float64, error) {
 	return hxy - hy, nil
 }
 
-// MutualInformation returns I(X; Y) = H(X) + H(Y) − H(X, Y).
-func MutualInformation(t *relation.Table, x, y []string) (float64, error) {
-	hx, err := Entropy(t, x...)
-	if err != nil {
-		return 0, err
-	}
-	hy, err := Entropy(t, y...)
-	if err != nil {
-		return 0, err
-	}
-	hxy, err := Entropy(t, append(append([]string{}, x...), y...)...)
-	if err != nil {
-		return 0, err
-	}
-	return hx + hy - hxy, nil
-}
-
 // CumulativeEntropy returns the empirical cumulative entropy
 // h(X) = −Σ_{i<n} (x_{i+1} − x_i) · F(x_i) · log2 F(x_i)
 // of the sample xs, where F is the empirical CDF. NULLs must be filtered by
@@ -214,27 +197,4 @@ func numericColumn(t *relation.Table, name string, rows []int) ([]float64, error
 		}
 	}
 	return out, nil
-}
-
-// ConditionalCumulativeEntropy returns h(X | Y) = Σ_y p(y) · h(X | Y = y)
-// where X is a numeric attribute and Y an attribute set treated as discrete
-// conditioning groups.
-func ConditionalCumulativeEntropy(t *relation.Table, x string, y []string) (float64, error) {
-	if t.NumRows() == 0 {
-		return 0, nil
-	}
-	groups, err := t.GroupRowLists(y...)
-	if err != nil {
-		return 0, fmt.Errorf("conditional cumulative entropy %s|%v: %w", x, y, err)
-	}
-	total := float64(t.NumRows())
-	h := 0.0
-	for _, rows := range groups {
-		vals, err := numericColumn(t, x, rows)
-		if err != nil {
-			return 0, err
-		}
-		h += float64(len(rows)) / total * CumulativeEntropy(vals)
-	}
-	return h, nil
 }

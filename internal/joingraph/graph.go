@@ -19,11 +19,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/graphalg"
 	"github.com/dance-db/dance/internal/infotheory"
+	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
 )
@@ -99,35 +99,16 @@ type Config struct {
 }
 
 // JICache memoizes join-informativeness estimates across graph rebuilds.
-// Safe for concurrent use. Entry-capped: superseded dataset versions leave
-// dead keys behind, and on overflow the cache resets — a reset only costs
-// re-estimation on the next build.
-type JICache struct {
-	mu sync.RWMutex       // lockorder: leaf
-	m  map[string]float64 // guarded by mu
-}
+// Safe for concurrent use.
+type JICache struct{ m *memo.Memo[float64] }
 
-// jiCacheCap bounds the entries held across rebuilds.
+// jiCacheCap bounds the entries held across rebuilds: superseded dataset
+// versions leave dead keys behind, and evicting one only costs
+// re-estimation on the next build.
 const jiCacheCap = 1 << 16
 
 // NewJICache returns an empty cache.
-func NewJICache() *JICache { return &JICache{m: make(map[string]float64)} }
-
-func (c *JICache) get(key string) (float64, bool) {
-	c.mu.RLock()
-	v, ok := c.m[key]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *JICache) put(key string, v float64) {
-	c.mu.Lock()
-	if len(c.m) >= jiCacheCap {
-		c.m = make(map[string]float64)
-	}
-	c.m[key] = v
-	c.mu.Unlock()
-}
+func NewJICache() *JICache { return &JICache{memo.New[float64](1, jiCacheCap)} }
 
 // Variant is one choice of join-attribute set for an I-edge, with its
 // estimated join informativeness (the AS-edge weight of Def 4.2).
@@ -158,12 +139,15 @@ type Graph struct {
 	cfg        Config
 	edgeByPair map[[2]int]int // instance pair → edge index
 
-	// priceMu guards priceCache: Price is called from every concurrent
-	// MCMC chain of the parallel search engine.
-	// lockorder: leaf
-	priceMu    sync.RWMutex
-	priceCache map[string]float64 // guarded by priceMu
+	// prices memoizes Price for every concurrent MCMC chain of the
+	// parallel search engine.
+	prices *memo.Memo[float64]
 }
+
+// maxPrices bounds a graph's price memo. Keys are (instance, attribute
+// set) pairs the search prices, and attribute subsets of seller-chosen
+// schemas are many; evicting a price only costs a re-quote.
+const maxPrices = 1 << 12
 
 // Build constructs the join graph from instances and estimates every
 // variant weight from the samples. Instances without a Columnar encoding
@@ -181,7 +165,7 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 		Instances:  instances,
 		cfg:        cfg,
 		edgeByPair: make(map[[2]int]int),
-		priceCache: make(map[string]float64),
+		prices:     memo.New[float64](1, maxPrices),
 	}
 	for i := 0; i < len(instances); i++ {
 		for j := i + 1; j < len(instances); j++ {
@@ -206,7 +190,7 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 				key := ""
 				if cfg.JI != nil {
 					key = pairKey + safekey.Join(attrs...)
-					ji, hit = cfg.JI.get(key)
+					ji, hit = cfg.JI.m.Get(key)
 				}
 				if !hit {
 					var err error
@@ -216,7 +200,7 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 							instances[i].Name, instances[j].Name, attrs, err)
 					}
 					if cfg.JI != nil {
-						cfg.JI.put(key, ji)
+						cfg.JI.m.Put(key, ji)
 					}
 				}
 				e.Variants = append(e.Variants, Variant{JoinAttrs: attrs, JI: ji})
@@ -314,25 +298,20 @@ func (g *Graph) Price(ctx context.Context, i int, attrs []string) (float64, erro
 	if g.cfg.Quoter == nil {
 		return 0, fmt.Errorf("joingraph: no price quoter configured")
 	}
-	sorted := append([]string(nil), attrs...)
+	// Listing and column names are seller text: length-prefixed parts keep
+	// listing "x\x00a" pricing [b] apart from listing "x" pricing [a b].
+	parts := append([]string{inst.Name}, attrs...)
+	sorted := parts[1:]
 	sort.Strings(sorted)
-	key := inst.Name
-	for _, a := range sorted {
-		key += "\x00" + a
-	}
-	g.priceMu.RLock()
-	p, ok := g.priceCache[key]
-	g.priceMu.RUnlock()
-	if ok {
+	key := safekey.Join(parts...)
+	if p, ok := g.prices.Get(key); ok {
 		return p, nil
 	}
 	p, err := g.cfg.Quoter.QuoteProjection(ctx, inst.Name, sorted)
 	if err != nil {
 		return 0, fmt.Errorf("joingraph: price quote for %s%v: %w", inst.Name, sorted, err)
 	}
-	g.priceMu.Lock()
-	g.priceCache[key] = p
-	g.priceMu.Unlock()
+	g.prices.Put(key, p)
 	return p, nil
 }
 

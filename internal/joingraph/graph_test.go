@@ -172,6 +172,39 @@ func TestPriceCachingAndOwnedFree(t *testing.T) {
 	}
 }
 
+// nameQuoter prices a projection by its listing name alone.
+type nameQuoter struct{}
+
+func (nameQuoter) QuoteProjection(_ context.Context, instance string, _ []string) (float64, error) {
+	return float64(len(instance)), nil
+}
+
+// TestPriceKeysDoNotAliasOnNUL pins that a listing name holding a NUL
+// cannot take over another listing's memoized price: listing "x\x00a"
+// pricing [b] and listing "x" pricing [a b] are different quotes.
+func TestPriceKeysDoNotAliasOnNUL(t *testing.T) {
+	x := relation.NewTable("x", relation.NewSchema(
+		relation.Cat("a", relation.KindInt), relation.Cat("b", relation.KindInt)))
+	xa := relation.NewTable("x\x00a", relation.NewSchema(relation.Cat("b", relation.KindInt)))
+	for i := int64(0); i < 4; i++ {
+		x.AppendValues(relation.IntValue(i), relation.IntValue(i))
+		xa.AppendValues(relation.IntValue(i))
+	}
+	g, err := Build([]*Instance{
+		{Name: x.Name, Sample: x, FullRows: 4},
+		{Name: xa.Name, Sample: xa, FullRows: 4},
+	}, Config{Quoter: nameQuoter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := g.Price(bg, 0, []string{"a", "b"}); err != nil || p != 1 {
+		t.Fatalf("price of x[a b] = %v, %v; want 1", p, err)
+	}
+	if p, err := g.Price(bg, 1, []string{"b"}); err != nil || p != 3 {
+		t.Fatalf("price of x\\x00a[b] = %v, %v; want 3 (its own quote)", p, err)
+	}
+}
+
 func TestPriceWithoutQuoterErrors(t *testing.T) {
 	insts := figure3Instances(4)
 	g, _ := Build(insts, Config{})

@@ -22,9 +22,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/dance-db/dance/internal/infotheory"
+	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
 )
@@ -121,16 +121,20 @@ func SampleDiscount(fullPrice, rate float64) float64 {
 // entropy computations would dominate.
 type cached struct {
 	inner Model
-
-	mu    sync.Mutex // lockorder: leaf
-	cache map[string]float64
+	memo  *memo.Memo[float64]
 }
+
+// maxCachedPrices bounds a Cached model's memo. Its keys carry
+// seller-controlled listing names, so a marketplace that keeps listing new
+// tables must not grow it without bound; evicting a price only costs
+// recomputing an entropy.
+const maxCachedPrices = 1 << 14
 
 // Cached wraps m with a concurrency-safe memo keyed by (table, attrs).
 // The cache assumes tables are immutable once priced, which holds for
 // marketplace instances.
 func Cached(m Model) Model {
-	return &cached{inner: m, cache: make(map[string]float64)}
+	return &cached{inner: m, memo: memo.New[float64](1, maxCachedPrices)}
 }
 
 // Name implements Model.
@@ -143,19 +147,14 @@ func (c *cached) PriceProjection(t *relation.Table, attrs []string) (float64, er
 	parts := append([]string{t.Name, strconv.Itoa(t.NumRows())}, attrs...)
 	sort.Strings(parts[2:])
 	key := safekey.Join(parts...)
-	c.mu.Lock()
-	if p, ok := c.cache[key]; ok {
-		c.mu.Unlock()
+	if p, ok := c.memo.Get(key); ok {
 		return p, nil
 	}
-	c.mu.Unlock()
 	p, err := c.inner.PriceProjection(t, attrs)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	c.cache[key] = p
-	c.mu.Unlock()
+	c.memo.Put(key, p)
 	return p, nil
 }
 

@@ -35,18 +35,6 @@ func partitionFromGroups(groups map[string][]int, n int) *Partition {
 // NumClasses returns the number of equivalence classes.
 func (p *Partition) NumClasses() int { return len(p.Classes) }
 
-// Stripped returns the partition with all singleton classes removed. TANE's
-// g3 error and refinement tests only need non-singleton classes.
-func (p *Partition) Stripped() *Partition {
-	out := &Partition{N: p.N}
-	for _, c := range p.Classes {
-		if len(c) > 1 {
-			out.Classes = append(out.Classes, c)
-		}
-	}
-	return out
-}
-
 // Refine intersects p with the grouping of rows by the columns at idx in
 // table t, producing π_{X∪Y} from π_X. It is the workhorse of levelwise FD
 // discovery: only rows inside existing classes need re-grouping.
@@ -127,15 +115,4 @@ func (p *Partition) CorrectCount(q *Partition) int {
 		total += best
 	}
 	return total
-}
-
-// ClassOfSizes returns the multiset of class sizes, sorted descending.
-// Used by entropy computations and tests.
-func (p *Partition) ClassSizes() []int {
-	out := make([]int, len(p.Classes))
-	for i, c := range p.Classes {
-		out[i] = len(c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Table is an in-memory relation: a named schema plus rows.
@@ -96,45 +95,12 @@ func (t *Table) MustProject(names ...string) *Table {
 	return out
 }
 
-// Select returns a new table with the rows for which keep returns true.
-func (t *Table) Select(keep func(row []Value) bool) *Table {
-	out := NewTable(t.Name, t.Schema)
-	for _, r := range t.Rows {
-		if keep(r) {
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out
-}
-
 // SelectIndices returns a new table containing the rows at the given indices.
 func (t *Table) SelectIndices(indices []int) *Table {
 	out := NewTable(t.Name, t.Schema)
 	out.Rows = make([][]Value, 0, len(indices))
 	for _, i := range indices {
 		out.Rows = append(out.Rows, t.Rows[i])
-	}
-	return out
-}
-
-// Distinct returns a new table with duplicate rows removed (first occurrence
-// kept, order preserved).
-func (t *Table) Distinct() *Table {
-	seen := make(map[string]struct{}, len(t.Rows))
-	out := NewTable(t.Name, t.Schema)
-	var buf []byte
-	all := make([]int, t.Schema.Len())
-	for i := range all {
-		all[i] = i
-	}
-	for _, r := range t.Rows {
-		buf = EncodeKey(buf[:0], r, all)
-		k := string(buf)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Rows = append(out.Rows, r)
 	}
 	return out
 }
@@ -150,24 +116,6 @@ func (t *Table) Column(name string) ([]Value, error) {
 		out[j] = r[i]
 	}
 	return out, nil
-}
-
-// SortBy sorts rows in place by the named columns ascending (stable).
-func (t *Table) SortBy(names ...string) error {
-	idx, err := t.Schema.Indexes(names...)
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		ra, rb := t.Rows[a], t.Rows[b]
-		for _, c := range idx {
-			if cmp := ra[c].Compare(rb[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return nil
 }
 
 // EncodeKey appends the injective encoding of row[cols...] to buf.

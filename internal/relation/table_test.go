@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,22 +65,9 @@ func TestProjectReorders(t *testing.T) {
 
 func TestSelectAndSelectIndices(t *testing.T) {
 	d := exampleD()
-	ai := d.Schema.Index("A")
-	sel := d.Select(func(row []Value) bool { return row[ai] == StringValue("a1") })
-	if sel.NumRows() != 4 {
-		t.Fatalf("Select kept %d rows, want 4", sel.NumRows())
-	}
 	si := d.SelectIndices([]int{4, 0})
 	if si.NumRows() != 2 || si.Rows[0][0] != StringValue("a2") {
 		t.Fatalf("SelectIndices wrong: %v", si.Rows)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	d := exampleD()
-	u := d.Distinct()
-	if u.NumRows() != 4 { // (a1,b1) appears twice
-		t.Fatalf("Distinct kept %d rows, want 4", u.NumRows())
 	}
 }
 
@@ -94,16 +82,6 @@ func TestColumn(t *testing.T) {
 	}
 	if _, err := d.Column("missing"); err == nil {
 		t.Fatal("unknown column should error")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	d := exampleD()
-	if err := d.SortBy("B", "A"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Rows[0][1] != StringValue("b1") || d.Rows[4][1] != StringValue("b3") {
-		t.Fatalf("not sorted: %v", d.Rows)
 	}
 }
 
@@ -160,20 +138,8 @@ func TestPartitionRefineAgreesWithDirect(t *testing.T) {
 	if refined.NumClasses() != direct.NumClasses() {
 		t.Fatalf("refine classes %d != direct %d", refined.NumClasses(), direct.NumClasses())
 	}
-	rs, ds := refined.ClassSizes(), direct.ClassSizes()
-	for i := range rs {
-		if rs[i] != ds[i] {
-			t.Fatalf("class sizes differ: %v vs %v", rs, ds)
-		}
-	}
-}
-
-func TestStripped(t *testing.T) {
-	d := exampleD()
-	pab, _ := d.PartitionBy("A", "B")
-	st := pab.Stripped()
-	if st.NumClasses() != 1 {
-		t.Fatalf("stripped classes = %d, want 1 (only {t1,t2})", st.NumClasses())
+	if !reflect.DeepEqual(refined.Classes, direct.Classes) {
+		t.Fatalf("classes differ: %v vs %v", refined.Classes, direct.Classes)
 	}
 }
 

@@ -1,11 +1,13 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/safekey"
 )
 
 // rebuildGraph builds the scenario graph with explicit per-instance
@@ -119,28 +121,23 @@ func TestRetainPrunesProjectedViews(t *testing.T) {
 	if _, err := s2.Heuristic(bg, baseRequest()); err != nil {
 		t.Fatal(err)
 	}
-	viewInsts := func() map[string]bool {
-		caches.views.mu.RLock()
-		defer caches.views.mu.RUnlock()
-		out := map[string]bool{}
-		for k := range caches.views.m {
-			out[k.inst] = true
-		}
-		return out
+	tag := s2.keepFor(baseRequest(), []string{"xval"}, []string{"yval"}).tag
+	hasView := func(inst string) bool {
+		_, ok := caches.views.Get(safekey.Join(inst, tag))
+		return ok
 	}
 	dead := g1.Instances[g1.InstanceIndex("tgt1")].CacheKey()
 	live := s2.instKey[g2.InstanceIndex("tgt1")]
-	if before := viewInsts(); !before[dead] || !before[live] {
-		t.Fatalf("expected views of both %s and %s before pruning, have %v", dead, live, before)
+	if !hasView(dead) || !hasView(live) {
+		t.Fatalf("expected views of both %s and %s before pruning", dead, live)
 	}
 	caches.RetainInstances(s2)
-	after := viewInsts()
-	if after[dead] {
+	if hasView(dead) {
 		t.Fatalf("Retain kept projected views of dead instance %s", dead)
 	}
 	for _, k := range s2.instKey {
-		if !after[k] {
-			t.Fatalf("Retain dropped projected views of live instance %s (have %v)", k, after)
+		if !hasView(k) {
+			t.Fatalf("Retain dropped projected views of live instance %s", k)
 		}
 	}
 }
@@ -155,25 +152,56 @@ func TestSearcherReusesBuildEncoding(t *testing.T) {
 	if _, err := s.Heuristic(bg, baseRequest()); err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]*relation.Columnar{}
+	tag := s.keepFor(baseRequest(), []string{"xval"}, []string{"yval"}).tag
 	for v, inst := range g.Instances {
-		if inst.Columnar == nil {
+		enc := inst.Columnar
+		if enc == nil {
 			t.Fatalf("instance %s has no encoding after Build", inst.Name)
 		}
-		byKey[s.instKey[v]] = inst.Columnar
-	}
-	s.caches.views.mu.RLock()
-	defer s.caches.views.mu.RUnlock()
-	if len(s.caches.views.m) == 0 {
-		t.Fatal("the search cached no projected views")
-	}
-	for key, view := range s.caches.views.m {
-		enc := byKey[key.inst]
-		for j, col := range view.Schema().Names() {
+		e, ok := s.caches.views.Get(safekey.Join(s.instKey[v], tag))
+		if !ok {
+			t.Fatalf("the search cached no projected view of %s", inst.Name)
+		}
+		for j, col := range e.v.Schema().Names() {
 			k := enc.Schema().Index(col)
-			if view.Dict(j) != enc.Dict(k) || &view.Codes(j)[0] != &enc.Codes(k)[0] {
-				t.Fatalf("view of %s re-encoded column %s", key.inst, col)
+			if e.v.Dict(j) != enc.Dict(k) || &e.v.Codes(j)[0] != &enc.Codes(k)[0] {
+				t.Fatalf("view of %s re-encoded column %s", inst.Name, col)
 			}
+		}
+	}
+}
+
+// TestCorrKeysDoNotAliasOnNUL pins that an attribute name holding a NUL
+// cannot take over another X/Y split's keep set or cached metrics.
+func TestCorrKeysDoNotAliasOnNUL(t *testing.T) {
+	split := Request{SourceAttrs: []string{"a"}, TargetAttrs: []string{"b", "c"}}
+	nul := Request{SourceAttrs: []string{"a"}, TargetAttrs: []string{"b\x00c"}}
+	if split.corrKey() == nul.corrKey() {
+		t.Fatalf("targets %q and %q share the key %q", split.TargetAttrs, nul.TargetAttrs, split.corrKey())
+	}
+}
+
+// TestJoinIndexKeysDoNotAliasOnNUL pins that join-index keys keep seller
+// column names apart: on one instance, on = ["a","b"] and on = ["a\x00b"]
+// are different indexes.
+func TestJoinIndexKeysDoNotAliasOnNUL(t *testing.T) {
+	tab := relation.NewTable("t", relation.NewSchema(relation.Cat("a", relation.KindInt),
+		relation.Cat("b", relation.KindInt), relation.Cat("a\x00b", relation.KindInt)))
+	for i := int64(0); i < 4; i++ {
+		tab.AppendValues(relation.IntValue(i), relation.IntValue(i), relation.IntValue(i))
+	}
+	g, err := joingraph.Build([]*joingraph.Instance{{Name: "t", Sample: tab, FullRows: 4}}, joingraph.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSearcher(g)
+	for _, on := range [][]string{{"a", "b"}, {"a\x00b"}} {
+		idx, err := s.joinIndexOf(0, on, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(idx.On, on) {
+			t.Fatalf("join index for on = %q is the index on %q", on, idx.On)
 		}
 	}
 }

@@ -4,25 +4,26 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/dance-db/dance/internal/memo"
 )
 
-// Contention benchmarks for the GOMAXPROCS-sized cache sharding: eight
+// Contention benchmarks for the GOMAXPROCS-sized memo sharding: eight
 // goroutines — the intra-chain segment pool of one 8-worker search —
-// hammering get/put with a mixed hit/miss key stream, against a
-// single-shard cache (the degenerate pre-sizing layout under maximum
-// contention) and the GOMAXPROCS-sized default. Run with -cpu 8 on a
-// multicore box to see the spread; on one CPU the two converge because
-// nothing contends.
+// hammering Get/Put with a mixed hit/miss key stream on an evaluation
+// memo, against a single shard (maximum contention) and the
+// GOMAXPROCS-sized default. Run with -cpu 8 on a multicore box to see the
+// spread; on one CPU the two converge because nothing contends.
 //
 //	go test ./internal/search/ -run - -bench EvalCacheContention -cpu 8
 
-func benchmarkEvalCacheContention(b *testing.B, c *evalCache) {
+func benchmarkEvalCacheContention(b *testing.B, c *memo.Memo[Metrics]) {
 	const keys = 1 << 10
 	ks := make([]string, keys)
 	for i := range ks {
 		ks[i] = fmt.Sprintf("tg-%d|inst-%d|corr", i, i%7)
 		if i%2 == 0 {
-			c.put(ks[i], Metrics{Correlation: float64(i)})
+			c.Put(ks[i], Metrics{Correlation: float64(i)})
 		}
 	}
 	const workers = 8
@@ -35,8 +36,8 @@ func benchmarkEvalCacheContention(b *testing.B, c *evalCache) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := ks[(i*workers+w)%keys]
-				if _, ok := c.get(k); !ok {
-					c.put(k, Metrics{Correlation: float64(i)})
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, Metrics{Correlation: float64(i)})
 				}
 			}
 		}(w)
@@ -45,9 +46,9 @@ func benchmarkEvalCacheContention(b *testing.B, c *evalCache) {
 }
 
 func BenchmarkEvalCacheContentionSingleShard(b *testing.B) {
-	benchmarkEvalCacheContention(b, newEvalCacheShards(1))
+	benchmarkEvalCacheContention(b, memo.New[Metrics](1, evalCacheShardCap))
 }
 
 func BenchmarkEvalCacheContentionSharded(b *testing.B) {
-	benchmarkEvalCacheContention(b, newEvalCache())
+	benchmarkEvalCacheContention(b, NewCaches().eval)
 }

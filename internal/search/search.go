@@ -12,12 +12,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/graphalg"
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/parallel"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
@@ -152,9 +152,8 @@ type Result struct {
 }
 
 // Searcher runs searches over one join graph. It is safe for concurrent
-// use: the evaluation, columnar, join-index and join-prefix caches are all
-// sharded or RWMutex-protected, and every search derives chain-local RNGs
-// instead of mutating shared state.
+// use: every cache is a concurrency-safe memo, and every search derives
+// chain-local RNGs instead of mutating shared state.
 //
 // The caches may be shared across Searchers (NewSearcherWithCaches): every
 // cache key incorporates the per-instance (name, version) identity, so a
@@ -167,8 +166,7 @@ type Searcher struct {
 	// instKey is each instance's versioned cache identity, precomputed.
 	instKey []string
 
-	keepMu sync.Mutex          // lockorder: leaf
-	keeps  map[string]*keepSet // by Request.corrKey; guarded by keepMu
+	keeps *memo.Memo[*keepSet] // by Request.corrKey
 }
 
 // NewSearcher wraps a join graph with a private cache set (the classic
@@ -181,7 +179,7 @@ func NewSearcher(g *joingraph.Graph) *Searcher {
 // middleware passes one Caches across sample-rate escalations so that
 // evaluation state derived from unchanged datasets survives the rebuild.
 func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches, keeps: make(map[string]*keepSet)}
+	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets)}
 	s.instKey = make([]string, len(g.Instances))
 	for i, inst := range g.Instances {
 		s.instKey[i] = inst.CacheKey()
@@ -207,20 +205,15 @@ type keepSet struct {
 	tag string
 }
 
-// maxKeepSets bounds a Searcher's memo of keep sets; it is emptied when
-// full, since the X/Y splits it is keyed by are shopper-chosen.
+// maxKeepSets bounds a Searcher's memo of keep sets, since the X/Y splits
+// it is keyed by are shopper-chosen.
 const maxKeepSets = 64
 
 // keepFor returns req's keep set, computed once per X/Y split.
 func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
 	key := req.corrKey()
-	s.keepMu.Lock()
-	defer s.keepMu.Unlock()
-	if k := s.keeps[key]; k != nil {
+	if k, ok := s.keeps.Get(key); ok {
 		return k
-	}
-	if len(s.keeps) >= maxKeepSets {
-		clear(s.keeps)
 	}
 	names := map[string]bool{}
 	for _, a := range x {
@@ -252,7 +245,7 @@ func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
 	}
 	sort.Strings(sorted)
 	k := &keepSet{names: names, tag: safekey.Join(sorted...)}
-	s.keeps[key] = k
+	s.keeps.Put(key, k)
 	return k
 }
 
@@ -275,51 +268,34 @@ func renameShaped(name string) bool {
 // viewOf returns instance v's columnar encoding projected to keep, shared
 // per (versioned instance, keep set).
 func (s *Searcher) viewOf(v int, keep *keepSet) *relation.Columnar {
-	key := viewKey{inst: s.instKey[v], tag: keep.tag}
-	s.caches.views.mu.RLock()
-	c := s.caches.views.m[key]
-	s.caches.views.mu.RUnlock()
-	if c != nil {
-		return c
+	key := safekey.Join(s.instKey[v], keep.tag)
+	if e, ok := s.caches.views.Get(key); ok {
+		return e.v
 	}
-	c = s.G.Instances[v].Columnar.Project(keep.names)
-	s.caches.views.mu.Lock()
-	defer s.caches.views.mu.Unlock()
-	if prev := s.caches.views.m[key]; prev != nil {
-		return prev
-	}
-	if len(s.caches.views.m) >= maxViews {
-		clear(s.caches.views.m)
-	}
-	s.caches.views.m[key] = c
+	c := s.G.Instances[v].Columnar.Project(keep.names)
+	s.caches.views.Put(key, owned[*relation.Columnar]{inst: s.instKey[v], v: c})
 	return c
 }
 
 // joinIndexOf returns the shared build-side join index of instance v on the
 // given attributes, building it on first use (with up to workers goroutines
 // — indexes are bit-identical for every worker count). The build — O(sample
-// size) — runs outside the store lock so concurrent workers warming up
+// size) — runs outside the memo's lock so concurrent workers warming up
 // different (instance, attrs) pairs don't serialize; a racing duplicate
-// build is harmless (indexes are immutable, first store wins).
+// build is harmless (indexes are immutable and equal).
 func (s *Searcher) joinIndexOf(v int, on []string, workers int) (*relation.JoinIndex, error) {
-	key := joinIndexKey(s.instKey[v], on)
-	s.caches.joinIdx.mu.RLock()
-	idx := s.caches.joinIdx.m[key]
-	s.caches.joinIdx.mu.RUnlock()
-	if idx != nil {
-		return idx, nil
+	// Instance and attribute names are seller text: length-prefixed parts
+	// keep on = ["a","b"] apart from on = ["a\x00b"].
+	key := safekey.Join(append([]string{s.instKey[v]}, on...)...)
+	if e, ok := s.caches.joinIdx.Get(key); ok {
+		return e.v, nil
 	}
-	built, err := s.G.Instances[v].Columnar.BuildJoinIndexWorkers(workers, on...)
+	idx, err := s.G.Instances[v].Columnar.BuildJoinIndexWorkers(workers, on...)
 	if err != nil {
 		return nil, err
 	}
-	s.caches.joinIdx.mu.Lock()
-	defer s.caches.joinIdx.mu.Unlock()
-	if idx = s.caches.joinIdx.m[key]; idx != nil {
-		return idx, nil
-	}
-	s.caches.joinIdx.m[key] = built
-	return built, nil
+	s.caches.joinIdx.Put(key, owned[*relation.JoinIndex]{inst: s.instKey[v], v: idx})
+	return idx, nil
 }
 
 // fingerprint identifies a target graph up to metrics equivalence.
@@ -364,9 +340,10 @@ func (r Request) samplingOptions() sampling.PathJoinOptions {
 // corrKey identifies the request's X/Y attribute split for memoization:
 // CORR is asymmetric (Def 2.5 treats X and Y differently), so requests
 // over the same attribute set partitioned differently must not share
-// cached metrics.
+// cached metrics. Attribute names are seller text, so each side is
+// length-prefixed: target ["b", "c"] and target ["b\x00c"] differ.
 func (r Request) corrKey() string {
-	return strings.Join(r.SourceAttrs, "\x00") + "\x01" + strings.Join(r.TargetAttrs, "\x00")
+	return safekey.Join(safekey.Join(r.SourceAttrs...), safekey.Join(r.TargetAttrs...))
 }
 
 // evalKey extends the target-graph fingerprint with the versioned identity
@@ -403,14 +380,14 @@ func (s *Searcher) Evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 // with different worker bounds.
 func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
 	key := s.evalKey(tg, req)
-	if m, ok := s.caches.eval.get(key); ok {
+	if m, ok := s.caches.eval.Get(key); ok {
 		return m, nil
 	}
 	m, err := s.evaluateUncached(ctx, tg, req, workers)
 	if err != nil {
 		return Metrics{}, err
 	}
-	s.caches.eval.put(key, m)
+	s.caches.eval.Put(key, m)
 	return m, nil
 }
 

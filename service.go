@@ -625,7 +625,6 @@ func (s *acquireServer) writeOverloaded(w http.ResponseWriter) {
 // the flight must survive its leader disconnecting while followers wait —
 // and is canceled by the last waiter to leave.
 func (s *acquireServer) runSearch(key string, f *flight, ctx context.Context, req AcquireRequest) {
-	defer func() { <-s.sem }()
 	plan, err := s.mw.Acquire(ctx, req.toRequest())
 	var info PlanInfo
 	if err == nil {
@@ -635,6 +634,9 @@ func (s *acquireServer) runSearch(key string, f *flight, ctx context.Context, re
 	s.flightMu.Lock()
 	delete(s.flights, key)
 	s.flightMu.Unlock()
+	// Free the slot before waking the waiters: a client that sends its
+	// next request as soon as it has this answer must not be shed.
+	<-s.sem
 	close(f.done)
 }
 

@@ -8,19 +8,20 @@ import (
 	"github.com/dance-db/dance/internal/relation"
 )
 
-// Columnar fast path for the quality measure: equivalence classes are fused
-// integer-code groups and the per-class refinement counts in flat epoch-
-// stamped slices indexed by RHS dictionary code, so no byte-string keys or
-// per-group maps are allocated. Results are exact set arithmetic and
-// therefore identical to the row path.
+// Columnar fast path for the quality measure, in linear passes over
+// dictionary codes: each distinct LHS is grouped once; an FD whose every LHS
+// group carries a single RHS code holds exactly and clears nothing; any
+// other FD counts its (LHS group, RHS code) pairs in one fuse pass, picks
+// each group's majority pair, and clears the minority rows from one shared
+// all-rows accumulator. No row lists, per-FD bitsets or byte-string keys are
+// built. Results are exact set arithmetic and therefore identical to the row
+// path.
 
 // CorrectRowsColumnar returns the set C(D, X→Y) of Def 2.2 over the rows of
 // c, identically to CorrectRows on the decoded table (same deterministic
 // tie-break: largest class, then smallest first-row index).
 func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
-	var out *bitset.Set
-	err := correctRowsColumnar(c, []FD{f}, func(cr *bitset.Set) { out = cr })
-	return out, err
+	return correctRowsColumnar(c, []FD{f})
 }
 
 // QualitySetColumnar returns Q of Def 2.3 for the columnar relation c under
@@ -29,58 +30,34 @@ func QualitySetColumnar(c *relation.Columnar, fds []FD) (float64, error) {
 	if c.NumRows() == 0 {
 		return 1, nil
 	}
-	var applied []FD
-	for _, f := range fds {
-		if f.AppliesTo(c.Schema()) {
-			applied = append(applied, f)
-		}
-	}
-	// The intersection of the correct-row sets is order-independent.
-	var acc *bitset.Set
-	err := correctRowsColumnar(c, applied, func(cr *bitset.Set) {
-		if acc == nil {
-			acc = cr
-		} else {
-			acc.And(cr)
-		}
-	})
+	correct, err := correctRowsColumnar(c, Applicable(fds, c.Schema()))
 	if err != nil {
 		return 0, err
 	}
-	if acc == nil {
-		return 1, nil
-	}
-	return float64(acc.Count()) / float64(c.NumRows()), nil
+	return float64(correct.Count()) / float64(c.NumRows()), nil
 }
 
-// correctRowsColumnar hands C(D, f) for every f of fds to emit, grouping c
-// once per distinct LHS (compared as column-index slices) and refining
-// that grouping for every FD sharing it. The per-class refinement counts
-// live in flat slices indexed by RHS code, sized to the largest RHS
-// dictionary and shared by every FD; an epoch stamp that keeps running
-// across classes and FDs invalidates them instead of clearing.
-func correctRowsColumnar(c *relation.Columnar, fds []FD, emit func(*bitset.Set)) error {
+// correctRowsColumnar returns ⋂_{f ∈ fds} C(D, f) over the rows of c
+// (every row when fds is empty), grouping c once per distinct LHS (compared
+// as column-index slices) and refining that grouping for every FD sharing
+// it.
+func correctRowsColumnar(c *relation.Columnar, fds []FD) (*bitset.Set, error) {
 	lhs := make([][]int, len(fds))
-	rhs := make([][]uint32, len(fds))
-	dictN := 0
+	rhs := make([]int, len(fds))
 	for i, f := range fds {
 		var err error
 		if lhs[i], err = c.Schema().Indexes(f.LHS...); err != nil {
-			return fmt.Errorf("fd %s on %s: %w", f, c.Name, err)
+			return nil, fmt.Errorf("fd %s on %s: %w", f, c.Name, err)
 		}
-		rhsCol := c.Schema().Index(f.RHS)
-		if rhsCol < 0 {
-			return fmt.Errorf("fd %s on %s: no column %q", f, c.Name, f.RHS)
+		if rhs[i] = c.Schema().Index(f.RHS); rhs[i] < 0 {
+			return nil, fmt.Errorf("fd %s on %s: no column %q", f, c.Name, f.RHS)
 		}
-		if rhs[i] = c.Codes(rhsCol); rhs[i] == nil {
-			return fmt.Errorf("fd %s on %s: column %q is not dictionary-coded", f, c.Name, f.RHS)
+		if c.Codes(rhs[i]) == nil {
+			return nil, fmt.Errorf("fd %s on %s: column %q is not dictionary-coded", f, c.Name, f.RHS)
 		}
-		dictN = max(dictN, c.DictLen(rhsCol))
 	}
-	counts := make([]int32, dictN)
-	firstRow := make([]int32, dictN)
-	stamp := make([]uint32, dictN)
-	epoch := uint32(0)
+	correct := bitset.NewFull(c.NumRows())
+	var groupRHS []uint32 // scratch: each LHS group's first RHS code
 	done := make([]bool, len(fds))
 	for i := range fds {
 		if done[i] {
@@ -88,51 +65,64 @@ func correctRowsColumnar(c *relation.Columnar, fds []FD, emit func(*bitset.Set))
 		}
 		g, err := c.GroupBy(lhs[i])
 		if err != nil {
-			return fmt.Errorf("fd %s on %s: %w", fds[i], c.Name, err)
+			return nil, fmt.Errorf("fd %s on %s: %w", fds[i], c.Name, err)
 		}
-		starts, rows := g.RowLists()
 		for j := i; j < len(fds); j++ {
 			if done[j] || !slices.Equal(lhs[j], lhs[i]) {
 				continue
 			}
 			done[j] = true
-			rhsCodes := rhs[j]
-			correct := bitset.New(c.NumRows())
-			for gid := 0; gid < g.N(); gid++ {
-				if epoch++; epoch == 0 { // wrapped: forget every stamp
-					clear(stamp)
-					epoch = 1
-				}
-				grows := rows[starts[gid]:starts[gid+1]]
-				for _, ri := range grows {
-					code := rhsCodes[ri]
-					if stamp[code] != epoch {
-						stamp[code] = epoch
-						counts[code] = 0
-						firstRow[code] = ri
-					}
-					counts[code]++
-				}
-				bestCode := int32(-1)
-				bestCount := int32(0)
-				bestFirst := int32(0)
-				for _, ri := range grows {
-					code := rhsCodes[ri]
-					if counts[code] > bestCount || (counts[code] == bestCount && firstRow[code] < bestFirst) {
-						bestCode, bestCount, bestFirst = int32(code), counts[code], firstRow[code]
-					}
-				}
-				if bestCode < 0 {
-					continue
-				}
-				for _, ri := range grows {
-					if int32(rhsCodes[ri]) == bestCode {
-						correct.Set(int(ri))
-					}
-				}
+			groupRHS = slices.Grow(groupRHS[:0], g.N())[:g.N()]
+			if holdsExactly(g, c.Codes(rhs[j]), groupRHS) {
+				continue
 			}
-			emit(correct)
+			pairs, err := c.Refine(g, rhs[j])
+			if err != nil {
+				return nil, fmt.Errorf("fd %s on %s: %w", fds[j], c.Name, err)
+			}
+			clearMinority(correct, g, pairs)
 		}
 	}
-	return nil
+	return correct, nil
+}
+
+// holdsExactly reports whether every group of g carries a single code of
+// rhs, using scratch (g.N() long) for each group's first code.
+func holdsExactly(g *relation.Grouping, rhs, scratch []uint32) bool {
+	for gid, row := range g.First {
+		scratch[gid] = rhs[row]
+	}
+	for row, gid := range g.Codes {
+		if rhs[row] != scratch[gid] {
+			return false
+		}
+	}
+	return true
+}
+
+// clearMinority clears from correct every row outside its LHS group's
+// majority (group, RHS code) pair — the largest pair, ties broken by the
+// smallest first row. pairs refines g by the RHS column.
+func clearMinority(correct *bitset.Set, g, pairs *relation.Grouping) {
+	best := make([]int32, g.N())
+	for gid := range best {
+		best[gid] = -1
+	}
+	for p, first := range pairs.First {
+		gid := g.Codes[first]
+		b := best[gid]
+		if b < 0 || pairs.Counts[p] > pairs.Counts[b] ||
+			(pairs.Counts[p] == pairs.Counts[b] && first < pairs.First[b]) {
+			best[gid] = int32(p)
+		}
+	}
+	majority := make([]bool, pairs.N())
+	for _, p := range best {
+		majority[p] = true
+	}
+	for row, p := range pairs.Codes {
+		if !majority[p] {
+			correct.Clear(row)
+		}
+	}
 }

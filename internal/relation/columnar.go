@@ -597,77 +597,99 @@ func (c *Columnar) groupBy(cols []int, workers int) (*Grouping, error) {
 	var cur []uint32
 	curN := 1
 	for s, ci := range cols {
-		col := &c.cols[ci]
 		last := s == len(cols)-1
-		var next []uint32
-		if last {
-			next = make([]uint32, c.n) // escapes as g.Codes
-		} else {
-			next = poolUint32.get(c.n)
-		}
-		nextN := uint32(0)
-		dictN := col.Dict.Len()
-		assign := func(row int, id int32) int32 {
-			if id < 0 {
-				id = int32(nextN)
-				nextN++
-				if last {
-					g.Counts = append(g.Counts, 0)
-					g.First = append(g.First, int32(row))
-				}
-			}
-			next[row] = uint32(id)
-			if last {
-				g.Counts[id]++
-			}
-			return id
-		}
-		span := uint64(curN) * uint64(dictN)
-		flatOK := span <= maxFlatFuse || span <= uint64(4*c.n+16)
-		switch {
-		case flatOK && workers > 1 && c.n >= parallelMinRows && span <= 1<<30:
-			nextN = c.fuseStageParallel(g, col.Codes, cur, int(span), dictN, next, last, workers)
-		case flatOK:
-			flat := poolInt32.get(int(span))
-			for i := range flat {
-				flat[i] = -1
-			}
-			if cur == nil {
-				for row, code := range col.Codes {
-					flat[code] = assign(row, flat[code])
-				}
-			} else {
-				for row, code := range col.Codes {
-					k := uint64(cur[row])*uint64(dictN) + uint64(code)
-					flat[k] = assign(row, flat[k])
-				}
-			}
-			poolInt32.put(flat)
-		default:
-			m := make(map[uint64]int32, c.n/4+16)
-			for row, code := range col.Codes {
-				var k uint64
-				if cur == nil {
-					k = uint64(code)
-				} else {
-					k = uint64(cur[row])<<32 | uint64(code)
-				}
-				id, ok := m[k]
-				if !ok {
-					id = -1
-				}
-				id = assign(row, id)
-				m[k] = id
-			}
-		}
+		next, nextN := c.fuseStage(g, cur, curN, &c.cols[ci], last, workers)
 		if cur != nil {
 			poolUint32.put(cur)
 		}
-		cur = next
-		curN = int(nextN)
+		cur, curN = next, nextN
 	}
 	g.Codes = cur
 	return g, nil
+}
+
+// Refine fuses the grouping g of c with c's coded column col: the result
+// groups rows by (group of g, code of col), bit-identically to GroupBy on
+// g.Cols followed by col, without fusing g's columns again.
+func (c *Columnar) Refine(g *Grouping, col int) (*Grouping, error) {
+	if c.cols[col].Codes == nil {
+		return nil, fmt.Errorf("relation: column %q of %s is not dictionary-coded", c.schema.Column(col).Name, c.Name)
+	}
+	r := &Grouping{Cols: append(slices.Clip(g.Cols), col)}
+	r.Codes, _ = c.fuseStage(r, g.Codes, g.N(), &c.cols[col], true, 1)
+	return r, nil
+}
+
+// fuseStage fuses the current dense ids cur (curN of them; nil for the
+// first stage) with the codes of col into dense ids assigned in
+// first-appearance row order, returning them and their count. The last
+// stage's ids are freshly allocated and its counts and first rows go to g;
+// an earlier stage's ids come from the pool. The key space decides the
+// table: a flat slice while it stays small (or within a few slots per row),
+// an int-keyed map past that.
+func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, last bool, workers int) ([]uint32, int) {
+	var next []uint32
+	if last {
+		next = make([]uint32, c.n) // escapes as g.Codes
+	} else {
+		next = poolUint32.get(c.n)
+	}
+	nextN := uint32(0)
+	dictN := col.Dict.Len()
+	assign := func(row int, id int32) int32 {
+		if id < 0 {
+			id = int32(nextN)
+			nextN++
+			if last {
+				g.Counts = append(g.Counts, 0)
+				g.First = append(g.First, int32(row))
+			}
+		}
+		next[row] = uint32(id)
+		if last {
+			g.Counts[id]++
+		}
+		return id
+	}
+	span := uint64(curN) * uint64(dictN)
+	flatOK := span <= maxFlatFuse || span <= uint64(4*c.n+16)
+	switch {
+	case flatOK && workers > 1 && c.n >= parallelMinRows && span <= 1<<30:
+		nextN = c.fuseStageParallel(g, col.Codes, cur, int(span), dictN, next, last, workers)
+	case flatOK:
+		flat := poolInt32.get(int(span))
+		for i := range flat {
+			flat[i] = -1
+		}
+		if cur == nil {
+			for row, code := range col.Codes {
+				flat[code] = assign(row, flat[code])
+			}
+		} else {
+			for row, code := range col.Codes {
+				k := uint64(cur[row])*uint64(dictN) + uint64(code)
+				flat[k] = assign(row, flat[k])
+			}
+		}
+		poolInt32.put(flat)
+	default:
+		m := make(map[uint64]int32, c.n/4+16)
+		for row, code := range col.Codes {
+			var k uint64
+			if cur == nil {
+				k = uint64(code)
+			} else {
+				k = uint64(cur[row])<<32 | uint64(code)
+			}
+			id, ok := m[k]
+			if !ok {
+				id = -1
+			}
+			id = assign(row, id)
+			m[k] = id
+		}
+	}
+	return next, int(nextN)
 }
 
 // fuseStageParallel runs one flat fuse stage with the chunked two-pass
@@ -955,6 +977,30 @@ func EquiJoinColumnar(a, b *Columnar, on []string, idx *JoinIndex) (*Columnar, e
 
 // EquiJoinColumnarOpts is EquiJoinColumnar with tuning options.
 func EquiJoinColumnarOpts(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*Columnar, error) {
+	p, err := EquiJoinPairs(a, b, on, idx, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Gather(), nil
+}
+
+// JoinPairs is the pairs stage of a columnar equi-join: the joined schema
+// and, for every output row, its probe (a) row and build (b) row, before any
+// column is gathered. A caller that drops output rows (a correlated
+// re-sample) decides on a narrow gather of the columns it needs, compacts
+// the pairs with Keep, and gathers every column once.
+type JoinPairs struct {
+	a, b      *Columnar
+	schema    *Schema
+	rightKeep []int
+	// left and right are pooled scratch, released by Gather.
+	left, right []int32
+	workers     int
+}
+
+// EquiJoinPairs runs the probe and pairing sweeps of EquiJoinColumnarOpts:
+// Gather on the result is that join, bit for bit.
+func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*JoinPairs, error) {
 	if len(on) == 0 {
 		return nil, fmt.Errorf("relation: equi-join of %s and %s with no join attributes", a.Name, b.Name)
 	}
@@ -1052,12 +1098,53 @@ func EquiJoinColumnarOpts(a, b *Columnar, on []string, idx *JoinIndex, opt JoinO
 		}
 	})
 	poolInt32.put(pg)
+	return &JoinPairs{a: a, b: b, schema: schema, rightKeep: rightKeep, left: left, right: right, workers: workers}, nil
+}
 
-	out := &Columnar{Name: a.Name + "⋈" + b.Name, schema: schema, n: total}
-	out.cols = make([]CCol, schema.Len())
-	gatherGroup(out.cols[:a.schema.Len()], a.cols, nil, left, workers)
-	gatherGroup(out.cols[a.schema.Len():], b.cols, rightKeep, right, workers)
-	poolInt32.put(left)
-	poolInt32.put(right)
-	return out, nil
+// Len returns the number of output rows.
+func (p *JoinPairs) Len() int { return len(p.left) }
+
+// Schema returns the joined schema.
+func (p *JoinPairs) Schema() *Schema { return p.schema }
+
+// Name returns the joined relation's name.
+func (p *JoinPairs) Name() string { return p.a.Name + "⋈" + p.b.Name }
+
+// GatherSubset gathers only the output columns cols of every pair. Like
+// ToColumnarSubset's result, the relation carries the full joined schema
+// but leaves the other columns unpopulated: callers must touch only cols.
+func (p *JoinPairs) GatherSubset(cols []int) *Columnar {
+	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len()}
+	out.cols = make([]CCol, p.schema.Len())
+	aLen := p.a.schema.Len()
+	for _, j := range cols {
+		if j < aLen {
+			gatherGroup(out.cols[j:j+1], p.a.cols[j:j+1], nil, p.left, p.workers)
+		} else {
+			gatherGroup(out.cols[j:j+1], p.b.cols, p.rightKeep[j-aLen:j-aLen+1], p.right, p.workers)
+		}
+	}
+	return out
+}
+
+// Keep restricts the pairs to the output rows keep (ascending), in place.
+func (p *JoinPairs) Keep(keep []int32) {
+	for k, r := range keep {
+		p.left[k], p.right[k] = p.left[r], p.right[r]
+	}
+	p.left, p.right = p.left[:len(keep)], p.right[:len(keep)]
+}
+
+// Gather gathers every output column of the pairs into the joined relation
+// and releases the pair lists; p must not be used afterwards.
+func (p *JoinPairs) Gather() *Columnar {
+	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len()}
+	out.cols = make([]CCol, p.schema.Len())
+	aLen := p.a.schema.Len()
+	gatherGroup(out.cols[:aLen], p.a.cols, nil, p.left, p.workers)
+	gatherGroup(out.cols[aLen:], p.b.cols, p.rightKeep, p.right, p.workers)
+	poolInt32.put(p.left)
+	poolInt32.put(p.right)
+	p.left, p.right = nil, nil
+	return out
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,6 +135,20 @@ func TestColumnarGroupByMatchesGroupIndices(t *testing.T) {
 			}
 			if g.N() != len(rowGroups) {
 				t.Fatalf("cols %v: %d groups, want %d", cols, g.N(), len(rowGroups))
+			}
+			// Refining the grouping of all but the last column by the last
+			// one is the same grouping.
+			prefix, err := c.GroupBy(idx[:len(idx)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.Refine(prefix, idx[len(idx)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(r.Cols, idx) || !slices.Equal(r.Codes, g.Codes) ||
+				!slices.Equal(r.Counts, g.Counts) || !slices.Equal(r.First, g.First) {
+				t.Fatalf("cols %v: Refine differs from GroupBy", cols)
 			}
 			// First-appearance order and membership must match the ordered
 			// row-path grouping exactly.

@@ -8,9 +8,10 @@ import "sync"
 // and row-pairing buffers removes almost all per-call garbage.
 //
 // Pooling rules (see DESIGN.md "Parallel search & the million-row path"):
-// only *scratch* — state dead before the function returns — may come from a
-// pool. Anything that escapes into a returned Columnar, Grouping or JoinIndex
-// (gathered codes, counts, first rows) is freshly allocated, because those
+// only *scratch* — state dead before the function returns, or a JoinPairs'
+// row lists, dead once its Gather returns — may come from a pool. Anything
+// that escapes into a returned Columnar, Grouping or JoinIndex (gathered
+// codes, counts, first rows) is freshly allocated, because those
 // values are immutable, shared across workers, and retained indefinitely by
 // the prefix cache. A pooled buffer is always fully overwritten (or
 // explicitly reset) before its first read, so reuse can never leak values

@@ -20,13 +20,6 @@ import (
 // immutable, so no clone is needed); rate ≤ 0 returns an empty relation.
 // NULL join values are never sampled (they cannot join).
 func CorrelatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate float64, h Hasher) (*relation.Columnar, error) {
-	return correlatedSampleColumnar(c, joinAttrs, rate, h, 1)
-}
-
-// correlatedSampleColumnar is CorrelatedSampleColumnar with a worker bound
-// for the grouping pass on large intermediates; kept rows are identical for
-// every worker count.
-func correlatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate float64, h Hasher, workers int) (*relation.Columnar, error) {
 	if rate >= 1 {
 		return c, nil
 	}
@@ -37,9 +30,42 @@ func correlatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate flo
 	if err != nil {
 		return nil, fmt.Errorf("correlated sample of %s: %w", c.Name, err)
 	}
-	g, err := c.GroupByWorkers(cols, workers)
+	keep, err := sampleRows(c, cols, rate, h, 1)
 	if err != nil {
 		return nil, fmt.Errorf("correlated sample of %s: %w", c.Name, err)
+	}
+	return c.FilterRows(keep), nil
+}
+
+// resamplePairs re-samples the join pairs p before their gather, keeping
+// exactly the rows CorrelatedSampleColumnar keeps of the gathered join: only
+// the join attributes are gathered to decide, and every kept column is then
+// gathered once instead of twice. The grouping pass runs on up to workers
+// goroutines; kept rows are identical for every worker count.
+func resamplePairs(p *relation.JoinPairs, joinAttrs []string, rate float64, h Hasher, workers int) error {
+	if rate >= 1 {
+		return nil
+	}
+	var keep []int32
+	if rate > 0 {
+		cols, err := p.Schema().Indexes(joinAttrs...)
+		if err != nil {
+			return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
+		}
+		if keep, err = sampleRows(p.GatherSubset(cols), cols, rate, h, workers); err != nil {
+			return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
+		}
+	}
+	p.Keep(keep)
+	return nil
+}
+
+// sampleRows returns, ascending, the rows of c whose join-attribute tuple
+// (the coded columns cols) is NULL-free and hashes to at most rate.
+func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, workers int) ([]int32, error) {
+	g, err := c.GroupByWorkers(cols, workers)
+	if err != nil {
+		return nil, err
 	}
 	// One NULL check and one hash per distinct tuple: every row of a group
 	// shares the tuple, so the per-row hash of the row path collapses to a
@@ -73,7 +99,7 @@ func correlatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate flo
 			keep = append(keep, int32(i))
 		}
 	}
-	return c.FilterRows(keep), nil
+	return keep, nil
 }
 
 // ColumnarStep is one hop of a columnar join path.
@@ -157,24 +183,21 @@ func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache
 		}
 	}
 	for i := start + 1; i < len(steps); i++ {
-		j, err := relation.EquiJoinColumnarOpts(acc, steps[i].C, steps[i].On, steps[i].Index,
+		p, err := relation.EquiJoinPairs(acc, steps[i].C, steps[i].On, steps[i].Index,
 			relation.JoinOptions{Workers: opts.Workers})
 		if err != nil {
 			return nil, stats, err
 		}
-		stats.IntermediateSizes = append(stats.IntermediateSizes, j.NumRows())
-		resampled := false
+		stats.IntermediateSizes = append(stats.IntermediateSizes, p.Len())
 		// Only re-sample when another join follows and the threshold trips.
-		if opts.Eta > 0 && i < len(steps)-1 && j.NumRows() > opts.Eta {
-			j2, err := correlatedSampleColumnar(j, steps[i+1].On, opts.ResampleRate, opts.Hasher, opts.Workers)
-			if err != nil {
+		resampled := opts.Eta > 0 && i < len(steps)-1 && p.Len() > opts.Eta
+		if resampled {
+			if err := resamplePairs(p, steps[i+1].On, opts.ResampleRate, opts.Hasher, opts.Workers); err != nil {
 				return nil, stats, err
 			}
-			j = j2
-			resampled = true
 		}
 		stats.Resampled = append(stats.Resampled, resampled)
-		acc = j
+		acc = p.Gather()
 		if cache != nil {
 			cache.Put(keys[i], acc)
 		}

@@ -28,6 +28,7 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -128,6 +129,17 @@ func (s Spec) Validate() error {
 	}
 	if s.Classes > s.Keys {
 		return fmt.Errorf("workload: classes %d exceed key domain %d", s.Classes, s.Keys)
+	}
+	// NaN fails every range comparison and +Inf is not negative, so the
+	// float knobs are checked for finiteness first: a NaN spec does not
+	// round-trip to an equal Spec, and an infinite skew hangs the Zipf draw.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"noise", s.Noise}, {"null", s.NullRate}, {"skew", s.Skew}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s %v is not finite", f.name, f.v)
+		}
 	}
 	if s.Noise < 0 || s.Noise > 1 || s.NullRate < 0 || s.NullRate > 0.5 {
 		return fmt.Errorf("workload: noise %v or null rate %v out of range", s.Noise, s.NullRate)

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -94,6 +95,70 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", s)
 		}
 	}
+}
+
+// TestParseSpecRejectsNonFinite: NaN passes every range comparison by
+// failing it, and +Inf is not negative, so non-finite float knobs must be
+// rejected explicitly — a NaN spec breaks the ParseSpec(s.String())
+// round trip, and an infinite skew hangs Generate.
+func TestParseSpecRejectsNonFinite(t *testing.T) {
+	for _, knob := range []string{"noise", "null", "skew"} {
+		for _, v := range []string{"NaN", "+Inf", "-Inf", "inf"} {
+			s := "chain:2," + knob + "=" + v
+			if _, err := ParseSpec(s); err == nil {
+				t.Errorf("ParseSpec(%q) accepted a non-finite value", s)
+			}
+		}
+	}
+	// Generate validates first; checked on Validate so a regression fails
+	// fast instead of hanging in the Zipf draw.
+	spec := DefaultSpec(Chain, 2)
+	spec.Skew = math.Inf(1)
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted skew=+Inf")
+	}
+}
+
+// scenarioMatrixSpecs mirrors the CI scenario matrix (scenario_matrix_test.go
+// at the module root); it seeds FuzzParseSpec.
+var scenarioMatrixSpecs = []string{
+	"chain:1",
+	"chain:2",
+	"chain:3,decoys=3",
+	"chain:4,kinds=mixed",
+	"chain:2,null=0.1,skew=1.4",
+	"chain:3,fanout=2,price=tiered",
+	"star:2",
+	"star:3,kinds=mixed,null=0.05",
+	"star:4,price=flat,skew=1.2",
+	"snowflake:2",
+	"snowflake:3,kinds=mixed",
+	"snowflake:2,null=0.08,fanout=2,price=tiered",
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every spec it accepts
+// round-trips through String to an equal Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range scenarioMatrixSpecs {
+		f.Add(s)
+	}
+	f.Add("snowflake:3,attrs=2,classes=4,decoys=1,fanout=2,keys=24,kinds=mixed,noise=0.1,null=0.02,price=flat,rows=500,skew=1.5")
+	f.Add("chain:2,noise=NaN")
+	f.Add("chain:2,skew=+Inf")
+	f.Add("chain:+2, rows = 10 ,,noise=-0,skew=0x1p1")
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted, but its canonical form %q is rejected: %v", in, spec.String(), err)
+		}
+		if again != spec {
+			t.Fatalf("ParseSpec(%q) = %+v, re-parsed from %q as %+v", in, spec, spec.String(), again)
+		}
+	})
 }
 
 // TestPlantedCorrelation checks the planting machinery: the measured ρ is

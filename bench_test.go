@@ -233,11 +233,12 @@ func BenchmarkQualitySet(b *testing.B) {
 
 func BenchmarkFDDiscovery(b *testing.B) {
 	d := benchDataset(b)
-	orders := d.Table("orders")
+	c := relation.ToColumnar(d.Table("orders"))
 	opts := fd.DiscoveryOptions{MaxError: 0.1, MaxLHS: 2, MaxRows: 300}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fd.Discover(orders, opts); err != nil {
+		if _, err := fd.Discover(c, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +267,7 @@ func BenchmarkJoinGraphBuild(b *testing.B) {
 		var instances []*joingraph.Instance
 		for _, t := range d.Tables {
 			instances = append(instances, &joingraph.Instance{
-				Name: t.Name, Sample: t, FullRows: t.NumRows(), FDs: d.FDs[t.Name],
+				Name: t.Name, Columnar: relation.ToColumnar(t), FullRows: t.NumRows(), FDs: d.FDs[t.Name],
 			})
 		}
 		if _, err := joingraph.Build(instances, joingraph.Config{MaxJoinAttrs: 2, Quoter: quoter}); err != nil {

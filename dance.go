@@ -235,9 +235,10 @@ func Quality(t *Table, fds []FD) (float64, error) {
 	return fd.QualitySet(t, fds)
 }
 
-// DiscoverFDs mines approximate FDs (TANE-style) with g3 error ≤ maxErr.
+// DiscoverFDs mines approximate FDs (TANE-style) with g3 error ≤ maxErr,
+// encoding t once.
 func DiscoverFDs(t *Table, maxErr float64, maxLHS int) ([]FD, error) {
-	return fd.Discover(t, fd.DiscoveryOptions{MaxError: maxErr, MaxLHS: maxLHS})
+	return fd.Discover(relation.ToColumnar(t), fd.DiscoveryOptions{MaxError: maxErr, MaxLHS: maxLHS})
 }
 
 // EquiJoin joins two tables on the named shared attributes.

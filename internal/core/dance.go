@@ -92,13 +92,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// source is a shopper-owned instance. cols is its columnar encoding, built
+// source is a shopper-owned instance, held as its columnar encoding: built
 // once at registration and shared by the searcher (as the instance's
 // sample) and by every execute (as the full data).
 type source struct {
-	table *relation.Table
-	cols  *relation.Columnar
-	fds   []fd.FD
+	cols *relation.Columnar
+	fds  []fd.FD
 }
 
 // Dance is the middleware. Construct with New, register owned data with
@@ -164,9 +163,6 @@ type SampleRound struct {
 	// can attribute sample spend per policy.
 	Policy string
 }
-
-// Cost returns the round's total spend.
-func (r SampleRound) Cost() float64 { return r.FullCost + r.DeltaCost }
 
 // New creates a middleware bound to a marketplace.
 func New(market marketplace.Market, cfg Config) *Dance {
@@ -254,7 +250,7 @@ func (d *Dance) persistRound(snap *offline.Snapshot, rate float64) error {
 			FDs:         ds.FDs,
 			FDsResolved: ds.FDs != nil,
 		}
-		if err := d.cfg.Persist.SaveDataset(rec, ds.Table); err != nil {
+		if err := d.cfg.Persist.SaveDataset(rec, ds.Cols.ToTable()); err != nil {
 			return fmt.Errorf("dance: persisting sample of %s: %w", ds.Name, err)
 		}
 		d.persisted[ds.Name] = markOf(ds)
@@ -271,7 +267,7 @@ func (d *Dance) AddSource(t *relation.Table, fds []fd.FD) {
 	cols := relation.ToColumnar(t)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.sources = append(d.sources, source{table: t, cols: cols, fds: fds})
+	d.sources = append(d.sources, source{cols: cols, fds: fds})
 }
 
 // SampleCost returns what DANCE has paid the marketplace for samples so far.
@@ -506,7 +502,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 		default:
 			delta := out.delta
 			if out.delta0 {
-				delta = relation.NewTable(info.Name, prev.Dataset(info.Name).Table.Schema)
+				delta = relation.NewTable(info.Name, prev.Dataset(info.Name).Cols.Schema())
 			}
 			if _, err := d.store.Extend(info.Name, delta, rate, info.Rows); err != nil {
 				recordSpend()
@@ -537,7 +533,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 				fds = held.FDs
 			} else {
 				var err error
-				if fds, err = fd.Discover(snap.Dataset(info.Name).Table, d.cfg.FDOptions); err != nil {
+				if fds, err = fd.Discover(snap.Dataset(info.Name).Cols, d.cfg.FDOptions); err != nil {
 					return fmt.Errorf("dance: FD discovery on %s: %w", info.Name, err)
 				}
 			}
@@ -552,10 +548,9 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	var instances []*joingraph.Instance
 	for si, s := range srcs {
 		instances = append(instances, &joingraph.Instance{
-			Name:     s.table.Name,
-			Sample:   s.table, // owned data needs no sampling
-			Columnar: s.cols,
-			FullRows: s.table.NumRows(),
+			Name:     s.cols.Name,
+			Columnar: s.cols, // owned data needs no sampling
+			FullRows: s.cols.NumRows(),
 			FDs:      s.fds,
 			Owned:    true,
 			// Owned tables never change, but each registered source needs
@@ -568,7 +563,6 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 		ds := snap.Dataset(info.Name)
 		instances = append(instances, &joingraph.Instance{
 			Name:     ds.Name,
-			Sample:   ds.Table,
 			Columnar: ds.Cols,
 			Version:  ds.Version,
 			FullRows: ds.FullRows,
@@ -657,7 +651,7 @@ func (h policyHost) Sources() []policy.Source {
 	defer h.d.mu.Unlock()
 	out := make([]policy.Source, len(h.d.sources))
 	for i, s := range h.d.sources {
-		out[i] = policy.Source{Table: s.table, Columnar: s.cols, FDs: s.fds}
+		out[i] = policy.Source{Columnar: s.cols, FDs: s.fds}
 	}
 	return out
 }
@@ -809,8 +803,8 @@ type Purchase struct {
 }
 
 // JoinStep is one hop of a plan's join path, by table name: the durable form
-// of the target graph's relation.PathStep, resolvable against whatever tables
-// an execution actually bought.
+// of a joingraph.JoinHop, resolvable against whatever tables an execution
+// actually bought.
 type JoinStep struct {
 	Table string
 	On    []string
@@ -836,7 +830,7 @@ func (p *Plan) Record() (*PlanRecord, error) {
 	if p == nil || p.TG == nil {
 		return nil, fmt.Errorf("dance: nil plan")
 	}
-	steps, err := p.TG.JoinSteps()
+	hops, err := p.TG.JoinPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -848,8 +842,8 @@ func (p *Plan) Record() (*PlanRecord, error) {
 		Evals:   p.Evals,
 		Request: p.Request,
 	}
-	for _, st := range steps {
-		rec.Steps = append(rec.Steps, JoinStep{Table: st.Table.Name, On: st.On})
+	for _, h := range hops {
+		rec.Steps = append(rec.Steps, JoinStep{Table: p.TG.G.Instances[h.Vertex].Name, On: h.On})
 	}
 	return rec, nil
 }
@@ -893,7 +887,7 @@ func (d *Dance) ExecuteRecord(ctx context.Context, rec *PlanRecord) (*Purchase, 
 	owned := map[string]*relation.Columnar{}
 	d.mu.Lock()
 	for _, s := range d.sources {
-		owned[s.table.Name] = s.cols
+		owned[s.cols.Name] = s.cols
 	}
 	d.mu.Unlock()
 	steps := make([]search.FullStep, len(rec.Steps))

@@ -175,26 +175,25 @@ func TestEscalatedStateMatchesFreshOffline(t *testing.T) {
 		if ie.Name != fi.Name {
 			t.Fatalf("instance order differs at %d: %s vs %s", i, ie.Name, fi.Name)
 		}
-		if ie.Sample.NumRows() != fi.Sample.NumRows() {
-			t.Fatalf("%s: escalated sample %d rows, fresh %d", ie.Name, ie.Sample.NumRows(), fi.Sample.NumRows())
+		if ie.Columnar.NumRows() != fi.Columnar.NumRows() {
+			t.Fatalf("%s: escalated sample %d rows, fresh %d", ie.Name, ie.Columnar.NumRows(), fi.Columnar.NumRows())
 		}
-		for r := range fi.Sample.Rows {
-			for c := range fi.Sample.Rows[r] {
-				if !fi.Sample.Rows[r][c].EqualValue(ie.Sample.Rows[r][c]) {
+		et, ft := ie.Columnar.ToTable(), fi.Columnar.ToTable()
+		for r := range ft.Rows {
+			for c := range ft.Rows[r] {
+				if !ft.Rows[r][c].EqualValue(et.Rows[r][c]) {
 					t.Fatalf("%s: row %d differs after escalation", ie.Name, r)
 				}
 			}
 		}
-		if ie.Columnar != nil && fi.Columnar != nil {
-			for j := 0; j < ie.Sample.Schema.Len(); j++ {
-				ce, cf := ie.Columnar.Codes(j), fi.Columnar.Codes(j)
-				if len(ce) != len(cf) {
-					t.Fatalf("%s col %d: code lengths differ", ie.Name, j)
-				}
-				for r := range ce {
-					if ce[r] != cf[r] {
-						t.Fatalf("%s col %d row %d: merged code %d != fresh %d", ie.Name, j, r, ce[r], cf[r])
-					}
+		for j := 0; j < ie.Columnar.Schema().Len(); j++ {
+			ce, cf := ie.Columnar.Codes(j), fi.Columnar.Codes(j)
+			if len(ce) != len(cf) {
+				t.Fatalf("%s col %d: code lengths differ", ie.Name, j)
+			}
+			for r := range ce {
+				if ce[r] != cf[r] {
+					t.Fatalf("%s col %d row %d: merged code %d != fresh %d", ie.Name, j, r, ce[r], cf[r])
 				}
 			}
 		}
@@ -288,9 +287,9 @@ func TestEscalationAgainstLegacyHTTPServer(t *testing.T) {
 	}
 	for i, inst := range d.Graph().Instances {
 		want := fresh.Graph().Instances[i]
-		if inst.Name != want.Name || inst.Sample.NumRows() != want.Sample.NumRows() {
+		if inst.Name != want.Name || inst.Columnar.NumRows() != want.Columnar.NumRows() {
 			t.Fatalf("legacy-fallback state diverged for %s: %d rows vs %d",
-				inst.Name, inst.Sample.NumRows(), want.Sample.NumRows())
+				inst.Name, inst.Columnar.NumRows(), want.Columnar.NumRows())
 		}
 	}
 }

@@ -240,7 +240,7 @@ func (e *Env) buildGraph(rate float64) (*joingraph.Graph, error) {
 		}
 		instances = append(instances, &joingraph.Instance{
 			Name:     name,
-			Sample:   sample,
+			Columnar: relation.ToColumnar(sample),
 			FullRows: full.NumRows(),
 			FDs:      e.FDs[name],
 		})

@@ -35,7 +35,7 @@ func TestNewEnvShapes(t *testing.T) {
 	// Sampled graph holds fewer rows than full.
 	si := env.Sampled.InstanceIndex("orders")
 	fi := env.Full.InstanceIndex("orders")
-	if env.Sampled.Instances[si].Sample.NumRows() >= env.Full.Instances[fi].Sample.NumRows() {
+	if env.Sampled.Instances[si].Columnar.NumRows() >= env.Full.Instances[fi].Columnar.NumRows() {
 		t.Fatal("sampling did not reduce rows")
 	}
 	if _, err := NewEnv(EnvConfig{Dataset: "nope"}); err == nil {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dance-db/dance/internal/core"
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/search"
 	"github.com/dance-db/dance/internal/workload"
 )
@@ -206,7 +207,7 @@ func fullDataOptimumPrice(ctx context.Context, w *workload.Workload, req search.
 	for _, t := range w.Listings {
 		instances = append(instances, &joingraph.Instance{
 			Name:     t.Name,
-			Sample:   t,
+			Columnar: relation.ToColumnar(t),
 			FullRows: t.NumRows(),
 			FDs:      w.FDs[t.Name],
 		})

@@ -69,11 +69,11 @@ func Table5(ctx context.Context, opts Table5Options) (Table, error) {
 			if nt.cols > maxAttrs.cols {
 				maxAttrs = nt
 			}
-			n, err := fd.Count(nt.t, opts.FDOpts)
+			fds, err := fd.Discover(relation.ToColumnar(nt.t), opts.FDOpts)
 			if err != nil {
 				return tab, fmt.Errorf("table5 FD count on %s: %w", nt.name, err)
 			}
-			totalFDs += n
+			totalFDs += len(fds)
 		}
 		tab.Rows = append(tab.Rows, []string{
 			g.name,
@@ -110,11 +110,11 @@ func FDCounts(ctx context.Context, dataset string, opts Table5Options) (Table, e
 	}
 	for _, name := range env.Order {
 		t := env.Tables[name]
-		n, err := fd.Count(t, opts.FDOpts)
+		fds, err := fd.Discover(relation.ToColumnar(t), opts.FDOpts)
 		if err != nil {
 			return tab, err
 		}
-		tab.Rows = append(tab.Rows, []string{name, fmt.Sprint(t.NumRows()), fmt.Sprint(t.NumCols()), fmt.Sprint(n)})
+		tab.Rows = append(tab.Rows, []string{name, fmt.Sprint(t.NumRows()), fmt.Sprint(t.NumCols()), fmt.Sprint(len(fds))})
 	}
 	return tab, nil
 }

@@ -101,9 +101,24 @@ func holdsExactly(g *relation.Grouping, rhs, scratch []uint32) bool {
 }
 
 // clearMinority clears from correct every row outside its LHS group's
-// majority (group, RHS code) pair — the largest pair, ties broken by the
-// smallest first row. pairs refines g by the RHS column.
+// majority (group, RHS code) pair. pairs refines g by the RHS column.
 func clearMinority(correct *bitset.Set, g, pairs *relation.Grouping) {
+	majority := make([]bool, pairs.N())
+	for _, p := range majorityPairs(g, pairs) {
+		majority[p] = true
+	}
+	for row, p := range pairs.Codes {
+		if !majority[p] {
+			correct.Clear(row)
+		}
+	}
+}
+
+// majorityPairs returns, for each group of g, its majority pair of the
+// refinement pairs: the largest (group, RHS code) pair, ties broken by the
+// smallest first row. The majority counts sum to |C(D, X→Y)| of Def 2.2,
+// the complement of the g3 error discovery bounds.
+func majorityPairs(g, pairs *relation.Grouping) []int32 {
 	best := make([]int32, g.N())
 	for gid := range best {
 		best[gid] = -1
@@ -116,13 +131,5 @@ func clearMinority(correct *bitset.Set, g, pairs *relation.Grouping) {
 			best[gid] = int32(p)
 		}
 	}
-	majority := make([]bool, pairs.N())
-	for _, p := range best {
-		majority[p] = true
-	}
-	for row, p := range pairs.Codes {
-		if !majority[p] {
-			correct.Clear(row)
-		}
-	}
+	return best
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"github.com/dance-db/dance/internal/relation"
@@ -30,59 +31,53 @@ func DefaultDiscoveryOptions() DiscoveryOptions {
 	return DiscoveryOptions{MaxError: 0.1, MaxLHS: 2}
 }
 
-// Discover performs TANE-style levelwise discovery of minimal AFDs on t.
-// An AFD is minimal when no proper subset of its LHS already determines the
-// same RHS within the error bound. Results are sorted for determinism.
-func Discover(t *relation.Table, opts DiscoveryOptions) ([]FD, error) {
+// Discover performs TANE-style levelwise discovery of minimal AFDs on c,
+// whose columns must all be dictionary-coded. An AFD is minimal when no
+// proper subset of its LHS already determines the same RHS within the error
+// bound. Partitions π_X (Def 2.1) are Groupings over the dictionary codes,
+// each level refining its parent's by one attribute. Results are sorted for
+// determinism.
+func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 	if opts.MaxLHS <= 0 {
 		opts.MaxLHS = 2
 	}
-	work := t
-	if opts.MaxRows > 0 && t.NumRows() > opts.MaxRows {
-		idx := make([]int, opts.MaxRows)
-		stride := t.NumRows() / opts.MaxRows
-		for i := range idx {
-			idx[i] = i * stride
+	if opts.MaxRows > 0 && c.NumRows() > opts.MaxRows {
+		rows := make([]int32, opts.MaxRows)
+		stride := c.NumRows() / opts.MaxRows
+		for i := range rows {
+			rows[i] = int32(i * stride)
 		}
-		work = t.SelectIndices(idx)
+		c = c.FilterRows(rows)
 	}
-	n := work.NumRows()
-	m := work.Schema.Len()
+	n := c.NumRows()
+	m := c.Schema().Len()
 	if n == 0 || m < 2 {
 		return nil, nil
 	}
-	names := work.Schema.Names()
+	names := c.Schema().Names()
+
+	// holds reports whether X→rhs holds within the error bound, given the
+	// grouping g = π_X.
+	holds := func(g *relation.Grouping, rhs int) (bool, error) {
+		pairs, err := c.Refine(g, rhs)
+		if err != nil {
+			return false, err
+		}
+		correct := 0
+		for _, p := range majorityPairs(g, pairs) {
+			correct += int(pairs.Counts[p])
+		}
+		return 1-float64(correct)/float64(n) <= opts.MaxError, nil
+	}
 
 	// Per-attribute partitions, reused across levels.
-	attrParts := make([]*relation.Partition, m)
-	distinct := make([]int, m)
-	for i, name := range names {
-		p, err := work.PartitionBy(name)
+	attrParts := make([]*relation.Grouping, m)
+	for a := range attrParts {
+		g, err := c.GroupBy([]int{a})
 		if err != nil {
 			return nil, err
 		}
-		attrParts[i] = p
-		distinct[i] = p.NumClasses()
-	}
-
-	// Precompute which single-attribute FDs a→rhs hold; reused for level-1
-	// emission and for minimality pruning at deeper levels.
-	singleHolds := make([][]bool, m)
-	for a := 0; a < m; a++ {
-		singleHolds[a] = make([]bool, m)
-		if attrParts[a].NumClasses() == n {
-			for rhs := 0; rhs < m; rhs++ {
-				singleHolds[a][rhs] = rhs != a
-			}
-			continue
-		}
-		for rhs := 0; rhs < m; rhs++ {
-			if rhs == a {
-				continue
-			}
-			refined := attrParts[a].Refine(work, []int{rhs})
-			singleHolds[a][rhs] = attrParts[a].Error(refined) <= opts.MaxError
-		}
+		attrParts[a] = g
 	}
 
 	var results []FD
@@ -95,41 +90,53 @@ func Discover(t *relation.Table, opts DiscoveryOptions) ([]FD, error) {
 	}
 
 	skipRHS := func(rhs int) bool {
-		return opts.MinDistinct > 0 && distinct[rhs] < opts.MinDistinct
+		return opts.MinDistinct > 0 && attrParts[rhs].N() < opts.MinDistinct
 	}
 
 	type node struct {
 		attrs []int // sorted LHS attribute indexes
-		part  *relation.Partition
+		part  *relation.Grouping
 		// detRHS[rhs] = true when some subset of attrs (possibly attrs
 		// itself) determines rhs, or rhs ∈ attrs, or rhs is skipped.
 		// Supersets then never re-test rhs (TANE minimality pruning).
 		detRHS []bool
 	}
 
-	attrsKey := func(attrs []int) string {
-		b := make([]byte, len(attrs))
-		for i, a := range attrs {
-			b[i] = byte(a)
+	// test checks every undetermined RHS against the partition of attrs,
+	// emitting and marking the ones that hold. A key determines everything.
+	test := func(attrs []int, part *relation.Grouping, det []bool) error {
+		isKey := part.N() == n
+		for rhs := 0; rhs < m; rhs++ {
+			if det[rhs] || skipRHS(rhs) {
+				continue
+			}
+			ok := isKey
+			if !ok {
+				var err error
+				if ok, err = holds(part, rhs); err != nil {
+					return err
+				}
+			}
+			if ok {
+				emit(attrs, rhs)
+				det[rhs] = true
+			}
 		}
-		return string(b)
+		return nil
 	}
 
 	// Level 1.
 	var level []node
 	for a := 0; a < m; a++ {
 		det := make([]bool, m)
-		for rhs := 0; rhs < m; rhs++ {
-			if rhs == a || skipRHS(rhs) {
-				det[rhs] = true
-				continue
-			}
-			if singleHolds[a][rhs] {
-				emit([]int{a}, rhs)
-				det[rhs] = true
-			}
+		for rhs := range det {
+			det[rhs] = rhs == a || skipRHS(rhs)
 		}
-		level = append(level, node{attrs: []int{a}, part: attrParts[a], detRHS: det})
+		attrs := []int{a}
+		if err := test(attrs, attrParts[a], det); err != nil {
+			return nil, err
+		}
+		level = append(level, node{attrs: attrs, part: attrParts[a], detRHS: det})
 	}
 
 	for depth := 2; depth <= opts.MaxLHS; depth++ {
@@ -138,18 +145,20 @@ func Discover(t *relation.Table, opts DiscoveryOptions) ([]FD, error) {
 		// generating prefix.
 		prevDet := make(map[string][]bool, len(level))
 		for i := range level {
-			k := attrsKey(level[i].attrs)
-			prevDet[k] = level[i].detRHS
+			prevDet[attrsKey(level[i].attrs)] = level[i].detRHS
 		}
 		var next []node
 		for i := range level {
 			nd := &level[i]
-			if nd.part.NumClasses() == n {
+			if nd.part.N() == n {
 				continue // keys determine everything; no extension useful
 			}
 			for a := nd.attrs[len(nd.attrs)-1] + 1; a < m; a++ {
 				attrs := append(append([]int(nil), nd.attrs...), a)
-				part := nd.part.Refine(work, []int{a})
+				part, err := c.Refine(nd.part, a)
+				if err != nil {
+					return nil, err
+				}
 				det := make([]bool, m)
 				// OR the determination state of every (depth-1)-subset.
 				sub := make([]int, 0, len(attrs)-1)
@@ -171,21 +180,8 @@ func Discover(t *relation.Table, opts DiscoveryOptions) ([]FD, error) {
 				for _, la := range attrs {
 					det[la] = true
 				}
-				isKey := part.NumClasses() == n
-				for rhs := 0; rhs < m; rhs++ {
-					if det[rhs] || skipRHS(rhs) {
-						continue
-					}
-					if isKey {
-						emit(attrs, rhs)
-						det[rhs] = true
-						continue
-					}
-					refined := part.Refine(work, []int{rhs})
-					if part.Error(refined) <= opts.MaxError {
-						emit(attrs, rhs)
-						det[rhs] = true
-					}
+				if err := test(attrs, part, det); err != nil {
+					return nil, err
 				}
 				next = append(next, node{attrs: attrs, part: part, detRHS: det})
 			}
@@ -203,12 +199,12 @@ func Discover(t *relation.Table, opts DiscoveryOptions) ([]FD, error) {
 	return results, nil
 }
 
-// Count is a convenience wrapper returning only the number of discovered
-// AFDs (used by the Table 5 / Sec 6.1 reproduction).
-func Count(t *relation.Table, opts DiscoveryOptions) (int, error) {
-	fds, err := Discover(t, opts)
-	if err != nil {
-		return 0, err
+// attrsKey renders a sorted attribute-index set as a map key: four bytes
+// per index, so schemas of any width key injectively.
+func attrsKey(attrs []int) string {
+	b := make([]byte, 0, 4*len(attrs))
+	for _, a := range attrs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
 	}
-	return len(fds), nil
+	return string(b)
 }

@@ -67,7 +67,7 @@ func observeDiscovery(t *testing.T) []discoveryCase {
 	for i, tables := range fixtures {
 		for _, tab := range tables {
 			for _, o := range discoveryGoldenOptions {
-				fds, err := fd.Discover(tab, o.opts)
+				fds, err := fd.Discover(relation.ToColumnar(tab), o.opts)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", names[i], tab.Name, o.name, err)
 				}

@@ -228,7 +228,7 @@ func fdTestTable(n int, errFrac float64, seed int64) *relation.Table {
 
 func TestDiscoverFindsPlantedFD(t *testing.T) {
 	tab := fdTestTable(500, 0.02, 1)
-	fds, err := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDiscoverFindsPlantedFD(t *testing.T) {
 
 func TestDiscoverKeyDeterminesAll(t *testing.T) {
 	tab := fdTestTable(200, 0.02, 2)
-	fds, err := Discover(tab, DiscoveryOptions{MaxError: 0.05, MaxLHS: 1})
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.05, MaxLHS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestDiscoverKeyDeterminesAll(t *testing.T) {
 
 func TestDiscoverMinimality(t *testing.T) {
 	tab := fdTestTable(400, 0.02, 3)
-	fds, err := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func isSubset(a, b []string) bool {
 func TestDiscoverRespectsErrorBound(t *testing.T) {
 	tab := fdTestTable(300, 0.05, 4)
 	const maxErr = 0.1
-	fds, err := Discover(tab, DiscoveryOptions{MaxError: maxErr, MaxLHS: 2})
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: maxErr, MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestDiscoverMinDistinctSkipsConstants(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tab.AppendValues(relation.IntValue(int64(i)), relation.StringValue("same"))
 	}
-	withSkip, err := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 1, MinDistinct: 2})
+	withSkip, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.1, MaxLHS: 1, MinDistinct: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestDiscoverMinDistinctSkipsConstants(t *testing.T) {
 			t.Errorf("constant RHS not skipped: %v", f)
 		}
 	}
-	noSkip, err := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 1})
+	noSkip, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.1, MaxLHS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestDiscoverMinDistinctSkipsConstants(t *testing.T) {
 
 func TestDiscoverMaxRowsSampling(t *testing.T) {
 	tab := fdTestTable(2000, 0.02, 5)
-	fds, err := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 1, MaxRows: 200})
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0.1, MaxLHS: 1, MaxRows: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,22 +372,43 @@ func TestDiscoverMaxRowsSampling(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	tab := fdTestTable(200, 0.02, 6)
-	n, err := Count(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fds, _ := Discover(tab, DiscoveryOptions{MaxError: 0.1, MaxLHS: 2})
-	if n != len(fds) {
-		t.Fatalf("Count = %d, Discover len = %d", n, len(fds))
-	}
-}
-
 func TestDiscoverDegenerate(t *testing.T) {
 	empty := relation.NewTable("e", relation.NewSchema(relation.Cat("a", relation.KindInt)))
-	fds, err := Discover(empty, DefaultDiscoveryOptions())
+	fds, err := Discover(relation.ToColumnar(empty), DefaultDiscoveryOptions())
 	if err != nil || fds != nil {
 		t.Fatalf("single-column/empty discovery = %v, %v", fds, err)
 	}
+}
+
+// TestDiscoverWideSchema covers schemas wider than 256 columns: the pruning
+// state of attribute 257 must not overwrite attribute 1's, or the minimal
+// FD {c0, c1} → r is wrongly treated as already determined.
+func TestDiscoverWideSchema(t *testing.T) {
+	const width = 258
+	cols := make([]relation.Column, 0, width+1)
+	for i := 0; i < width; i++ {
+		cols = append(cols, relation.Cat("c"+itoa(i), relation.KindInt))
+	}
+	cols = append(cols, relation.Cat("r", relation.KindInt))
+	tab := relation.NewTable("wide", relation.NewSchema(cols...))
+	c0, c1 := []int64{0, 0, 1, 1}, []int64{0, 1, 0, 1}
+	for row := 0; row < 4; row++ {
+		vals := make([]relation.Value, width+1)
+		for i := range vals {
+			vals[i] = relation.IntValue(7)
+		}
+		vals[0], vals[1] = relation.IntValue(c0[row]), relation.IntValue(c1[row])
+		vals[width-1], vals[width] = relation.IntValue(int64(row)), relation.IntValue(int64(row))
+		tab.AppendValues(vals...)
+	}
+	fds, err := Discover(relation.ToColumnar(tab), DiscoveryOptions{MaxError: 0, MaxLHS: 2, MinDistinct: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fds {
+		if f.String() == "c0,c1 → r" {
+			return
+		}
+	}
+	t.Fatalf("minimal FD c0,c1 → r missing from %v", fds)
 }

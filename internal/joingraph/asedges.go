@@ -39,19 +39,19 @@ func (g *Graph) ASEdges(i, j int, maxAttrs int) ([]ASEdge, error) {
 		i, j = j, i
 	}
 	instI, instJ := g.Instances[i], g.Instances[j]
-	if n := instI.Sample.Schema.Len(); n > maxAttrs {
+	if n := instI.Columnar.Schema().Len(); n > maxAttrs {
 		return nil, fmt.Errorf("joingraph: instance %s has %d attributes (max %d for AS-edge enumeration)",
 			instI.Name, n, maxAttrs)
 	}
-	if n := instJ.Sample.Schema.Len(); n > maxAttrs {
+	if n := instJ.Columnar.Schema().Len(); n > maxAttrs {
 		return nil, fmt.Errorf("joingraph: instance %s has %d attributes (max %d for AS-edge enumeration)",
 			instJ.Name, n, maxAttrs)
 	}
-	latI, err := NewLattice(instI.Sample.Schema.Names(), maxAttrs)
+	latI, err := NewLattice(instI.Columnar.Schema().Names(), maxAttrs)
 	if err != nil {
 		return nil, err
 	}
-	latJ, err := NewLattice(instJ.Sample.Schema.Names(), maxAttrs)
+	latJ, err := NewLattice(instJ.Columnar.Schema().Names(), maxAttrs)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,12 @@ import (
 type Instance struct {
 	// Name identifies the instance on the marketplace.
 	Name string
-	// Sample is the correlated sample DANCE holds; all estimation happens
-	// on it.
-	Sample *relation.Table
+	// Columnar is the dictionary-encoded correlated sample DANCE holds, and
+	// the only form of it: join informativeness, the searcher and every
+	// schema lookup read it. Build rejects an instance without one; the
+	// offline sample store, the policies and owned-source registration
+	// encode each sample once, when its rows arrive.
+	Columnar *relation.Columnar
 	// FullRows is the marketplace-reported cardinality of the full
 	// instance (the sample is smaller).
 	FullRows int
@@ -45,12 +48,6 @@ type Instance struct {
 	// Owned marks the data shopper's own source instance: it participates
 	// in joins but costs nothing to "purchase".
 	Owned bool
-	// Columnar is the dictionary-encoded form of Sample, and must hold
-	// exactly Sample's rows. The offline sample store and owned-source
-	// registration prebuild it; Build encodes every instance that arrives
-	// without one. Join informativeness and the searcher both read it, so
-	// each sample is encoded once.
-	Columnar *relation.Columnar
 	// Version identifies the sample's offline state: it increases whenever
 	// the dataset's rows (or FDs) change, and 0 for state that never
 	// changes (owned sources, or callers that don't version). Search-layer
@@ -150,15 +147,15 @@ type Graph struct {
 const maxPrices = 1 << 12
 
 // Build constructs the join graph from instances and estimates every
-// variant weight from the samples. Instances without a Columnar encoding
-// get one here.
+// variant weight from the samples. Every instance must carry its Columnar
+// sample.
 func Build(instances []*Instance, cfg Config) (*Graph, error) {
 	if cfg.MaxJoinAttrs <= 0 {
 		cfg.MaxJoinAttrs = 3
 	}
 	for _, inst := range instances {
 		if inst.Columnar == nil {
-			inst.Columnar = relation.ToColumnar(inst.Sample)
+			return nil, fmt.Errorf("joingraph: instance %q has no columnar sample", inst.Name)
 		}
 	}
 	g := &Graph{
@@ -169,7 +166,7 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 	}
 	for i := 0; i < len(instances); i++ {
 		for j := i + 1; j < len(instances); j++ {
-			shared := relation.SharedAttrs(instances[i].Sample.Schema, instances[j].Sample.Schema)
+			shared := relation.SharedAttrs(instances[i].Columnar.Schema(), instances[j].Columnar.Schema())
 			if len(shared) == 0 {
 				continue
 			}
@@ -320,7 +317,7 @@ func (g *Graph) Price(ctx context.Context, i int, attrs []string) (float64, erro
 func (g *Graph) InstancesWithAttr(attr string) []int {
 	var out []int
 	for i, inst := range g.Instances {
-		if inst.Sample.Schema.Has(attr) {
+		if inst.Columnar.Schema().Has(attr) {
 			out = append(out, i)
 		}
 	}

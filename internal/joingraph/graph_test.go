@@ -3,6 +3,7 @@ package joingraph
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/dance-db/dance/internal/fd"
@@ -33,8 +34,8 @@ func figure3Instances(seed int64) []*Instance {
 			relation.IntValue(int64(rng.Intn(4))), relation.IntValue(int64(rng.Intn(10))))
 	}
 	return []*Instance{
-		{Name: "D1", Sample: d1, FullRows: 2000, FDs: []fd.FD{fd.New("B", "A")}},
-		{Name: "D2", Sample: d2, FullRows: 4000, FDs: []fd.FD{fd.New("E", "D")}},
+		{Name: "D1", Columnar: relation.ToColumnar(d1), FullRows: 2000, FDs: []fd.FD{fd.New("B", "A")}},
+		{Name: "D2", Columnar: relation.ToColumnar(d2), FullRows: 4000, FDs: []fd.FD{fd.New("E", "D")}},
 	}
 }
 
@@ -49,7 +50,7 @@ type quoter struct {
 func newQuoter(instances []*Instance) *quoter {
 	q := &quoter{model: pricing.DefaultEntropyModel(), instances: map[string]*relation.Table{}}
 	for _, inst := range instances {
-		q.instances[inst.Name] = inst.Sample
+		q.instances[inst.Name] = inst.Columnar.ToTable()
 	}
 	return q
 }
@@ -105,7 +106,7 @@ func TestBuildSkipsDisjointSchemas(t *testing.T) {
 	b := relation.NewTable("b", relation.NewSchema(relation.Cat("y", relation.KindInt)))
 	a.AppendValues(relation.IntValue(1))
 	b.AppendValues(relation.IntValue(2))
-	g, err := Build([]*Instance{{Name: "a", Sample: a}, {Name: "b", Sample: b}}, Config{})
+	g, err := Build([]*Instance{{Name: "a", Columnar: relation.ToColumnar(a)}, {Name: "b", Columnar: relation.ToColumnar(b)}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +192,8 @@ func TestPriceKeysDoNotAliasOnNUL(t *testing.T) {
 		xa.AppendValues(relation.IntValue(i))
 	}
 	g, err := Build([]*Instance{
-		{Name: x.Name, Sample: x, FullRows: 4},
-		{Name: xa.Name, Sample: xa, FullRows: 4},
+		{Name: x.Name, Columnar: relation.ToColumnar(x), FullRows: 4},
+		{Name: xa.Name, Columnar: relation.ToColumnar(xa), FullRows: 4},
 	}, Config{Quoter: nameQuoter{}})
 	if err != nil {
 		t.Fatal(err)
@@ -263,37 +264,23 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 // TestBuildEncodesEachInstanceOnce pins the one-encoding contract: Build
-// fills Columnar for every instance that arrives without one, with exactly
-// the sample's rows, and keeps a prebuilt encoding as it is.
+// reads each instance's prebuilt Columnar sample as it is, across rebuilds,
+// and rejects an instance that arrives without one instead of encoding it.
 func TestBuildEncodesEachInstanceOnce(t *testing.T) {
 	insts := figure3Instances(4)
-	prebuilt := relation.ToColumnar(insts[1].Sample)
-	insts[1].Columnar = prebuilt
-	if _, err := Build(insts, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if insts[1].Columnar != prebuilt {
-		t.Fatal("Build replaced a prebuilt encoding")
-	}
-	c := insts[0].Columnar
-	if c == nil {
-		t.Fatal("Build left an instance unencoded")
-	}
-	got, want := c.ToTable(), insts[0].Sample
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("encoding holds %d rows, sample %d", got.NumRows(), want.NumRows())
-	}
-	for i := range want.Rows {
-		for j, v := range want.Rows[i] {
-			if !got.Rows[i][j].EqualValue(v) {
-				t.Fatalf("row %d col %d: encoding %v, sample %v", i, j, got.Rows[i][j], v)
+	encoded := []*relation.Columnar{insts[0].Columnar, insts[1].Columnar}
+	for round := 0; round < 2; round++ {
+		if _, err := Build(insts, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		for i, inst := range insts {
+			if inst.Columnar != encoded[i] {
+				t.Fatalf("build %d replaced the encoding of %s", round, inst.Name)
 			}
 		}
 	}
-	if _, err := Build(insts, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if insts[0].Columnar != c {
-		t.Fatal("a second Build re-encoded an instance")
+	insts[1].Columnar = nil
+	if _, err := Build(insts, Config{}); err == nil || !strings.Contains(err.Error(), "D2") {
+		t.Fatalf("Build of an unencoded instance: err = %v, want an error naming D2", err)
 	}
 }

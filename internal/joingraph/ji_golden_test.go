@@ -55,7 +55,7 @@ func TestBuildJIGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				instances = append(instances, &Instance{Name: tab.Name, Sample: s, FullRows: tab.NumRows()})
+				instances = append(instances, &Instance{Name: tab.Name, Columnar: relation.ToColumnar(s), FullRows: tab.NumRows()})
 			}
 			g, err := Build(instances, Config{MaxJoinAttrs: 3})
 			if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/dance-db/dance/internal/fd"
-	"github.com/dance-db/dance/internal/relation"
 )
 
 // TGEdge is a tree edge of a target graph: the I-edge between instances
@@ -64,7 +63,7 @@ func NewTargetGraph(g *Graph, vertices []int, edges []TGEdge, assign map[string]
 		if !inTree[v] {
 			return nil, fmt.Errorf("joingraph: attribute %q assigned to vertex %d outside tree", a, v)
 		}
-		if !g.Instances[v].Sample.Schema.Has(a) {
+		if !g.Instances[v].Columnar.Schema().Has(a) {
 			return nil, fmt.Errorf("joingraph: instance %s lacks assigned attribute %q", g.Instances[v].Name, a)
 		}
 	}
@@ -198,8 +197,8 @@ type JoinHop struct {
 
 // JoinPlan linearizes the tree into a join order over instance indexes: a
 // BFS from the lowest vertex, each hop joining the next instance on its
-// chosen edge variant's attributes. JoinSteps resolves the plan to the
-// instance samples; search resolves it to their columnar encodings.
+// chosen edge variant's attributes. Search resolves the plan to the
+// instance samples, plan records to instance names.
 func (tg *TargetGraph) JoinPlan() ([]JoinHop, error) {
 	if len(tg.Vertices) == 0 {
 		return nil, fmt.Errorf("joingraph: empty target graph")
@@ -237,20 +236,6 @@ func (tg *TargetGraph) JoinPlan() ([]JoinHop, error) {
 			len(hops), len(tg.Vertices))
 	}
 	return hops, nil
-}
-
-// JoinSteps resolves JoinPlan to a join path over the instance samples. The
-// caller joins them with relation.JoinPath or sampling.ResampledJoinPath.
-func (tg *TargetGraph) JoinSteps() ([]relation.PathStep, error) {
-	hops, err := tg.JoinPlan()
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]relation.PathStep, len(hops))
-	for i, h := range hops {
-		steps[i] = relation.PathStep{Table: tg.G.Instances[h.Vertex].Sample, On: h.On}
-	}
-	return steps, nil
 }
 
 // FDs returns the AFD set relevant to this target graph: the union of the

@@ -24,9 +24,9 @@ func chainInstances() []*Instance {
 		c.AppendValues(relation.IntValue(k2), relation.IntValue(int64(i%7)))
 	}
 	return []*Instance{
-		{Name: "a", Sample: a, FullRows: 600},
-		{Name: "b", Sample: b, FullRows: 600},
-		{Name: "c", Sample: c, FullRows: 600},
+		{Name: "a", Columnar: relation.ToColumnar(a), FullRows: 600},
+		{Name: "b", Columnar: relation.ToColumnar(b), FullRows: 600},
+		{Name: "c", Columnar: relation.ToColumnar(c), FullRows: 600},
 	}
 }
 
@@ -134,15 +134,19 @@ func TestTargetGraphOwnedInstanceNotPurchased(t *testing.T) {
 	}
 }
 
-func TestJoinSteps(t *testing.T) {
+func TestJoinPlan(t *testing.T) {
 	g := buildChain(t)
 	tg := chainTG(t, g)
-	steps, err := tg.JoinSteps()
+	hops, err := tg.JoinPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 3 {
-		t.Fatalf("steps = %d", len(steps))
+	if len(hops) != 3 || len(hops[0].On) != 0 {
+		t.Fatalf("hops = %v, want 3 with an unjoined root", hops)
+	}
+	steps := make([]relation.PathStep, len(hops))
+	for i, h := range hops {
+		steps[i] = relation.PathStep{Table: g.Instances[h.Vertex].Columnar.ToTable(), On: h.On}
 	}
 	j, err := relation.JoinPath(steps)
 	if err != nil {
@@ -158,15 +162,15 @@ func TestJoinSteps(t *testing.T) {
 	}
 }
 
-func TestJoinStepsSingleVertex(t *testing.T) {
+func TestJoinPlanSingleVertex(t *testing.T) {
 	g := buildChain(t)
 	tg, err := NewTargetGraph(g, []int{1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := tg.JoinSteps()
-	if err != nil || len(steps) != 1 {
-		t.Fatalf("steps = %v, %v", steps, err)
+	hops, err := tg.JoinPlan()
+	if err != nil || len(hops) != 1 || hops[0].Vertex != 1 {
+		t.Fatalf("hops = %v, %v", hops, err)
 	}
 }
 

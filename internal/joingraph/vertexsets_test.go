@@ -21,7 +21,7 @@ func mkInstance(name string, attrs ...string) *Instance {
 		}
 		tab.Append(row)
 	}
-	return &Instance{Name: name, Sample: tab, FullRows: 4}
+	return &Instance{Name: name, Columnar: relation.ToColumnar(tab), FullRows: 4}
 }
 
 // example41Graph builds the instance layout of the paper's Example 4.1:

@@ -6,10 +6,13 @@
 // hash-unit order (sampling.CorrelatedSampleRange), a rate-ρ sample is a
 // strict *prefix* of the rate-ρ′ sample for any ρ < ρ′ — so an escalation
 // needs only the delta rows with unit in (ρ, ρ′], appended in place. The
-// SampleStore materializes this: per-dataset row-store and columnar
-// representations are extended copy-on-write, every change bumps a
-// monotonically increasing version, and Snapshot exposes immutable views
-// that searches keep using while the next escalation merges.
+// SampleStore materializes this: each dataset's sample is held once, as its
+// dictionary encoding (relation.Columnar), and extended copy-on-write by
+// appending the delta's rows; every change bumps a monotonically increasing
+// version, and Snapshot exposes immutable views that searches keep using
+// while the next escalation merges. Row tables appear only at the edges:
+// purchases arrive as rows and are encoded on arrival, and the persist
+// journal is written from the decoded encoding.
 //
 // Versions key the search-layer caches (evaluator, columnar, join-index,
 // join-prefix): a dataset whose rows did not change across a rebuild — an
@@ -26,9 +29,8 @@ import (
 	"github.com/dance-db/dance/internal/relation"
 )
 
-// Dataset is the immutable per-dataset offline state at some version. The
-// Table and Cols views hold identical rows; Cols is the dictionary-encoded
-// form the evaluator runs on, kept bit-identical to encoding Table from
+// Dataset is the immutable per-dataset offline state at some version. Its
+// sample is Cols, kept bit-identical to encoding the merged rows from
 // scratch (relation.Columnar.AppendTable preserves first-appearance code
 // order across merges).
 type Dataset struct {
@@ -49,8 +51,6 @@ type Dataset struct {
 	FullRows int
 	// FDs are the dataset's declared or discovered AFDs.
 	FDs []fd.FD
-	// Table is the merged row-store sample.
-	Table *relation.Table
 	// Cols is the merged dictionary-encoded sample.
 	Cols *relation.Columnar
 }
@@ -143,7 +143,6 @@ func (s *SampleStore) Replace(name string, t *relation.Table, joinAttrs []string
 		Seed:      seed,
 		Rate:      rate,
 		FullRows:  fullRows,
-		Table:     t,
 		Cols:      relation.ToColumnar(t),
 	}
 	s.mu.Lock()
@@ -177,10 +176,6 @@ func (s *SampleStore) Extend(name string, delta *relation.Table, toRate float64,
 		s.datasets[name] = &d
 		return &d, nil
 	}
-	table, err := old.Table.Concat(delta)
-	if err != nil {
-		return nil, fmt.Errorf("offline: extend %q: %w", name, err)
-	}
 	cols, err := old.Cols.AppendTable(delta)
 	if err != nil {
 		return nil, fmt.Errorf("offline: extend %q: %w", name, err)
@@ -192,7 +187,6 @@ func (s *SampleStore) Extend(name string, delta *relation.Table, toRate float64,
 		Rate:      toRate,
 		FullRows:  fullRows,
 		FDs:       old.FDs,
-		Table:     table,
 		Cols:      cols,
 	}
 	s.installLocked(d)

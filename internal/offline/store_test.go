@@ -34,7 +34,7 @@ func TestStoreMergeMatchesFreshSample(t *testing.T) {
 	st.CommitRate(0.2)
 
 	snapLow := st.Snapshot()
-	lowRows := snapLow.Dataset("d").Table.NumRows()
+	lowRows := snapLow.Dataset("d").Cols.NumRows()
 
 	if _, err := st.Extend("d", sampleRange(full, 0.2, 0.6), 0.6, 400); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestStoreMergeMatchesFreshSample(t *testing.T) {
 	snapHigh := st.Snapshot()
 
 	// Copy-on-write: the old snapshot still sees the old state.
-	if snapLow.Dataset("d").Table.NumRows() != lowRows {
+	if snapLow.Dataset("d").Cols.NumRows() != lowRows {
 		t.Fatal("old snapshot mutated by Extend")
 	}
 	if snapLow.Dataset("d").Version == snapHigh.Dataset("d").Version {
@@ -51,7 +51,7 @@ func TestStoreMergeMatchesFreshSample(t *testing.T) {
 	}
 
 	fresh := sampleRange(full, 0, 0.6)
-	got := snapHigh.Dataset("d").Table
+	got := snapHigh.Dataset("d").Cols.ToTable()
 	if got.NumRows() != fresh.NumRows() {
 		t.Fatalf("merged %d rows != fresh %d", got.NumRows(), fresh.NumRows())
 	}

@@ -96,9 +96,8 @@ type Limits struct {
 
 // Source is one shopper-owned instance (the S of the request).
 type Source struct {
-	Table *relation.Table
-	// Columnar is Table's dictionary encoding, built once at registration;
-	// join graphs over the source reuse it instead of re-encoding.
+	// Columnar is the source's data, dictionary-encoded once at
+	// registration; join graphs over the source reuse it.
 	Columnar *relation.Columnar
 	FDs      []fd.FD
 }

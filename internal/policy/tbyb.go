@@ -23,9 +23,9 @@ func init() { Register(tbybPolicy{}) }
 // the survivors' datasets — via Market.SampleDelta, so every escalation
 // bills exactly the missing prefix rows and an abandoned candidate's total
 // bill is its pilot prefix, nothing more. The policy owns its samples
-// (private tables, merged with Table.Concat along the canonical prefix
-// order) and books the spend into the middleware ledger via
-// Host.RecordSpend.
+// (private encodings, built once per pilot and extended with
+// Columnar.AppendTable along the canonical prefix order) and books the
+// spend into the middleware ledger via Host.RecordSpend.
 type tbybPolicy struct{}
 
 // tbybName is the wire name; it appears in ledgers, plan echoes and the
@@ -53,7 +53,7 @@ func (tbybPolicy) Params() []ParamSpec {
 type tbybPilot struct {
 	info     marketplace.DatasetInfo
 	joinAttr string
-	table    *relation.Table
+	cols     *relation.Columnar
 	fds      []fd.FD
 }
 
@@ -100,7 +100,7 @@ func (tbybPolicy) Acquire(ctx context.Context, h Host, req Request) ([]Ranked, e
 		if err != nil {
 			return fmt.Errorf("policy %s: pilot sampling %s: %w", tbybName, info.Name, err)
 		}
-		p.table = t
+		p.cols = relation.ToColumnar(t)
 		fds, err := market.DatasetFDs(ctx, info.Name)
 		if err != nil {
 			return fmt.Errorf("policy %s: FDs of %s: %w", tbybName, info.Name, err)
@@ -204,10 +204,9 @@ func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tby
 	var instances []*joingraph.Instance
 	for si, s := range h.Sources() {
 		instances = append(instances, &joingraph.Instance{
-			Name:     s.Table.Name,
-			Sample:   s.Table,
+			Name:     s.Columnar.Name,
 			Columnar: s.Columnar,
-			FullRows: s.Table.NumRows(),
+			FullRows: s.Columnar.NumRows(),
 			FDs:      s.FDs,
 			Owned:    true,
 			Version:  uint64(si),
@@ -217,7 +216,7 @@ func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tby
 		p := byName[name]
 		instances = append(instances, &joingraph.Instance{
 			Name:     p.info.Name,
-			Sample:   p.table,
+			Columnar: p.cols,
 			FullRows: p.info.Rows,
 			FDs:      p.fds,
 			Version:  version, // fresh searcher per round: any constant works
@@ -245,7 +244,7 @@ func tbybEscalate(ctx context.Context, h Host, lim Limits, byName map[string]*tb
 	}
 	market := h.Market()
 	costs := make([]float64, len(names))
-	merged := make([]*relation.Table, len(names))
+	merged := make([]*relation.Columnar, len(names))
 	err := parallel.ForEach(ctx, len(names), lim.Workers, func(i int) error {
 		p := byName[names[i]]
 		delta, cost, err := market.SampleDelta(ctx, p.info.Name, []string{p.joinAttr}, rate, next, lim.SampleSeed)
@@ -253,11 +252,11 @@ func tbybEscalate(ctx context.Context, h Host, lim Limits, byName map[string]*tb
 		if err != nil {
 			return fmt.Errorf("policy %s: delta sampling %s: %w", tbybName, p.info.Name, err)
 		}
-		t, err := p.table.Concat(delta)
+		c, err := p.cols.AppendTable(delta)
 		if err != nil {
 			return fmt.Errorf("policy %s: merging delta of %s: %w", tbybName, p.info.Name, err)
 		}
-		merged[i] = t
+		merged[i] = c
 		return nil
 	})
 	spent := 0.0
@@ -271,7 +270,7 @@ func tbybEscalate(ctx context.Context, h Host, lim Limits, byName map[string]*tb
 		return err
 	}
 	for i, name := range names {
-		byName[name].table = merged[i]
+		byName[name].cols = merged[i]
 	}
 	return nil
 }

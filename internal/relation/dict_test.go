@@ -253,7 +253,7 @@ func TestPrebuiltJoinIndexMatchesInPlace(t *testing.T) {
 		}
 	}
 	b := fc.FilterRows(keep)
-	bRows := full.SelectIndices(keepIdx)
+	bRows := selectRows(full, keepIdx)
 	probes := make([]*Table, 4)
 	encoded := make([]*Columnar, len(probes))
 	for i := range probes {

@@ -95,16 +95,6 @@ func (t *Table) MustProject(names ...string) *Table {
 	return out
 }
 
-// SelectIndices returns a new table containing the rows at the given indices.
-func (t *Table) SelectIndices(indices []int) *Table {
-	out := NewTable(t.Name, t.Schema)
-	out.Rows = make([][]Value, 0, len(indices))
-	for _, i := range indices {
-		out.Rows = append(out.Rows, t.Rows[i])
-	}
-	return out
-}
-
 // Column returns all values of the named column.
 func (t *Table) Column(name string) ([]Value, error) {
 	i := t.Schema.Index(name)

@@ -63,14 +63,6 @@ func TestProjectReorders(t *testing.T) {
 	}
 }
 
-func TestSelectAndSelectIndices(t *testing.T) {
-	d := exampleD()
-	si := d.SelectIndices([]int{4, 0})
-	if si.NumRows() != 2 || si.Rows[0][0] != StringValue("a2") {
-		t.Fatalf("SelectIndices wrong: %v", si.Rows)
-	}
-}
-
 func TestColumn(t *testing.T) {
 	d := exampleD()
 	col, err := d.Column("A")
@@ -106,40 +98,42 @@ func TestGroupIndices(t *testing.T) {
 func TestPartitionExample21(t *testing.T) {
 	// Example 2.1 of the paper: π_A has classes {t1..t4}, {t5};
 	// π_AB has classes {t1,t2}, {t3}, {t4}, {t5}.
-	d := exampleD()
-	pa, err := d.PartitionBy("A")
+	c := ToColumnar(exampleD())
+	pa, err := c.GroupBy([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.NumClasses() != 2 {
-		t.Fatalf("π_A classes = %d, want 2", pa.NumClasses())
+	if want := []uint32{0, 0, 0, 0, 1}; !reflect.DeepEqual(pa.Codes, want) {
+		t.Fatalf("π_A classes = %v, want %v", pa.Codes, want)
 	}
-	pab, err := d.PartitionBy("A", "B")
+	pab, err := c.GroupBy([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pab.NumClasses() != 4 {
-		t.Fatalf("π_AB classes = %d, want 4", pab.NumClasses())
+	if want := []uint32{0, 0, 1, 2, 3}; !reflect.DeepEqual(pab.Codes, want) {
+		t.Fatalf("π_AB classes = %v, want %v", pab.Codes, want)
 	}
-	// Correct records C(D, A→B) = {t1, t2, t5} per the paper.
-	if got := pa.CorrectCount(pab); got != 3 {
-		t.Fatalf("CorrectCount = %d, want 3", got)
-	}
-	if e := pa.Error(pab); e < 0.399 || e > 0.401 {
-		t.Fatalf("g3 error = %v, want 0.4", e)
+	if want := []int64{2, 1, 1, 1}; !reflect.DeepEqual(pab.Counts, want) {
+		t.Fatalf("π_AB class sizes = %v, want %v", pab.Counts, want)
 	}
 }
 
 func TestPartitionRefineAgreesWithDirect(t *testing.T) {
-	d := exampleD()
-	pa, _ := d.PartitionBy("A")
-	refined := pa.Refine(d, []int{d.Schema.Index("B")})
-	direct, _ := d.PartitionBy("A", "B")
-	if refined.NumClasses() != direct.NumClasses() {
-		t.Fatalf("refine classes %d != direct %d", refined.NumClasses(), direct.NumClasses())
+	c := ToColumnar(exampleD())
+	pa, err := c.GroupBy([]int{0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(refined.Classes, direct.Classes) {
-		t.Fatalf("classes differ: %v vs %v", refined.Classes, direct.Classes)
+	refined, err := c.Refine(pa, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := c.GroupBy([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refined, direct) {
+		t.Fatalf("refined %+v != direct %+v", refined, direct)
 	}
 }
 

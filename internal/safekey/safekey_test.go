@@ -2,28 +2,56 @@ package safekey
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
+// aliasPairs are pairs of different part lists that collide under a naive
+// printable-separator join; Join must keep them apart.
+var aliasPairs = [][2][]string{
+	{{"a|b", "c"}, {"a", "b|c"}}, // the JICache aliasing shape
+	{{"a", "b"}, {"a|b"}},        // separator absorbed into a part
+	{{"1:a"}, {"a"}},             // part mimicking the encoding
+	{{"", "a"}, {"a", ""}},       // empty parts on either side
+	{{"a", "", "b"}, {"a", "b"}}, // interior empty part
+	{{"x\x00y"}, {"x", "y"}},     // embedded NUL
+	{{"2:ab"}, {"ab"}},           // full prefix spoof
+	{{"a", "11:bbbbbbbbbbb"}, {"a:11", "bbbbbbbbbbb"}},
+}
+
 func TestJoinAliasPairs(t *testing.T) {
-	// Each pair is two different part lists that collide under a naive
-	// printable-separator join; Join must keep them apart.
-	pairs := [][2][]string{
-		{{"a|b", "c"}, {"a", "b|c"}}, // the PR 4 JICache shape
-		{{"a", "b"}, {"a|b"}},        // separator absorbed into a part
-		{{"1:a"}, {"a"}},             // part mimicking the encoding
-		{{"", "a"}, {"a", ""}},       // empty parts on either side
-		{{"a", "", "b"}, {"a", "b"}}, // interior empty part
-		{{"x\x00y"}, {"x", "y"}},     // embedded NUL
-		{{"2:ab"}, {"ab"}},           // full prefix spoof
-		{{"a", "11:bbbbbbbbbbb"}, {"a:11", "bbbbbbbbbbb"}},
-	}
-	for _, p := range pairs {
+	for _, p := range aliasPairs {
 		if Join(p[0]...) == Join(p[1]...) {
 			t.Errorf("Join(%q) == Join(%q) == %q; want distinct keys",
 				p[0], p[1], Join(p[0]...))
 		}
 	}
+}
+
+// FuzzSafekeyJoin checks injectivity on part lists built from the fuzz
+// input: a and b are each split on sep into a part list, and two lists
+// that differ must never render to the same key. The seeds are the alias
+// pairs, each encoded with a separator none of its parts contains.
+func FuzzSafekeyJoin(f *testing.F) {
+	for _, p := range aliasPairs {
+		all := strings.Join(append(append([]string(nil), p[0]...), p[1]...), "")
+		sep := byte(0x1f)
+		for strings.IndexByte(all, sep) >= 0 {
+			sep++
+		}
+		s := string(sep)
+		f.Add(strings.Join(p[0], s), strings.Join(p[1], s), sep)
+	}
+	f.Fuzz(func(t *testing.T, a, b string, sep byte) {
+		pa, pb := strings.Split(a, string(sep)), strings.Split(b, string(sep))
+		if slices.Equal(pa, pb) {
+			return
+		}
+		if Join(pa...) == Join(pb...) {
+			t.Fatalf("Join(%q) == Join(%q) == %q; want distinct keys", pa, pb, Join(pa...))
+		}
+	})
 }
 
 // TestJoinInjectiveExhaustive checks injectivity over every part list of

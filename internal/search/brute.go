@@ -508,7 +508,7 @@ func (s *Searcher) fullInstancesPrice(ctx context.Context, verts []int) (float64
 		if inst.Owned {
 			continue
 		}
-		p, err := s.G.Price(ctx, v, inst.Sample.Schema.Names())
+		p, err := s.G.Price(ctx, v, inst.Columnar.Schema().Names())
 		if err != nil {
 			return 0, err
 		}

@@ -19,7 +19,7 @@ func rebuildGraph(t *testing.T, seed int64, versions map[string]uint64, mutate f
 	if mutate != nil {
 		mutate(tables)
 		for _, inst := range insts {
-			inst.Sample = tables[inst.Name]
+			inst.Columnar = relation.ToColumnar(tables[inst.Name])
 		}
 	}
 	for _, inst := range insts {
@@ -190,7 +190,7 @@ func TestJoinIndexKeysDoNotAliasOnNUL(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		tab.AppendValues(relation.IntValue(i), relation.IntValue(i), relation.IntValue(i))
 	}
-	g, err := joingraph.Build([]*joingraph.Instance{{Name: "t", Sample: tab, FullRows: 4}}, joingraph.Config{})
+	g, err := joingraph.Build([]*joingraph.Instance{{Name: "t", Columnar: relation.ToColumnar(tab), FullRows: 4}}, joingraph.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

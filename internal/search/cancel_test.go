@@ -47,9 +47,9 @@ func buildSwappableSearcher(t *testing.T) *Searcher {
 		}
 	}
 	insts := []*joingraph.Instance{
-		{Name: "a", Sample: a, FullRows: a.NumRows(), Owned: true},
-		{Name: "b", Sample: b, FullRows: b.NumRows()},
-		{Name: "c", Sample: c, FullRows: c.NumRows()},
+		{Name: "a", Columnar: relation.ToColumnar(a), FullRows: a.NumRows(), Owned: true},
+		{Name: "b", Columnar: relation.ToColumnar(b), FullRows: b.NumRows()},
+		{Name: "c", Columnar: relation.ToColumnar(c), FullRows: c.NumRows()},
 	}
 	tables := map[string]*relation.Table{"a": a, "b": b, "c": c}
 	g, err := joingraph.Build(insts, joingraph.Config{

@@ -19,6 +19,7 @@ import (
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
 	"github.com/dance-db/dance/internal/search"
 )
@@ -33,9 +34,13 @@ func rowReferenceEvaluate(t *testing.T, tg *joingraph.TargetGraph, req search.Re
 	if len(x) == 0 {
 		x, y = req.TargetAttrs[:1], req.TargetAttrs[1:]
 	}
-	steps, err := tg.JoinSteps()
+	hops, err := tg.JoinPlan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	steps := make([]relation.PathStep, len(hops))
+	for i, h := range hops {
+		steps[i] = relation.PathStep{Table: tg.G.Instances[h.Vertex].Columnar.ToTable(), On: h.On}
 	}
 	opts := sampling.PathJoinOptions{
 		Eta:          req.Eta,

@@ -12,7 +12,6 @@ import (
 
 	"github.com/dance-db/dance/internal/experiments"
 	"github.com/dance-db/dance/internal/joingraph"
-	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
 	"github.com/dance-db/dance/internal/search"
 )
@@ -32,11 +31,7 @@ func unprojectedEvaluate(t *testing.T, tg *joingraph.TargetGraph, req search.Req
 	steps := make([]sampling.ColumnarStep, len(hops))
 	for i, hp := range hops {
 		inst := tg.G.Instances[hp.Vertex]
-		c := inst.Columnar
-		if c == nil {
-			c = relation.ToColumnar(inst.Sample)
-		}
-		steps[i] = sampling.ColumnarStep{C: c, On: hp.On}
+		steps[i] = sampling.ColumnarStep{C: inst.Columnar, On: hp.On}
 	}
 	opts := sampling.PathJoinOptions{
 		Eta:          req.Eta,
@@ -85,7 +80,7 @@ func projectionSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec
 	keep := env.SampledSearcher().KeepNames(req)
 	dropped := 0
 	for _, v := range res.TG.Vertices {
-		for _, name := range env.Sampled.Instances[v].Sample.Schema.Names() {
+		for _, name := range env.Sampled.Instances[v].Columnar.Schema().Names() {
 			if !keep[name] {
 				dropped++
 			}

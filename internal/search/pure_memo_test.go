@@ -40,7 +40,7 @@ func sampledGraph(t *testing.T, tables []*relation.Table, fds map[string][]fd.FD
 			t.Fatal(err)
 		}
 		byName[tab.Name] = tab
-		insts = append(insts, &joingraph.Instance{Name: tab.Name, Sample: s, FullRows: tab.NumRows(),
+		insts = append(insts, &joingraph.Instance{Name: tab.Name, Columnar: relation.ToColumnar(s), FullRows: tab.NumRows(),
 			FDs: fds[tab.Name], Owned: tab.Name == owned})
 	}
 	g, err := joingraph.Build(insts, joingraph.Config{

@@ -228,7 +228,7 @@ func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
 				names[a] = true
 			}
 		}
-		for _, col := range inst.Sample.Schema.Names() {
+		for _, col := range inst.Columnar.Schema().Names() {
 			if renameShaped(col) {
 				names[col] = true
 			}
@@ -539,18 +539,19 @@ func encodeFull(t *relation.Table, grouped map[string]bool) (*relation.Columnar,
 // protocol of Sec 6 measures real correlation even for sample-based
 // searches. Prices remain marketplace quotes.
 func (s *Searcher) EvaluateOnTables(ctx context.Context, tg *joingraph.TargetGraph, req Request, tables map[string]*relation.Table) (Metrics, error) {
-	hops, err := tg.JoinSteps()
+	hops, err := tg.JoinPlan()
 	if err != nil {
 		return Metrics{}, err
 	}
 	// Swap each sample for its full table.
 	steps := make([]FullStep, len(hops))
-	for i, st := range hops {
-		ft, ok := tables[st.Table.Name]
+	for i, h := range hops {
+		name := tg.G.Instances[h.Vertex].Name
+		ft, ok := tables[name]
 		if !ok {
-			return Metrics{}, fmt.Errorf("search: no full table for instance %q", st.Table.Name)
+			return Metrics{}, fmt.Errorf("search: no full table for instance %q", name)
 		}
-		steps[i] = FullStep{Table: ft, On: st.On}
+		steps[i] = FullStep{Table: ft, On: h.On}
 	}
 	_, m, err := Realize(steps, req, tg.FDs())
 	if err != nil {

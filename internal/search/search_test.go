@@ -82,11 +82,11 @@ func scenario(seed int64) ([]*joingraph.Instance, map[string]*relation.Table) {
 		"src": src, "mid1": mid1, "mid2": mid2, "tgt1": tgt1, "tgt2": tgt2,
 	}
 	insts := []*joingraph.Instance{
-		{Name: "src", Sample: src, FullRows: n, Owned: true},
-		{Name: "mid1", Sample: mid1, FullRows: 12, FDs: []fd.FD{fd.New("key2", "key1")}},
-		{Name: "mid2", Sample: mid2, FullRows: 6, FDs: []fd.FD{fd.New("key3", "key2")}},
-		{Name: "tgt1", Sample: tgt1, FullRows: 3, FDs: []fd.FD{fd.New("yval", "key3")}},
-		{Name: "tgt2", Sample: tgt2, FullRows: n},
+		{Name: "src", Columnar: relation.ToColumnar(src), FullRows: n, Owned: true},
+		{Name: "mid1", Columnar: relation.ToColumnar(mid1), FullRows: 12, FDs: []fd.FD{fd.New("key2", "key1")}},
+		{Name: "mid2", Columnar: relation.ToColumnar(mid2), FullRows: 6, FDs: []fd.FD{fd.New("key3", "key2")}},
+		{Name: "tgt1", Columnar: relation.ToColumnar(tgt1), FullRows: 3, FDs: []fd.FD{fd.New("yval", "key3")}},
+		{Name: "tgt2", Columnar: relation.ToColumnar(tgt2), FullRows: n},
 	}
 	return insts, tables
 }
@@ -328,8 +328,8 @@ func TestMCMCFindsBetterVariant(t *testing.T) {
 	}
 	tables := map[string]*relation.Table{"a": a, "b": b}
 	insts := []*joingraph.Instance{
-		{Name: "a", Sample: a, FullRows: n, Owned: true},
-		{Name: "b", Sample: b, FullRows: n},
+		{Name: "a", Columnar: relation.ToColumnar(a), FullRows: n, Owned: true},
+		{Name: "b", Columnar: relation.ToColumnar(b), FullRows: n},
 	}
 	g, err := joingraph.Build(insts, joingraph.Config{
 		Quoter: &testQuoter{model: pricing.Cached(pricing.DefaultEntropyModel()), tables: tables},

@@ -32,9 +32,6 @@ type Config struct {
 	DirtyFraction float64
 }
 
-// DefaultConfig mirrors the experiments.
-func DefaultConfig() Config { return Config{Scale: 10, Seed: 7, DirtyFraction: 0.2} }
-
 // Dataset is the generated database.
 type Dataset struct {
 	Tables []*relation.Table

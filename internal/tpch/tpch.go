@@ -35,11 +35,6 @@ type Config struct {
 	DirtyFraction float64
 }
 
-// DefaultConfig mirrors the experiments in Sec 6.
-func DefaultConfig() Config {
-	return Config{Scale: 25, Seed: 42, DirtyFraction: 0.3}
-}
-
 // Dataset is the generated database: tables in a fixed order plus declared
 // FDs per table.
 type Dataset struct {

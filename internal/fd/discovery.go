@@ -56,21 +56,8 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 	}
 	names := c.Schema().Names()
 
-	// holds reports whether X→rhs holds within the error bound, given the
-	// grouping g = π_X.
-	holds := func(g *relation.Grouping, rhs int) (bool, error) {
-		pairs, err := c.Refine(g, rhs)
-		if err != nil {
-			return false, err
-		}
-		correct := 0
-		for _, p := range majorityPairs(g, pairs) {
-			correct += int(pairs.Counts[p])
-		}
-		return 1-float64(correct)/float64(n) <= opts.MaxError, nil
-	}
-
-	// Per-attribute partitions, reused across levels.
+	// Per-attribute partitions, reused across levels. Grouping every column
+	// checks that all are dictionary-coded, so no Refine below can fail.
 	attrParts := make([]*relation.Grouping, m)
 	for a := range attrParts {
 		g, err := c.GroupBy([]int{a})
@@ -78,6 +65,21 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 			return nil, err
 		}
 		attrParts[a] = g
+	}
+
+	// holds reports whether X→rhs holds within the error bound, given the
+	// partition part = π_X: a key determines everything; otherwise the
+	// majority pairs of π_X refined by rhs are the correct rows.
+	holds := func(part *relation.Grouping, rhs int) bool {
+		if part.N() == n {
+			return true
+		}
+		pairs, _ := c.Refine(part, rhs)
+		correct := 0
+		for _, p := range majorityPairs(part, pairs) {
+			correct += int(pairs.Counts[p])
+		}
+		return 1-float64(correct)/float64(n) <= opts.MaxError
 	}
 
 	var results []FD
@@ -97,45 +99,28 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 		attrs []int // sorted LHS attribute indexes
 		part  *relation.Grouping
 		// detRHS[rhs] = true when some subset of attrs (possibly attrs
-		// itself) determines rhs, or rhs ∈ attrs, or rhs is skipped.
-		// Supersets then never re-test rhs (TANE minimality pruning).
+		// itself) determines rhs, or rhs ∈ attrs. Supersets then never
+		// re-test rhs (TANE minimality pruning).
 		detRHS []bool
 	}
 
-	// test checks every undetermined RHS against the partition of attrs,
-	// emitting and marking the ones that hold. A key determines everything.
-	test := func(attrs []int, part *relation.Grouping, det []bool) error {
-		isKey := part.N() == n
+	// test emits and marks every undetermined RHS that attrs determines.
+	test := func(attrs []int, part *relation.Grouping, det []bool) {
 		for rhs := 0; rhs < m; rhs++ {
-			if det[rhs] || skipRHS(rhs) {
-				continue
-			}
-			ok := isKey
-			if !ok {
-				var err error
-				if ok, err = holds(part, rhs); err != nil {
-					return err
-				}
-			}
-			if ok {
+			if !det[rhs] && !skipRHS(rhs) && holds(part, rhs) {
 				emit(attrs, rhs)
 				det[rhs] = true
 			}
 		}
-		return nil
 	}
 
 	// Level 1.
 	var level []node
 	for a := 0; a < m; a++ {
 		det := make([]bool, m)
-		for rhs := range det {
-			det[rhs] = rhs == a || skipRHS(rhs)
-		}
+		det[a] = true
 		attrs := []int{a}
-		if err := test(attrs, attrParts[a], det); err != nil {
-			return nil, err
-		}
+		test(attrs, attrParts[a], det)
 		level = append(level, node{attrs: attrs, part: attrParts[a], detRHS: det})
 	}
 
@@ -155,10 +140,7 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 			}
 			for a := nd.attrs[len(nd.attrs)-1] + 1; a < m; a++ {
 				attrs := append(append([]int(nil), nd.attrs...), a)
-				part, err := c.Refine(nd.part, a)
-				if err != nil {
-					return nil, err
-				}
+				part, _ := c.Refine(nd.part, a)
 				det := make([]bool, m)
 				// OR the determination state of every (depth-1)-subset.
 				sub := make([]int, 0, len(attrs)-1)
@@ -180,9 +162,7 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 				for _, la := range attrs {
 					det[la] = true
 				}
-				if err := test(attrs, part, det); err != nil {
-					return nil, err
-				}
+				test(attrs, part, det)
 				next = append(next, node{attrs: attrs, part: part, detRHS: det})
 			}
 		}

@@ -5,13 +5,18 @@ package search_test
 // join-attribute variants, with and without η re-sampling), Searcher.Evaluate
 // — the columnar fast path with shared join indexes and the join-prefix
 // cache — must return bit-identical Metrics to the row-store pipeline
-// (sampling.ResampledJoinPath + infotheory.CorrelationOnRows + fd.QualitySet).
-// A -race test hammers one shared Searcher from concurrent searches so the
-// prefix cache, columnar store and join-index store are exercised under
-// parallel MCMC workers.
+// (sampling.ResampledJoinPath + infotheory.CorrelationOnRows + fd.QualitySet),
+// whose answers are frozen in testdata/evaluate_golden.json. A -race test
+// hammers one shared Searcher from concurrent searches so the prefix cache,
+// columnar store and join-index store are exercised under parallel MCMC
+// workers.
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -89,8 +94,71 @@ func neighborhood(g *joingraph.Graph, tg *joingraph.TargetGraph) []*joingraph.Ta
 	return out
 }
 
-func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta int) {
+// evaluateGoldenPath freezes the row-store pipeline's metrics for every
+// candidate of the equivalence sweeps, as exact float bits. Regenerate with
+// EVAL_GOLDEN_UPDATE=1 go test ./internal/search -run TestColumnarEvaluate
+// (only legitimate when a metric's definition changes).
+const evaluateGoldenPath = "testdata/evaluate_golden.json"
+
+// evaluateCase is one golden entry: one candidate target graph of one sweep
+// and its metrics, each rendered with strconv's exact 'x' format.
+type evaluateCase struct {
+	Sweep       string `json:"sweep"`
+	Candidate   string `json:"candidate"`
+	Correlation string `json:"correlation"`
+	Quality     string `json:"quality"`
+	Weight      string `json:"weight"`
+	Price       string `json:"price"`
+}
+
+func newEvaluateCase(sweep string, tg *joingraph.TargetGraph, m search.Metrics) evaluateCase {
+	bits := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
+	return evaluateCase{Sweep: sweep, Candidate: tg.String(),
+		Correlation: bits(m.Correlation), Quality: bits(m.Quality), Weight: bits(m.Weight), Price: bits(m.Price)}
+}
+
+// evaluateGolden reads the frozen cases of one dataset's sweeps, or, under
+// EVAL_GOLDEN_UPDATE, returns a sink whose cases flush writes back.
+func evaluateGolden(t *testing.T, dataset string) (want []evaluateCase, got *[]evaluateCase, flush func()) {
 	t.Helper()
+	buf, err := os.ReadFile(evaluateGoldenPath)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	all := map[string][]evaluateCase{}
+	if len(buf) > 0 {
+		if err := json.Unmarshal(buf, &all); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = new([]evaluateCase)
+	flush = func() {
+		t.Helper()
+		if os.Getenv("EVAL_GOLDEN_UPDATE") == "" {
+			if len(*got) != len(all[dataset]) {
+				t.Fatalf("%s: golden has %d cases, observed %d", dataset, len(all[dataset]), len(*got))
+			}
+			return
+		}
+		all[dataset] = *got
+		out, err := json.MarshalIndent(all, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(evaluateGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d %s cases to %s", len(*got), dataset, evaluateGoldenPath)
+	}
+	return all[dataset], got, flush
+}
+
+func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta int, want []evaluateCase, got *[]evaluateCase) {
+	t.Helper()
+	sweep := fmt.Sprintf("%s η=%d", q.Name, eta)
 	req := env.Request(q, 7)
 	req.Iterations = 15
 	req.Workers = 1
@@ -104,22 +172,27 @@ func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta
 		t.Fatal(err)
 	}
 	for i, tg := range neighborhood(env.Sampled, res.TG) {
-		got, err := s.Evaluate(bgCtx, tg, req)
+		m, err := s.Evaluate(bgCtx, tg, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowReferenceEvaluate(t, tg, req)
-		if got != want {
+		row := rowReferenceEvaluate(t, tg, req)
+		if m != row {
 			t.Fatalf("%s candidate %d (η=%d): columnar metrics %+v != row metrics %+v (must be bit-identical)",
-				q.Name, i, eta, got, want)
+				q.Name, i, eta, m, row)
 		}
+		c := newEvaluateCase(sweep, tg, row)
+		if k := len(*got); os.Getenv("EVAL_GOLDEN_UPDATE") == "" && (k >= len(want) || c != want[k]) {
+			t.Fatalf("%s candidate %d: observed %+v, golden case %d differs", sweep, i, c, k)
+		}
+		*got = append(*got, c)
 		// A fresh searcher (cold caches) must agree with the warm one.
 		cold, err := env.SampledSearcher().Evaluate(bgCtx, tg, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cold != got {
-			t.Fatalf("%s candidate %d: cold-cache metrics %+v != warm %+v", q.Name, i, cold, got)
+		if cold != m {
+			t.Fatalf("%s candidate %d: cold-cache metrics %+v != warm %+v", q.Name, i, cold, m)
 		}
 	}
 }
@@ -129,11 +202,13 @@ func TestColumnarEvaluateMatchesRowPathTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got, flush := evaluateGolden(t, "tpch")
 	for _, q := range experiments.TPCHQueries() {
-		equivSweep(t, env, q, 0)
+		equivSweep(t, env, q, 0, want, got)
 	}
 	// η re-sampling on the longest query.
-	equivSweep(t, env, experiments.TPCHQueries()[2], 50)
+	equivSweep(t, env, experiments.TPCHQueries()[2], 50, want, got)
+	flush()
 }
 
 func TestColumnarEvaluateMatchesRowPathTPCE(t *testing.T) {
@@ -141,10 +216,12 @@ func TestColumnarEvaluateMatchesRowPathTPCE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, got, flush := evaluateGolden(t, "tpce")
 	for _, q := range experiments.TPCEQueries() {
-		equivSweep(t, env, q, 0)
+		equivSweep(t, env, q, 0, want, got)
 	}
-	equivSweep(t, env, experiments.TPCEQueries()[2], 80)
+	equivSweep(t, env, experiments.TPCEQueries()[2], 80, want, got)
+	flush()
 }
 
 // TestSharedSearcherParallelSearchesRace exercises the shared columnar

@@ -23,7 +23,7 @@ func cleanTable(n int) *relation.Table {
 func TestInjectBreaksFD(t *testing.T) {
 	tab := cleanTable(500)
 	f := fd.New("v", "k")
-	q0, _ := fd.Quality(tab, f)
+	q0, _ := fd.QualitySetColumnar(relation.ToColumnar(tab), []fd.FD{f})
 	if q0 != 1 {
 		t.Fatalf("setup: clean quality = %v", q0)
 	}
@@ -35,7 +35,7 @@ func TestInjectBreaksFD(t *testing.T) {
 	if mod < 100 || mod > 200 {
 		t.Fatalf("modified %d of 500, want ≈150", mod)
 	}
-	q1, _ := fd.Quality(tab, f)
+	q1, _ := fd.QualitySetColumnar(relation.ToColumnar(tab), []fd.FD{f})
 	if q1 >= q0 {
 		t.Fatalf("quality did not drop: %v → %v", q0, q1)
 	}
@@ -94,7 +94,7 @@ func TestInjectTables(t *testing.T) {
 	if _, ok := mods["missing"]; ok {
 		t.Fatal("missing table should be skipped")
 	}
-	qb, _ := fd.Quality(b, fd.New("v", "k"))
+	qb, _ := fd.QualitySetColumnar(relation.ToColumnar(b), []fd.FD{fd.New("v", "k")})
 	if qb != 1 {
 		t.Fatal("table b should stay clean")
 	}

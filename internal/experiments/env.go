@@ -186,15 +186,21 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 
 	env := &Env{Cfg: cfg, Order: order, Tables: tables, FDs: fds, Market: market}
+	// Each table is encoded once: the full graph holds the encoding, and
+	// the sampled graph's instances are correlated samples of it.
+	encoded := make(map[string]*relation.Columnar, len(order))
+	for _, name := range order {
+		encoded[name] = relation.ToColumnar(tables[name])
+	}
 	var err error
-	env.Sampled, err = env.buildGraph(cfg.Rate)
+	env.Sampled, err = env.buildGraph(encoded, cfg.Rate)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Rate >= 1 {
 		env.Full = env.Sampled
 	} else {
-		env.Full, err = env.buildGraph(1)
+		env.Full, err = env.buildGraph(encoded, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -225,14 +231,14 @@ func (e *Env) primaryJoinAttr(name string) string {
 	return best
 }
 
-func (e *Env) buildGraph(rate float64) (*joingraph.Graph, error) {
+func (e *Env) buildGraph(encoded map[string]*relation.Columnar, rate float64) (*joingraph.Graph, error) {
 	var instances []*joingraph.Instance
 	for _, name := range e.Order {
 		full := e.Tables[name]
-		sample := full
+		sample := encoded[name]
 		if rate < 1 {
 			var err error
-			sample, err = sampling.CorrelatedSample(full, []string{e.primaryJoinAttr(name)}, rate,
+			sample, err = sampling.CorrelatedSampleColumnar(sample, []string{e.primaryJoinAttr(name)}, rate,
 				sampling.NewHasher(uint64(e.Cfg.Seed)+12345))
 			if err != nil {
 				return nil, err
@@ -240,7 +246,7 @@ func (e *Env) buildGraph(rate float64) (*joingraph.Graph, error) {
 		}
 		instances = append(instances, &joingraph.Instance{
 			Name:     name,
-			Columnar: relation.ToColumnar(sample),
+			Columnar: sample,
 			FullRows: full.NumRows(),
 			FDs:      e.FDs[name],
 		})

@@ -8,24 +8,29 @@ import (
 	"github.com/dance-db/dance/internal/relation"
 )
 
-// Columnar fast path for the quality measure, in linear passes over
-// dictionary codes: each distinct LHS is grouped once; an FD whose every LHS
-// group carries a single RHS code holds exactly and clears nothing; any
-// other FD counts its (LHS group, RHS code) pairs in one fuse pass, picks
-// each group's majority pair, and clears the minority rows from one shared
+// The quality measure (Defs 2.2 and 2.3) in linear passes over dictionary
+// codes: each distinct LHS is grouped once; an FD whose every LHS group
+// carries a single RHS code holds exactly and clears nothing; any other FD
+// counts its (LHS group, RHS code) pairs in one fuse pass, picks each
+// group's majority pair, and clears the minority rows from one shared
 // all-rows accumulator. No row lists, per-FD bitsets or byte-string keys are
-// built. Results are exact set arithmetic and therefore identical to the row
-// path.
+// built. Results are exact set arithmetic, pinned against the row-store
+// oracle of quality_oracle_test.go.
 
 // CorrectRowsColumnar returns the set C(D, X→Y) of Def 2.2 over the rows of
-// c, identically to CorrectRows on the decoded table (same deterministic
-// tie-break: largest class, then smallest first-row index).
+// c: for every equivalence class eq_x of π_X, the rows of the largest
+// equivalence class of π_{X∪Y} contained in it. Ties are broken
+// deterministically by smallest first-row index (the paper breaks them
+// randomly; determinism keeps experiments reproducible).
 func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
 	return correctRowsColumnar(c, []FD{f})
 }
 
 // QualitySetColumnar returns Q of Def 2.3 for the columnar relation c under
-// the AFD set fds, identically to QualitySet on the decoded table.
+// the AFD set fds: |⋂_F C(c, F)| / |c|. FDs whose attributes are missing
+// from c are skipped (they cannot constrain the join result). With no
+// applicable FDs, or no rows, the quality is 1. For a single FD this is
+// Q(D, F) of Def 2.2.
 func QualitySetColumnar(c *relation.Columnar, fds []FD) (float64, error) {
 	if c.NumRows() == 0 {
 		return 1, nil

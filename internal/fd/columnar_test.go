@@ -51,7 +51,7 @@ func TestCorrectRowsColumnarMatchesRows(t *testing.T) {
 		tab := randomFDTable(rng, 30+rng.Intn(200), []float64{0.05, 0.3, 0.6}[trial%3])
 		c := relation.ToColumnar(tab)
 		for _, f := range fds {
-			want, err := CorrectRows(tab, f)
+			want, err := correctRows(tab, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestCorrectRowsColumnarMatchesRows(t *testing.T) {
 				}
 			}
 		}
-		wantQ, err := QualitySet(tab, fds)
+		wantQ, err := qualitySet(tab, fds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestQualitySetColumnarSharedLHS(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d %v: shared-LHS quality %v != per-FD intersection %v", trial, set, got, want)
 			}
-			rowQ, err := QualitySet(tab, set)
+			rowQ, err := qualitySet(tab, set)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 	t.Helper()
 	tab := c.ToTable()
 	for _, f := range fds {
-		want, err := CorrectRows(tab, f)
+		want, err := correctRows(tab, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 		}
 	}
 	for _, set := range sets {
-		want, err := QualitySet(tab, set)
+		want, err := qualitySet(tab, set)
 		if err != nil {
 			t.Fatal(err)
 		}

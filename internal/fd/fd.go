@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/dance-db/dance/internal/bitset"
 	"github.com/dance-db/dance/internal/relation"
 )
 
@@ -77,86 +76,6 @@ func Parse(s string) (FD, error) {
 		return FD{}, fmt.Errorf("fd: %q is malformed", s)
 	}
 	return New(rhs, lhs...), nil
-}
-
-// CorrectRows returns the set C(D, X→Y) of Def 2.2 as a bitset over the rows
-// of t: for every equivalence class eq_x of π_X, the rows of the largest
-// equivalence class of π_{X∪Y} contained in it. Ties are broken
-// deterministically by smallest first-row index (the paper breaks them
-// randomly; determinism keeps experiments reproducible).
-func CorrectRows(t *relation.Table, f FD) (*bitset.Set, error) {
-	xGroups, err := t.GroupIndices(f.LHS...)
-	if err != nil {
-		return nil, fmt.Errorf("fd %s on %s: %w", f, t.Name, err)
-	}
-	rhsIdx := t.Schema.Index(f.RHS)
-	if rhsIdx < 0 {
-		return nil, fmt.Errorf("fd %s on %s: no column %q", f, t.Name, f.RHS)
-	}
-	correct := bitset.New(t.NumRows())
-	var buf []byte
-	sub := make(map[string][]int)
-	for _, rows := range xGroups {
-		for k := range sub {
-			delete(sub, k)
-		}
-		for _, ri := range rows {
-			buf = t.Rows[ri][rhsIdx].AppendKey(buf[:0])
-			sub[string(buf)] = append(sub[string(buf)], ri)
-		}
-		var best []int
-		for _, g := range sub {
-			if len(g) > len(best) || (len(g) == len(best) && len(g) > 0 && g[0] < best[0]) {
-				best = g
-			}
-		}
-		for _, ri := range best {
-			correct.Set(ri)
-		}
-	}
-	return correct, nil
-}
-
-// Quality returns Q(D, F) of Def 2.2: |C(D, F)| / |D|. An empty table has
-// quality 1.
-func Quality(t *relation.Table, f FD) (float64, error) {
-	if t.NumRows() == 0 {
-		return 1, nil
-	}
-	c, err := CorrectRows(t, f)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c.Count()) / float64(t.NumRows()), nil
-}
-
-// QualitySet returns Q of Def 2.3 for a joined instance t under the AFD set
-// fds: |⋂_F C(t, F)| / |t|. FDs whose attributes are missing from t are
-// skipped (they cannot constrain the join result). With no applicable FDs
-// the quality is 1.
-func QualitySet(t *relation.Table, fds []FD) (float64, error) {
-	if t.NumRows() == 0 {
-		return 1, nil
-	}
-	var acc *bitset.Set
-	for _, f := range fds {
-		if !f.AppliesTo(t.Schema) {
-			continue
-		}
-		c, err := CorrectRows(t, f)
-		if err != nil {
-			return 0, err
-		}
-		if acc == nil {
-			acc = c
-		} else {
-			acc.And(c)
-		}
-	}
-	if acc == nil {
-		return 1, nil
-	}
-	return float64(acc.Count()) / float64(t.NumRows()), nil
 }
 
 // Applicable filters fds to those whose attributes all exist in schema s.

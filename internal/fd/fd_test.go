@@ -100,16 +100,22 @@ func TestAppliesTo(t *testing.T) {
 	}
 }
 
+// quality is Q of Def 2.3 under fds on t's encoding; for one FD, Q(D, F)
+// of Def 2.2.
+func quality(t *relation.Table, fds ...FD) (float64, error) {
+	return QualitySetColumnar(relation.ToColumnar(t), fds)
+}
+
 func TestQualityExample21(t *testing.T) {
 	d := exampleTable2()
-	q, err := Quality(d, New("B", "A"))
+	q, err := quality(d, New("B", "A"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q != 0.6 {
 		t.Fatalf("Q = %v, want 0.6 (correct records {t1,t2,t5})", q)
 	}
-	c, err := CorrectRows(d, New("B", "A"))
+	c, err := CorrectRowsColumnar(relation.ToColumnar(d), New("B", "A"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +135,14 @@ func TestJoinDegradesQuality(t *testing.T) {
 	// The paper's Example 2.2: two high-quality instances join into a
 	// low-quality result, so quality must be measured on the join.
 	d1, d2 := table3Full()
-	q1, err := Quality(d1, New("B", "A"))
+	q1, err := quality(d1, New("B", "A"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q1 != 0.996 {
 		t.Fatalf("Q(D1) = %v, want 0.996", q1)
 	}
-	q2, err := Quality(d2, New("E", "D"))
+	q2, err := quality(d2, New("E", "D"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +159,7 @@ func TestJoinDegradesQuality(t *testing.T) {
 	if j.NumRows() != 6 {
 		t.Fatalf("join rows = %d, want 6", j.NumRows())
 	}
-	qj, err := QualitySet(j, []FD{New("B", "A"), New("E", "D")})
+	qj, err := quality(j, New("B", "A"), New("E", "D"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +174,14 @@ func TestJoinDegradesQuality(t *testing.T) {
 
 func TestQualitySetSkipsInapplicable(t *testing.T) {
 	d := exampleTable2()
-	q, err := QualitySet(d, []FD{New("Z", "Y")}) // not applicable
+	q, err := quality(d, New("Z", "Y")) // not applicable
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q != 1 {
 		t.Fatalf("quality with no applicable FDs = %v, want 1", q)
 	}
-	q, err = QualitySet(d, nil)
+	q, err = quality(d)
 	if err != nil || q != 1 {
 		t.Fatalf("quality with empty FD set = %v, %v", q, err)
 	}
@@ -184,7 +190,7 @@ func TestQualitySetSkipsInapplicable(t *testing.T) {
 func TestQualityEmptyTable(t *testing.T) {
 	d := relation.NewTable("e", relation.NewSchema(
 		relation.Cat("A", relation.KindString), relation.Cat("B", relation.KindString)))
-	q, err := Quality(d, New("B", "A"))
+	q, err := quality(d, New("B", "A"))
 	if err != nil || q != 1 {
 		t.Fatalf("empty table quality = %v, %v", q, err)
 	}
@@ -313,7 +319,7 @@ func TestDiscoverRespectsErrorBound(t *testing.T) {
 		t.Fatal("expected some FDs")
 	}
 	for _, f := range fds {
-		q, err := Quality(tab, f)
+		q, err := quality(tab, f)
 		if err != nil {
 			t.Fatal(err)
 		}

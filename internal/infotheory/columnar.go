@@ -8,11 +8,12 @@ import (
 	"github.com/dance-db/dance/internal/relation"
 )
 
-// Columnar fast paths for the information-theoretic measures: groupings are
+// The information-theoretic measures on dictionary codes: groupings are
 // fused integer-code counts (relation.Columnar.GroupBy) instead of injective
-// byte-string map keys, and group terms are summed in first-appearance order
-// — the same order the row-store implementations use — so every function in
-// this file is bit-identical to its row counterpart.
+// byte-string map keys, and group terms are summed in first-appearance
+// order. Entropy (kept on the row store for pricing) sums in the same order,
+// so EntropyColumnar is bit-identical to it; the row-store CORR formulation
+// survives as the test oracle of corr_oracle_test.go.
 
 // EntropyColumnar returns the joint Shannon entropy H(X) of the named
 // attribute set X in c. Bit-identical to Entropy on the decoded table.
@@ -42,8 +43,7 @@ func ConditionalEntropyColumnar(c *relation.Columnar, x, y []string) (float64, e
 
 // CorrelationColumnar computes CORR(X, Y) of Def 2.5 on the columnar
 // relation c — the evaluator's hot path. See Correlation for the measure's
-// definition; results are bit-identical to CorrelationOnRows on the decoded
-// table.
+// definition.
 func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
 	if len(x) == 0 || len(y) == 0 || c.NumRows() == 0 {
 		return 0, nil
@@ -115,11 +115,11 @@ func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []flo
 		return 0
 	}
 	scale := 1 / (hi - lo)
-	// Normalization is applied element-wise exactly as the row path's
-	// normalize closure does, so the floats agree bitwise; the buffers are
-	// owned here, so they are sorted in place (normalization is monotone and
-	// equal floats interchangeable, so sort-after-normalize yields the same
-	// sequence the row path's copy-and-sort produces).
+	// Normalization is applied element-wise exactly as the row-store
+	// oracle's normalize closure does, so the floats agree bitwise; the
+	// buffers are owned here, so they are sorted in place (normalization is
+	// monotone and equal floats interchangeable, so sort-after-normalize
+	// yields the same sequence the oracle's copy-and-sort produces).
 	for i := range vals {
 		vals[i] = (vals[i] - lo) * scale
 	}

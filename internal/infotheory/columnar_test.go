@@ -64,7 +64,7 @@ func TestEntropyColumnarBitIdentical(t *testing.T) {
 				t.Fatalf("H%v: columnar %v != row %v (must be bit-identical)", cols, got, want)
 			}
 		}
-		wantC, err := ConditionalEntropy(tab, []string{"k"}, []string{"s", "m"})
+		wantC, err := conditionalEntropy(tab, []string{"k"}, []string{"s", "m"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestCorrelationColumnarBitIdenticalToRows(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		tab := randomMetricTable(rng, 30+rng.Intn(200), []float64{0.05, 0.3, 0.6}[trial%3])
 		for _, xy := range cases {
-			want, err := CorrelationOnRows(tab, xy[0], xy[1])
+			want, err := correlationOnRows(tab, xy[0], xy[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestCorrelationDeterministicAcrossCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CorrelationOnRows(tab, []string{"v", "k"}, []string{"s", "m"})
+	ref, err := correlationOnRows(tab, []string{"v", "k"}, []string{"s", "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestCorrelationDeterministicAcrossCalls(t *testing.T) {
 		if again != first {
 			t.Fatalf("Correlation nondeterministic: %v then %v", first, again)
 		}
-		againRef, err := CorrelationOnRows(tab, []string{"v", "k"}, []string{"s", "m"})
+		againRef, err := correlationOnRows(tab, []string{"v", "k"}, []string{"s", "m"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if againRef != ref {
-			t.Fatalf("CorrelationOnRows nondeterministic: %v then %v", ref, againRef)
+			t.Fatalf("correlationOnRows nondeterministic: %v then %v", ref, againRef)
 		}
 	}
 }

@@ -25,10 +25,9 @@ import (
 // The result is ≥ 0 up to floating-point error; larger means more
 // correlated. Columns of X missing in t are an error.
 //
-// The computation runs on the columnar fast path: the grouping columns
-// (Xc ∪ Y) are dictionary-encoded once, the numerical attributes extracted
-// as raw floats, and all groupings count fused integer codes instead of
-// byte-string map keys. The result is bit-identical to CorrelationOnRows.
+// The grouping columns (Xc ∪ Y) are dictionary-encoded once, the numerical
+// attributes extracted as raw floats, and all groupings count fused integer
+// codes (CorrelationColumnar).
 func Correlation(t *relation.Table, x, y []string) (float64, error) {
 	if len(x) == 0 || len(y) == 0 || t.NumRows() == 0 {
 		return 0, nil
@@ -43,72 +42,6 @@ func Correlation(t *relation.Table, x, y []string) (float64, error) {
 		return 0, err
 	}
 	return CorrelationColumnar(c, x, y)
-}
-
-// CorrelationOnRows is the row-store reference implementation of
-// Correlation. It groups rows through injective byte-string keys and exists
-// so equivalence tests can pin the columnar fast path bit-for-bit against
-// the original formulation; use Correlation everywhere else.
-func CorrelationOnRows(t *relation.Table, x, y []string) (float64, error) {
-	if len(x) == 0 || len(y) == 0 || t.NumRows() == 0 {
-		return 0, nil
-	}
-	xc, xn, err := splitCorrAttrs(t.Schema, t.Name, x, y)
-	if err != nil {
-		return 0, err
-	}
-
-	corr := 0.0
-	if len(xc) > 0 {
-		hx, err := Entropy(t, xc...)
-		if err != nil {
-			return 0, err
-		}
-		hxy, err := ConditionalEntropy(t, xc, y)
-		if err != nil {
-			return 0, err
-		}
-		corr += hx - hxy
-	}
-	for _, a := range xn {
-		vals, err := numericColumn(t, a, nil)
-		if err != nil {
-			return 0, err
-		}
-		lo, hi := rangeOf(vals)
-		if hi <= lo {
-			continue // constant column: zero information either way
-		}
-		scale := 1 / (hi - lo)
-		normalize := func(xs []float64) []float64 {
-			out := make([]float64, len(xs))
-			for i, x := range xs {
-				out[i] = (x - lo) * scale
-			}
-			return out
-		}
-		h := CumulativeEntropy(normalize(vals))
-		// Sum group terms in first-appearance order: float addition is not
-		// associative, and map-order summation made CORR differ in the
-		// last ulps between otherwise identical calls. First-appearance
-		// order is deterministic for a given table and is the order the
-		// columnar path uses, so the two stay bit-identical.
-		groups, err := t.GroupRowLists(y...)
-		if err != nil {
-			return 0, err
-		}
-		total := float64(t.NumRows())
-		hc := 0.0
-		for _, rows := range groups {
-			gv, err := numericColumn(t, a, rows)
-			if err != nil {
-				return 0, err
-			}
-			hc += float64(len(rows)) / total * CumulativeEntropy(normalize(gv))
-		}
-		corr += h - hc
-	}
-	return clampCorr(corr), nil
 }
 
 // splitCorrAttrs partitions X into categorical and numerical attributes and

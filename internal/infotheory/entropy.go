@@ -8,7 +8,6 @@ package infotheory
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"github.com/dance-db/dance/internal/relation"
@@ -90,33 +89,6 @@ func Entropy(t *relation.Table, cols ...string) (float64, error) {
 	return EntropyFromCounts(counts), nil
 }
 
-// ConditionalEntropy returns H(X | Y) = H(X ∪ Y) − H(Y) for attribute sets
-// X and Y of t.
-func ConditionalEntropy(t *relation.Table, x, y []string) (float64, error) {
-	hy, err := Entropy(t, y...)
-	if err != nil {
-		return 0, err
-	}
-	hxy, err := Entropy(t, append(append([]string{}, x...), y...)...)
-	if err != nil {
-		return 0, err
-	}
-	return hxy - hy, nil
-}
-
-// CumulativeEntropy returns the empirical cumulative entropy
-// h(X) = −Σ_{i<n} (x_{i+1} − x_i) · F(x_i) · log2 F(x_i)
-// of the sample xs, where F is the empirical CDF. NULLs must be filtered by
-// the caller. The result is non-negative and 0 for constant or empty input.
-func CumulativeEntropy(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return cumulativeEntropySorted(sorted, log2Upto(len(sorted)))
-}
-
 // log2Shared is the process-wide table of log2(k) (entry 0 is unused). The
 // empirical CDF steps of cumulative entropy are all of the form k/n, so one
 // table replaces the per-step log calls that dominate the numeric
@@ -149,10 +121,12 @@ func log2Upto(n int) []float64 {
 	}
 }
 
-// cumulativeEntropySorted is CumulativeEntropy for callers that own xs (and
-// may therefore sort it in place, skipping the defensive copy) and hold a
-// log2Upto table covering len(xs). The columnar hot path calls it once per
-// conditioning group.
+// cumulativeEntropySorted returns the empirical cumulative entropy
+// h(X) = −Σ_{i<n} (x_{i+1} − x_i) · F(x_i) · log2 F(x_i)
+// of the ascending sample sorted, where F is the empirical CDF; logTab is a
+// log2Upto table covering len(sorted). NULLs must be filtered by the
+// caller. The result is non-negative and 0 for constant or empty input.
+// The columnar kernel calls it once per conditioning group.
 func cumulativeEntropySorted(sorted []float64, logTab []float64) float64 {
 	n := len(sorted)
 	if n < 2 {
@@ -172,29 +146,4 @@ func cumulativeEntropySorted(sorted []float64, logTab []float64) float64 {
 		h -= dx * f * (logTab[i+1] - ln)
 	}
 	return h
-}
-
-// numericColumn extracts the non-NULL numeric values of column name for the
-// given row indices (nil = all rows).
-func numericColumn(t *relation.Table, name string, rows []int) ([]float64, error) {
-	ci := t.Schema.Index(name)
-	if ci < 0 {
-		return nil, fmt.Errorf("infotheory: table %s has no column %q", t.Name, name)
-	}
-	var out []float64
-	take := func(r []relation.Value) {
-		if !r[ci].IsNull() {
-			out = append(out, r[ci].Num())
-		}
-	}
-	if rows == nil {
-		for _, r := range t.Rows {
-			take(r)
-		}
-	} else {
-		for _, i := range rows {
-			take(t.Rows[i])
-		}
-	}
-	return out, nil
 }

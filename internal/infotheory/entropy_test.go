@@ -91,7 +91,7 @@ func TestEntropyOnTable(t *testing.T) {
 func TestConditionalEntropyAndMI(t *testing.T) {
 	tab := uniformPairs()
 	// H(X|Y) = 0 (Y determines X).
-	hxy, err := ConditionalEntropy(tab, []string{"X"}, []string{"Y"})
+	hxy, err := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,35 +99,35 @@ func TestConditionalEntropyAndMI(t *testing.T) {
 		t.Fatalf("H(X|Y) = %v, want 0", hxy)
 	}
 	// X and Z independent: H(X|Z) = H(X) = 1.
-	hxz, _ := ConditionalEntropy(tab, []string{"X"}, []string{"Z"})
+	hxz, _ := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Z"})
 	if !almost(hxz, 1, 1e-12) {
 		t.Fatalf("H(X|Z) = %v, want 1", hxz)
 	}
 }
 
 func TestCumulativeEntropy(t *testing.T) {
-	if got := CumulativeEntropy(nil); got != 0 {
+	if got := cumulativeEntropy(nil); got != 0 {
 		t.Fatalf("h(empty) = %v", got)
 	}
-	if got := CumulativeEntropy([]float64{3}); got != 0 {
+	if got := cumulativeEntropy([]float64{3}); got != 0 {
 		t.Fatalf("h(single) = %v", got)
 	}
-	if got := CumulativeEntropy([]float64{2, 2, 2}); got != 0 {
+	if got := cumulativeEntropy([]float64{2, 2, 2}); got != 0 {
 		t.Fatalf("h(constant) = %v", got)
 	}
 	// Two points {0, 1}: h = -(1-0) * (1/2) * log2(1/2) = 0.5.
-	if got := CumulativeEntropy([]float64{0, 1}); !almost(got, 0.5, 1e-12) {
+	if got := cumulativeEntropy([]float64{0, 1}); !almost(got, 0.5, 1e-12) {
 		t.Fatalf("h({0,1}) = %v, want 0.5", got)
 	}
 	// Order must not matter.
-	a := CumulativeEntropy([]float64{5, 1, 3, 2, 4})
-	b := CumulativeEntropy([]float64{1, 2, 3, 4, 5})
+	a := cumulativeEntropy([]float64{5, 1, 3, 2, 4})
+	b := cumulativeEntropy([]float64{1, 2, 3, 4, 5})
 	if !almost(a, b, 1e-12) {
 		t.Fatalf("cumulative entropy order-dependent: %v vs %v", a, b)
 	}
 	// Scaling property: h(c·X) = c·h(X) for c > 0.
 	xs := []float64{0.5, 1.7, 2.2, 9.1}
-	if got, want := CumulativeEntropy(scale(xs, 3)), 3*CumulativeEntropy(xs); !almost(got, want, 1e-9) {
+	if got, want := cumulativeEntropy(scale(xs, 3)), 3*cumulativeEntropy(xs); !almost(got, want, 1e-9) {
 		t.Fatalf("h(3X) = %v, want %v", got, want)
 	}
 }
@@ -239,7 +239,7 @@ func TestQuickEntropyInequalities(t *testing.T) {
 			tab.AppendValues(relation.IntValue(int64(p%5)), relation.IntValue(int64((p/5)%5)))
 		}
 		hx, _ := Entropy(tab, "X")
-		hxy, _ := ConditionalEntropy(tab, []string{"X"}, []string{"Y"})
+		hxy, _ := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"})
 		return hxy >= -1e-9 && hxy <= hx+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -254,7 +254,7 @@ func TestQuickCumulativeEntropyInvariance(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r) / 16
 		}
-		h := CumulativeEntropy(xs)
+		h := cumulativeEntropy(xs)
 		if h < 0 {
 			return false
 		}
@@ -262,7 +262,7 @@ func TestQuickCumulativeEntropyInvariance(t *testing.T) {
 		for i, x := range xs {
 			shifted[i] = x + float64(shift)
 		}
-		return almost(h, CumulativeEntropy(shifted), 1e-6*(1+math.Abs(h)))
+		return almost(h, cumulativeEntropy(shifted), 1e-6*(1+math.Abs(h)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

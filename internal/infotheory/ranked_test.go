@@ -74,7 +74,7 @@ func checkRanked(t *testing.T, name string, tab *relation.Table, c *relation.Col
 		t.Fatalf("%s: ranked gain %v != sorted gain %v (must be bit-identical)", name, ranked, sorted)
 	}
 	x, y := []string{"x"}, []string{"g"}
-	want, err := CorrelationOnRows(c.ToTable(), x, y)
+	want, err := correlationOnRows(c.ToTable(), x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func checkRanked(t *testing.T, name string, tab *relation.Table, c *relation.Col
 		t.Fatal(err)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(row) != math.Float64bits(want) {
-		t.Fatalf("%s: CorrelationColumnar %v, Correlation %v, CorrelationOnRows %v (must be bit-identical)", name, got, row, want)
+		t.Fatalf("%s: CorrelationColumnar %v, Correlation %v, row oracle %v (must be bit-identical)", name, got, row, want)
 	}
 	return ok
 }

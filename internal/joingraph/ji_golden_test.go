@@ -51,11 +51,11 @@ func TestBuildJIGolden(t *testing.T) {
 			var instances []*Instance
 			for _, tab := range fx.tables {
 				on := []string{tab.Schema.Names()[0]}
-				s, err := sampling.CorrelatedSample(tab, on, rate, sampling.NewHasher(11))
+				s, err := sampling.CorrelatedSampleColumnar(relation.ToColumnar(tab), on, rate, sampling.NewHasher(11))
 				if err != nil {
 					t.Fatal(err)
 				}
-				instances = append(instances, &Instance{Name: tab.Name, Columnar: relation.ToColumnar(s), FullRows: tab.NumRows()})
+				instances = append(instances, &Instance{Name: tab.Name, Columnar: s, FullRows: tab.NumRows()})
 			}
 			g, err := Build(instances, Config{MaxJoinAttrs: 3})
 			if err != nil {

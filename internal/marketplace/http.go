@@ -26,7 +26,6 @@ import (
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
-	"github.com/dance-db/dance/internal/sampling"
 )
 
 // Wire representations. Tables travel as CSV (the typed header encoding of
@@ -647,11 +646,11 @@ func (c *Client) sampleDeltaFallback(ctx context.Context, name string, joinAttrs
 	if err != nil {
 		return nil, 0, err
 	}
-	// Re-running the range sampler over the bought sample keeps exactly the
-	// (fromRate, toRate] rows in canonical hash-unit order — even when the
+	// Ranking the bought sample in the seller's canonical order keeps
+	// exactly the (fromRate, toRate] rows in hash-unit order — even when the
 	// old server delivered table-order samples — so a store merging this
 	// fallback delta still reproduces the fresh sample bit for bit.
-	d, err := sampling.CorrelatedSampleRange(t, joinAttrs, fromRate, toRate, sampling.NewHasher(seed))
+	d, err := sampleRange(t, joinAttrs, fromRate, toRate, seed)
 	if err != nil {
 		return nil, 0, err
 	}

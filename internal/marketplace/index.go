@@ -18,11 +18,19 @@ import (
 // of growing the seller's resident state.
 const sellerIndexCap = 8
 
-// sampleOrder is one listing's canonical sample order
-// (sampling.CorrelatedSampleRange) under one (join attrs, seed): every row
-// ranked once, so each Sample or SampleDelta is a binary-searched slice of
-// it instead of a re-hash and re-sort of the whole listing. It costs at
-// most 12 bytes per row.
+// sampleOrder is one table's canonical sample order under one (join attrs,
+// seed), the order every Sample and SampleDelta answer is delivered in:
+// rows whose join-attribute tuple hashes to a unit in [0, 1), ascending by
+// (unit, position), then the NULL-join rows in position order. A rate-ρ
+// sample is the rows with unit ≤ ρ, so it is exactly the leading rows of the
+// rate-ρ′ sample for any ρ < ρ′, and a (ρ, ρ′] delta appended to it
+// reproduces the fresh rate-ρ′ sample bit for bit — rows, dictionary codes
+// and metric summation order. The offline store's delta merge relies on
+// this prefix property.
+//
+// A listing ranks every row once per order, so each Sample or SampleDelta
+// is a binary-searched slice of it instead of a re-hash and re-sort of the
+// whole listing. It costs at most 12 bytes per row.
 type sampleOrder struct {
 	// perm lists row positions: hashed rows by (hash unit, position), then
 	// the NULL-join rows (no unit; delivered only at rate 1) in position
@@ -31,6 +39,27 @@ type sampleOrder struct {
 	// units[i] is the hash unit of row perm[i], ascending; one per hashed
 	// row.
 	units []float64
+}
+
+// joinCols resolves the join attributes a sample is drawn on to column
+// positions of t.
+func joinCols(t *relation.Table, joinAttrs []string) ([]int, error) {
+	cols, err := t.Schema.Indexes(joinAttrs...)
+	if err != nil {
+		return nil, fmt.Errorf("correlated sample of %s: %w", t.Name, err)
+	}
+	return cols, nil
+}
+
+// sampleRange returns the (from, to] rows of t in canonical order under
+// (joinAttrs, seed), ranking t once without keeping the order: the table an
+// indexed listing of t answers with.
+func sampleRange(t *relation.Table, joinAttrs []string, from, to float64, seed uint64) (*relation.Table, error) {
+	cols, err := joinCols(t, joinAttrs)
+	if err != nil {
+		return nil, err
+	}
+	return newSampleOrder(t, cols, sampling.NewHasher(seed)).cut(t, from, to), nil
 }
 
 // newSampleOrder ranks every row of t by its join-attribute hash unit.
@@ -57,8 +86,8 @@ func newSampleOrder(t *relation.Table, cols []int, h sampling.Hasher) *sampleOrd
 		byRow[i] = h.Unit(buf)
 		hashed = append(hashed, int32(i))
 	}
-	// Position breaks unit ties, so this unstable sort yields exactly the
-	// stable (unit, position) order of CorrelatedSampleRange.
+	// Position breaks unit ties, so the order is a total, deterministic
+	// function of the table and the seed.
 	slices.SortFunc(hashed, func(a, b int32) int {
 		if c := cmp.Compare(byRow[a], byRow[b]); c != 0 {
 			return c
@@ -73,8 +102,8 @@ func newSampleOrder(t *relation.Table, cols []int, h sampling.Hasher) *sampleOrd
 }
 
 // cut returns the rows of t whose unit falls in (from, to] — [0, to] when
-// from ≤ 0 — in canonical order, plus the NULL-join rows when to ≥ 1: the
-// table CorrelatedSampleRange(t, …, from, to, …) returns, row for row.
+// from ≤ 0 — in canonical order, plus the NULL-join rows when to ≥ 1 (a
+// rate-1 sample is the complete instance).
 func (o *sampleOrder) cut(t *relation.Table, from, to float64) *relation.Table {
 	lo := 0
 	if from > 0 {
@@ -117,11 +146,11 @@ type orderEntry struct {
 // get returns the order of t for (joinAttrs, seed), building it on first
 // use.
 func (x *sellerIndex) get(t *relation.Table, joinAttrs []string, seed uint64) (*sampleOrder, error) {
-	cols, err := t.Schema.Indexes(joinAttrs...)
+	cols, err := joinCols(t, joinAttrs)
 	if err != nil {
 		// Invalid attributes never reach the cache, so they cannot evict
 		// real orders.
-		return nil, fmt.Errorf("correlated sample of %s: %w", t.Name, err)
+		return nil, err
 	}
 	key := safekey.Join(append([]string{strconv.FormatUint(seed, 10)}, joinAttrs...)...)
 	x.mu.Lock()

@@ -23,9 +23,9 @@ func csvBytes(t *testing.T, tab *relation.Table) []byte {
 }
 
 // TestIndexedSamplingMatchesCorrelatedSampleRange pins the seller index to
-// the reference sampler: for every listing and every column of five
-// marketplaces, indexed Sample and SampleDelta answers are byte for byte
-// the CSV of sampling.CorrelatedSampleRange over the full listing, across
+// the row-store reference sampler: for every listing and every column of
+// five marketplaces, indexed Sample and SampleDelta answers are byte for
+// byte the CSV of the reference range sample over the full listing, across
 // the escalation ladder's rates and every delta between them.
 func TestIndexedSamplingMatchesCorrelatedSampleRange(t *testing.T) {
 	ctx := context.Background()
@@ -57,12 +57,12 @@ func TestIndexedSamplingMatchesCorrelatedSampleRange(t *testing.T) {
 				h := sampling.NewHasher(seed)
 				check := func(from, to float64, got *relation.Table) {
 					t.Helper()
-					want, err := sampling.CorrelatedSampleRange(tab, on, from, to, h)
+					want, err := marketplace.ReferenceSampleRange(tab, on, from, to, h)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(csvBytes(t, got), csvBytes(t, want)) {
-						t.Fatalf("%s/%s on %s, (%g, %g]: indexed output differs from CorrelatedSampleRange",
+						t.Fatalf("%s/%s on %s, (%g, %g]: indexed output differs from the reference",
 							label, tab.Name, col, from, to)
 					}
 				}

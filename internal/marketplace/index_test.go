@@ -6,8 +6,149 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
 )
+
+// prefixDemoTable has a small join-key domain and NULL join keys, so every
+// sample holds several rows per key and rate 1 adds the NULL-join rows.
+func prefixDemoTable() *relation.Table {
+	t := relation.NewTable("t", relation.NewSchema(
+		relation.Cat("k", relation.KindInt),
+		relation.Cat("s", relation.KindString),
+	))
+	for i := 0; i < 500; i++ {
+		k := relation.IntValue(int64(i % 31))
+		if i%11 == 0 {
+			k = relation.Null()
+		}
+		t.AppendValues(k, relation.StringValue(string(rune('a'+i%7))))
+	}
+	return t
+}
+
+// TestSellerIndexPrefixProperty pins the canonical-order guarantee the
+// offline store's delta merge depends on: for any ρ < ρ′ the rate-ρ sample
+// is exactly the leading rows of the rate-ρ′ sample, and the (ρ, ρ′] delta
+// is exactly the remainder.
+func TestSellerIndexPrefixProperty(t *testing.T) {
+	tab := prefixDemoTable()
+	m := NewInMemory(nil)
+	m.Register(tab, nil)
+	const seed = 9
+	h := sampling.NewHasher(seed)
+	rates := []float64{0.05, 0.2, 0.5, 0.8, 1}
+	on := []string{"k"}
+
+	var prev *relation.Table
+	var prevRate float64
+	for _, r := range rates {
+		cur, _, err := m.Sample(bg, "t", on, r, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			if cur.NumRows() < prev.NumRows() {
+				t.Fatalf("rate %v sample smaller than rate %v", r, prevRate)
+			}
+			head := relation.NewTable("t", tab.Schema)
+			head.Rows = cur.Rows[:prev.NumRows()]
+			rowsEqual(t, "lower-rate sample vs prefix", prev, head)
+			delta, _, err := m.SampleDelta(bg, "t", on, prevRate, r, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail := relation.NewTable("t", tab.Schema)
+			tail.Rows = cur.Rows[prev.NumRows():]
+			rowsEqual(t, "delta vs fresh suffix", delta, tail)
+		}
+		prev, prevRate = cur, r
+	}
+
+	// The rate-1 sample is the complete instance: every row, including the
+	// NULL-join ones, which sort last.
+	if prev.NumRows() != tab.NumRows() {
+		t.Fatalf("rate-1 sample has %d rows, want %d", prev.NumRows(), tab.NumRows())
+	}
+	nulls := 0
+	for _, row := range tab.Rows {
+		if row[0].IsNull() {
+			nulls++
+		}
+	}
+	for _, row := range prev.Rows[prev.NumRows()-nulls:] {
+		if !row[0].IsNull() {
+			t.Fatal("NULL-join rows must sort last in the rate-1 sample")
+		}
+	}
+
+	// Kept rows really are the (from, to] hash band, in ascending unit
+	// order.
+	mid, _, err := m.SampleDelta(bg, "t", on, 0.2, 0.5, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := tab.Schema.MustIndexes("k")
+	var buf []byte
+	lastU := math.Inf(-1)
+	for _, row := range mid.Rows {
+		buf = relation.EncodeKey(buf[:0], row, idx)
+		u := h.Unit(buf)
+		if u <= 0.2 || u > 0.5 {
+			t.Fatalf("row with unit %v outside (0.2, 0.5]", u)
+		}
+		if u < lastU {
+			t.Fatal("delta rows not in ascending unit order")
+		}
+		lastU = u
+	}
+
+	// Degenerate ranges of an order are empty.
+	o := newSampleOrder(tab, idx, h)
+	if n := o.cut(tab, 0.5, 0.5).NumRows(); n != 0 {
+		t.Fatalf("empty range: %d rows", n)
+	}
+	if n := o.cut(tab, 0.7, 0.5).NumRows(); n != 0 {
+		t.Fatalf("inverted range: %d rows", n)
+	}
+}
+
+// TestSellerIndexKeepsSameRowsAsColumnarSampler pins that a seller's
+// canonical sample keeps exactly the rows the shopper-side columnar sampler
+// keeps at the same rate and seed (the same hash band), only ordered
+// canonically.
+func TestSellerIndexKeepsSameRowsAsColumnarSampler(t *testing.T) {
+	tab := prefixDemoTable()
+	m := NewInMemory(nil)
+	m.Register(tab, nil)
+	on := []string{"k"}
+	for _, rate := range []float64{0.1, 0.4, 0.9} {
+		got, _, err := m.Sample(bg, "t", on, rate, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sampling.CorrelatedSampleColumnar(relation.ToColumnar(tab), on, rate, sampling.NewHasher(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows() != want.NumRows() {
+			t.Fatalf("rate %v: seller kept %d rows, columnar sampler %d", rate, got.NumRows(), want.NumRows())
+		}
+		count := map[string]int{}
+		all := []int{0, 1}
+		var buf []byte
+		for _, r := range got.Rows {
+			buf = relation.EncodeKey(buf[:0], r, all)
+			count[string(buf)]++
+		}
+		for _, r := range want.ToTable().Rows {
+			buf = relation.EncodeKey(buf[:0], r, all)
+			if count[string(buf)]--; count[string(buf)] < 0 {
+				t.Fatalf("rate %v: seller kept a different multiset of rows", rate)
+			}
+		}
+	}
+}
 
 // indexSize reports a listing's resident sample orders and their bytes.
 func indexSize(t *testing.T, m *InMemory, name string) (orders, bytes int) {
@@ -51,7 +192,7 @@ func TestSellerIndexIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sampling.CorrelatedSampleRange(l.Table, []string{"k"}, 0, 0.3, sampling.NewHasher(0))
+	want, err := referenceSampleRange(l.Table, []string{"k"}, 0, 0.3, sampling.NewHasher(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +223,7 @@ func TestReRegisterInvalidatesIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sampling.CorrelatedSampleRange(replacement, []string{"k"}, 0, rate, sampling.NewHasher(3))
+		want, err := referenceSampleRange(replacement, []string{"k"}, 0, rate, sampling.NewHasher(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +266,7 @@ func TestConcurrentIndexedSampling(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				want, err := sampling.CorrelatedSampleRange(l.Table, jb.on, jb.from, jb.to, sampling.NewHasher(jb.seed))
+				want, err := referenceSampleRange(l.Table, jb.on, jb.from, jb.to, sampling.NewHasher(jb.seed))
 				if err != nil {
 					t.Error(err)
 					return

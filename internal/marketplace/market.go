@@ -54,7 +54,7 @@ type Market interface {
 	// attributes at the given rate and hash seed, charging
 	// rate × full price. All attributes are included (DANCE estimates
 	// arbitrary correlations on samples). Samples are delivered in the
-	// canonical hash-unit order (sampling.CorrelatedSampleRange), so a
+	// canonical hash-unit order (see sampleOrder in index.go), so a
 	// lower-rate sample is a strict prefix of any higher-rate one.
 	Sample(ctx context.Context, name string, joinAttrs []string, rate float64, seed uint64) (*relation.Table, float64, error)
 	// SampleDelta returns only the rows whose sampling unit falls in
@@ -80,9 +80,8 @@ type Listing struct {
 }
 
 // sample cuts the (from, to] rows of the listing's canonical sample order
-// under (joinAttrs, seed) — the table
-// sampling.CorrelatedSampleRange(l.Table, joinAttrs, from, to, seed) — from
-// the seller index, building the order on first use.
+// under (joinAttrs, seed) from the seller index, building the order on
+// first use.
 func (l *Listing) sample(joinAttrs []string, from, to float64, seed uint64) (*relation.Table, error) {
 	o, err := l.index.get(l.Table, joinAttrs, seed)
 	if err != nil {
@@ -231,7 +230,25 @@ func (m *InMemory) QuoteProjection(ctx context.Context, name string, attrs []str
 	if err != nil {
 		return 0, err
 	}
+	if err := checkProjection(name, attrs); err != nil {
+		return 0, err
+	}
 	return m.model.PriceProjection(l.Table, attrs)
+}
+
+// checkProjection rejects a projection that names an attribute twice,
+// before it is priced: price families disagree on repeats (the entropy
+// model refuses them, a per-attribute model would bill every copy), and no
+// projected schema can hold both copies.
+func checkProjection(name string, attrs []string) error {
+	seen := make(map[string]bool, len(attrs))
+	for _, a := range attrs {
+		if seen[a] {
+			return fmt.Errorf("marketplace: duplicate attribute %q in projection of %s", a, name)
+		}
+		seen[a] = true
+	}
+	return nil
 }
 
 // Sample implements Market. The rate is validated before the listing
@@ -303,6 +320,9 @@ func (m *InMemory) ExecuteProjection(ctx context.Context, q pricing.Query) (*rel
 	}
 	l, err := m.listing(q.Instance)
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := checkProjection(q.Instance, q.Attrs); err != nil {
 		return nil, 0, err
 	}
 	attrs := append([]string(nil), q.Attrs...)

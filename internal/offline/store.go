@@ -3,7 +3,7 @@
 //
 // The paper's online phase escalates the sampling rate when no feasible plan
 // exists. Because marketplace samples are delivered in the canonical
-// hash-unit order (sampling.CorrelatedSampleRange), a rate-ρ sample is a
+// hash-unit order (internal/marketplace/index.go), a rate-ρ sample is a
 // strict *prefix* of the rate-ρ′ sample for any ρ < ρ′ — so an escalation
 // needs only the delta rows with unit in (ρ, ρ′], appended in place. The
 // SampleStore materializes this: each dataset's sample is held once, as its

@@ -1,11 +1,12 @@
 package offline
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dance-db/dance/internal/fd"
+	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/relation"
-	"github.com/dance-db/dance/internal/sampling"
 )
 
 func demoTable(n int) *relation.Table {
@@ -19,8 +20,18 @@ func demoTable(n int) *relation.Table {
 	return t
 }
 
+// sampleRange buys the (lo, hi] rows of t on k (seed 3) from a marketplace
+// listing t, in the seller's canonical order.
 func sampleRange(t *relation.Table, lo, hi float64) *relation.Table {
-	s, err := sampling.CorrelatedSampleRange(t, []string{"k"}, lo, hi, sampling.NewHasher(3))
+	m := marketplace.NewInMemory(nil)
+	m.Register(t, nil)
+	var s *relation.Table
+	var err error
+	if lo == 0 {
+		s, _, err = m.Sample(context.Background(), t.Name, []string{"k"}, hi, 3)
+	} else {
+		s, _, err = m.SampleDelta(context.Background(), t.Name, []string{"k"}, lo, hi, 3)
+	}
 	if err != nil {
 		panic(err)
 	}

@@ -17,10 +17,10 @@
 // append case) is tolerated and dropped; corruption anywhere earlier is an
 // error, not a silent truncation.
 //
-// Samples are journaled after merge, in the canonical hash-unit prefix
-// order of sampling.CorrelatedSampleRange, so a recovered dataset is
-// bit-identical to the bought-and-merged one and remains extendable by
-// future SampleDelta purchases.
+// Samples are journaled after merge, in the marketplace seller's canonical
+// hash-unit prefix order (internal/marketplace/index.go), so a recovered
+// dataset is bit-identical to the bought-and-merged one and remains
+// extendable by future SampleDelta purchases.
 package persist
 
 import (

@@ -473,8 +473,7 @@ func (c *Columnar) AppendRowKey(buf []byte, row int, cols []int) []byte {
 }
 
 // AppendNumeric appends the non-NULL numeric values of column col to dst, for
-// the given rows (all rows when rows is nil), in order — matching the row
-// path's numericColumn.
+// the given rows (all rows when rows is nil), in order.
 func (c *Columnar) AppendNumeric(dst []float64, col int, rows []int32) []float64 {
 	cc := &c.cols[col]
 	if cc.Codes != nil {
@@ -540,8 +539,7 @@ type Grouping struct {
 func (g *Grouping) N() int { return len(g.Counts) }
 
 // RowLists bucketizes rows by group: the rows of group gid are
-// rows[starts[gid]:starts[gid+1]], ascending — matching the append order of
-// the row path's GroupIndices.
+// rows[starts[gid]:starts[gid+1]], ascending.
 func (g *Grouping) RowLists() (starts, rows []int32) {
 	starts = make([]int32, g.N()+1)
 	for id, cnt := range g.Counts {

@@ -203,11 +203,7 @@ func TestAppendTableKeepsCodesAcrossDenseGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	concat, err := base.Concat(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := ToColumnar(concat)
+	fresh := ToColumnar(concat(base, delta))
 	for i, code := range fresh.Codes(0) {
 		if merged.Codes(0)[i] != code {
 			t.Fatalf("row %d: merged code %d, fresh %d", i, merged.Codes(0)[i], code)

@@ -89,7 +89,7 @@ func TestEquiJoinRenamesCollidingColumns(t *testing.T) {
 }
 
 func TestFullOuterJoin(t *testing.T) {
-	j, err := FullOuterJoin(table3D1(), table3D2(), []string{"C"})
+	j, err := fullOuterJoin(table3D1(), table3D2(), []string{"C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOuterJoinCountsMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := FullOuterJoin(a, b, []string{"C"})
+	j, err := fullOuterJoin(a, b, []string{"C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestQuickJoinCounts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		outer, err := FullOuterJoin(a, b, []string{"k"})
+		outer, err := fullOuterJoin(a, b, []string{"k"})
 		if err != nil {
 			return false
 		}

@@ -122,7 +122,7 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	for i, j := range idx {
 		cols[i] = s.cols[j]
 	}
-	return NewSchema(cols...), nil
+	return newSchema(cols...)
 }
 
 // SharedAttrs returns the sorted set of column names present in both schemas.

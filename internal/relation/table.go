@@ -43,24 +43,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Concat returns a new table with t's rows followed by delta's rows. The
-// schemas must be structurally equal (same columns, kinds and categorical
-// flags, in order) — tables that crossed the HTTP wire carry equal but
-// distinct Schema values. Rows are shared, not copied (Values are
-// immutable); neither input's row slice is mutated, so t may keep serving
-// readers while the merged table is built — the copy-on-write merge of the
-// offline sample store relies on this.
-func (t *Table) Concat(delta *Table) (*Table, error) {
-	if !t.Schema.Equal(delta.Schema) {
-		return nil, fmt.Errorf("relation: concat %s%s with mismatched schema %s%s",
-			t.Name, t.Schema, delta.Name, delta.Schema)
-	}
-	out := NewTable(t.Name, t.Schema)
-	out.Rows = make([][]Value, 0, len(t.Rows)+len(delta.Rows))
-	out.Rows = append(append(out.Rows, t.Rows...), delta.Rows...)
-	return out, nil
-}
-
 // Project returns a new table containing only the named columns, in order.
 // Row order is preserved; duplicates are kept (bag semantics, matching the
 // projection queries DANCE issues against the marketplace).
@@ -114,48 +96,6 @@ func EncodeKey(buf []byte, row []Value, cols []int) []byte {
 		buf = row[c].AppendKey(buf)
 	}
 	return buf
-}
-
-// GroupIndices groups row indices by the tuple of values in the named
-// columns. The map key is the injective byte encoding of the tuple.
-func (t *Table) GroupIndices(names ...string) (map[string][]int, error) {
-	idx, err := t.Schema.Indexes(names...)
-	if err != nil {
-		return nil, err
-	}
-	groups := make(map[string][]int)
-	var buf []byte
-	for i, r := range t.Rows {
-		buf = EncodeKey(buf[:0], r, idx)
-		groups[string(buf)] = append(groups[string(buf)], i)
-	}
-	return groups, nil
-}
-
-// GroupRowLists groups row indices by the tuple of values in the named
-// columns, like GroupIndices, but returns the groups in first-appearance
-// order of each distinct tuple. Metric code sums floating-point group terms
-// in this order — it is deterministic for a given table, unlike iteration
-// over GroupIndices' map.
-func (t *Table) GroupRowLists(names ...string) ([][]int, error) {
-	idx, err := t.Schema.Indexes(names...)
-	if err != nil {
-		return nil, err
-	}
-	ids := make(map[string]int)
-	var groups [][]int
-	var buf []byte
-	for i, r := range t.Rows {
-		buf = EncodeKey(buf[:0], r, idx)
-		id, ok := ids[string(buf)]
-		if !ok {
-			id = len(groups)
-			ids[string(buf)] = id
-			groups = append(groups, nil)
-		}
-		groups[id] = append(groups[id], i)
-	}
-	return groups, nil
 }
 
 // String renders a short description of the table.

@@ -50,6 +50,9 @@ func TestProject(t *testing.T) {
 	if _, err := d.Project("Z"); err == nil {
 		t.Fatal("projecting unknown column should fail")
 	}
+	if _, err := d.Project("A", "A"); err == nil {
+		t.Fatal("projecting a column twice should fail, not panic")
+	}
 }
 
 func TestProjectReorders(t *testing.T) {
@@ -78,20 +81,16 @@ func TestColumn(t *testing.T) {
 }
 
 func TestGroupIndices(t *testing.T) {
-	d := exampleD()
-	groups, err := d.GroupIndices("A")
+	d := ToColumnar(exampleD())
+	g, err := d.GroupBy(d.Schema().MustIndexes("A"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
+	if g.N() != 2 {
+		t.Fatalf("groups = %d, want 2", g.N())
 	}
-	sizes := map[int]bool{}
-	for _, g := range groups {
-		sizes[len(g)] = true
-	}
-	if !sizes[4] || !sizes[1] {
-		t.Fatalf("group sizes wrong: %v", groups)
+	if want := []int64{4, 1}; !reflect.DeepEqual(g.Counts, want) {
+		t.Fatalf("group sizes = %v, want %v", g.Counts, want)
 	}
 }
 

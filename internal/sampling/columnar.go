@@ -7,17 +7,17 @@ import (
 	"github.com/dance-db/dance/internal/safekey"
 )
 
-// Columnar fast path for the re-sampled multi-way join (Sec 3.2). The
-// semantics, output row order and kept-row sets are identical to
-// CorrelatedSample/ResampledJoinPath on row tables; only the representation
-// changes: joins gather dictionary codes instead of materializing rows, and
+// Correlated sampling and the re-sampled multi-way join (Sec 3) on
+// dictionary codes: joins gather codes instead of materializing rows, and
 // the correlated hash is computed once per distinct join-attribute tuple
-// instead of once per row.
+// instead of once per row. The row-store formulations these kernels
+// replaced survive as test oracles (row_oracle_test.go), which pin kept
+// rows, output order and re-sampling decisions bit for bit.
 
 // CorrelatedSampleColumnar keeps each row of c whose join-attribute tuple
-// hashes to at most rate — the same rows CorrelatedSample keeps on the row
-// path, in the same order. rate ≥ 1 returns c itself (columnars are
-// immutable, so no clone is needed); rate ≤ 0 returns an empty relation.
+// hashes to at most rate, in c's row order. rate ≥ 1 returns c itself
+// (columnars are immutable, so no clone is needed); rate ≤ 0 returns an
+// empty relation.
 // NULL join values are never sampled (they cannot join).
 func CorrelatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate float64, h Hasher) (*relation.Columnar, error) {
 	if rate >= 1 {
@@ -68,8 +68,7 @@ func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, worker
 		return nil, err
 	}
 	// One NULL check and one hash per distinct tuple: every row of a group
-	// shares the tuple, so the per-row hash of the row path collapses to a
-	// per-group decision.
+	// shares the tuple, so a per-row hash collapses to a per-group decision.
 	keepGroup := make([]bool, g.N())
 	var buf []byte
 	for gid := range keepGroup {
@@ -157,14 +156,16 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 	return keys
 }
 
-// ResampledJoinPathColumnar joins steps left-to-right like
-// ResampledJoinPath, re-sampling intermediates that exceed opts.Eta rows,
-// entirely on the columnar representation: no joined row is ever
-// materialized. When cache is non-nil, the longest already-cached prefix of
-// the path is reused and every newly computed intermediate is published, so
-// MCMC neighbors that differ in one edge variant re-join only the suffix
-// behind the change. On a cache hit, stats cover only the joins actually
-// performed in this call.
+// ResampledJoinPathColumnar joins steps left to right, ((C1 ⋈ C2) ⋈ C3) ⋈ …,
+// like relation.JoinPath. When an intermediate result exceeds opts.Eta rows
+// and another join follows, it is re-sampled with the correlated hash on the
+// *next* step's join attributes, bounding intermediate sizes while
+// preserving join structure (Sec 3.2). No joined row is ever materialized.
+// When cache is non-nil, the longest already-cached prefix of the path is
+// reused and every newly computed intermediate is published, so MCMC
+// neighbors that differ in one edge variant re-join only the suffix behind
+// the change. On a cache hit, stats cover only the joins actually performed
+// in this call.
 func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache) (*relation.Columnar, ResampleStats, error) {
 	var stats ResampleStats
 	if len(steps) == 0 {
@@ -203,14 +204,4 @@ func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache
 		}
 	}
 	return acc, stats, nil
-}
-
-// columnarizeSteps converts sampled row-path steps into columnar steps for
-// the estimators (no prebuilt indexes; per-call tables).
-func columnarizeSteps(steps []relation.PathStep) []ColumnarStep {
-	out := make([]ColumnarStep, len(steps))
-	for i, st := range steps {
-		out[i] = ColumnarStep{C: relation.ToColumnar(st.Table), On: st.On}
-	}
-	return out
 }

@@ -96,7 +96,7 @@ func TestCorrelatedSampleColumnarMatchesRows(t *testing.T) {
 		h := NewHasher(uint64(trial))
 		for _, on := range [][]string{{"j1"}, {"j2"}, {"j1", "j2"}} {
 			for _, rate := range []float64{0, 0.25, 0.6, 1} {
-				want, err := CorrelatedSample(tab, on, rate, h)
+				want, err := correlatedSample(tab, on, rate, h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestResampledJoinPathColumnarMatchesRows(t *testing.T) {
 			{Eta: 150, ResampleRate: 0.5, Hasher: NewHasher(uint64(trial) + 7)},
 			{Eta: 20, ResampleRate: 0.3, Hasher: NewHasher(uint64(trial) + 9)},
 		} {
-			want, wantStats, err := ResampledJoinPath(steps, opts)
+			want, wantStats, err := resampledJoinPath(steps, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

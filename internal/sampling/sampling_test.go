@@ -46,23 +46,25 @@ func TestHasherDeterministicAndUniform(t *testing.T) {
 	}
 }
 
+// sample is CorrelatedSampleColumnar over t's encoding, decoded.
+func sample(t *testing.T, tab *relation.Table, on []string, rate float64, h Hasher) *relation.Table {
+	t.Helper()
+	s, err := CorrelatedSampleColumnar(relation.ToColumnar(tab), on, rate, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.ToTable()
+}
+
 func TestCorrelatedSampleRateExtremes(t *testing.T) {
 	tab := randTable("a", 100, 10, 1)
-	full, err := CorrelatedSample(tab, []string{"k"}, 1.0, NewHasher(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.NumRows() != 100 {
+	if full := sample(t, tab, []string{"k"}, 1.0, NewHasher(1)); full.NumRows() != 100 {
 		t.Fatalf("rate 1 kept %d rows, want all", full.NumRows())
 	}
-	empty, err := CorrelatedSample(tab, []string{"k"}, 0, NewHasher(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.NumRows() != 0 {
+	if empty := sample(t, tab, []string{"k"}, 0, NewHasher(1)); empty.NumRows() != 0 {
 		t.Fatalf("rate 0 kept %d rows", empty.NumRows())
 	}
-	if _, err := CorrelatedSample(tab, []string{"zz"}, 0.5, NewHasher(1)); err == nil {
+	if _, err := CorrelatedSampleColumnar(relation.ToColumnar(tab), []string{"zz"}, 0.5, NewHasher(1)); err == nil {
 		t.Fatal("unknown join attr should error")
 	}
 }
@@ -71,10 +73,7 @@ func TestCorrelatedSampleIsValueComplete(t *testing.T) {
 	// Correlated sampling must keep either all rows with a join value or
 	// none of them.
 	tab := randTable("a", 500, 8, 2)
-	s, err := CorrelatedSample(tab, []string{"k"}, 0.5, NewHasher(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sample(t, tab, []string{"k"}, 0.5, NewHasher(7))
 	fullCounts := map[int64]int{}
 	ki := tab.Schema.Index("k")
 	for _, r := range tab.Rows {
@@ -96,8 +95,8 @@ func TestCorrelatedSampleJoinPreserving(t *testing.T) {
 	a := randTable("a", 300, 12, 3)
 	b := randTable("b", 300, 12, 4)
 	h := NewHasher(11)
-	sa, _ := CorrelatedSample(a, []string{"k"}, 0.5, h)
-	sb, _ := CorrelatedSample(b, []string{"k"}, 0.5, h)
+	sa := sample(t, a, []string{"k"}, 0.5, h)
+	sb := sample(t, b, []string{"k"}, 0.5, h)
 	js, err := relation.EquiJoin(sa, sb, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
@@ -122,46 +121,10 @@ func TestCorrelatedSampleSkipsNullJoinValues(t *testing.T) {
 	tab := relation.NewTable("n", relation.NewSchema(relation.Cat("k", relation.KindInt)))
 	tab.AppendValues(relation.Null())
 	tab.AppendValues(relation.IntValue(1))
-	s, err := CorrelatedSample(tab, []string{"k"}, 0.9999, NewHasher(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range s.Rows {
+	for _, r := range sample(t, tab, []string{"k"}, 0.9999, NewHasher(1)).Rows {
 		if r[0].IsNull() {
 			t.Fatal("NULL join value sampled")
 		}
-	}
-}
-
-func TestSamplePathUsesPredecessorAttrs(t *testing.T) {
-	a := randTable("a", 200, 10, 5)
-	b := randTable("b", 200, 10, 6)
-	steps := []relation.PathStep{{Table: a}, {Table: b, On: []string{"k"}}}
-	sampled, err := SamplePath(steps, 0.5, NewHasher(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sampled) != 2 {
-		t.Fatalf("sampled path length %d", len(sampled))
-	}
-	// Both sides sampled on k with the same hasher: join keys must agree.
-	keys := func(tb *relation.Table) map[int64]bool {
-		out := map[int64]bool{}
-		ki := tb.Schema.Index("k")
-		for _, r := range tb.Rows {
-			out[r[ki].I] = true
-		}
-		return out
-	}
-	ka, kb := keys(sampled[0].Table), keys(sampled[1].Table)
-	fullB := keys(b)
-	for k := range ka {
-		if fullB[k] && !kb[k] {
-			t.Fatalf("key %d kept on left but dropped on right", k)
-		}
-	}
-	if _, err := SamplePath(nil, 0.5, NewHasher(1)); err == nil {
-		t.Fatal("empty path should error")
 	}
 }
 
@@ -170,17 +133,17 @@ func TestResampledJoinPathBoundsIntermediates(t *testing.T) {
 	a := randTable("a", 400, 3, 7)
 	b := randTable("b", 400, 3, 8)
 	c := randTable("c", 50, 3, 9)
-	steps := []relation.PathStep{
+	steps := columnarizeSteps([]relation.PathStep{
 		{Table: a},
 		{Table: b, On: []string{"k"}},
 		{Table: c, On: []string{"k"}},
-	}
-	full, _, err := ResampledJoinPath(steps, PathJoinOptions{})
+	})
+	full, _, err := ResampledJoinPathColumnar(steps, PathJoinOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := PathJoinOptions{Eta: 1000, ResampleRate: 0.34, Hasher: NewHasher(3)}
-	res, stats, err := ResampledJoinPath(steps, opts)
+	res, stats, err := ResampledJoinPathColumnar(steps, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +168,7 @@ func TestResampledJoinPathNoEtaMatchesPlainJoin(t *testing.T) {
 	a := randTable("a", 100, 5, 10)
 	b := randTable("b", 100, 5, 11)
 	steps := []relation.PathStep{{Table: a}, {Table: b, On: []string{"k"}}}
-	got, _, err := ResampledJoinPath(steps, PathJoinOptions{})
+	got, _, err := ResampledJoinPathColumnar(columnarizeSteps(steps), PathJoinOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,20 +181,54 @@ func TestResampledJoinPathNoEtaMatchesPlainJoin(t *testing.T) {
 	}
 }
 
+// sampledJoin samples every step of a join path at rate with one hasher —
+// step i > 0 on the attributes it joins its predecessor on, the first step
+// on the second step's — and joins the samples with re-sampling per opts
+// (Sec 3). This is the estimate's input in Eqs. 7 and 8.
+func sampledJoin(steps []relation.PathStep, rate float64, opts PathJoinOptions) (*relation.Columnar, error) {
+	sampled := columnarizeSteps(steps)
+	for i := range sampled {
+		on := sampled[i].On
+		if i == 0 {
+			on = sampled[1].On
+		}
+		var err error
+		if sampled[i].C, err = CorrelatedSampleColumnar(sampled[i].C, on, rate, opts.Hasher); err != nil {
+			return nil, err
+		}
+	}
+	j, _, err := ResampledJoinPathColumnar(sampled, opts, nil)
+	return j, err
+}
+
 // Theorem 3.1: the JI estimate is unbiased. We average estimates across many
 // hash seeds and compare to the exact value.
 func TestJIEstimateApproxUnbiased(t *testing.T) {
 	a := randTable("a", 400, 20, 12)
 	b := randTable("b", 400, 20, 13)
-	exact, err := infotheory.JoinInformativeness(relation.ToColumnar(a), relation.ToColumnar(b), []string{"k"})
+	on := []string{"k"}
+	ca, cb := relation.ToColumnar(a), relation.ToColumnar(b)
+	exact, err := infotheory.JoinInformativeness(ca, cb, on)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum, n := 0.0, 0
 	for seed := uint64(0); seed < 60; seed++ {
-		est, err := EstimateJI(a, b, []string{"k"}, 0.6, NewHasher(seed))
+		h := NewHasher(seed)
+		sa, err := CorrelatedSampleColumnar(ca, on, 0.6, h)
 		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := CorrelatedSampleColumnar(cb, on, 0.6, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa.NumRows() == 0 && sb.NumRows() == 0 {
 			continue // degenerate sample; skip
+		}
+		est, err := infotheory.JoinInformativeness(sa, sb, on)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sum += est
 		n++
@@ -264,9 +261,16 @@ func TestCorrelationEstimateApproxUnbiased(t *testing.T) {
 		sum, n := 0.0, 0
 		for seed := uint64(0); seed < 40; seed++ {
 			opts := PathJoinOptions{Eta: eta, ResampleRate: 0.7, Hasher: NewHasher(seed)}
-			est, err := EstimateCorrelation(steps, x, y, 0.7, opts)
+			js, err := sampledJoin(steps, 0.7, opts)
 			if err != nil {
-				continue
+				t.Fatal(err)
+			}
+			if js.NumRows() == 0 {
+				continue // degenerate sample; skip
+			}
+			est, err := infotheory.CorrelationColumnar(js, x, y)
+			if err != nil {
+				t.Fatal(err)
 			}
 			sum += est
 			n++
@@ -303,15 +307,22 @@ func TestQualityEstimateApproxUnbiased(t *testing.T) {
 		t.Fatal(err)
 	}
 	fds := []fd.FD{fd.New("s", "k")}
-	exact, err := fd.QualitySet(j, fds)
+	exact, err := fd.QualitySetColumnar(relation.ToColumnar(j), fds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum, n := 0.0, 0
 	for seed := uint64(0); seed < 40; seed++ {
-		est, err := EstimateQuality(steps, fds, 0.6, PathJoinOptions{Hasher: NewHasher(seed)})
+		js, err := sampledJoin(steps, 0.6, PathJoinOptions{Hasher: NewHasher(seed)})
 		if err != nil {
-			continue
+			t.Fatal(err)
+		}
+		if js.NumRows() == 0 {
+			continue // degenerate sample; skip
+		}
+		est, err := fd.QualitySetColumnar(js, fds)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sum += est
 		n++
@@ -335,8 +346,9 @@ func TestQuickSampleMonotoneInRate(t *testing.T) {
 			a, b = b, a
 		}
 		h := NewHasher(uint64(seed))
-		sa, err1 := CorrelatedSample(tab, []string{"k"}, a, h)
-		sb, err2 := CorrelatedSample(tab, []string{"k"}, b, h)
+		c := relation.ToColumnar(tab)
+		sa, err1 := CorrelatedSampleColumnar(c, []string{"k"}, a, h)
+		sb, err2 := CorrelatedSampleColumnar(c, []string{"k"}, b, h)
 		return err1 == nil && err2 == nil && sa.NumRows() <= sb.NumRows()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

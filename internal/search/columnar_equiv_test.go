@@ -4,12 +4,11 @@ package search_test
 // graphs drawn from TPC-H and TPC-E searches (NULL-dirty generators, mixed
 // join-attribute variants, with and without η re-sampling), Searcher.Evaluate
 // — the columnar fast path with shared join indexes and the join-prefix
-// cache — must return bit-identical Metrics to the row-store pipeline
-// (sampling.ResampledJoinPath + infotheory.CorrelationOnRows + fd.QualitySet),
-// whose answers are frozen in testdata/evaluate_golden.json. A -race test
-// hammers one shared Searcher from concurrent searches so the prefix cache,
-// columnar store and join-index store are exercised under parallel MCMC
-// workers.
+// cache — must return bit-identical Metrics to the row-store pipeline it
+// replaced (a row-at-a-time re-sampled path join, CORR and Q), whose answers
+// are frozen in testdata/evaluate_golden.json. A -race test hammers one
+// shared Searcher from concurrent searches so the prefix cache, columnar
+// store and join-index store are exercised under parallel MCMC workers.
 
 import (
 	"context"
@@ -21,59 +20,11 @@ import (
 	"testing"
 
 	"github.com/dance-db/dance/internal/experiments"
-	"github.com/dance-db/dance/internal/fd"
-	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
-	"github.com/dance-db/dance/internal/relation"
-	"github.com/dance-db/dance/internal/sampling"
 	"github.com/dance-db/dance/internal/search"
 )
 
 var bgCtx = context.Background()
-
-// rowReferenceEvaluate recomputes Evaluate's metrics through the row-store
-// pipeline, from exported primitives only.
-func rowReferenceEvaluate(t *testing.T, tg *joingraph.TargetGraph, req search.Request) search.Metrics {
-	t.Helper()
-	x, y := req.SourceAttrs, req.TargetAttrs
-	if len(x) == 0 {
-		x, y = req.TargetAttrs[:1], req.TargetAttrs[1:]
-	}
-	hops, err := tg.JoinPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := make([]relation.PathStep, len(hops))
-	for i, h := range hops {
-		steps[i] = relation.PathStep{Table: tg.G.Instances[h.Vertex].Columnar.ToTable(), On: h.On}
-	}
-	opts := sampling.PathJoinOptions{
-		Eta:          req.Eta,
-		ResampleRate: req.ResampleRate,
-		Hasher:       sampling.NewHasher(uint64(req.Seed) + 1),
-	}
-	j, _, err := sampling.ResampledJoinPath(steps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := search.Metrics{Weight: tg.Weight()}
-	m.Price, err = tg.Price(bgCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() == 0 {
-		return m
-	}
-	m.Correlation, err = infotheory.CorrelationOnRows(j, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Quality, err = fd.QualitySet(j, tg.FDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // neighborhood returns tg plus every single-edge variant swap — the moves
 // the MCMC proposes — so the equivalence sweep covers the prefix cache's
@@ -94,10 +45,10 @@ func neighborhood(g *joingraph.Graph, tg *joingraph.TargetGraph) []*joingraph.Ta
 	return out
 }
 
-// evaluateGoldenPath freezes the row-store pipeline's metrics for every
-// candidate of the equivalence sweeps, as exact float bits. Regenerate with
-// EVAL_GOLDEN_UPDATE=1 go test ./internal/search -run TestColumnarEvaluate
-// (only legitimate when a metric's definition changes).
+// evaluateGoldenPath freezes the metrics of every candidate of the
+// equivalence sweeps, as exact float bits. The file was captured from the
+// row-store pipeline before the row kernels were retired, and must never
+// change: any difference is a change in evaluation semantics.
 const evaluateGoldenPath = "testdata/evaluate_golden.json"
 
 // evaluateCase is one golden entry: one candidate target graph of one sweep
@@ -117,46 +68,23 @@ func newEvaluateCase(sweep string, tg *joingraph.TargetGraph, m search.Metrics) 
 		Correlation: bits(m.Correlation), Quality: bits(m.Quality), Weight: bits(m.Weight), Price: bits(m.Price)}
 }
 
-// evaluateGolden reads the frozen cases of one dataset's sweeps, or, under
-// EVAL_GOLDEN_UPDATE, returns a sink whose cases flush writes back.
-func evaluateGolden(t *testing.T, dataset string) (want []evaluateCase, got *[]evaluateCase, flush func()) {
+// evaluateGolden returns the frozen cases of one dataset's sweeps.
+func evaluateGolden(t *testing.T, dataset string) []evaluateCase {
 	t.Helper()
 	buf, err := os.ReadFile(evaluateGoldenPath)
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
 		t.Fatal(err)
 	}
-	all := map[string][]evaluateCase{}
-	if len(buf) > 0 {
-		if err := json.Unmarshal(buf, &all); err != nil {
-			t.Fatal(err)
-		}
+	var all map[string][]evaluateCase
+	if err := json.Unmarshal(buf, &all); err != nil {
+		t.Fatal(err)
 	}
-	got = new([]evaluateCase)
-	flush = func() {
-		t.Helper()
-		if os.Getenv("EVAL_GOLDEN_UPDATE") == "" {
-			if len(*got) != len(all[dataset]) {
-				t.Fatalf("%s: golden has %d cases, observed %d", dataset, len(all[dataset]), len(*got))
-			}
-			return
-		}
-		all[dataset] = *got
-		out, err := json.MarshalIndent(all, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(evaluateGoldenPath, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d %s cases to %s", len(*got), dataset, evaluateGoldenPath)
-	}
-	return all[dataset], got, flush
+	return all[dataset]
 }
 
-func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta int, want []evaluateCase, got *[]evaluateCase) {
+// equivSweep evaluates every candidate of one sweep and checks it against
+// the golden cases from position *next on, advancing *next past them.
+func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta int, want []evaluateCase, next *int) {
 	t.Helper()
 	sweep := fmt.Sprintf("%s η=%d", q.Name, eta)
 	req := env.Request(q, 7)
@@ -176,16 +104,14 @@ func equivSweep(t *testing.T, env *experiments.Env, q experiments.QuerySpec, eta
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := rowReferenceEvaluate(t, tg, req)
-		if m != row {
-			t.Fatalf("%s candidate %d (η=%d): columnar metrics %+v != row metrics %+v (must be bit-identical)",
-				q.Name, i, eta, m, row)
+		if *next >= len(want) {
+			t.Fatalf("%s candidate %d: not in the golden file (%d cases)", sweep, i, len(want))
 		}
-		c := newEvaluateCase(sweep, tg, row)
-		if k := len(*got); os.Getenv("EVAL_GOLDEN_UPDATE") == "" && (k >= len(want) || c != want[k]) {
-			t.Fatalf("%s candidate %d: observed %+v, golden case %d differs", sweep, i, c, k)
+		if c := newEvaluateCase(sweep, tg, m); c != want[*next] {
+			t.Fatalf("%s candidate %d: columnar metrics\n%+v\n!= row-store golden\n%+v\n(must be bit-identical)",
+				sweep, i, c, want[*next])
 		}
-		*got = append(*got, c)
+		*next++
 		// A fresh searcher (cold caches) must agree with the warm one.
 		cold, err := env.SampledSearcher().Evaluate(bgCtx, tg, req)
 		if err != nil {
@@ -202,13 +128,15 @@ func TestColumnarEvaluateMatchesRowPathTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got, flush := evaluateGolden(t, "tpch")
+	want, next := evaluateGolden(t, "tpch"), 0
 	for _, q := range experiments.TPCHQueries() {
-		equivSweep(t, env, q, 0, want, got)
+		equivSweep(t, env, q, 0, want, &next)
 	}
 	// η re-sampling on the longest query.
-	equivSweep(t, env, experiments.TPCHQueries()[2], 50, want, got)
-	flush()
+	equivSweep(t, env, experiments.TPCHQueries()[2], 50, want, &next)
+	if next != len(want) {
+		t.Fatalf("observed %d candidates, golden has %d", next, len(want))
+	}
 }
 
 func TestColumnarEvaluateMatchesRowPathTPCE(t *testing.T) {
@@ -216,12 +144,14 @@ func TestColumnarEvaluateMatchesRowPathTPCE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got, flush := evaluateGolden(t, "tpce")
+	want, next := evaluateGolden(t, "tpce"), 0
 	for _, q := range experiments.TPCEQueries() {
-		equivSweep(t, env, q, 0, want, got)
+		equivSweep(t, env, q, 0, want, &next)
 	}
-	equivSweep(t, env, experiments.TPCEQueries()[2], 80, want, got)
-	flush()
+	equivSweep(t, env, experiments.TPCEQueries()[2], 80, want, &next)
+	if next != len(want) {
+		t.Fatalf("observed %d candidates, golden has %d", next, len(want))
+	}
 }
 
 // TestSharedSearcherParallelSearchesRace exercises the shared columnar

@@ -35,12 +35,12 @@ func sampledGraph(t *testing.T, tables []*relation.Table, fds map[string][]fd.FD
 	byName := map[string]*relation.Table{}
 	var insts []*joingraph.Instance
 	for _, tab := range tables {
-		s, err := sampling.CorrelatedSample(tab, tab.Schema.Names()[:1], 0.6, sampling.NewHasher(5))
+		s, err := sampling.CorrelatedSampleColumnar(relation.ToColumnar(tab), tab.Schema.Names()[:1], 0.6, sampling.NewHasher(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		byName[tab.Name] = tab
-		insts = append(insts, &joingraph.Instance{Name: tab.Name, Columnar: relation.ToColumnar(s), FullRows: tab.NumRows(),
+		insts = append(insts, &joingraph.Instance{Name: tab.Name, Columnar: s, FullRows: tab.NumRows(),
 			FDs: fds[tab.Name], Owned: tab.Name == owned})
 	}
 	g, err := joingraph.Build(insts, joingraph.Config{

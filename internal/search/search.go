@@ -397,9 +397,8 @@ func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 // the metrics or later hops read), build-side join indexes are shared per
 // (instance, join-attrs), the join never materializes rows, and common path
 // prefixes are reused through the prefix cache. The metrics are
-// bit-identical to joining the row samples with sampling.ResampledJoinPath
-// and calling infotheory.CorrelationOnRows and fd.QualitySet (pinned by the
-// columnar equivalence tests).
+// bit-identical to those of the row-store pipeline this path replaced,
+// frozen in testdata/evaluate_golden.json (columnar_equiv_test.go).
 func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
 	x, y, err := req.corrAttrs()
 	if err != nil {

@@ -106,7 +106,7 @@ func TestDirtySplit(t *testing.T) {
 	// Clean reference tables keep perfect declared-FD quality.
 	for _, name := range []string{"sector", "industry", "status_type", "trade_type"} {
 		for _, f := range d.FDs[name] {
-			q, _ := fd.Quality(d.Table(name), f)
+			q, _ := fd.QualitySetColumnar(relation.ToColumnar(d.Table(name)), []fd.FD{f})
 			if q != 1 {
 				t.Errorf("clean table %s FD %s quality = %v", name, f, q)
 			}
@@ -116,7 +116,7 @@ func TestDirtySplit(t *testing.T) {
 	degraded := 0
 	for _, name := range DirtyTables {
 		for _, f := range d.FDs[name] {
-			q, _ := fd.Quality(d.Table(name), f)
+			q, _ := fd.QualitySetColumnar(relation.ToColumnar(d.Table(name)), []fd.FD{f})
 			if q < 1 {
 				degraded++
 			}

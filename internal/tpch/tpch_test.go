@@ -103,7 +103,7 @@ func TestCleanTablesStayClean(t *testing.T) {
 	d := Generate(Config{Scale: 2, Seed: 5, DirtyFraction: 0.3})
 	for _, name := range []string{"region", "nation"} {
 		for _, f := range d.FDs[name] {
-			q, err := fd.Quality(d.Table(name), f)
+			q, err := fd.QualitySetColumnar(relation.ToColumnar(d.Table(name)), []fd.FD{f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestDirtyTablesAreDirty(t *testing.T) {
 	dirtyCount := 0
 	for _, name := range DirtyTables {
 		for _, f := range d.FDs[name] {
-			q, err := fd.Quality(d.Table(name), f)
+			q, err := fd.QualitySetColumnar(relation.ToColumnar(d.Table(name)), []fd.FD{f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestDeclaredFDsHoldOnCleanData(t *testing.T) {
 	d := Generate(Config{Scale: 2, Seed: 8, DirtyFraction: 0})
 	for name, fds := range d.FDs {
 		for _, f := range fds {
-			q, err := fd.Quality(d.Table(name), f)
+			q, err := fd.QualitySetColumnar(relation.ToColumnar(d.Table(name)), []fd.FD{f})
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, f, err)
 			}

@@ -23,7 +23,7 @@ func cleanTable(n int) *relation.Table {
 func TestInjectBreaksFD(t *testing.T) {
 	tab := cleanTable(500)
 	f := fd.New("v", "k")
-	q0, _ := fd.QualitySetColumnar(relation.ToColumnar(tab), []fd.FD{f})
+	q0 := fdQuality(t, tab, f)
 	if q0 != 1 {
 		t.Fatalf("setup: clean quality = %v", q0)
 	}
@@ -35,7 +35,7 @@ func TestInjectBreaksFD(t *testing.T) {
 	if mod < 100 || mod > 200 {
 		t.Fatalf("modified %d of 500, want ≈150", mod)
 	}
-	q1, _ := fd.QualitySetColumnar(relation.ToColumnar(tab), []fd.FD{f})
+	q1 := fdQuality(t, tab, f)
 	if q1 >= q0 {
 		t.Fatalf("quality did not drop: %v → %v", q0, q1)
 	}
@@ -94,8 +94,24 @@ func TestInjectTables(t *testing.T) {
 	if _, ok := mods["missing"]; ok {
 		t.Fatal("missing table should be skipped")
 	}
-	qb, _ := fd.QualitySetColumnar(relation.ToColumnar(b), []fd.FD{fd.New("v", "k")})
+	qb := fdQuality(t, b, fd.New("v", "k"))
 	if qb != 1 {
 		t.Fatal("table b should stay clean")
 	}
+}
+
+// fdQuality returns Q(D, f) of Def 2.2 for one FD, failing the test when f
+// names a column tab lacks (QualitySetColumnar would skip such an FD and
+// report 1).
+func fdQuality(t *testing.T, tab *relation.Table, f fd.FD) float64 {
+	t.Helper()
+	c := relation.ToColumnar(tab)
+	correct, err := fd.CorrectRowsColumnar(c, f)
+	if err != nil {
+		t.Fatalf("%s: %v", tab.Name, err)
+	}
+	if c.NumRows() == 0 {
+		return 1
+	}
+	return float64(correct.Count()) / float64(c.NumRows())
 }

@@ -187,7 +187,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 
 	env := &Env{Cfg: cfg, Order: order, Tables: tables, FDs: fds, Market: market}
 	// Each table is encoded once: the full graph holds the encoding, and
-	// the sampled graph's instances are correlated samples of it.
+	// the sampled graph's instances are correlated samples drawn from it.
 	encoded := make(map[string]*relation.Columnar, len(order))
 	for _, name := range order {
 		encoded[name] = relation.ToColumnar(tables[name])
@@ -243,6 +243,10 @@ func (e *Env) buildGraph(encoded map[string]*relation.Columnar, rate float64) (*
 			if err != nil {
 				return nil, err
 			}
+			// Re-encode the sample so its dictionaries are sample-sized,
+			// as a held sample's are after it arrives as a table: kernel
+			// costs (and the ranked-CORR choice) depend on dictionary size.
+			sample = relation.ToColumnar(sample.ToTable())
 		}
 		instances = append(instances, &joingraph.Instance{
 			Name:     name,

@@ -94,7 +94,7 @@ type quoteResponse struct {
 type errorResponse struct {
 	Error string `json:"error"`
 	// Code carries the machine-readable error class ("unknown_dataset",
-	// "bad_rate") so clients can restore the typed sentinels across the
+	// "bad_rate", "bad_projection") so clients can restore the typed sentinels across the
 	// wire. Absent on old servers and on errors with no class.
 	Code string `json:"code,omitempty"`
 }
@@ -111,6 +111,8 @@ func errCode(err error, fallback int) (string, int) {
 		return "unknown_dataset", http.StatusNotFound
 	case errors.Is(err, ErrBadRate):
 		return "bad_rate", http.StatusBadRequest
+	case errors.Is(err, ErrBadProjection):
+		return "bad_projection", http.StatusBadRequest
 	}
 	return "", fallback
 }
@@ -131,9 +133,10 @@ func errCode(err error, fallback int) (string, int) {
 //
 // Errors use the {"error", "code"} payload: unknown datasets answer 404
 // with code "unknown_dataset", invalid sampling rates 400 with "bad_rate",
-// malformed request JSON 400, request bodies over MaxRequestBytes 413, and
-// everything else 500 — so clients can tell their own mistakes from
-// marketplace failures.
+// projections that repeat an attribute 400 with "bad_projection", malformed
+// request JSON 400, request bodies over MaxRequestBytes 413, and everything
+// else 500 — so clients can tell their own mistakes from marketplace
+// failures.
 //
 // Each marketplace call runs under the request's context, so a client that
 // disconnects (or whose deadline expires) stops the work server-side.
@@ -458,6 +461,8 @@ func statusError(code int, data []byte) error {
 			return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrUnknownDataset)
 		case "bad_rate":
 			return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrBadRate)
+		case "bad_projection":
+			return fmt.Errorf("marketplace client: %s: %w", e.Error, ErrBadProjection)
 		}
 		return fmt.Errorf("marketplace client: %s", e.Error)
 	}

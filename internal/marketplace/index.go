@@ -41,25 +41,16 @@ type sampleOrder struct {
 	units []float64
 }
 
-// joinCols resolves the join attributes a sample is drawn on to column
-// positions of t.
-func joinCols(t *relation.Table, joinAttrs []string) ([]int, error) {
-	cols, err := t.Schema.Indexes(joinAttrs...)
-	if err != nil {
-		return nil, fmt.Errorf("correlated sample of %s: %w", t.Name, err)
-	}
-	return cols, nil
-}
-
 // sampleRange returns the (from, to] rows of t in canonical order under
-// (joinAttrs, seed), ranking t once without keeping the order: the table an
-// indexed listing of t answers with.
+// (joinAttrs, seed), ranking t once through a one-off index that keeps no
+// order: the table an indexed listing of t answers with.
 func sampleRange(t *relation.Table, joinAttrs []string, from, to float64, seed uint64) (*relation.Table, error) {
-	cols, err := joinCols(t, joinAttrs)
+	var x sellerIndex
+	o, err := x.get(t, joinAttrs, seed)
 	if err != nil {
 		return nil, err
 	}
-	return newSampleOrder(t, cols, sampling.NewHasher(seed)).cut(t, from, to), nil
+	return o.cut(t, from, to), nil
 }
 
 // newSampleOrder ranks every row of t by its join-attribute hash unit.
@@ -146,11 +137,11 @@ type orderEntry struct {
 // get returns the order of t for (joinAttrs, seed), building it on first
 // use.
 func (x *sellerIndex) get(t *relation.Table, joinAttrs []string, seed uint64) (*sampleOrder, error) {
-	cols, err := joinCols(t, joinAttrs)
+	cols, err := t.Schema.Indexes(joinAttrs...)
 	if err != nil {
 		// Invalid attributes never reach the cache, so they cannot evict
 		// real orders.
-		return nil, err
+		return nil, fmt.Errorf("correlated sample of %s: %w", t.Name, err)
 	}
 	key := safekey.Join(append([]string{strconv.FormatUint(seed, 10)}, joinAttrs...)...)
 	x.mu.Lock()

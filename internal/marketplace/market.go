@@ -29,6 +29,9 @@ var (
 	// ErrBadRate marks sampling requests whose rate (or rate range) is
 	// outside the valid domain.
 	ErrBadRate = errors.New("sample rate out of range")
+	// ErrBadProjection marks projection requests that name an attribute
+	// more than once.
+	ErrBadProjection = errors.New("repeated projection attribute")
 )
 
 // DatasetInfo is the free schema-level description of a listing (what Azure
@@ -244,7 +247,7 @@ func checkProjection(name string, attrs []string) error {
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if seen[a] {
-			return fmt.Errorf("marketplace: duplicate attribute %q in projection of %s", a, name)
+			return fmt.Errorf("marketplace: attribute %q twice in projection of %s: %w", a, name, ErrBadProjection)
 		}
 		seen[a] = true
 	}

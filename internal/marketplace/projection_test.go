@@ -2,6 +2,8 @@ package marketplace_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +17,9 @@ import (
 
 // TestRepeatedProjectionAttributeIsRejected: a projection naming an
 // attribute twice is refused before it is priced under every price family
-// — in process and over the wire — and bills nothing. A per-attribute
+// — in process and over the wire, as the caller's input error (400
+// "bad_projection", ErrBadProjection again at the client) — and bills
+// nothing. A per-attribute
 // family used to quote it at twice the single-attribute price, and its
 // execution panicked the handler while building the projected schema.
 func TestRepeatedProjectionAttributeIsRejected(t *testing.T) {
@@ -31,21 +35,31 @@ func TestRepeatedProjectionAttributeIsRejected(t *testing.T) {
 		m := marketplace.NewInMemory(workload.PriceModel(family))
 		m.Register(tab, nil)
 		for _, attrs := range [][]string{{"a", "a"}, {"b", "a", "b"}} {
-			if p, err := m.QuoteProjection(ctx, "t", attrs); err == nil {
-				t.Errorf("%s: quote of %v = %v, want an error", family, attrs, p)
+			if p, err := m.QuoteProjection(ctx, "t", attrs); !errors.Is(err, marketplace.ErrBadProjection) {
+				t.Errorf("%s: quote of %v = %v, %v; want ErrBadProjection", family, attrs, p, err)
 			}
-			if _, p, err := m.ExecuteProjection(ctx, pricing.Query{Instance: "t", Attrs: attrs}); err == nil {
-				t.Errorf("%s: execute of %v billed %v, want an error", family, attrs, p)
+			if _, p, err := m.ExecuteProjection(ctx, pricing.Query{Instance: "t", Attrs: attrs}); !errors.Is(err, marketplace.ErrBadProjection) {
+				t.Errorf("%s: execute of %v billed %v, %v; want ErrBadProjection", family, attrs, p, err)
 			}
 		}
 		h := marketplace.Handler(m)
 		for _, path := range []string{"/quote", "/query"} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"name":"t","attrs":["a","a"]}`)))
-			if rec.Code == http.StatusOK {
-				t.Errorf("%s: POST %s with a repeated attribute answered 200: %s", family, path, rec.Body)
+			var e struct{ Code string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusBadRequest || err != nil || e.Code != "bad_projection" {
+				t.Errorf("%s: POST %s with a repeated attribute answered %d %s, want 400 bad_projection", family, path, rec.Code, rec.Body)
 			}
 		}
+		srv := httptest.NewServer(h)
+		c := marketplace.NewClient(srv.URL)
+		if p, err := c.QuoteProjection(ctx, "t", []string{"a", "a"}); !errors.Is(err, marketplace.ErrBadProjection) {
+			t.Errorf("%s: client quote = %v, %v; want ErrBadProjection", family, p, err)
+		}
+		if _, p, err := c.ExecuteProjection(ctx, pricing.Query{Instance: "t", Attrs: []string{"a", "a"}}); !errors.Is(err, marketplace.ErrBadProjection) {
+			t.Errorf("%s: client execute billed %v, %v; want ErrBadProjection", family, p, err)
+		}
+		srv.Close()
 		if n := len(m.Ledger().Entries()); n != 0 {
 			t.Errorf("%s: %d ledger entries after rejected projections", family, n)
 		}

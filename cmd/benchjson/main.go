@@ -13,6 +13,12 @@
 //	go test -run '^$' -bench BenchmarkHeuristicTPCEParallel -benchmem . |
 //	    go run ./cmd/benchjson -baseline BENCH_3.json \
 //	        -check BenchmarkHeuristicTPCEParallel -max-regress 0.20
+//
+// Ceilings on the current run alone (B/op and allocs/op depend on the code,
+// not on the machine, so they hold on any runner):
+//
+//	go test -run '^$' -bench BenchmarkEvaluateTPCHResample -benchmem ./internal/search |
+//	    go run ./cmd/benchjson -max-bytes 'BenchmarkEvaluateTPCHResample<=60000'
 package main
 
 import (
@@ -35,6 +41,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// mem reports whether the line carried B/op and allocs/op (-benchmem):
+	// without them the zero fields are not measurements.
+	mem bool
 }
 
 // benchLine matches `BenchmarkName-8   123   456.7 ns/op   89 B/op   10 allocs/op`.
@@ -62,6 +71,7 @@ func parse(ctx context.Context, r *bufio.Scanner) (map[string]Result, error) {
 		if m[4] != "" {
 			res.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
 		}
+		res.mem = m[3] != "" && m[4] != ""
 		out[m[1]] = res
 	}
 	return out, r.Err()
@@ -78,6 +88,8 @@ func main() {
 	requireFaster := flag.String("require-faster", "", "comma-separated 'A<B' pairs asserting benchmark A's ns/op is below B's in the current input — ordering invariants (e.g. the incremental escalation beating the full rebuild) that must hold on any machine")
 	requireRatio := flag.String("require-ratio", "", "comma-separated 'A/B>=R' specs asserting benchmark A's ns/op is at least R times B's in the current input — speedup floors (e.g. the serial 1M search costing ≥ 2× the parallel one), discounted by -ratio-slack")
 	ratioSlack := flag.Float64("ratio-slack", 0, "fractional discount on every -require-ratio floor: a spec 'A/B>=R' passes when A/B ≥ R×(1−slack). Smoke runs with -benchtime=1x are noisy, so CI gates them with slack while the nightly full-size run gates strict (slack 0)")
+	maxBytes := flag.String("max-bytes", "", "comma-separated 'A<=N' specs asserting benchmark A's B/op in the current input is at most N — allocation ceilings that hold on any machine (needs -benchmem output)")
+	maxAllocs := flag.String("max-allocs", "", "comma-separated 'A<=N' specs asserting benchmark A's allocs/op in the current input is at most N (needs -benchmem output)")
 	flag.Parse()
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -112,6 +124,13 @@ func main() {
 		if err := checkRatio(results, *requireRatio, *ratioSlack); err != nil {
 			fatal(err)
 		}
+	}
+
+	if err := checkCeiling(results, *maxBytes, "B/op", func(r Result) int64 { return r.BytesPerOp }); err != nil {
+		fatal(err)
+	}
+	if err := checkCeiling(results, *maxAllocs, "allocs/op", func(r Result) int64 { return r.AllocsPerOp }); err != nil {
+		fatal(err)
 	}
 
 	if *baseline != "" && *check != "" {
@@ -256,6 +275,43 @@ func checkRatio(results map[string]Result, spec string, slack float64) error {
 				a, b, got, want, floor, slack*100)
 		}
 		fmt.Printf("benchjson: ok %s/%s = %.3f ≥ %.3g (floor %.3g after slack)\n", a, b, got, want, floor)
+	}
+	return nil
+}
+
+// checkCeiling enforces 'A<=N' ceilings on one per-op memory measure
+// (unit names it, of reads it) of the current input. A benchmark that ran
+// without -benchmem has no such measure and fails, as does a malformed
+// spec: either would otherwise gate nothing.
+func checkCeiling(results map[string]Result, spec, unit string, of func(Result) int64) error {
+	for _, one := range strings.Split(spec, ",") {
+		one = strings.TrimSpace(one)
+		if one == "" {
+			continue
+		}
+		sides := strings.Split(one, "<=")
+		if len(sides) != 2 {
+			return fmt.Errorf("benchjson: malformed %s ceiling %q (want exactly one 'A<=N')", unit, one)
+		}
+		name := strings.TrimSpace(sides[0])
+		if name == "" {
+			return fmt.Errorf("benchjson: malformed %s ceiling %q (empty benchmark name)", unit, one)
+		}
+		limit, err := strconv.ParseInt(strings.TrimSpace(sides[1]), 10, 64)
+		if err != nil || limit < 0 {
+			return fmt.Errorf("benchjson: malformed %s ceiling %q (the ceiling must be a non-negative integer)", unit, one)
+		}
+		r, ok := results[name]
+		if !ok {
+			return fmt.Errorf("benchjson: %s ceiling benchmark %s missing from input", unit, name)
+		}
+		if !r.mem {
+			return fmt.Errorf("benchjson: %s ceiling benchmark %s ran without -benchmem", unit, name)
+		}
+		if got := of(r); got > limit {
+			return fmt.Errorf("benchjson: FAIL %s: %d %s exceeds the ceiling %d", name, got, unit, limit)
+		}
+		fmt.Printf("benchjson: ok %s: %d %s ≤ %d\n", name, of(r), unit, limit)
 	}
 	return nil
 }

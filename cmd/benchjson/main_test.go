@@ -24,7 +24,7 @@ PASS
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
 	}
 	c := got["BenchmarkCorrelation"]
-	if c.NsPerOp != 19071 || c.BytesPerOp != 18344 || c.AllocsPerOp != 50 {
+	if c.NsPerOp != 19071 || c.BytesPerOp != 18344 || c.AllocsPerOp != 50 || !c.mem {
 		t.Fatalf("BenchmarkCorrelation = %+v", c)
 	}
 	h := got["BenchmarkHeuristicTPCESerial"]
@@ -32,7 +32,7 @@ PASS
 		t.Fatalf("BenchmarkHeuristicTPCESerial = %+v", h)
 	}
 	n := got["BenchmarkNoMem"]
-	if n.NsPerOp != 1234 || n.BytesPerOp != 0 || n.AllocsPerOp != 0 {
+	if n.NsPerOp != 1234 || n.BytesPerOp != 0 || n.AllocsPerOp != 0 || n.mem {
 		t.Fatalf("BenchmarkNoMem = %+v", n)
 	}
 }
@@ -141,6 +141,57 @@ func TestCheckRatioMalformed(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "malformed") {
 			t.Errorf("checkRatio(%q) = %v, want a malformed-spec error", spec, err)
+		}
+	}
+}
+
+func TestCheckCeiling(t *testing.T) {
+	results := map[string]Result{
+		"BenchmarkEval":  {NsPerOp: 1000, BytesPerOp: 46000, AllocsPerOp: 350, mem: true},
+		"BenchmarkNoMem": {NsPerOp: 1000},
+	}
+	bytes := func(r Result) int64 { return r.BytesPerOp }
+	allocs := func(r Result) int64 { return r.AllocsPerOp }
+	if err := checkCeiling(results, "BenchmarkEval<=60000", "B/op", bytes); err != nil {
+		t.Fatalf("46000 B/op rejected against a 60000 ceiling: %v", err)
+	}
+	if err := checkCeiling(results, "BenchmarkEval<=46000", "B/op", bytes); err != nil {
+		t.Fatalf("a ceiling is inclusive: %v", err)
+	}
+	if err := checkCeiling(results, "BenchmarkEval<=45999", "B/op", bytes); err == nil {
+		t.Fatal("46000 B/op must fail a 45999 ceiling")
+	}
+	if err := checkCeiling(results, "BenchmarkEval<=400", "allocs/op", allocs); err != nil {
+		t.Fatalf("350 allocs/op rejected against a 400 ceiling: %v", err)
+	}
+	if err := checkCeiling(results, "BenchmarkEval<=300", "allocs/op", allocs); err == nil {
+		t.Fatal("350 allocs/op must fail a 300 ceiling")
+	}
+	if err := checkCeiling(results, "BenchmarkMissing<=1", "B/op", bytes); err == nil {
+		t.Fatal("missing benchmark must fail")
+	}
+	if err := checkCeiling(results, "BenchmarkNoMem<=1000000", "B/op", bytes); err == nil {
+		t.Fatal("a benchmark without -benchmem output must fail, not pass at 0 B/op")
+	}
+	if err := checkCeiling(results, "", "B/op", bytes); err != nil {
+		t.Fatalf("an empty spec gates nothing: %v", err)
+	}
+	if err := checkCeiling(results, " BenchmarkEval <= 60000 , ", "B/op", bytes); err != nil {
+		t.Fatalf("whitespace/trailing comma should be tolerated: %v", err)
+	}
+	for _, spec := range []string{
+		"BenchmarkEval",            // no ceiling
+		"BenchmarkEval<60000",      // strict comparison
+		"<=60000",                  // empty name
+		"BenchmarkEval<=lots",      // non-numeric ceiling
+		"BenchmarkEval<=-1",        // negative ceiling
+		"BenchmarkEval<=1.5",       // fractional ceiling
+		"BenchmarkEval<=1<=2",      // chained ceilings
+		"BenchmarkEval<=60000,bad", // valid spec then malformed
+	} {
+		err := checkCeiling(results, spec, "B/op", bytes)
+		if err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("checkCeiling(%q) = %v, want a malformed-spec error", spec, err)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // deterministically by smallest first-row index (the paper breaks them
 // randomly; determinism keeps experiments reproducible).
 func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
-	return correctRowsColumnar(c, []FD{f})
+	return correctRowsColumnar(c, []FD{f}, nil)
 }
 
 // QualitySetColumnar returns Q of Def 2.3 for the columnar relation c under
@@ -32,10 +32,16 @@ func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
 // applicable FDs, or no rows, the quality is 1. For a single FD this is
 // Q(D, F) of Def 2.2.
 func QualitySetColumnar(c *relation.Columnar, fds []FD) (float64, error) {
+	return QualitySetScratch(c, fds, nil)
+}
+
+// QualitySetScratch is QualitySetColumnar with its LHS groupings, their
+// refinements and the per-group tables taken from s (nil: allocated).
+func QualitySetScratch(c *relation.Columnar, fds []FD, s *relation.Scratch) (float64, error) {
 	if c.NumRows() == 0 {
 		return 1, nil
 	}
-	correct, err := correctRowsColumnar(c, Applicable(fds, c.Schema()))
+	correct, err := correctRowsColumnar(c, Applicable(fds, c.Schema()), s)
 	if err != nil {
 		return 0, err
 	}
@@ -45,8 +51,8 @@ func QualitySetColumnar(c *relation.Columnar, fds []FD) (float64, error) {
 // correctRowsColumnar returns ⋂_{f ∈ fds} C(D, f) over the rows of c
 // (every row when fds is empty), grouping c once per distinct LHS (compared
 // as column-index slices) and refining that grouping for every FD sharing
-// it.
-func correctRowsColumnar(c *relation.Columnar, fds []FD) (*bitset.Set, error) {
+// it. Groupings and refinements are one pass of work each in s.
+func correctRowsColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (*bitset.Set, error) {
 	lhs := make([][]int, len(fds))
 	rhs := make([]int, len(fds))
 	for i, f := range fds {
@@ -62,31 +68,34 @@ func correctRowsColumnar(c *relation.Columnar, fds []FD) (*bitset.Set, error) {
 		}
 	}
 	correct := bitset.NewFull(c.NumRows())
-	var groupRHS []uint32 // scratch: each LHS group's first RHS code
 	done := make([]bool, len(fds))
 	for i := range fds {
 		if done[i] {
 			continue
 		}
-		g, err := c.GroupBy(lhs[i])
+		g, err := s.GroupBy(c, lhs[i], 1)
 		if err != nil {
 			return nil, fmt.Errorf("fd %s on %s: %w", fds[i], c.Name, err)
 		}
+		// Each LHS group's first RHS code.
+		groupRHS := relation.ScratchSlice[uint32](s, g.N())
 		for j := i; j < len(fds); j++ {
 			if done[j] || !slices.Equal(lhs[j], lhs[i]) {
 				continue
 			}
 			done[j] = true
-			groupRHS = slices.Grow(groupRHS[:0], g.N())[:g.N()]
 			if holdsExactly(g, c.Codes(rhs[j]), groupRHS) {
 				continue
 			}
-			pairs, err := c.Refine(g, rhs[j])
+			pairs, err := s.Refine(c, g, rhs[j])
 			if err != nil {
 				return nil, fmt.Errorf("fd %s on %s: %w", fds[j], c.Name, err)
 			}
-			clearMinority(correct, g, pairs)
+			clearMinority(correct, g, pairs, s)
+			s.ReleaseGrouping(pairs)
 		}
+		relation.FreeSlice(s, groupRHS)
+		s.ReleaseGrouping(g)
 	}
 	return correct, nil
 }
@@ -107,24 +116,29 @@ func holdsExactly(g *relation.Grouping, rhs, scratch []uint32) bool {
 
 // clearMinority clears from correct every row outside its LHS group's
 // majority (group, RHS code) pair. pairs refines g by the RHS column.
-func clearMinority(correct *bitset.Set, g, pairs *relation.Grouping) {
-	majority := make([]bool, pairs.N())
-	for _, p := range majorityPairs(g, pairs) {
+func clearMinority(correct *bitset.Set, g, pairs *relation.Grouping, s *relation.Scratch) {
+	majority := relation.ScratchSlice[bool](s, pairs.N())
+	clear(majority)
+	best := majorityPairs(g, pairs, s)
+	for _, p := range best {
 		majority[p] = true
 	}
+	relation.FreeSlice(s, best)
 	for row, p := range pairs.Codes {
 		if !majority[p] {
 			correct.Clear(row)
 		}
 	}
+	relation.FreeSlice(s, majority)
 }
 
 // majorityPairs returns, for each group of g, its majority pair of the
 // refinement pairs: the largest (group, RHS code) pair, ties broken by the
 // smallest first row. The majority counts sum to |C(D, X→Y)| of Def 2.2,
-// the complement of the g3 error discovery bounds.
-func majorityPairs(g, pairs *relation.Grouping) []int32 {
-	best := make([]int32, g.N())
+// the complement of the g3 error discovery bounds. The result is taken
+// from s.
+func majorityPairs(g, pairs *relation.Grouping, s *relation.Scratch) []int32 {
+	best := relation.ScratchSlice[int32](s, g.N())
 	for gid := range best {
 		best[gid] = -1
 	}

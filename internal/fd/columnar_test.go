@@ -250,11 +250,11 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 // per row), so the map side of the fuse really runs.
 func mapSideSpan(t *testing.T, c *relation.Columnar) {
 	t.Helper()
-	groups, err := c.GroupCounts("v")
+	groups, err := c.GroupBy([]int{c.Schema().Index("v")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := len(groups) * c.DictLen(c.Schema().Index("w"))
+	span := groups.N() * c.DictLen(c.Schema().Index("w"))
 	if span <= 1<<20 || span <= 4*c.NumRows()+16 {
 		t.Fatalf("v → w fuses %d keys over %d rows: the flat table would serve it", span, c.NumRows())
 	}

@@ -56,11 +56,16 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 	}
 	names := c.Schema().Names()
 
+	// Every partition lives in one scratch: a check's refinement is dropped
+	// once counted and a level's partitions once the next level is built,
+	// so later ones reuse their storage, and no partition grows its counts.
+	s := relation.NewScratch(nil)
+
 	// Per-attribute partitions, reused across levels. Grouping every column
 	// checks that all are dictionary-coded, so no Refine below can fail.
 	attrParts := make([]*relation.Grouping, m)
 	for a := range attrParts {
-		g, err := c.GroupBy([]int{a})
+		g, err := s.GroupBy(c, []int{a}, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -74,11 +79,14 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 		if part.N() == n {
 			return true
 		}
-		pairs, _ := c.Refine(part, rhs)
+		pairs, _ := s.Refine(c, part, rhs)
+		best := majorityPairs(part, pairs, s)
 		correct := 0
-		for _, p := range majorityPairs(part, pairs) {
+		for _, p := range best {
 			correct += int(pairs.Counts[p])
 		}
+		relation.FreeSlice(s, best)
+		s.ReleaseGrouping(pairs)
 		return 1-float64(correct)/float64(n) <= opts.MaxError
 	}
 
@@ -140,7 +148,7 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 			}
 			for a := nd.attrs[len(nd.attrs)-1] + 1; a < m; a++ {
 				attrs := append(append([]int(nil), nd.attrs...), a)
-				part, _ := c.Refine(nd.part, a)
+				part, _ := s.Refine(c, nd.part, a)
 				det := make([]bool, m)
 				// OR the determination state of every (depth-1)-subset.
 				sub := make([]int, 0, len(attrs)-1)
@@ -164,6 +172,11 @@ func Discover(c *relation.Columnar, opts DiscoveryOptions) ([]FD, error) {
 				}
 				test(attrs, part, det)
 				next = append(next, node{attrs: attrs, part: part, detRHS: det})
+			}
+		}
+		if depth > 2 { // level 1's partitions are attrParts, still in use
+			for _, nd := range level {
+				s.ReleaseGrouping(nd.part)
 			}
 		}
 		level = next

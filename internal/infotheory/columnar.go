@@ -18,23 +18,40 @@ import (
 // EntropyColumnar returns the joint Shannon entropy H(X) of the named
 // attribute set X in c. Bit-identical to Entropy on the decoded table.
 func EntropyColumnar(c *relation.Columnar, cols ...string) (float64, error) {
+	return entropyColumnar(c, cols, nil)
+}
+
+// entropyColumnar is EntropyColumnar counting its grouping in s.
+func entropyColumnar(c *relation.Columnar, cols []string, s *relation.Scratch) (float64, error) {
 	if len(cols) == 0 || c.NumRows() == 0 {
 		return 0, nil
 	}
-	counts, err := c.GroupCounts(cols...)
+	idx, err := c.Schema().Indexes(cols...)
 	if err != nil {
 		return 0, fmt.Errorf("entropy of %s%v: %w", c.Name, cols, err)
 	}
-	return EntropyFromCounts(counts), nil
+	g, err := s.GroupBy(c, idx, 1)
+	if err != nil {
+		return 0, fmt.Errorf("entropy of %s%v: %w", c.Name, cols, err)
+	}
+	h := EntropyFromCounts(g.Counts)
+	s.ReleaseGrouping(g)
+	return h, nil
 }
 
 // ConditionalEntropyColumnar returns H(X | Y) = H(X ∪ Y) − H(Y).
 func ConditionalEntropyColumnar(c *relation.Columnar, x, y []string) (float64, error) {
-	hy, err := EntropyColumnar(c, y...)
+	return conditionalEntropyScratch(c, x, y, nil)
+}
+
+// conditionalEntropyScratch is ConditionalEntropyColumnar counting its
+// groupings in s.
+func conditionalEntropyScratch(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
+	hy, err := entropyColumnar(c, y, s)
 	if err != nil {
 		return 0, err
 	}
-	hxy, err := EntropyColumnar(c, append(append([]string{}, x...), y...)...)
+	hxy, err := entropyColumnar(c, append(append([]string{}, x...), y...), s)
 	if err != nil {
 		return 0, err
 	}
@@ -45,6 +62,13 @@ func ConditionalEntropyColumnar(c *relation.Columnar, x, y []string) (float64, e
 // relation c — the evaluator's hot path. See Correlation for the measure's
 // definition.
 func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
+	return CorrelationScratch(c, x, y, nil)
+}
+
+// CorrelationScratch is CorrelationColumnar with every grouping it counts
+// and drops — Y, X and X ∪ Y — and the cumulative-entropy buffers taken
+// from s (nil: allocated).
+func CorrelationScratch(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
 	if len(x) == 0 || len(y) == 0 || c.NumRows() == 0 {
 		return 0, nil
 	}
@@ -55,11 +79,11 @@ func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
 
 	corr := 0.0
 	if len(xc) > 0 {
-		hx, err := EntropyColumnar(c, xc...)
+		hx, err := entropyColumnar(c, xc, s)
 		if err != nil {
 			return 0, err
 		}
-		hxy, err := ConditionalEntropyColumnar(c, xc, y)
+		hxy, err := conditionalEntropyScratch(c, xc, y, s)
 		if err != nil {
 			return 0, err
 		}
@@ -70,17 +94,26 @@ func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		g, err := c.GroupBy(yIdx)
+		g, err := s.GroupBy(c, yIdx, 1)
 		if err != nil {
 			return 0, err
 		}
 		logTab := log2Upto(c.NumRows())
 		for _, a := range xn {
-			corr += cumulativeGain(c, c.Schema().Index(a), g, logTab)
+			corr += cumulativeGain(c, c.Schema().Index(a), g, logTab, s)
 		}
+		s.ReleaseGrouping(g)
 	}
 	return clampCorr(corr), nil
 }
+
+// rankedFresh and rankedCached bound the dictionary size, in rows, up to
+// which cumulativeGain ranks instead of sorting: a dictionary ordered for
+// this call, or one whose order was already computed.
+const (
+	rankedFresh  = 2
+	rankedCached = 16
+)
 
 // cumulativeGain returns h(A) − h(A|Y) for the numeric column ai of c,
 // where g groups c by Y: zero for a constant (or all-NULL) column, which
@@ -88,28 +121,40 @@ func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
 //
 // Normalization x ↦ (x − lo)/(hi − lo) is monotone, and cumulative entropy
 // reads only the sorted multiset of normalized values, in which equal
-// floats are interchangeable. So when A is dictionary-coded with a
-// dictionary no larger than 2× the rows, the values are put in order by
-// counting codes along the dictionary's shared NumericOrder, and every
-// Y-group's sorted sequence falls out of one stable scatter of that order
-// (rankedGain) — no sort at all, bit-identical to normalizing and sorting
-// (sortedGain). Raw-numeric columns, larger dictionaries (ordering one
-// costs more than sorting the rows) and non-finite values sort.
-func cumulativeGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64) float64 {
-	if d := c.Dict(ai); d != nil && d.Len() <= 2*c.NumRows() {
-		if order, ok := d.NumericOrder(); ok {
-			if gain, ok := rankedGain(c, ai, g, d, order, logTab); ok {
+// floats are interchangeable. So when A is dictionary-coded, the values are
+// put in order by counting codes along the dictionary's shared NumericOrder,
+// and every Y-group's sorted sequence falls out of one stable scatter of
+// that order (rankedGain) — no sort at all, bit-identical to normalizing
+// and sorting (sortedGain). The scatter walks the whole dictionary, and
+// ordering a dictionary costs more than sorting the rows once it outgrows
+// them, so the ranked path runs when the dictionary is no larger than
+// rankedFresh× the rows, or no larger than rankedCached× the rows and its
+// order is already computed (a sample's dictionary, ordered once and shared
+// by every join gathered from it); BenchmarkCumulativeGain measures both
+// bounds. Raw-numeric columns, larger dictionaries and non-finite values
+// sort.
+//
+// The value buffers are one pass of work in s (nil: allocated).
+func cumulativeGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64, s *relation.Scratch) float64 {
+	if d := c.Dict(ai); d != nil && d.Len() <= rankedCached*c.NumRows() {
+		order, ok := d.CachedNumericOrder()
+		if !ok && d.Len() <= rankedFresh*c.NumRows() {
+			order, ok = d.NumericOrder()
+		}
+		if ok {
+			if gain, ok := rankedGain(c, ai, g, d, order, logTab, s); ok {
 				return gain
 			}
 		}
 	}
-	return sortedGain(c, ai, g, logTab)
+	return sortedGain(c, ai, g, logTab, s)
 }
 
 // sortedGain normalizes and sorts the values of the whole column and of
 // each Y-group.
-func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64) float64 {
-	vals := c.AppendNumeric(nil, ai, nil)
+func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64, s *relation.Scratch) float64 {
+	vals := c.AppendNumeric(relation.ScratchSlice[float64](s, c.NumRows())[:0], ai, nil)
+	defer relation.FreeSlice(s, vals)
 	lo, hi := rangeOf(vals)
 	if hi <= lo {
 		return 0
@@ -128,7 +173,8 @@ func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []flo
 	starts, rows := g.RowLists()
 	total := float64(c.NumRows())
 	hc := 0.0
-	var gbuf []float64
+	gbuf := relation.ScratchSlice[float64](s, len(vals))[:0]
+	defer relation.FreeSlice(s, gbuf)
 	for gid := 0; gid < g.N(); gid++ {
 		grows := rows[starts[gid]:starts[gid+1]]
 		gbuf = c.AppendNumeric(gbuf[:0], ai, grows)
@@ -144,9 +190,11 @@ func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []flo
 // rankedGain computes h(A) − h(A|Y) from d's numeric code order. ok is
 // false when the observed range makes normalization non-monotone in
 // floating point (an infinite width or scale); the caller then sorts.
-func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.Dict, order []uint32, logTab []float64) (gain float64, ok bool) {
+func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.Dict, order []uint32, logTab []float64, s *relation.Scratch) (gain float64, ok bool) {
 	codes := c.Codes(ai)
-	counts := make([]int32, d.Len())
+	counts := relation.ScratchSlice[int32](s, d.Len())
+	defer relation.FreeSlice(s, counts)
+	clear(counts)
 	for _, code := range codes {
 		counts[code]++
 	}
@@ -172,7 +220,8 @@ func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.
 	}
 	// Counting sort: each present code's run, in value order; counts[code]
 	// becomes the run's next free position.
-	vals := make([]float64, 0, len(codes)-int(counts[0]))
+	vals := relation.ScratchSlice[float64](s, len(codes)-int(counts[0]))[:0]
+	defer relation.FreeSlice(s, vals)
 	for _, code := range order[first : last+1] {
 		k := counts[code]
 		if k == 0 {
@@ -188,8 +237,11 @@ func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.
 
 	// Stable scatter: gidAt[p] is the Y-group of the row holding sorted
 	// position p; walking p upward appends each group's values in order.
-	gidAt := make([]uint32, len(vals))
-	end := make([]int32, g.N()+1) // group sizes, then offsets
+	gidAt := relation.ScratchSlice[uint32](s, len(vals))
+	defer relation.FreeSlice(s, gidAt)
+	end := relation.ScratchSlice[int32](s, g.N()+1) // group sizes, then offsets
+	defer relation.FreeSlice(s, end)
+	clear(end)
 	for row, code := range codes {
 		if code != 0 {
 			gid := g.Codes[row]
@@ -201,7 +253,8 @@ func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.
 	for gid := 0; gid < g.N(); gid++ {
 		end[gid+1] += end[gid]
 	}
-	gvals := make([]float64, len(vals))
+	gvals := relation.ScratchSlice[float64](s, len(vals))
+	defer relation.FreeSlice(s, gvals)
 	for p, gid := range gidAt {
 		gvals[end[gid]] = vals[p]
 		end[gid]++

@@ -49,7 +49,10 @@ func paths(t *testing.T, c *relation.Columnar) (ranked float64, ok bool, sorted 
 	}
 	ai := c.Schema().Index("x")
 	logTab := log2Upto(c.NumRows())
-	sorted = sortedGain(c, ai, g, logTab)
+	// One scratch for both paths: the ranked path takes the buffers the
+	// sorted path left dirty.
+	s := relation.NewScratch(nil)
+	sorted = sortedGain(c, ai, g, logTab, s)
 	d := c.Dict(ai)
 	if d == nil || d.Len() > 2*c.NumRows() {
 		return 0, false, sorted
@@ -58,7 +61,7 @@ func paths(t *testing.T, c *relation.Columnar) (ranked float64, ok bool, sorted 
 	if !ordered {
 		return 0, false, sorted
 	}
-	ranked, ok = rankedGain(c, ai, g, d, order, logTab)
+	ranked, ok = rankedGain(c, ai, g, d, order, logTab, s)
 	return ranked, ok, sorted
 }
 
@@ -191,6 +194,50 @@ func TestRankedFallsBackOnLargeDictionary(t *testing.T) {
 	// The same rows re-encoded get their own small dictionary and rank.
 	if !checkRanked(t, "re-encoded", small.ToTable(), nil) {
 		t.Fatal("ranked path did not run on a compact dictionary")
+	}
+}
+
+// Past 2× the rows a dictionary is never ordered for one gain, but one
+// whose order is already computed (a shared sample dictionary) ranks up to
+// 16× the rows, bit-identically to sorting.
+func TestRankedUsesCachedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	big := rankedTable(rng, 400, func(int) *relation.Value { return val(relation.FloatValue(rng.NormFloat64())) })
+	keep := make([]int32, 40)
+	for i := range keep {
+		keep[i] = int32(rng.Intn(400))
+	}
+	small := relation.ToColumnar(big).FilterRows(keep)
+	ai := small.Schema().Index("x")
+	d := small.Dict(ai)
+	if n := small.NumRows(); d.Len() <= rankedFresh*n || d.Len() > rankedCached*n {
+		t.Fatalf("dictionary of %d codes outside (%d, %d]", d.Len(), rankedFresh*n, rankedCached*n)
+	}
+	g, err := small.GroupBy(small.Schema().MustIndexes("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logTab := log2Upto(small.NumRows())
+	want := sortedGain(small, ai, g, logTab, nil)
+	if got := cumulativeGain(small, ai, g, logTab, nil); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("uncached: gain %v, sorted %v", got, want)
+	}
+	if _, ok := d.CachedNumericOrder(); ok {
+		t.Fatal("cumulativeGain ordered a dictionary larger than 2× the rows")
+	}
+	order, ok := d.NumericOrder()
+	if !ok {
+		t.Fatal("no numeric order")
+	}
+	if cached, ok := d.CachedNumericOrder(); !ok || &cached[0] != &order[0] {
+		t.Fatal("computed order is not reported as cached")
+	}
+	ranked, ok := rankedGain(small, ai, g, d, order, logTab, nil)
+	if !ok || math.Float64bits(ranked) != math.Float64bits(want) {
+		t.Fatalf("ranked gain %v (ok %v), sorted %v", ranked, ok, want)
+	}
+	if got := cumulativeGain(small, ai, g, logTab, relation.NewScratch(nil)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("cached: gain %v, sorted %v", got, want)
 	}
 }
 

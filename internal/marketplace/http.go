@@ -133,7 +133,8 @@ func errCode(err error, fallback int) (string, int) {
 //
 // Errors use the {"error", "code"} payload: unknown datasets answer 404
 // with code "unknown_dataset", invalid sampling rates 400 with "bad_rate",
-// projections that repeat an attribute 400 with "bad_projection", malformed
+// projections that repeat an attribute or name one the listing lacks 400
+// with "bad_projection", malformed
 // request JSON 400, request bodies over MaxRequestBytes 413, and everything
 // else 500 — so clients can tell their own mistakes from marketplace
 // failures.

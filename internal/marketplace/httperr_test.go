@@ -66,10 +66,13 @@ func TestHandlerErrorStatuses(t *testing.T) {
 		}
 	}
 
-	// Marketplace-internal failures (unknown attribute in a quote) → 500.
-	code, _ = postStatus(t, h, "/quote", `{"name":"alpha","attrs":["no-such-attr"]}`)
-	if code != http.StatusInternalServerError {
-		t.Fatalf("internal failure: status %d", code)
+	// A projection naming an attribute the listing lacks is the shopper's
+	// mistake → 400 bad_projection, so clients do not retry it.
+	for _, path := range []string{"/quote", "/query"} {
+		code, e := postStatus(t, h, path, `{"name":"alpha","attrs":["no-such-attr"]}`)
+		if code != http.StatusBadRequest || e.Code != "bad_projection" {
+			t.Fatalf("%s unknown attribute: status %d code %q", path, code, e.Code)
+		}
 	}
 
 	// GET /fds with an unknown dataset → 404.

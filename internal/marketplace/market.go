@@ -30,8 +30,8 @@ var (
 	// outside the valid domain.
 	ErrBadRate = errors.New("sample rate out of range")
 	// ErrBadProjection marks projection requests that name an attribute
-	// more than once.
-	ErrBadProjection = errors.New("repeated projection attribute")
+	// more than once or an attribute the listing lacks.
+	ErrBadProjection = errors.New("bad projection attribute")
 )
 
 // DatasetInfo is the free schema-level description of a listing (what Azure
@@ -233,21 +233,25 @@ func (m *InMemory) QuoteProjection(ctx context.Context, name string, attrs []str
 	if err != nil {
 		return 0, err
 	}
-	if err := checkProjection(name, attrs); err != nil {
+	if err := checkProjection(name, l.Table.Schema, attrs); err != nil {
 		return 0, err
 	}
 	return m.model.PriceProjection(l.Table, attrs)
 }
 
-// checkProjection rejects a projection that names an attribute twice,
-// before it is priced: price families disagree on repeats (the entropy
-// model refuses them, a per-attribute model would bill every copy), and no
-// projected schema can hold both copies.
-func checkProjection(name string, attrs []string) error {
+// checkProjection rejects, before it is priced, a projection that names an
+// attribute twice or an attribute the listing's schema lacks: both are the
+// shopper's own mistake, and retrying cannot fix them. Price families
+// disagree on repeats (the entropy model refuses them, a per-attribute model
+// would bill every copy), and no projected schema can hold both copies.
+func checkProjection(name string, schema *relation.Schema, attrs []string) error {
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if seen[a] {
 			return fmt.Errorf("marketplace: attribute %q twice in projection of %s: %w", a, name, ErrBadProjection)
+		}
+		if schema.Index(a) < 0 {
+			return fmt.Errorf("marketplace: no attribute %q in %s: %w", a, name, ErrBadProjection)
 		}
 		seen[a] = true
 	}
@@ -325,7 +329,7 @@ func (m *InMemory) ExecuteProjection(ctx context.Context, q pricing.Query) (*rel
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := checkProjection(q.Instance, q.Attrs); err != nil {
+	if err := checkProjection(q.Instance, l.Table.Schema, q.Attrs); err != nil {
 		return nil, 0, err
 	}
 	attrs := append([]string(nil), q.Attrs...)

@@ -37,6 +37,13 @@ func DefaultWorkers(n int) int {
 // case that (smaller-index) error wins. fn itself is responsible for
 // honoring ctx inside long-running items.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	return ForEachWorker(ctx, n, workers, func(_, i int) error { return fn(i) })
+}
+
+// ForEachWorker is ForEach telling fn which of the pool's goroutines runs
+// item i: w is in [0, workers), and no two items with the same w run at
+// once, so fn may keep per-w state (scratch memory) without locking.
+func ForEachWorker(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -49,7 +56,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -77,7 +84,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				if stopped.Load() || ctx.Err() != nil {
@@ -87,12 +94,12 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					record(i, err)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if firstEr != nil {

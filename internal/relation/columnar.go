@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the columnar, dictionary-encoded engine. The
@@ -73,10 +74,12 @@ type Dict struct {
 	str     map[string]uint32
 	num     map[numKey]uint32
 	reindex sync.Once
-	// order is NumericOrder's result, computed at most once.
+	// order is NumericOrder's result, computed at most once; orderDone
+	// is set once it is.
 	order     []uint32
 	orderOK   bool
 	orderOnce sync.Once
+	orderDone atomic.Bool
 	// byKey is keyOrder's result, computed at most once.
 	byKey     []uint32
 	byKeyOnce sync.Once
@@ -229,6 +232,7 @@ func (d *Dict) lookup(v Value) (code uint32, ok bool) {
 // Safe for concurrent use.
 func (d *Dict) NumericOrder() (order []uint32, ok bool) {
 	d.orderOnce.Do(func() {
+		defer d.orderDone.Store(true)
 		type entry struct {
 			v    float64
 			code uint32
@@ -248,6 +252,16 @@ func (d *Dict) NumericOrder() (order []uint32, ok bool) {
 		}
 		d.order, d.orderOK = order, true
 	})
+	return d.order, d.orderOK
+}
+
+// CachedNumericOrder returns NumericOrder's result when some caller has
+// already computed it; ok is false when it has not (nothing is computed)
+// or when the dictionary has no numeric order. Safe for concurrent use.
+func (d *Dict) CachedNumericOrder() (order []uint32, ok bool) {
+	if !d.orderDone.Load() {
+		return nil, false
+	}
 	return d.order, d.orderOK
 }
 
@@ -278,6 +292,10 @@ type Columnar struct {
 	schema *Schema
 	cols   []CCol
 	n      int
+	// owner is the Scratch that gathered c, nil for a plain allocation;
+	// back is then the storage its columns are carved from.
+	owner *Scratch
+	back  gatherBack
 }
 
 // encodeColumn dictionary-encodes column j of t. The dense-slot hit is
@@ -533,6 +551,9 @@ type Grouping struct {
 	Codes  []uint32
 	Counts []int64
 	First  []int32
+	// owner is the Scratch that holds Codes, Counts and First, nil for a
+	// plain allocation.
+	owner *Scratch
 }
 
 // N returns the number of groups.
@@ -561,23 +582,27 @@ const maxFlatFuse = 1 << 20
 // GroupBy fuses the given columns into a Grouping. All columns must be
 // dictionary-coded. An empty column list yields a single group holding every
 // row (mirroring the row path's empty grouping key).
-func (c *Columnar) GroupBy(cols []int) (*Grouping, error) { return c.groupBy(cols, 1) }
+func (c *Columnar) GroupBy(cols []int) (*Grouping, error) { return c.groupBy(cols, 1, nil) }
 
-// GroupByWorkers is GroupBy with up to workers goroutines on the fuse passes
-// of large relations. The Grouping — codes, counts, first rows, and the
-// first-appearance id order — is bit-identical to GroupBy's for every worker
-// count (pinned by the parallel-equivalence tests).
-func (c *Columnar) GroupByWorkers(cols []int, workers int) (*Grouping, error) {
-	return c.groupBy(cols, workers)
+// GroupBy is c.GroupBy(cols) with up to workers goroutines on the fuse
+// passes of large relations, and the grouping's codes, counts and first
+// rows taken from s, for a caller that hands them back with
+// ReleaseGrouping after one pass (nil s: allocated). The Grouping — codes,
+// counts, first rows, and the first-appearance id order — is bit-identical
+// to c.GroupBy's for every worker count (pinned by the parallel-equivalence
+// tests).
+func (s *Scratch) GroupBy(c *Columnar, cols []int, workers int) (*Grouping, error) {
+	return c.groupBy(cols, workers, s)
 }
 
-func (c *Columnar) groupBy(cols []int, workers int) (*Grouping, error) {
-	g := &Grouping{Cols: cols}
+func (c *Columnar) groupBy(cols []int, workers int, s *Scratch) (*Grouping, error) {
+	g := &Grouping{Cols: cols, owner: s}
 	if len(cols) == 0 {
-		g.Codes = make([]uint32, c.n)
+		g.Codes = ScratchSlice[uint32](s, c.n)
+		clear(g.Codes)
 		if c.n > 0 {
-			g.Counts = []int64{int64(c.n)}
-			g.First = []int32{0}
+			g.Counts = append(ScratchSlice[int64](s, 1)[:0], int64(c.n))
+			g.First = append(ScratchSlice[int32](s, 1)[:0], 0)
 		}
 		return g, nil
 	}
@@ -590,13 +615,13 @@ func (c *Columnar) groupBy(cols []int, workers int) (*Grouping, error) {
 	// final stage additionally records counts and first rows. The fused ids
 	// of the final stage are in first-appearance row order regardless of
 	// fuse order, because the row scan order is fixed. Intermediate code
-	// slices and flat fuse tables are scratch and come from the pools; only
-	// the final stage's codes (g.Codes) are freshly allocated.
+	// slices and flat fuse tables are pooled temporaries; only the final
+	// stage's codes (g.Codes) belong to the grouping.
 	var cur []uint32
 	curN := 1
-	for s, ci := range cols {
-		last := s == len(cols)-1
-		next, nextN := c.fuseStage(g, cur, curN, &c.cols[ci], last, workers)
+	for i, ci := range cols {
+		last := i == len(cols)-1
+		next, nextN := c.fuseStage(g, cur, curN, &c.cols[ci], last, workers, s)
 		if cur != nil {
 			poolUint32.put(cur)
 		}
@@ -609,31 +634,48 @@ func (c *Columnar) groupBy(cols []int, workers int) (*Grouping, error) {
 // Refine fuses the grouping g of c with c's coded column col: the result
 // groups rows by (group of g, code of col), bit-identically to GroupBy on
 // g.Cols followed by col, without fusing g's columns again.
-func (c *Columnar) Refine(g *Grouping, col int) (*Grouping, error) {
+func (c *Columnar) Refine(g *Grouping, col int) (*Grouping, error) { return c.refine(g, col, nil) }
+
+// Refine is c.Refine(g, col) with the refinement's storage taken from s,
+// like GroupBy's. A nil s allocates it.
+func (s *Scratch) Refine(c *Columnar, g *Grouping, col int) (*Grouping, error) {
+	return c.refine(g, col, s)
+}
+
+func (c *Columnar) refine(g *Grouping, col int, s *Scratch) (*Grouping, error) {
 	if c.cols[col].Codes == nil {
 		return nil, fmt.Errorf("relation: column %q of %s is not dictionary-coded", c.schema.Column(col).Name, c.Name)
 	}
-	r := &Grouping{Cols: append(slices.Clip(g.Cols), col)}
-	r.Codes, _ = c.fuseStage(r, g.Codes, g.N(), &c.cols[col], true, 1)
+	r := &Grouping{Cols: append(slices.Clip(g.Cols), col), owner: s}
+	r.Codes, _ = c.fuseStage(r, g.Codes, g.N(), &c.cols[col], true, 1, s)
 	return r, nil
 }
 
 // fuseStage fuses the current dense ids cur (curN of them; nil for the
 // first stage) with the codes of col into dense ids assigned in
 // first-appearance row order, returning them and their count. The last
-// stage's ids are freshly allocated and its counts and first rows go to g;
-// an earlier stage's ids come from the pool. The key space decides the
-// table: a flat slice while it stays small (or within a few slots per row),
-// an int-keyed map past that.
-func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, last bool, workers int) ([]uint32, int) {
+// stage's ids belong to g (from s, or freshly allocated) and its counts and
+// first rows go to g; an earlier stage's ids come from the pool. The key
+// space decides the table: a flat slice while it stays small (or within a
+// few slots per row), an int-keyed map past that.
+func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, last bool, workers int, s *Scratch) ([]uint32, int) {
 	var next []uint32
 	if last {
-		next = make([]uint32, c.n) // escapes as g.Codes
+		next = ScratchSlice[uint32](s, c.n) // escapes as g.Codes
 	} else {
 		next = poolUint32.get(c.n)
 	}
 	nextN := uint32(0)
 	dictN := col.Dict.Len()
+	span := uint64(curN) * uint64(dictN)
+	flatOK := span <= maxFlatFuse || span <= uint64(4*c.n+16)
+	parallel := flatOK && workers > 1 && c.n >= parallelMinRows && span <= 1<<30
+	if last && s != nil && !parallel {
+		// No stage has more groups than keys or rows, so counts and first
+		// rows taken at that size never grow.
+		m := int(min(span, uint64(c.n)))
+		g.Counts, g.First = s.i64.get(m)[:0], s.i32.get(m)[:0]
+	}
 	assign := func(row int, id int32) int32 {
 		if id < 0 {
 			id = int32(nextN)
@@ -649,11 +691,9 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, las
 		}
 		return id
 	}
-	span := uint64(curN) * uint64(dictN)
-	flatOK := span <= maxFlatFuse || span <= uint64(4*c.n+16)
 	switch {
-	case flatOK && workers > 1 && c.n >= parallelMinRows && span <= 1<<30:
-		nextN = c.fuseStageParallel(g, col.Codes, cur, int(span), dictN, next, last, workers)
+	case parallel:
+		nextN = c.fuseStageParallel(g, col.Codes, cur, int(span), dictN, next, last, workers, s)
 	case flatOK:
 		flat := poolInt32.get(int(span))
 		for i := range flat {
@@ -697,7 +737,7 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, las
 // assigns, and pass 2 maps every row to its group id. Counts are summed in a
 // final serial sweep. Bit-identical to the serial stage for every worker
 // count.
-func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dictN int, next []uint32, last bool, workers int) uint32 {
+func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dictN int, next []uint32, last bool, workers int, s *Scratch) uint32 {
 	minRow := poolInt32.get(span)
 	for i := range minRow {
 		minRow[i] = -1
@@ -729,8 +769,9 @@ func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dic
 		ids[k] = int32(rank)
 	}
 	if last {
-		g.Counts = make([]int64, ng)
-		g.First = make([]int32, ng)
+		g.Counts = ScratchSlice[int64](s, ng)
+		clear(g.Counts)
+		g.First = ScratchSlice[int32](s, ng)
 		for rank, k := range keys {
 			g.First[rank] = minRow[k]
 		}
@@ -756,21 +797,6 @@ func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dic
 	poolInt32.put(ks)
 	poolInt32.put(ids)
 	return uint32(ng)
-}
-
-// GroupCounts returns the group sizes of the named columns in
-// first-appearance order — the code-based replacement for collecting
-// byte-string map counts.
-func (c *Columnar) GroupCounts(names ...string) ([]int64, error) {
-	cols, err := c.schema.Indexes(names...)
-	if err != nil {
-		return nil, err
-	}
-	g, err := c.GroupBy(cols)
-	if err != nil {
-		return nil, err
-	}
-	return g.Counts, nil
 }
 
 // JoinIndex is a precomputed build-side hash index for equi-joins on a fixed
@@ -811,7 +837,7 @@ func (c *Columnar) BuildJoinIndexWorkers(workers int, on ...string) (*JoinIndex,
 	if err != nil {
 		return nil, err
 	}
-	g, err := c.groupBy(cols, workers)
+	g, err := c.groupBy(cols, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -879,68 +905,58 @@ func (idx *JoinIndex) groupOf(vals []Value) int32 {
 	return int32(p)
 }
 
-// gatherGroup gathers the source columns srcIdx (nil: all of src, in order)
-// at the pick rows into dst. Output codes share the source dictionaries. All
-// coded output columns share one backing codes allocation and all numeric
-// ones share one nums and one null backing — one allocation per storage mode
-// per gather instead of one per column, which is what keeps a steady-state
-// join down to a handful of allocations. workers > 1 parallelizes the row
-// sweep of each column; gathers are element-wise, so the output is trivially
-// identical for every worker count.
-func gatherGroup(dst []CCol, src []CCol, srcIdx []int, rows []int32, workers int) {
+// gatherBack is the storage a gather carves its output columns from: all
+// coded output columns share one codes allocation and all numeric ones one
+// nums and one null allocation — one allocation per storage mode per
+// gather instead of one per column, which is what keeps a steady-state join
+// down to a handful of allocations.
+type gatherBack struct {
+	codes []uint32
+	nums  []float64
+	null  []bool
+}
+
+// newGatherBack takes room for n rows of coded coded and num numeric
+// columns from s (nil: allocates).
+func newGatherBack(s *Scratch, coded, num, n int) gatherBack {
+	var b gatherBack
+	if coded > 0 {
+		b.codes = ScratchSlice[uint32](s, coded*n)
+	}
+	if num > 0 {
+		b.nums = ScratchSlice[float64](s, num*n)
+		b.null = ScratchSlice[bool](s, num*n)
+	}
+	return b
+}
+
+// gatherCol gathers src at the pick rows, carving the output from the
+// front of back. Output codes share the source dictionary. workers > 1
+// parallelizes the row sweep; gathers are element-wise, so the output is
+// trivially identical for every worker count.
+func gatherCol(src *CCol, rows []int32, workers int, back *gatherBack) CCol {
 	n := len(rows)
-	nCoded, nNum := 0, 0
-	coded := func(j int) bool { return src[j].Codes != nil }
-	col := func(k int) int {
-		if srcIdx == nil {
-			return k
+	if src.Codes != nil {
+		dc := back.codes[:n:n]
+		back.codes = back.codes[n:]
+		sc := src.Codes
+		runChunks(workers, n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dc[i] = sc[rows[i]]
+			}
+		})
+		return CCol{Codes: dc, Dict: src.Dict}
+	}
+	dn, du := back.nums[:n:n], back.null[:n:n]
+	back.nums, back.null = back.nums[n:], back.null[n:]
+	sn, su := src.Nums, src.Null
+	runChunks(workers, n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dn[i] = sn[rows[i]]
+			du[i] = su[rows[i]]
 		}
-		return srcIdx[k]
-	}
-	for k := range dst {
-		if coded(col(k)) {
-			nCoded++
-		} else {
-			nNum++
-		}
-	}
-	var codesBack []uint32
-	var numsBack []float64
-	var nullBack []bool
-	if nCoded > 0 {
-		codesBack = make([]uint32, nCoded*n)
-	}
-	if nNum > 0 {
-		numsBack = make([]float64, nNum*n)
-		nullBack = make([]bool, nNum*n)
-	}
-	ci, ni := 0, 0
-	for k := range dst {
-		s := &src[col(k)]
-		if s.Codes != nil {
-			dc := codesBack[ci*n : (ci+1)*n : (ci+1)*n]
-			ci++
-			sc := s.Codes
-			runChunks(workers, n, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dc[i] = sc[rows[i]]
-				}
-			})
-			dst[k] = CCol{Codes: dc, Dict: s.Dict}
-		} else {
-			dn := numsBack[ni*n : (ni+1)*n : (ni+1)*n]
-			du := nullBack[ni*n : (ni+1)*n : (ni+1)*n]
-			ni++
-			sn, su := s.Nums, s.Null
-			runChunks(workers, n, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dn[i] = sn[rows[i]]
-					du[i] = su[rows[i]]
-				}
-			})
-			dst[k] = CCol{Nums: dn, Null: du}
-		}
-	}
+	})
+	return CCol{Nums: dn, Null: du}
 }
 
 // FilterRows returns a new Columnar containing the given rows, in order.
@@ -948,7 +964,16 @@ func gatherGroup(dst []CCol, src []CCol, srcIdx []int, rows []int32, workers int
 func (c *Columnar) FilterRows(rows []int32) *Columnar {
 	out := &Columnar{Name: c.Name, schema: c.schema, n: len(rows)}
 	out.cols = make([]CCol, len(c.cols))
-	gatherGroup(out.cols, c.cols, nil, rows, 1)
+	coded := 0
+	for j := range c.cols {
+		if c.cols[j].Codes != nil {
+			coded++
+		}
+	}
+	back := newGatherBack(nil, coded, len(c.cols)-coded, len(rows))
+	for j := range c.cols {
+		out.cols[j] = gatherCol(&c.cols[j], rows, 1, &back)
+	}
 	return out
 }
 
@@ -991,7 +1016,7 @@ type JoinPairs struct {
 	a, b      *Columnar
 	schema    *Schema
 	rightKeep []int
-	// left and right are pooled scratch, released by Gather.
+	// left and right are pooled temporaries, released by Gather.
 	left, right []int32
 	workers     int
 }
@@ -999,6 +1024,16 @@ type JoinPairs struct {
 // EquiJoinPairs runs the probe and pairing sweeps of EquiJoinColumnarOpts:
 // Gather on the result is that join, bit for bit.
 func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*JoinPairs, error) {
+	return equiJoinPairs(a, b, on, idx, opt, nil)
+}
+
+// EquiJoinPairs is the package-level EquiJoinPairs with a multi-column
+// probe side grouped in s and the joined schema taken from s's schema memo.
+func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*JoinPairs, error) {
+	return equiJoinPairs(a, b, on, idx, opt, s)
+}
+
+func equiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions, s *Scratch) (*JoinPairs, error) {
 	if len(on) == 0 {
 		return nil, fmt.Errorf("relation: equi-join of %s and %s with no join attributes", a.Name, b.Name)
 	}
@@ -1008,7 +1043,11 @@ func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions)
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
 	}
-	schema, rightKeep, err := joinedSchema(a.schema, b.schema, on)
+	var schemas *SchemaMemo
+	if s != nil {
+		schemas = s.schemas
+	}
+	schema, rightKeep, err := schemas.joined(a.schema, b.schema, on)
 	if err != nil {
 		return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 	}
@@ -1025,10 +1064,11 @@ func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions)
 	// joins remap the probe dictionary directly — one build-dictionary
 	// lookup per distinct value; multi-column joins group the probe rows
 	// first so each distinct tuple is looked up once. The probe-group and
-	// remap tables are scratch (pooled).
+	// remap tables are pooled temporaries.
 	pg := poolInt32.get(a.n)
 	var probe []uint32
 	var remap []int32
+	var ag *Grouping
 	if col := &a.cols[aCols[0]]; len(aCols) == 1 && col.Codes != nil {
 		probe = col.Codes
 		remap = poolInt32.get(col.Dict.Len())
@@ -1038,8 +1078,7 @@ func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions)
 			remap[code] = idx.groupOf(vals)
 		}
 	} else {
-		ag, err := a.groupBy(aCols, workers)
-		if err != nil {
+		if ag, err = a.groupBy(aCols, workers, s); err != nil {
 			poolInt32.put(pg)
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
@@ -1059,6 +1098,7 @@ func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions)
 		}
 	})
 	poolInt32.put(remap)
+	s.ReleaseGrouping(ag)
 
 	// Size the output exactly from the build-side match counts — per chunk,
 	// so the pairing sweep can run chunks in parallel while writing every
@@ -1108,22 +1148,12 @@ func (p *JoinPairs) Schema() *Schema { return p.schema }
 // Name returns the joined relation's name.
 func (p *JoinPairs) Name() string { return p.a.Name + "⋈" + p.b.Name }
 
-// GatherSubset gathers only the output columns cols of every pair. Like
-// ToColumnarSubset's result, the relation carries the full joined schema
-// but leaves the other columns unpopulated: callers must touch only cols.
-func (p *JoinPairs) GatherSubset(cols []int) *Columnar {
-	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len()}
-	out.cols = make([]CCol, p.schema.Len())
-	aLen := p.a.schema.Len()
-	for _, j := range cols {
-		if j < aLen {
-			gatherGroup(out.cols[j:j+1], p.a.cols[j:j+1], nil, p.left, p.workers)
-		} else {
-			gatherGroup(out.cols[j:j+1], p.b.cols, p.rightKeep[j-aLen:j-aLen+1], p.right, p.workers)
-		}
-	}
-	return out
-}
+// GatherSubset gathers only the output columns cols of every pair, into s
+// (nil: allocated) for a caller that hands the relation back with Release
+// after one pass; the pairs stay usable. Like ToColumnarSubset's result,
+// the relation carries the full joined schema but leaves the other columns
+// unpopulated: callers must touch only cols.
+func (s *Scratch) GatherSubset(p *JoinPairs, cols []int) *Columnar { return p.gather(cols, s) }
 
 // Keep restricts the pairs to the output rows keep (ascending), in place.
 func (p *JoinPairs) Keep(keep []int32) {
@@ -1135,12 +1165,56 @@ func (p *JoinPairs) Keep(keep []int32) {
 
 // Gather gathers every output column of the pairs into the joined relation
 // and releases the pair lists; p must not be used afterwards.
-func (p *JoinPairs) Gather() *Columnar {
-	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len()}
+func (p *JoinPairs) Gather() *Columnar { return p.release(p.gather(nil, nil)) }
+
+// Gather gathers the output columns cols of the pairs (nil: every column)
+// into s, for a caller that hands the relation back with Release after one
+// pass — the terminal join of a re-sampled path, of which the metrics read
+// a few columns — and releases the pair lists; p must not be used
+// afterwards. Like GatherSubset's, the relation carries the full joined
+// schema: callers must touch only cols.
+func (s *Scratch) Gather(p *JoinPairs, cols []int) *Columnar { return p.release(p.gather(cols, s)) }
+
+// gather gathers the output columns cols (nil: all) of every pair, into s.
+func (p *JoinPairs) gather(cols []int, s *Scratch) *Columnar {
+	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len(), owner: s}
 	out.cols = make([]CCol, p.schema.Len())
-	aLen := p.a.schema.Len()
-	gatherGroup(out.cols[:aLen], p.a.cols, nil, p.left, p.workers)
-	gatherGroup(out.cols[aLen:], p.b.cols, p.rightKeep, p.right, p.workers)
+	width := len(cols)
+	col := func(k int) int { return cols[k] }
+	if cols == nil {
+		width = len(out.cols)
+		col = func(k int) int { return k }
+	}
+	coded := 0
+	for k := 0; k < width; k++ {
+		if src, _ := p.source(col(k)); src.Codes != nil {
+			coded++
+		}
+	}
+	back := newGatherBack(s, coded, width-coded, p.Len())
+	if s != nil {
+		out.back = back
+	}
+	for k := 0; k < width; k++ {
+		j := col(k)
+		src, rows := p.source(j)
+		out.cols[j] = gatherCol(src, rows, p.workers, &back)
+	}
+	return out
+}
+
+// source returns output column j's source column and the rows it is
+// gathered at.
+func (p *JoinPairs) source(j int) (*CCol, []int32) {
+	if aLen := p.a.schema.Len(); j >= aLen {
+		return &p.b.cols[p.rightKeep[j-aLen]], p.right
+	}
+	return &p.a.cols[j], p.left
+}
+
+// release returns the pair lists to the pool and passes out through; p
+// must not be used afterwards.
+func (p *JoinPairs) release(out *Columnar) *Columnar {
 	poolInt32.put(p.left)
 	poolInt32.put(p.right)
 	p.left, p.right = nil, nil

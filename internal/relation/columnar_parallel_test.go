@@ -88,21 +88,28 @@ func columnarsEqual(t *testing.T, tag string, want, got *Columnar) {
 
 // TestGroupByWorkersEquivalence pins the determinism contract of the chunked
 // parallel grouping: codes, counts, first rows and id order are bit-identical
-// to the serial fuse for every worker count.
+// to the serial fuse for every worker count, allocated or in a scratch.
 func TestGroupByWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := ToColumnar(bigTable(rng, "G", parallelMinRows+1500, 2000))
+	s := NewScratch(nil)
 	for _, cols := range [][]int{{0}, {0, 1}, {0, 1, 3}, {1, 3}} {
 		want, err := c.GroupBy(cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := c.GroupByWorkers(cols, workers)
+			plain, err := c.groupBy(cols, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groupingsEqual(t, fmt.Sprintf("cols %v workers %d allocated", cols, workers), want, plain)
+			got, err := s.GroupBy(c, cols, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			groupingsEqual(t, fmt.Sprintf("cols %v workers %d", cols, workers), want, got)
+			s.ReleaseGrouping(got)
 		}
 	}
 }

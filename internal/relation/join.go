@@ -1,8 +1,58 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strconv"
+
+	"github.com/dance-db/dance/internal/memo"
 )
+
+// SchemaMemo memoizes joined schemas per (left schema, right schema, join
+// attributes). A search joins the same few schemas along every candidate
+// path — views of the instances, and prefixes whose schemas came out of
+// this memo — so after warm-up no join builds a schema. Schemas are keyed
+// by their process-unique id, which no later schema reuses, so an entry
+// can never answer for a schema built after the one it was computed from
+// was freed. Safe for concurrent use.
+type SchemaMemo struct{ m *memo.Memo[joinedEntry] }
+
+type joinedEntry struct {
+	schema    *Schema
+	rightKeep []int
+}
+
+// NewSchemaMemo returns a memo holding at most about entries joined
+// schemas.
+func NewSchemaMemo(entries int) *SchemaMemo {
+	shards := min(8, max(1, entries))
+	return &SchemaMemo{m: memo.New[joinedEntry](shards, max(1, entries/shards))}
+}
+
+// joined returns joinedSchema(a, b, on), from m when m holds it.
+func (m *SchemaMemo) joined(a, b *Schema, on []string) (*Schema, []int, error) {
+	if m == nil {
+		return joinedSchema(a, b, on)
+	}
+	var buf [64]byte
+	key := binary.LittleEndian.AppendUint64(buf[:0], a.id)
+	key = binary.LittleEndian.AppendUint64(key, b.id)
+	for _, n := range on { // length-prefixed: attribute names are free text
+		key = strconv.AppendInt(key, int64(len(n)), 10)
+		key = append(key, ':')
+		key = append(key, n...)
+	}
+	k := string(key)
+	if e, ok := m.m.Get(k); ok {
+		return e.schema, e.rightKeep, nil
+	}
+	schema, rightKeep, err := joinedSchema(a, b, on)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.m.Put(k, joinedEntry{schema: schema, rightKeep: rightKeep})
+	return schema, rightKeep, nil
+}
 
 // joinedSchema builds the output schema of a join of a and b on the given
 // attributes: all columns of a, then the columns of b except the join

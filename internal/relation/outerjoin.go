@@ -139,7 +139,7 @@ func (c *Columnar) keyGroups(on []string) (*keyGroups, error) {
 		}
 		return k, nil
 	}
-	g, err := c.groupBy(cols, 1)
+	g, err := c.groupBy(cols, 1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Column describes one attribute of a relation.
@@ -24,7 +25,13 @@ func (c Column) IsCategorical() bool { return c.Categorical || c.Kind == KindStr
 type Schema struct {
 	cols   []Column
 	byName map[string]int
+	// id is unique among the schemas of the process, never reused: the
+	// joined-schema memo keys by it, so a key cannot alias a freed schema.
+	id uint64
 }
+
+// schemaIDs numbers schemas as they are built.
+var schemaIDs atomic.Uint64
 
 // NewSchema builds a schema from cols. Column names must be non-empty and
 // unique; NewSchema panics otherwise (use newSchema for outside input).
@@ -38,7 +45,7 @@ func NewSchema(cols ...Column) *Schema {
 
 // newSchema is NewSchema reporting empty or duplicate names as errors.
 func newSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{cols: append([]Column(nil), cols...), byName: make(map[string]int, len(cols))}
+	s := &Schema{cols: append([]Column(nil), cols...), byName: make(map[string]int, len(cols)), id: schemaIDs.Add(1)}
 	for i, c := range s.cols {
 		if c.Name == "" {
 			return nil, fmt.Errorf("relation: empty column name")

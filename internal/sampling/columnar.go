@@ -30,7 +30,7 @@ func CorrelatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate flo
 	if err != nil {
 		return nil, fmt.Errorf("correlated sample of %s: %w", c.Name, err)
 	}
-	keep, err := sampleRows(c, cols, rate, h, 1)
+	keep, err := sampleRows(c, cols, rate, h, 1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("correlated sample of %s: %w", c.Name, err)
 	}
@@ -41,35 +41,45 @@ func CorrelatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate flo
 // exactly the rows CorrelatedSampleColumnar keeps of the gathered join: only
 // the join attributes are gathered to decide, and every kept column is then
 // gathered once instead of twice. The grouping pass runs on up to workers
-// goroutines; kept rows are identical for every worker count.
-func resamplePairs(p *relation.JoinPairs, joinAttrs []string, rate float64, h Hasher, workers int) error {
+// goroutines; kept rows are identical for every worker count. The decision
+// — the narrow gather, its grouping and the kept rows — is one pass of work
+// in s.
+func resamplePairs(p *relation.JoinPairs, joinAttrs []string, rate float64, h Hasher, workers int, s *relation.Scratch) error {
 	if rate >= 1 {
 		return nil
 	}
-	var keep []int32
-	if rate > 0 {
-		cols, err := p.Schema().Indexes(joinAttrs...)
-		if err != nil {
-			return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
-		}
-		if keep, err = sampleRows(p.GatherSubset(cols), cols, rate, h, workers); err != nil {
-			return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
-		}
+	if rate <= 0 {
+		p.Keep(nil)
+		return nil
+	}
+	cols, err := p.Schema().Indexes(joinAttrs...)
+	if err != nil {
+		return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
+	}
+	sub := s.GatherSubset(p, cols)
+	keep, err := sampleRows(sub, cols, rate, h, workers, s)
+	s.Release(sub)
+	if err != nil {
+		return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
 	}
 	p.Keep(keep)
+	relation.FreeSlice(s, keep)
 	return nil
 }
 
 // sampleRows returns, ascending, the rows of c whose join-attribute tuple
-// (the coded columns cols) is NULL-free and hashes to at most rate.
-func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, workers int) ([]int32, error) {
-	g, err := c.GroupByWorkers(cols, workers)
+// (the coded columns cols) is NULL-free and hashes to at most rate. The
+// rows are taken from s; the caller frees them.
+func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, workers int, s *relation.Scratch) ([]int32, error) {
+	g, err := s.GroupBy(c, cols, workers)
 	if err != nil {
 		return nil, err
 	}
+	defer s.ReleaseGrouping(g)
 	// One NULL check and one hash per distinct tuple: every row of a group
 	// shares the tuple, so a per-row hash collapses to a per-group decision.
-	keepGroup := make([]bool, g.N())
+	keepGroup := relation.ScratchSlice[bool](s, g.N())
+	defer relation.FreeSlice(s, keepGroup)
 	var buf []byte
 	for gid := range keepGroup {
 		first := int(g.First[gid])
@@ -81,6 +91,7 @@ func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, worker
 			}
 		}
 		if null {
+			keepGroup[gid] = false
 			continue
 		}
 		buf = c.AppendRowKey(buf[:0], first, cols)
@@ -92,7 +103,7 @@ func sampleRows(c *relation.Columnar, cols []int, rate float64, h Hasher, worker
 			kept++
 		}
 	}
-	keep := make([]int32, 0, kept)
+	keep := relation.ScratchSlice[int32](s, kept)[:0]
 	for i, gc := range g.Codes {
 		if keepGroup[gc] {
 			keep = append(keep, int32(i))
@@ -133,7 +144,9 @@ type PrefixCache interface {
 // every step's table identity and join attributes, and — when re-sampling is
 // enabled — the *next* step's join attributes, because the intermediate is
 // re-sampled on the attributes it will join on next, and a path that ends at
-// step i must not share state with one that continues through it.
+// step i must not share state with one that continues through it. (Such a
+// terminal key, whose next part is "$", names a join that is never
+// published: see ResampledJoinPathColumnar.)
 //
 // Step IDs and attribute names are seller- and shopper-controlled text, so
 // every part is length-prefixed (safekey.Join); keys of different paths can
@@ -162,21 +175,63 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 // *next* step's join attributes, bounding intermediate sizes while
 // preserving join structure (Sec 3.2). No joined row is ever materialized.
 // When cache is non-nil, the longest already-cached prefix of the path is
-// reused and every newly computed intermediate is published, so MCMC
+// reused and newly computed intermediates are published, so MCMC
 // neighbors that differ in one edge variant re-join only the suffix behind
 // the change. On a cache hit, stats cover only the joins actually performed
 // in this call.
+//
+// With η > 0 the terminal join is never published: its key names a path
+// that ends there, which no longer path shares, and a search asks for a
+// repeated target graph's metrics, not its join. Every η = 0 hop and every
+// non-terminal hop is published.
 func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache) (*relation.Columnar, ResampleStats, error) {
+	return ResampledJoinPathScratch(steps, opts, cache, nil, nil)
+}
+
+// columnsOf returns the positions in schema of the names (nil: nil), each
+// once, ascending; names schema lacks are skipped.
+func columnsOf(schema *relation.Schema, names []string) []int {
+	if names == nil {
+		return nil
+	}
+	in := make([]bool, schema.Len())
+	for _, n := range names {
+		if j := schema.Index(n); j >= 0 {
+			in[j] = true
+		}
+	}
+	cols := make([]int, 0, len(names))
+	for j, ok := range in {
+		if ok {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// ResampledJoinPathScratch is ResampledJoinPathColumnar with one-pass work
+// in s: the join temporaries, every re-sampling decision and, with η > 0,
+// the terminal join itself, which the caller hands back with s.Release once
+// it has measured it. A nil s allocates as ResampledJoinPathColumnar does.
+// With η > 0 and measured non-nil, the terminal join carries only the
+// columns measured names (the rest of its schema is unpopulated), because
+// nothing but the caller ever reads it.
+func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch, measured []string) (*relation.Columnar, ResampleStats, error) {
 	var stats ResampleStats
 	if len(steps) == 0 {
 		return nil, stats, fmt.Errorf("sampling: empty join path")
 	}
+	last := len(steps) - 1
 	var keys []string
 	start := 0
 	acc := steps[0].C
 	if cache != nil {
 		keys = prefixKeys(steps, opts)
-		for i := len(steps) - 1; i >= 1; i-- {
+		top := last
+		if opts.Eta > 0 {
+			top-- // the terminal prefix is never published
+		}
+		for i := top; i >= 1; i-- {
 			if c, ok := cache.Get(keys[i]); ok {
 				acc, start = c, i
 				break
@@ -184,20 +239,24 @@ func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache
 		}
 	}
 	for i := start + 1; i < len(steps); i++ {
-		p, err := relation.EquiJoinPairs(acc, steps[i].C, steps[i].On, steps[i].Index,
+		p, err := s.EquiJoinPairs(acc, steps[i].C, steps[i].On, steps[i].Index,
 			relation.JoinOptions{Workers: opts.Workers})
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.IntermediateSizes = append(stats.IntermediateSizes, p.Len())
 		// Only re-sample when another join follows and the threshold trips.
-		resampled := opts.Eta > 0 && i < len(steps)-1 && p.Len() > opts.Eta
+		resampled := opts.Eta > 0 && i < last && p.Len() > opts.Eta
 		if resampled {
-			if err := resamplePairs(p, steps[i+1].On, opts.ResampleRate, opts.Hasher, opts.Workers); err != nil {
+			if err := resamplePairs(p, steps[i+1].On, opts.ResampleRate, opts.Hasher, opts.Workers, s); err != nil {
 				return nil, stats, err
 			}
 		}
 		stats.Resampled = append(stats.Resampled, resampled)
+		if i == last && opts.Eta > 0 {
+			acc = s.Gather(p, columnsOf(p.Schema(), measured))
+			break
+		}
 		acc = p.Gather()
 		if cache != nil {
 			cache.Put(keys[i], acc)

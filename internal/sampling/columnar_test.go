@@ -112,8 +112,8 @@ func TestCorrelatedSampleColumnarMatchesRows(t *testing.T) {
 
 // mapPrefixCache is a minimal PrefixCache for equivalence tests.
 type mapPrefixCache struct {
-	m    map[string]*relation.Columnar
-	hits int
+	m          map[string]*relation.Columnar
+	hits, puts int
 }
 
 func (c *mapPrefixCache) Get(key string) (*relation.Columnar, bool) {
@@ -124,7 +124,10 @@ func (c *mapPrefixCache) Get(key string) (*relation.Columnar, bool) {
 	return v, ok
 }
 
-func (c *mapPrefixCache) Put(key string, v *relation.Columnar) { c.m[key] = v }
+func (c *mapPrefixCache) Put(key string, v *relation.Columnar) {
+	c.m[key] = v
+	c.puts++
+}
 
 func TestResampledJoinPathColumnarMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -162,6 +165,11 @@ func TestResampledJoinPathColumnarMatchesRows(t *testing.T) {
 	}
 }
 
+// TestResampledJoinPathColumnarPrefixCache pins which prefixes a path
+// publishes and reuses: every hop when η = 0, every hop but the terminal
+// one when η > 0 (no longer path shares a terminal key, and a repeated
+// target graph is answered by the evaluation memo first). Cached or not,
+// and with or without scratch, every run returns the uncached join.
 func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	mkSteps := func() []ColumnarStep {
@@ -172,36 +180,53 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		}
 		return steps
 	}
-	for _, opts := range []PathJoinOptions{
-		{},
-		{Eta: 60, ResampleRate: 0.5, Hasher: NewHasher(41)},
+	scr := relation.NewScratch(relation.NewSchemaMemo(16))
+	for _, tc := range []struct {
+		opts PathJoinOptions
+		// Puts of the cold run, the warm rerun and the run of a path
+		// forked in its last step; joins the warm rerun performs.
+		coldPuts, warmPuts, forkPuts, warmJoins int
+	}{
+		{opts: PathJoinOptions{}, coldPuts: 2, warmPuts: 0, forkPuts: 1, warmJoins: 0},
+		// The fork joins its last step on other attributes, so with η > 0
+		// its first hop has a key of its own (re-sampled for the new next
+		// hop): one put, and still none for the terminal.
+		{opts: PathJoinOptions{Eta: 60, ResampleRate: 0.5, Hasher: NewHasher(41)}, coldPuts: 1, warmPuts: 0, forkPuts: 1, warmJoins: 1},
 	} {
+		opts := tc.opts
 		steps := mkSteps()
+		keys := prefixKeys(steps, opts)
 		plain, _, err := ResampledJoinPathColumnar(steps, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := &mapPrefixCache{m: map[string]*relation.Columnar{}}
-		first, _, err := ResampledJoinPathColumnar(steps, opts, cache)
+		first, _, err := ResampledJoinPathScratch(steps, opts, cache, scr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertTablesEqual(t, plain.ToTable(), first.ToTable())
-		if cache.hits != 0 {
-			t.Fatalf("cold cache had %d hits", cache.hits)
+		scr.Release(first)
+		if cache.hits != 0 || cache.puts != tc.coldPuts {
+			t.Fatalf("η=%d cold run: %d hits, %d puts; want 0, %d", opts.Eta, cache.hits, cache.puts, tc.coldPuts)
 		}
-		// Second run must reuse the full path and return the same table.
-		second, stats, err := ResampledJoinPathColumnar(steps, opts, cache)
+		if _, ok := cache.m[keys[2]]; ok != (opts.Eta == 0) {
+			t.Fatalf("η=%d: terminal prefix published = %v", opts.Eta, ok)
+		}
+
+		// The rerun reuses the longest published prefix and returns the
+		// same table.
+		cache.hits, cache.puts = 0, 0
+		second, stats, err := ResampledJoinPathScratch(steps, opts, cache, scr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cache.hits == 0 {
-			t.Fatal("warm cache had no hits")
-		}
-		if len(stats.IntermediateSizes) != 0 {
-			t.Fatalf("full cache hit should skip all joins, stats %v", stats)
+		if cache.hits != 1 || cache.puts != tc.warmPuts || len(stats.IntermediateSizes) != tc.warmJoins {
+			t.Fatalf("η=%d warm run: %d hits, %d puts, stats %v; want 1, %d, %d joins",
+				opts.Eta, cache.hits, cache.puts, stats, tc.warmPuts, tc.warmJoins)
 		}
 		assertTablesEqual(t, plain.ToTable(), second.ToTable())
+		scr.Release(second)
 
 		// A path that diverges in its last step must reuse only the shared
 		// prefix and still agree with the uncached computation.
@@ -211,11 +236,16 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFork, _, err := ResampledJoinPathColumnar(forked, opts, cache)
+		cache.puts = 0
+		gotFork, _, err := ResampledJoinPathScratch(forked, opts, cache, scr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cache.puts != tc.forkPuts {
+			t.Fatalf("η=%d fork: %d puts, want %d", opts.Eta, cache.puts, tc.forkPuts)
+		}
 		assertTablesEqual(t, wantFork.ToTable(), gotFork.ToTable())
+		scr.Release(gotFork)
 	}
 }
 

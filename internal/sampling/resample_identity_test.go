@@ -169,8 +169,13 @@ func workloadIdentityPath(t *testing.T, specStr string, eta int) identityPath {
 // oracle: the full join gathered, then CorrelatedSampleColumnar. Results,
 // stats and every published prefix-cache entry must be identical for η off
 // and on, every ρ regime, NULL join keys, and every worker count (the large
-// chain crosses the parallel-kernel threshold).
+// chain crosses the parallel-kernel threshold), with and without scratch.
+// Every hop is published when η = 0, every hop but the terminal one when
+// η > 0.
 func TestResampledJoinPathColumnarMatchesUnfused(t *testing.T) {
+	// One scratch across every case, so each run takes buffers an earlier
+	// run left dirty.
+	scr := relation.NewScratch(relation.NewSchemaMemo(64))
 	paths := append(tpchIdentityPaths(t),
 		workloadIdentityPath(t, "star:4", 200),
 		workloadIdentityPath(t, "chain:3,decoys=3", 200),
@@ -211,28 +216,41 @@ func TestResampledJoinPathColumnarMatchesUnfused(t *testing.T) {
 						t.Fatalf("%s: η=%d never trips (sizes %v)", p.name, eta, wantStats.IntermediateSizes)
 					}
 					keys := sampling.PrefixKeys(steps, opts)
+					published := len(steps) - 1
+					if eta > 0 {
+						published-- // never the terminal join
+					}
 					for _, workers := range []int{1, 2, 8} {
-						what := fmt.Sprintf("%s null=%v η=%d ρ=%v workers=%d", p.name, nullFrac, eta, rate, workers)
-						opts.Workers = workers
-						cache := &recordingCache{m: map[string]*relation.Columnar{}}
-						got, stats, err := sampling.ResampledJoinPathColumnar(steps, opts, cache)
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						assertColumnarIdentical(t, what, inter[len(inter)-1], got)
-						if !slices.Equal(stats.IntermediateSizes, wantStats.IntermediateSizes) ||
-							!slices.Equal(stats.Resampled, wantStats.Resampled) {
-							t.Fatalf("%s: stats %+v, want %+v", what, stats, wantStats)
-						}
-						if cache.puts != len(steps)-1 {
-							t.Fatalf("%s: %d prefix-cache puts, want %d", what, cache.puts, len(steps)-1)
-						}
-						for i := 1; i < len(steps); i++ {
-							entry, ok := cache.m[keys[i]]
-							if !ok {
-								t.Fatalf("%s: prefix %d not published", what, i)
+						for _, s := range []*relation.Scratch{nil, scr} {
+							what := fmt.Sprintf("%s null=%v η=%d ρ=%v workers=%d scratch=%v", p.name, nullFrac, eta, rate, workers, s != nil)
+							opts.Workers = workers
+							cache := &recordingCache{m: map[string]*relation.Columnar{}}
+							got, stats, err := sampling.ResampledJoinPathScratch(steps, opts, cache, s, nil)
+							if err != nil {
+								t.Fatalf("%s: %v", what, err)
 							}
-							assertColumnarIdentical(t, fmt.Sprintf("%s prefix %d", what, i), inter[i], entry)
+							assertColumnarIdentical(t, what, inter[len(inter)-1], got)
+							s.Release(got)
+							if !slices.Equal(stats.IntermediateSizes, wantStats.IntermediateSizes) ||
+								!slices.Equal(stats.Resampled, wantStats.Resampled) {
+								t.Fatalf("%s: stats %+v, want %+v", what, stats, wantStats)
+							}
+							if cache.puts != published {
+								t.Fatalf("%s: %d prefix-cache puts, want %d", what, cache.puts, published)
+							}
+							for i := 1; i < len(steps); i++ {
+								entry, ok := cache.m[keys[i]]
+								if i > published {
+									if ok {
+										t.Fatalf("%s: terminal prefix %d published", what, i)
+									}
+									continue
+								}
+								if !ok {
+									t.Fatalf("%s: prefix %d not published", what, i)
+								}
+								assertColumnarIdentical(t, fmt.Sprintf("%s prefix %d", what, i), inter[i], entry)
+							}
 						}
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/relation"
 )
 
 // BruteForceLimits guard the exponential enumeration.
@@ -55,6 +56,7 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 
 	var best bestFold
 	evals := 0
+	scr := s.newScratch() // the search's one goroutine evaluates serially
 	for mask := uint32(1); mask < 1<<uint(n); mask++ {
 		// Subset must cover every requested attribute.
 		covered := true
@@ -84,7 +86,7 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 			if err != nil {
 				continue
 			}
-			if err := s.enumerateVariants(ctx, verts, treeEdges, assign, req, limits, &best, &evals); err != nil {
+			if err := s.enumerateVariants(ctx, verts, treeEdges, assign, req, limits, &best, &evals, scr); err != nil {
 				return nil, err
 			}
 		}
@@ -264,9 +266,9 @@ func isSpanningTree(verts []int, edges [][2]int) bool {
 
 // enumerateVariants walks the cartesian product of per-edge join-attribute
 // variants, evaluating (and counting in evals) every resulting target graph
-// and folding the feasible ones into best.
+// with the search's scratch and folding the feasible ones into best.
 func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges [][2]int, assign map[string]int,
-	req Request, limits BruteForceLimits, best *bestFold, evals *int) error {
+	req Request, limits BruteForceLimits, best *bestFold, evals *int, scr *relation.Scratch) error {
 
 	counts := make([]int, len(treeEdges))
 	combos := 1
@@ -296,7 +298,7 @@ func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges
 		}
 		tg, err := joingraph.NewTargetGraph(s.G, verts, edges, assign)
 		if err == nil {
-			m, err := s.Evaluate(ctx, tg, req)
+			m, err := s.evaluate(ctx, tg, req, 1, scr)
 			if err != nil {
 				return err
 			}

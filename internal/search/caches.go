@@ -37,6 +37,11 @@ const (
 // X/Y splits shoppers ask for.
 const maxViews = 4096
 
+// maxJoinedSchemas bounds the joined-schema memo. A search joins a few
+// dozen distinct (left, right, attributes) schema triples; each entry is
+// one schema of a few dozen columns.
+const maxJoinedSchemas = 1024
+
 // maxJoinIndexes bounds the join-index memo. An index holds a row list per
 // key of an instance sample, so it is the heaviest entry here; a graph
 // needs one per (instance, join-attribute set) its candidate paths probe,
@@ -51,8 +56,8 @@ type owned[T any] struct {
 }
 
 // Caches bundles the memoized evaluation state — metric evaluations,
-// projected views of the instances' columnar encodings, join indexes and
-// join prefixes — so it can outlive a single Searcher. Every key
+// projected views of the instances' columnar encodings, join indexes,
+// join prefixes and joined schemas — so it can outlive a single Searcher. Every key
 // incorporates the owning instance's (name, version) identity; a
 // sample-rate escalation therefore invalidates exactly the entries of
 // datasets whose rows changed, while state derived from unchanged datasets
@@ -63,6 +68,9 @@ type Caches struct {
 	views    *memo.Memo[owned[*relation.Columnar]]
 	joinIdx  *memo.Memo[owned[*relation.JoinIndex]]
 	prefixes *memo.Memo[*relation.Columnar]
+	// schemas memoizes the schemas of the joins searches run. Execute
+	// (Realize) never reaches it: its joins build their schemas once.
+	schemas *relation.SchemaMemo
 }
 
 // NewCaches returns an empty cache set.
@@ -73,6 +81,7 @@ func NewCaches() *Caches {
 		joinIdx: memo.New[owned[*relation.JoinIndex]](1, maxJoinIndexes),
 		prefixes: memo.NewCosted(memo.Shards(16), prefixCacheShardCap, prefixCacheShardRowBudget,
 			prefixEntryMaxRows, (*relation.Columnar).NumRows),
+		schemas: relation.NewSchemaMemo(maxJoinedSchemas),
 	}
 }
 

@@ -13,12 +13,21 @@ import (
 // EvaluateWorkers is Evaluate with an explicit worker bound for the
 // columnar kernels of a cache miss.
 func (s *Searcher) EvaluateWorkers(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
-	return s.evaluate(ctx, tg, req, workers)
+	return s.evaluate(ctx, tg, req, workers, s.newScratch())
+}
+
+// ScopedEvaluator returns Evaluate as one goroutine of a search runs it:
+// every call evaluates with the same scratch, which earlier calls warmed.
+func (s *Searcher) ScopedEvaluator() func(context.Context, *joingraph.TargetGraph, Request) (Metrics, error) {
+	scr := s.newScratch()
+	return func(ctx context.Context, tg *joingraph.TargetGraph, req Request) (Metrics, error) {
+		return s.evaluate(ctx, tg, req, 1, scr)
+	}
 }
 
 // Measure sets m's correlation and quality on j, as the evaluator does.
 func (m *Metrics) Measure(j *relation.Columnar, x, y []string, fds []fd.FD) error {
-	return m.measure(j, x, y, fds)
+	return m.measure(j, x, y, fds, nil)
 }
 
 // KeepNames returns the column keep set the evaluator projects req's joins

@@ -75,7 +75,7 @@ type greedyNeighbor struct {
 // greedyRun climbs every Step 1 candidate and reports each feasible state
 // it evaluates to visit. It returns the per-request evaluation count.
 func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joingraph.TargetGraph, Metrics)) (evals int, err error) {
-	plans, workers, err := s.phase0(ctx, req)
+	plans, sc, err := s.phase0(ctx, req)
 	if err != nil {
 		return 0, err
 	}
@@ -112,8 +112,11 @@ func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joing
 				tg.Edges[nb.edge].Variant = nb.variant
 				tgs[i] = tg
 			}
-			ms, err := parallel.Map(ctx, len(nbrs), workers, func(i int) (Metrics, error) {
-				return s.evaluate(ctx, tgs[i], req, 1)
+			ms := make([]Metrics, len(nbrs))
+			err := parallel.ForEachWorker(ctx, len(nbrs), sc.workers, func(w, i int) error {
+				var err error
+				ms[i], err = s.evaluate(ctx, tgs[i], req, 1, sc.scratch(w))
+				return err
 			})
 			if err != nil {
 				return evals, err

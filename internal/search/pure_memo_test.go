@@ -23,6 +23,7 @@ func newOneEntrySearcher(g *joingraph.Graph) *Searcher {
 		views:    memo.New[owned[*relation.Columnar]](1, 1),
 		joinIdx:  memo.New[owned[*relation.JoinIndex]](1, 1),
 		prefixes: memo.NewCosted(1, 1, prefixCacheShardRowBudget, prefixEntryMaxRows, (*relation.Columnar).NumRows),
+		schemas:  relation.NewSchemaMemo(1),
 	})
 	s.keeps = memo.New[*keepSet](1, 1)
 	return s

@@ -370,20 +370,24 @@ func (s *Searcher) evalKey(tg *joingraph.TargetGraph, req Request) string {
 // sampling options) tuple, so one cache set can serve requests with
 // different attribute splits, Eta/ResampleRate/Seed, or offline state
 // versions without cross-contamination, from any number of goroutines.
+//
+// Evaluate is a search of one target graph: its scratch memory lives for
+// the call.
 func (s *Searcher) Evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request) (Metrics, error) {
-	return s.evaluate(ctx, tg, req, 1)
+	return s.evaluate(ctx, tg, req, 1, s.newScratch())
 }
 
 // evaluate is Evaluate with a worker bound for the columnar join/grouping
-// kernels of a cache miss. Metrics are bit-identical for every worker count
-// (the kernels pin that), so cached entries are shared freely across calls
-// with different worker bounds.
-func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
+// kernels of a cache miss, and the scratch memory of the calling goroutine
+// (nil: allocate). Metrics are bit-identical for every worker count (the
+// kernels pin that) and with or without scratch, so cached entries are
+// shared freely across calls.
+func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int, scr *relation.Scratch) (Metrics, error) {
 	key := s.evalKey(tg, req)
 	if m, ok := s.caches.eval.Get(key); ok {
 		return m, nil
 	}
-	m, err := s.evaluateUncached(ctx, tg, req, workers)
+	m, err := s.evaluateUncached(ctx, tg, req, workers, scr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -396,10 +400,11 @@ func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 // views projected to the request's keep set (so it gathers only the columns
 // the metrics or later hops read), build-side join indexes are shared per
 // (instance, join-attrs), the join never materializes rows, and common path
-// prefixes are reused through the prefix cache. The metrics are
+// prefixes are reused through the prefix cache. With η > 0 the terminal
+// join lives in scr and goes back to it once measured. The metrics are
 // bit-identical to those of the row-store pipeline this path replaced,
 // frozen in testdata/evaluate_golden.json (columnar_equiv_test.go).
-func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
+func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int, scr *relation.Scratch) (Metrics, error) {
 	x, y, err := req.corrAttrs()
 	if err != nil {
 		return Metrics{}, err
@@ -422,34 +427,47 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	opts := req.samplingOptions()
 	opts.Workers = workers
 	opts.ProjectionTag = keep.tag
-	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, s.caches.prefixes)
+	fds := tg.FDs()
+	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, s.caches.prefixes, scr, measured(x, y, fds))
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer scr.Release(j)
 	m := Metrics{Weight: tg.Weight()}
 	m.Price, err = tg.Price(ctx)
 	if err != nil {
 		return Metrics{}, err
 	}
-	if err := m.measure(j, x, y, tg.FDs()); err != nil {
+	if err := m.measure(j, x, y, fds, scr); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
 }
 
-// measure sets m's correlation and quality on the joined relation j. An
-// empty join carries no correlation evidence and its quality is vacuous:
-// both stay zero.
-func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD) error {
+// measured returns the attributes measure reads: X, Y and every attribute
+// of fds.
+func measured(x, y []string, fds []fd.FD) []string {
+	names := append(append([]string{}, x...), y...)
+	for _, f := range fds {
+		names = append(names, f.LHS...)
+		names = append(names, f.RHS)
+	}
+	return names
+}
+
+// measure sets m's correlation and quality on the joined relation j, with
+// the groupings they count in scr (nil: allocated). An empty join carries
+// no correlation evidence and its quality is vacuous: both stay zero.
+func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD, scr *relation.Scratch) error {
 	if j.NumRows() == 0 {
 		m.Correlation, m.Quality = 0, 0
 		return nil
 	}
 	var err error
-	if m.Correlation, err = infotheory.CorrelationColumnar(j, x, y); err != nil {
+	if m.Correlation, err = infotheory.CorrelationScratch(j, x, y, scr); err != nil {
 		return err
 	}
-	m.Quality, err = fd.QualitySetColumnar(j, fds)
+	m.Quality, err = fd.QualitySetScratch(j, fds, scr)
 	return err
 }
 
@@ -511,7 +529,7 @@ func Realize(steps []FullStep, req Request, fds []fd.FD) (*relation.Columnar, Me
 		return nil, Metrics{}, err
 	}
 	var m Metrics
-	if err := m.measure(j, x, y, fds); err != nil {
+	if err := m.measure(j, x, y, fds, nil); err != nil {
 		return nil, Metrics{}, err
 	}
 	return j, m, nil
@@ -856,30 +874,72 @@ func walkEvals(plans []chainPlan, units []segUnit) int {
 // prefix/join-index caches before the fan-out. Workers left over once every
 // candidate has one fan into each evaluation's columnar join and grouping
 // kernels (which are bit-identical for every worker count). It also returns
-// the resolved pool size.
-func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, int, error) {
+// the search's scope — the resolved pool and its goroutines' scratch — which
+// the caller's walk keeps using.
+func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, *scope, error) {
 	cands, err := s.step1Candidates(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	plans, viable := s.chainPlans(cands, req)
-	workers := parallel.DefaultWorkers(req.Workers)
+	sc := s.newScope(req.Workers)
 	perInit := 1
-	if viable > 0 && workers/viable > 1 {
-		perInit = workers / viable
+	if viable > 0 && sc.workers/viable > 1 {
+		perInit = sc.workers / viable
 	}
-	err = parallel.ForEach(ctx, len(plans), workers, func(i int) error {
+	err = parallel.ForEachWorker(ctx, len(plans), sc.workers, func(w, i int) error {
 		if plans[i].tg == nil {
 			return nil
 		}
 		var err error
-		plans[i].init, err = s.evaluate(ctx, plans[i].tg, req, perInit)
+		plans[i].init, err = s.evaluate(ctx, plans[i].tg, req, perInit, sc.scratch(w))
 		return err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return plans, workers, nil
+	return plans, sc, nil
+}
+
+// scope is the working memory of one search call: a scratch and an RNG per
+// pool goroutine, made on first use. Each belongs to the goroutine that
+// runs as its worker index, and all of it is dropped when the search
+// returns, so a search never leaves a free list behind.
+type scope struct {
+	s       *Searcher
+	workers int
+	scr     []*relation.Scratch
+	rngs    []*rand.Rand
+}
+
+// newScope sizes a scope for a search of req.Workers (≤ 0: one per CPU).
+func (s *Searcher) newScope(workers int) *scope {
+	n := parallel.DefaultWorkers(workers)
+	return &scope{s: s, workers: n, scr: make([]*relation.Scratch, n), rngs: make([]*rand.Rand, n)}
+}
+
+// newScratch returns an empty scratch that joins through the searcher's
+// schema memo.
+func (s *Searcher) newScratch() *relation.Scratch { return relation.NewScratch(s.caches.schemas) }
+
+// scratch returns worker w's scratch.
+func (sc *scope) scratch(w int) *relation.Scratch {
+	if sc.scr[w] == nil {
+		sc.scr[w] = sc.s.newScratch()
+	}
+	return sc.scr[w]
+}
+
+// rng returns worker w's RNG, re-seeded: the stream is the one
+// rand.New(rand.NewSource(seed)) yields, without a fresh source per
+// segment.
+func (sc *scope) rng(w int, seed int64) *rand.Rand {
+	if sc.rngs[w] == nil {
+		sc.rngs[w] = rand.New(rand.NewSource(seed))
+		return sc.rngs[w]
+	}
+	sc.rngs[w].Seed(seed)
+	return sc.rngs[w]
 }
 
 // bestFold keeps the feasible state with the highest estimated correlation:
@@ -911,7 +971,7 @@ func (b *bestFold) add(tg *joingraph.TargetGraph, m Metrics) {
 // ctx stops every segment mid-walk and returns ctx.Err().
 func (s *Searcher) Heuristic(ctx context.Context, req Request) (*Result, error) {
 	req = req.withDefaults()
-	plans, workers, err := s.phase0(ctx, req)
+	plans, sc, err := s.phase0(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -919,7 +979,7 @@ func (s *Searcher) Heuristic(ctx context.Context, req Request) (*Result, error) 
 	// was never the walk's state, so it is no candidate.
 	units := segmentUnits(plans, req.Iterations)
 	segBest := make([]bestFold, len(units))
-	err = s.mcmcWalk(ctx, req, plans, units, workers, func(u int, tg *joingraph.TargetGraph, m Metrics, accepted bool) {
+	err = s.mcmcWalk(ctx, req, plans, units, sc, func(u int, tg *joingraph.TargetGraph, m Metrics, accepted bool) {
 		if accepted {
 			segBest[u].add(tg, m)
 		}
@@ -956,14 +1016,16 @@ func (s *Searcher) Heuristic(ctx context.Context, req Request) (*Result, error) 
 // initial target graph with the (Seed, candidate, segment) RNG stream, and
 // reports every feasible proposal to visit together with whether the walk
 // accepted it. visit runs on the segment's goroutine. The context is
-// checked every iteration, so a cancelled request stops mid-walk.
-func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan, units []segUnit, workers int,
+// checked every iteration, so a cancelled request stops mid-walk. Segments
+// run on sc's pool, each with its goroutine's scratch and RNG.
+func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan, units []segUnit, sc *scope,
 	visit func(u int, tg *joingraph.TargetGraph, m Metrics, accepted bool)) error {
 
-	return parallel.ForEach(ctx, len(units), workers, func(u int) error {
+	return parallel.ForEachWorker(ctx, len(units), sc.workers, func(w, u int) error {
 		un := units[u]
 		p := plans[un.cand]
-		rng := rand.New(rand.NewSource(segmentSeed(req.Seed, un.cand, un.seg)))
+		rng := sc.rng(w, segmentSeed(req.Seed, un.cand, un.seg))
+		scr := sc.scratch(w)
 		cur, curM := p.tg, p.init
 		for it := 0; it < un.iters; it++ {
 			if err := ctx.Err(); err != nil {
@@ -979,7 +1041,7 @@ func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan,
 			cand := cur.Clone()
 			cand.Edges[ei].Variant = nv
 
-			candM, err := s.evaluate(ctx, cand, req, 1)
+			candM, err := s.evaluate(ctx, cand, req, 1, scr)
 			if err != nil {
 				return err
 			}

@@ -67,7 +67,7 @@ type Option struct {
 // every feasible initial state.
 func (s *Searcher) TopK(ctx context.Context, req Request, k int, weights ScoreWeights) ([]Option, error) {
 	req = req.withDefaults()
-	plans, workers, err := s.phase0(ctx, req)
+	plans, sc, err := s.phase0(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (s *Searcher) TopK(ctx context.Context, req Request, k int, weights ScoreWe
 		}
 	}
 	units := segmentUnits(plans, req.Iterations)
-	err = s.mcmcWalk(ctx, req, plans, units, workers, func(_ int, tg *joingraph.TargetGraph, m Metrics, _ bool) {
+	err = s.mcmcWalk(ctx, req, plans, units, sc, func(_ int, tg *joingraph.TargetGraph, m Metrics, _ bool) {
 		fold.add(tg, m)
 	})
 	if err != nil {

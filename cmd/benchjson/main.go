@@ -14,11 +14,11 @@
 //	    go run ./cmd/benchjson -baseline BENCH_3.json \
 //	        -check BenchmarkHeuristicTPCEParallel -max-regress 0.20
 //
-// Ceilings on the current run alone (B/op and allocs/op depend on the code,
+// B/op ceilings on the current run alone (bytes per op depend on the code,
 // not on the machine, so they hold on any runner):
 //
-//	go test -run '^$' -bench BenchmarkEvaluateTPCHResample -benchmem ./internal/search |
-//	    go run ./cmd/benchjson -max-bytes 'BenchmarkEvaluateTPCHResample<=60000'
+//	go test -run '^$' -bench BenchmarkEvaluateTPCHResample -benchmem . |
+//	    go run ./cmd/benchjson -max-bytes 'BenchmarkEvaluateTPCHResample<=120000'
 package main
 
 import (
@@ -41,8 +41,8 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// mem reports whether the line carried B/op and allocs/op (-benchmem):
-	// without them the zero fields are not measurements.
+	// mem reports whether the line carried B/op (-benchmem): without it the
+	// zero field is not a measurement.
 	mem bool
 }
 
@@ -71,7 +71,7 @@ func parse(ctx context.Context, r *bufio.Scanner) (map[string]Result, error) {
 		if m[4] != "" {
 			res.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
 		}
-		res.mem = m[3] != "" && m[4] != ""
+		res.mem = m[3] != ""
 		out[m[1]] = res
 	}
 	return out, r.Err()
@@ -89,7 +89,6 @@ func main() {
 	requireRatio := flag.String("require-ratio", "", "comma-separated 'A/B>=R' specs asserting benchmark A's ns/op is at least R times B's in the current input — speedup floors (e.g. the serial 1M search costing ≥ 2× the parallel one), discounted by -ratio-slack")
 	ratioSlack := flag.Float64("ratio-slack", 0, "fractional discount on every -require-ratio floor: a spec 'A/B>=R' passes when A/B ≥ R×(1−slack). Smoke runs with -benchtime=1x are noisy, so CI gates them with slack while the nightly full-size run gates strict (slack 0)")
 	maxBytes := flag.String("max-bytes", "", "comma-separated 'A<=N' specs asserting benchmark A's B/op in the current input is at most N — allocation ceilings that hold on any machine (needs -benchmem output)")
-	maxAllocs := flag.String("max-allocs", "", "comma-separated 'A<=N' specs asserting benchmark A's allocs/op in the current input is at most N (needs -benchmem output)")
 	flag.Parse()
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -126,10 +125,7 @@ func main() {
 		}
 	}
 
-	if err := checkCeiling(results, *maxBytes, "B/op", func(r Result) int64 { return r.BytesPerOp }); err != nil {
-		fatal(err)
-	}
-	if err := checkCeiling(results, *maxAllocs, "allocs/op", func(r Result) int64 { return r.AllocsPerOp }); err != nil {
+	if err := checkCeiling(results, *maxBytes); err != nil {
 		fatal(err)
 	}
 
@@ -279,11 +275,10 @@ func checkRatio(results map[string]Result, spec string, slack float64) error {
 	return nil
 }
 
-// checkCeiling enforces 'A<=N' ceilings on one per-op memory measure
-// (unit names it, of reads it) of the current input. A benchmark that ran
-// without -benchmem has no such measure and fails, as does a malformed
-// spec: either would otherwise gate nothing.
-func checkCeiling(results map[string]Result, spec, unit string, of func(Result) int64) error {
+// checkCeiling enforces 'A<=N' ceilings on the B/op of the current input.
+// A benchmark that ran without -benchmem has no B/op and fails, as does a
+// malformed spec: either would otherwise gate nothing.
+func checkCeiling(results map[string]Result, spec string) error {
 	for _, one := range strings.Split(spec, ",") {
 		one = strings.TrimSpace(one)
 		if one == "" {
@@ -291,27 +286,27 @@ func checkCeiling(results map[string]Result, spec, unit string, of func(Result) 
 		}
 		sides := strings.Split(one, "<=")
 		if len(sides) != 2 {
-			return fmt.Errorf("benchjson: malformed %s ceiling %q (want exactly one 'A<=N')", unit, one)
+			return fmt.Errorf("benchjson: malformed B/op ceiling %q (want exactly one 'A<=N')", one)
 		}
 		name := strings.TrimSpace(sides[0])
 		if name == "" {
-			return fmt.Errorf("benchjson: malformed %s ceiling %q (empty benchmark name)", unit, one)
+			return fmt.Errorf("benchjson: malformed B/op ceiling %q (empty benchmark name)", one)
 		}
 		limit, err := strconv.ParseInt(strings.TrimSpace(sides[1]), 10, 64)
 		if err != nil || limit < 0 {
-			return fmt.Errorf("benchjson: malformed %s ceiling %q (the ceiling must be a non-negative integer)", unit, one)
+			return fmt.Errorf("benchjson: malformed B/op ceiling %q (the ceiling must be a non-negative integer)", one)
 		}
 		r, ok := results[name]
 		if !ok {
-			return fmt.Errorf("benchjson: %s ceiling benchmark %s missing from input", unit, name)
+			return fmt.Errorf("benchjson: B/op ceiling benchmark %s missing from input", name)
 		}
 		if !r.mem {
-			return fmt.Errorf("benchjson: %s ceiling benchmark %s ran without -benchmem", unit, name)
+			return fmt.Errorf("benchjson: B/op ceiling benchmark %s ran without -benchmem", name)
 		}
-		if got := of(r); got > limit {
-			return fmt.Errorf("benchjson: FAIL %s: %d %s exceeds the ceiling %d", name, got, unit, limit)
+		if r.BytesPerOp > limit {
+			return fmt.Errorf("benchjson: FAIL %s: %d B/op exceeds the ceiling %d", name, r.BytesPerOp, limit)
 		}
-		fmt.Printf("benchjson: ok %s: %d %s ≤ %d\n", name, of(r), unit, limit)
+		fmt.Printf("benchjson: ok %s: %d B/op ≤ %d\n", name, r.BytesPerOp, limit)
 	}
 	return nil
 }

@@ -107,41 +107,25 @@ func CorrelationScratch(c *relation.Columnar, x, y []string, s *relation.Scratch
 	return clampCorr(corr), nil
 }
 
-// rankedFresh and rankedCached bound the dictionary size, in rows, up to
-// which cumulativeGain ranks instead of sorting: a dictionary ordered for
-// this call, or one whose order was already computed.
-const (
-	rankedFresh  = 2
-	rankedCached = 16
-)
-
 // cumulativeGain returns h(A) − h(A|Y) for the numeric column ai of c,
 // where g groups c by Y: zero for a constant (or all-NULL) column, which
 // carries no information either way.
 //
 // Normalization x ↦ (x − lo)/(hi − lo) is monotone, and cumulative entropy
 // reads only the sorted multiset of normalized values, in which equal
-// floats are interchangeable. So when A is dictionary-coded, the values are
-// put in order by counting codes along the dictionary's shared NumericOrder,
-// and every Y-group's sorted sequence falls out of one stable scatter of
-// that order (rankedGain) — no sort at all, bit-identical to normalizing
-// and sorting (sortedGain). The scatter walks the whole dictionary, and
-// ordering a dictionary costs more than sorting the rows once it outgrows
-// them, so the ranked path runs when the dictionary is no larger than
-// rankedFresh× the rows, or no larger than rankedCached× the rows and its
-// order is already computed (a sample's dictionary, ordered once and shared
-// by every join gathered from it); BenchmarkCumulativeGain measures both
-// bounds. Raw-numeric columns, larger dictionaries and non-finite values
-// sort.
+// floats are interchangeable. So when A is dictionary-coded with a
+// dictionary no larger than 2× the rows, the values are put in order by
+// counting codes along the dictionary's shared NumericOrder, and every
+// Y-group's sorted sequence falls out of one stable scatter of that order
+// (rankedGain) — no sort at all, bit-identical to normalizing and sorting
+// (sortedGain). Raw-numeric columns, larger dictionaries (ordering one
+// costs more than sorting the rows; BenchmarkCumulativeGain) and
+// non-finite values sort.
 //
 // The value buffers are one pass of work in s (nil: allocated).
 func cumulativeGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []float64, s *relation.Scratch) float64 {
-	if d := c.Dict(ai); d != nil && d.Len() <= rankedCached*c.NumRows() {
-		order, ok := d.CachedNumericOrder()
-		if !ok && d.Len() <= rankedFresh*c.NumRows() {
-			order, ok = d.NumericOrder()
-		}
-		if ok {
+	if d := c.Dict(ai); d != nil && d.Len() <= 2*c.NumRows() {
+		if order, ok := d.NumericOrder(); ok {
 			if gain, ok := rankedGain(c, ai, g, d, order, logTab, s); ok {
 				return gain
 			}

@@ -10,11 +10,12 @@ import (
 
 // BenchmarkCumulativeGain times the two cumulative-entropy kernels on a
 // relation of n rows whose numeric column carries a dictionary d/n times
-// larger than the rows — a sample join's column shares its sample's
-// dictionary, so d/n > 1 is the normal case — for d/n ∈ {1, 4, 16, 64}:
-// the sorted path, the ranked path with the dictionary's numeric order
-// already computed (cached), and the ranked path computing it first
-// (uncached, a fresh dictionary per iteration). Y has 8 groups.
+// larger than the rows (a sample join's column shares its sample's
+// dictionary, which may be far larger than the join), for
+// d/n ∈ {1, 4, 16, 64}: the sorted path, the ranked path with the
+// dictionary's numeric order already computed (cached), and the ranked
+// path computing it first (uncached, a fresh dictionary per iteration).
+// Y has 8 groups.
 //
 //	go test ./internal/infotheory -run - -bench CumulativeGain
 func BenchmarkCumulativeGain(b *testing.B) {

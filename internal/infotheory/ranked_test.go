@@ -197,50 +197,6 @@ func TestRankedFallsBackOnLargeDictionary(t *testing.T) {
 	}
 }
 
-// Past 2× the rows a dictionary is never ordered for one gain, but one
-// whose order is already computed (a shared sample dictionary) ranks up to
-// 16× the rows, bit-identically to sorting.
-func TestRankedUsesCachedOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	big := rankedTable(rng, 400, func(int) *relation.Value { return val(relation.FloatValue(rng.NormFloat64())) })
-	keep := make([]int32, 40)
-	for i := range keep {
-		keep[i] = int32(rng.Intn(400))
-	}
-	small := relation.ToColumnar(big).FilterRows(keep)
-	ai := small.Schema().Index("x")
-	d := small.Dict(ai)
-	if n := small.NumRows(); d.Len() <= rankedFresh*n || d.Len() > rankedCached*n {
-		t.Fatalf("dictionary of %d codes outside (%d, %d]", d.Len(), rankedFresh*n, rankedCached*n)
-	}
-	g, err := small.GroupBy(small.Schema().MustIndexes("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logTab := log2Upto(small.NumRows())
-	want := sortedGain(small, ai, g, logTab, nil)
-	if got := cumulativeGain(small, ai, g, logTab, nil); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("uncached: gain %v, sorted %v", got, want)
-	}
-	if _, ok := d.CachedNumericOrder(); ok {
-		t.Fatal("cumulativeGain ordered a dictionary larger than 2× the rows")
-	}
-	order, ok := d.NumericOrder()
-	if !ok {
-		t.Fatal("no numeric order")
-	}
-	if cached, ok := d.CachedNumericOrder(); !ok || &cached[0] != &order[0] {
-		t.Fatal("computed order is not reported as cached")
-	}
-	ranked, ok := rankedGain(small, ai, g, d, order, logTab, nil)
-	if !ok || math.Float64bits(ranked) != math.Float64bits(want) {
-		t.Fatalf("ranked gain %v (ok %v), sorted %v", ranked, ok, want)
-	}
-	if got := cumulativeGain(small, ai, g, logTab, relation.NewScratch(nil)); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("cached: gain %v, sorted %v", got, want)
-	}
-}
-
 // NumericOrder is computed lazily on a shared, published dictionary; first
 // use from many goroutines at once must be race-free and agree.
 func TestNumericOrderConcurrentFirstUse(t *testing.T) {

@@ -140,18 +140,6 @@ func (m *Memo[V]) DeleteFunc(del func(V) bool) {
 	}
 }
 
-// Keys returns the memoized keys, in no particular order.
-func (m *Memo[V]) Keys() []string {
-	var keys []string
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		keys = append(keys, s.fifo...)
-		s.mu.RUnlock()
-	}
-	return keys
-}
-
 // Len reports the number of memoized values.
 func (m *Memo[V]) Len() int {
 	n := 0

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the columnar, dictionary-encoded engine. The
@@ -74,12 +73,10 @@ type Dict struct {
 	str     map[string]uint32
 	num     map[numKey]uint32
 	reindex sync.Once
-	// order is NumericOrder's result, computed at most once; orderDone
-	// is set once it is.
+	// order is NumericOrder's result, computed at most once.
 	order     []uint32
 	orderOK   bool
 	orderOnce sync.Once
-	orderDone atomic.Bool
 	// byKey is keyOrder's result, computed at most once.
 	byKey     []uint32
 	byKeyOnce sync.Once
@@ -232,7 +229,6 @@ func (d *Dict) lookup(v Value) (code uint32, ok bool) {
 // Safe for concurrent use.
 func (d *Dict) NumericOrder() (order []uint32, ok bool) {
 	d.orderOnce.Do(func() {
-		defer d.orderDone.Store(true)
 		type entry struct {
 			v    float64
 			code uint32
@@ -252,16 +248,6 @@ func (d *Dict) NumericOrder() (order []uint32, ok bool) {
 		}
 		d.order, d.orderOK = order, true
 	})
-	return d.order, d.orderOK
-}
-
-// CachedNumericOrder returns NumericOrder's result when some caller has
-// already computed it; ok is false when it has not (nothing is computed)
-// or when the dictionary has no numeric order. Safe for concurrent use.
-func (d *Dict) CachedNumericOrder() (order []uint32, ok bool) {
-	if !d.orderDone.Load() {
-		return nil, false
-	}
 	return d.order, d.orderOK
 }
 
@@ -1167,13 +1153,11 @@ func (p *JoinPairs) Keep(keep []int32) {
 // and releases the pair lists; p must not be used afterwards.
 func (p *JoinPairs) Gather() *Columnar { return p.release(p.gather(nil, nil)) }
 
-// Gather gathers the output columns cols of the pairs (nil: every column)
-// into s, for a caller that hands the relation back with Release after one
-// pass — the terminal join of a re-sampled path, of which the metrics read
-// a few columns — and releases the pair lists; p must not be used
-// afterwards. Like GatherSubset's, the relation carries the full joined
-// schema: callers must touch only cols.
-func (s *Scratch) Gather(p *JoinPairs, cols []int) *Columnar { return p.release(p.gather(cols, s)) }
+// Gather gathers every output column of the pairs into s, for a caller that
+// hands the relation back with Release after one pass — the terminal join
+// of a re-sampled path — and releases the pair lists; p must not be used
+// afterwards.
+func (s *Scratch) Gather(p *JoinPairs) *Columnar { return p.release(p.gather(nil, s)) }
 
 // gather gathers the output columns cols (nil: all) of every pair, into s.
 func (p *JoinPairs) gather(cols []int, s *Scratch) *Columnar {

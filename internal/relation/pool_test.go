@@ -86,7 +86,7 @@ func TestScratchReleaseIgnoresForeignValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.Gather(pairs, nil)
+	j := s.Gather(pairs)
 	before := held(s)
 	s.ReleaseGrouping(g)
 	s.Release(j)
@@ -152,8 +152,8 @@ func TestScratchReuseMatchesPlain(t *testing.T) {
 		if again.Schema() != pairs.Schema() {
 			t.Fatal("the schema memo built the joined schema twice")
 		}
-		s.Release(s.Gather(again, nil))
-		j := s.Gather(pairs, nil)
+		s.Release(s.Gather(again))
+		j := s.Gather(pairs)
 		if !j.Schema().Equal(plain.Schema()) || j.NumRows() != plain.NumRows() {
 			t.Fatalf("round %d: scratch join %s%d rows, plain %s%d", round, j.Schema(), j.NumRows(), plain.Schema(), plain.NumRows())
 		}

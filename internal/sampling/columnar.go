@@ -185,38 +185,14 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 // repeated target graph's metrics, not its join. Every η = 0 hop and every
 // non-terminal hop is published.
 func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache) (*relation.Columnar, ResampleStats, error) {
-	return ResampledJoinPathScratch(steps, opts, cache, nil, nil)
-}
-
-// columnsOf returns the positions in schema of the names (nil: nil), each
-// once, ascending; names schema lacks are skipped.
-func columnsOf(schema *relation.Schema, names []string) []int {
-	if names == nil {
-		return nil
-	}
-	in := make([]bool, schema.Len())
-	for _, n := range names {
-		if j := schema.Index(n); j >= 0 {
-			in[j] = true
-		}
-	}
-	cols := make([]int, 0, len(names))
-	for j, ok := range in {
-		if ok {
-			cols = append(cols, j)
-		}
-	}
-	return cols
+	return ResampledJoinPathScratch(steps, opts, cache, nil)
 }
 
 // ResampledJoinPathScratch is ResampledJoinPathColumnar with one-pass work
 // in s: the join temporaries, every re-sampling decision and, with η > 0,
 // the terminal join itself, which the caller hands back with s.Release once
 // it has measured it. A nil s allocates as ResampledJoinPathColumnar does.
-// With η > 0 and measured non-nil, the terminal join carries only the
-// columns measured names (the rest of its schema is unpopulated), because
-// nothing but the caller ever reads it.
-func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch, measured []string) (*relation.Columnar, ResampleStats, error) {
+func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch) (*relation.Columnar, ResampleStats, error) {
 	var stats ResampleStats
 	if len(steps) == 0 {
 		return nil, stats, fmt.Errorf("sampling: empty join path")
@@ -254,7 +230,7 @@ func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache 
 		}
 		stats.Resampled = append(stats.Resampled, resampled)
 		if i == last && opts.Eta > 0 {
-			acc = s.Gather(p, columnsOf(p.Schema(), measured))
+			acc = s.Gather(p)
 			break
 		}
 		acc = p.Gather()

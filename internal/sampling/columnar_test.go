@@ -201,7 +201,7 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache := &mapPrefixCache{m: map[string]*relation.Columnar{}}
-		first, _, err := ResampledJoinPathScratch(steps, opts, cache, scr, nil)
+		first, _, err := ResampledJoinPathScratch(steps, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		// The rerun reuses the longest published prefix and returns the
 		// same table.
 		cache.hits, cache.puts = 0, 0
-		second, stats, err := ResampledJoinPathScratch(steps, opts, cache, scr, nil)
+		second, stats, err := ResampledJoinPathScratch(steps, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache.puts = 0
-		gotFork, _, err := ResampledJoinPathScratch(forked, opts, cache, scr, nil)
+		gotFork, _, err := ResampledJoinPathScratch(forked, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,7 +225,7 @@ func TestResampledJoinPathColumnarMatchesUnfused(t *testing.T) {
 							what := fmt.Sprintf("%s null=%v η=%d ρ=%v workers=%d scratch=%v", p.name, nullFrac, eta, rate, workers, s != nil)
 							opts.Workers = workers
 							cache := &recordingCache{m: map[string]*relation.Columnar{}}
-							got, stats, err := sampling.ResampledJoinPathScratch(steps, opts, cache, s, nil)
+							got, stats, err := sampling.ResampledJoinPathScratch(steps, opts, cache, s)
 							if err != nil {
 								t.Fatalf("%s: %v", what, err)
 							}

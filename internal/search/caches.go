@@ -3,6 +3,7 @@ package search
 import (
 	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/sampling"
 )
 
 // evalCacheShardCap bounds one shard of the metric-evaluation memo. The
@@ -67,7 +68,7 @@ type Caches struct {
 	eval     *memo.Memo[Metrics]
 	views    *memo.Memo[owned[*relation.Columnar]]
 	joinIdx  *memo.Memo[owned[*relation.JoinIndex]]
-	prefixes *memo.Memo[*relation.Columnar]
+	prefixes sampling.PrefixCache
 	// schemas memoizes the schemas of the joins searches run. Execute
 	// (Realize) never reaches it: its joins build their schemas once.
 	schemas *relation.SchemaMemo

@@ -16,15 +16,6 @@ func (s *Searcher) EvaluateWorkers(ctx context.Context, tg *joingraph.TargetGrap
 	return s.evaluate(ctx, tg, req, workers, s.newScratch())
 }
 
-// ScopedEvaluator returns Evaluate as one goroutine of a search runs it:
-// every call evaluates with the same scratch, which earlier calls warmed.
-func (s *Searcher) ScopedEvaluator() func(context.Context, *joingraph.TargetGraph, Request) (Metrics, error) {
-	scr := s.newScratch()
-	return func(ctx context.Context, tg *joingraph.TargetGraph, req Request) (Metrics, error) {
-		return s.evaluate(ctx, tg, req, 1, scr)
-	}
-}
-
 // Measure sets m's correlation and quality on j, as the evaluator does.
 func (m *Metrics) Measure(j *relation.Columnar, x, y []string, fds []fd.FD) error {
 	return m.measure(j, x, y, fds, nil)

@@ -3,10 +3,13 @@ package search
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
+	"github.com/dance-db/dance/internal/sampling"
 	"github.com/dance-db/dance/internal/tpch"
 )
 
@@ -23,6 +26,30 @@ func resampledRequest(eta, workers int) Request {
 		Iterations: 40, Seed: 7, Eta: eta, ResampleRate: 0.3, Workers: workers}
 }
 
+// prefixRecorder passes a searcher's join prefixes on to its prefix memo
+// and records every one the searcher publishes.
+type prefixRecorder struct {
+	sampling.PrefixCache
+	mu   sync.Mutex
+	keys []string
+	vals []*relation.Columnar
+}
+
+func (r *prefixRecorder) Put(key string, c *relation.Columnar) {
+	r.mu.Lock()
+	r.keys = append(r.keys, key)
+	r.vals = append(r.vals, c)
+	r.mu.Unlock()
+	r.PrefixCache.Put(key, c)
+}
+
+// recordPrefixes makes s publish its join prefixes through a recorder.
+func recordPrefixes(s *Searcher) *prefixRecorder {
+	r := &prefixRecorder{PrefixCache: s.caches.prefixes}
+	s.caches.prefixes = r
+	return r
+}
+
 // terminalMark ends every prefix key whose path ends at its last hop under
 // η > 0: the key's last part is the next hop's join attributes, "$" for
 // none (sampling.prefixKeys).
@@ -34,14 +61,14 @@ var terminalMark = safekey.Join(safekey.Join("$"))
 func TestTerminalJoinsNotPublished(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
+	rec := recordPrefixes(s)
 	if _, err := s.Heuristic(bg, resampledRequest(50, 2)); err != nil {
 		t.Fatal(err)
 	}
-	keys := s.caches.prefixes.Keys()
-	if len(keys) == 0 {
+	if len(rec.keys) == 0 {
 		t.Fatal("an η > 0 search published no join prefix")
 	}
-	for _, k := range keys {
+	for _, k := range rec.keys {
 		if strings.HasSuffix(k, terminalMark) {
 			t.Fatalf("an η > 0 search published a terminal join: %q", k)
 		}
@@ -59,6 +86,7 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 	}
 	for _, eta := range []int{0, 50} {
 		fresh := NewSearcher(g)
+		rec := recordPrefixes(fresh)
 		if _, err := fresh.Evaluate(bg, res.TG, resampledRequest(eta, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +94,7 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 		if eta > 0 {
 			want--
 		}
-		if got := fresh.caches.prefixes.Len(); got != want {
+		if got := len(rec.keys); got != want {
 			t.Fatalf("η=%d: one %d-hop evaluation published %d prefixes, want %d", eta, hops, got, want)
 		}
 	}
@@ -77,14 +105,17 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
+	rec := recordPrefixes(s)
 	req := resampledRequest(50, 1)
 	res, err := s.Heuristic(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rec.vals) == 0 {
+		t.Fatal("the search published no join prefix")
+	}
 	scr := s.newScratch()
-	for _, k := range s.caches.prefixes.Keys() {
-		c, _ := s.caches.prefixes.Get(k)
+	for _, c := range rec.vals {
 		n := c.NumRows()
 		scr.Release(c)
 		if c.NumRows() != n {

@@ -428,7 +428,7 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	opts.Workers = workers
 	opts.ProjectionTag = keep.tag
 	fds := tg.FDs()
-	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, s.caches.prefixes, scr, measured(x, y, fds))
+	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, s.caches.prefixes, scr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -442,17 +442,6 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 		return Metrics{}, err
 	}
 	return m, nil
-}
-
-// measured returns the attributes measure reads: X, Y and every attribute
-// of fds.
-func measured(x, y []string, fds []fd.FD) []string {
-	names := append(append([]string{}, x...), y...)
-	for _, f := range fds {
-		names = append(names, f.LHS...)
-		names = append(names, f.RHS)
-	}
-	return names
 }
 
 // measure sets m's correlation and quality on the joined relation j, with

@@ -1,8 +1,9 @@
 // Package memo is the bounded, concurrency-safe memo behind every cache of
-// pure-function results on the serving path: metric evaluations, join
-// prefixes, projected views, join indexes, keep sets, join-informativeness
-// estimates and projection prices. A memoized value is a function of its
-// key, so evicting an entry or storing a racing twin never changes a
+// pure-function results on the serving path: metric evaluations, projected
+// views, join indexes, join-informativeness estimates and projection prices,
+// which live as long as the process or a join graph, and each search's own
+// join prefixes, which die with the search. A memoized value is a function
+// of its key, so evicting an entry or storing a racing twin never changes a
 // result; it only costs a recomputation.
 //
 // Keys are strings, which callers build injectively (safekey.Join), spread

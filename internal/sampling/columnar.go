@@ -122,38 +122,41 @@ type ColumnarStep struct {
 	// workers.
 	Index *relation.JoinIndex
 	// ID is a stable identity of the step's table for prefix-cache keys
-	// (search uses the instance index). Steps with equal IDs must carry the
-	// same columnar data.
+	// (search uses the versioned instance key). Steps with equal IDs must
+	// carry the same columnar data.
 	ID string
 }
 
 // PrefixCache caches accumulated join prefixes across candidate paths.
 // Implementations must be safe for concurrent use and must treat cached
-// relations as immutable. search.Searcher provides a sharded, size-capped
-// implementation.
+// relations as immutable.
+//
+// One cache serves one search: every path it sees is joined under one
+// PathJoinOptions (η, ρ and the hasher seed) over steps carrying one column
+// projection. Neither is part of a prefix key, so sharing a cache across
+// option sets or projections would serve one the other's intermediates.
+// search gives each search a sharded, row-budgeted memo of its own.
 type PrefixCache interface {
 	Get(key string) (*relation.Columnar, bool)
 	Put(key string, c *relation.Columnar)
 }
 
 // prefixKeys returns, for each step i ≥ 1, the identity of the accumulated
-// (and possibly re-sampled) intermediate after joining steps[0..i]. The key
-// covers the sampling options (η, ρ, hasher seed — PathJoinOptions.CacheKey,
-// for the same reason the evaluator cache includes it: equal spines under
-// different sampling options produce different tables), the projection tag,
-// every step's table identity and join attributes, and — when re-sampling is
-// enabled — the *next* step's join attributes, because the intermediate is
-// re-sampled on the attributes it will join on next, and a path that ends at
-// step i must not share state with one that continues through it. (Such a
-// terminal key, whose next part is "$", names a join that is never
-// published: see ResampledJoinPathColumnar.)
+// (and possibly re-sampled) intermediate after joining steps[0..i] within
+// one cache's search (see PrefixCache). The key covers every step's table
+// identity and join attributes and — when re-sampling is enabled — the
+// *next* step's join attributes, because the intermediate is re-sampled on
+// the attributes it will join on next, and a path that ends at step i must
+// not share state with one that continues through it. (Such a terminal key,
+// whose next part is "$", names a join that is never published: see
+// ResampledJoinPathColumnar.)
 //
 // Step IDs and attribute names are seller- and shopper-controlled text, so
 // every part is length-prefixed (safekey.Join); keys of different paths can
 // never alias, whatever the names contain.
 func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 	keys := make([]string, len(steps))
-	key := safekey.Join(opts.CacheKey(), opts.ProjectionTag, steps[0].ID)
+	key := safekey.Join(steps[0].ID)
 	for i := 1; i < len(steps); i++ {
 		next := ""
 		if opts.Eta > 0 {

@@ -310,8 +310,4 @@ func TestPrefixKeysDoNotAlias(t *testing.T) {
 		}
 		assertTablesEqual(t, want.ToTable(), got.ToTable())
 	}
-	// The projection tag separates otherwise equal paths.
-	if prefixKeys(pathX, PathJoinOptions{ProjectionTag: "t1"})[1] == prefixKeys(pathX, PathJoinOptions{ProjectionTag: "t2"})[1] {
-		t.Fatal("projection tag is not part of the prefix key")
-	}
 }

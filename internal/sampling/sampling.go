@@ -85,13 +85,6 @@ type PathJoinOptions struct {
 	// bit-identical for every value, so it is deliberately NOT part of
 	// CacheKey — two runs differing only in Workers share cache entries.
 	Workers int
-	// ProjectionTag identifies the column projection the steps of a
-	// columnar path join carry (search joins views restricted to a
-	// request-wide keep set; "" means unprojected). It is part of every
-	// join-prefix key, since equal steps projected differently produce
-	// different intermediates, but not of CacheKey: the metrics measured on
-	// the join do not depend on columns they never read.
-	ProjectionTag string
 }
 
 // CacheKey identifies the options up to join-output equivalence: two

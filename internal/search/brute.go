@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"github.com/dance-db/dance/internal/joingraph"
-	"github.com/dance-db/dance/internal/relation"
 )
 
 // BruteForceLimits guard the exponential enumeration.
@@ -42,8 +41,9 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 	if n > limits.MaxInstances {
 		return nil, fmt.Errorf("search: brute force refused for %d instances (max %d)", n, limits.MaxInstances)
 	}
-	if _, _, err := req.corrAttrs(); err != nil {
-		return nil, err
+	sc := s.newScope(req)
+	if sc.err != nil {
+		return nil, sc.err
 	}
 
 	// Which instances hold each requested attribute. Source attributes
@@ -56,8 +56,36 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 
 	var best bestFold
 	evals := 0
-	scr := s.newScratch() // the search's one goroutine evaluates serially
-	for mask := uint32(1); mask < 1<<uint(n); mask++ {
+	err = s.forEachTree(all, holders, func(verts []int, tree [][2]int, assign map[string]int) error {
+		return s.walkVariants(ctx, verts, tree, assign, limits, func(tg *joingraph.TargetGraph) error {
+			// The search's one goroutine evaluates serially.
+			m, err := sc.evaluate(ctx, tg, 0, 1)
+			if err != nil {
+				return err
+			}
+			evals++
+			if m.Feasible(req) {
+				best.add(tg, m)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !best.found {
+		return nil, fmt.Errorf("search: brute force found no feasible target graph: %w", ErrInfeasible)
+	}
+	return &Result{TG: best.tg, Est: best.m, Evals: evals, Considered: evals}, nil
+}
+
+// forEachTree calls fn for every candidate tree of the brute-force space:
+// every spanning tree of every connected instance subset that covers each
+// requested attribute (holders: per attribute, the instances that may
+// provide it), with the subset's attribute assignment. Subsets whose
+// attributes cannot be assigned are skipped.
+func (s *Searcher) forEachTree(all []string, holders []uint32, fn func(verts []int, tree [][2]int, assign map[string]int) error) error {
+	for mask := uint32(1); mask < 1<<uint(len(s.G.Instances)); mask++ {
 		// Subset must cover every requested attribute.
 		covered := true
 		for _, h := range holders {
@@ -73,28 +101,24 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 		if !s.connectedSubset(verts) {
 			continue
 		}
-		inEdges := s.edgesWithin(mask)
-		for _, treeEdges := range spanningTrees(verts, inEdges) {
+		assign, err := s.G.AssignAttrs(all, verts)
+		if err != nil {
+			continue
+		}
+		for _, tree := range spanningTrees(verts, s.edgesWithin(mask)) {
 			// A leaf that holds none of the requested attributes is a
 			// useless appendage — the paper's LP/GP enumerate join paths
 			// *between source and target vertices*, so such trees are not
 			// candidates (the smaller tree is enumerated separately).
-			if hasUselessLeaf(verts, treeEdges, holders) {
+			if hasUselessLeaf(verts, tree, holders) {
 				continue
 			}
-			assign, err := s.G.AssignAttrs(all, verts)
-			if err != nil {
-				continue
-			}
-			if err := s.enumerateVariants(ctx, verts, treeEdges, assign, req, limits, &best, &evals, scr); err != nil {
-				return nil, err
+			if err := fn(verts, tree, assign); err != nil {
+				return err
 			}
 		}
 	}
-	if !best.found {
-		return nil, fmt.Errorf("search: brute force found no feasible target graph: %w", ErrInfeasible)
-	}
-	return &Result{TG: best.tg, Est: best.m, Evals: evals, Considered: evals}, nil
+	return nil
 }
 
 // holderMasks computes, per requested attribute, the bitmask of instances
@@ -264,15 +288,16 @@ func isSpanningTree(verts []int, edges [][2]int) bool {
 	return true // |V|-1 acyclic edges over verts span them
 }
 
-// enumerateVariants walks the cartesian product of per-edge join-attribute
-// variants, evaluating (and counting in evals) every resulting target graph
-// with the search's scratch and folding the feasible ones into best.
-func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges [][2]int, assign map[string]int,
-	req Request, limits BruteForceLimits, best *bestFold, evals *int, scr *relation.Scratch) error {
+// walkVariants calls visit with every target graph of the tree, one per
+// combination of per-edge join-attribute variants. It refuses a tree whose
+// combinations exceed the limit before walking any, and checks ctx once
+// per combination.
+func (s *Searcher) walkVariants(ctx context.Context, verts []int, tree [][2]int, assign map[string]int,
+	limits BruteForceLimits, visit func(*joingraph.TargetGraph) error) error {
 
-	counts := make([]int, len(treeEdges))
+	counts := make([]int, len(tree))
 	combos := 1
-	for i, e := range treeEdges {
+	for i, e := range tree {
 		ie := s.G.EdgeBetween(e[0], e[1])
 		if ie == nil {
 			return fmt.Errorf("search: missing I-edge (%d,%d)", e[0], e[1])
@@ -283,28 +308,22 @@ func (s *Searcher) enumerateVariants(ctx context.Context, verts []int, treeEdges
 			return fmt.Errorf("search: variant combinations exceed limit %d", limits.MaxVariantCombos)
 		}
 	}
-	pick := make([]int, len(treeEdges))
+	pick := make([]int, len(tree))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		edges := make([]joingraph.TGEdge, len(treeEdges))
-		for i, e := range treeEdges {
+		edges := make([]joingraph.TGEdge, len(tree))
+		for i, e := range tree {
 			a, b := e[0], e[1]
 			if a > b {
 				a, b = b, a
 			}
 			edges[i] = joingraph.TGEdge{I: a, J: b, Variant: pick[i]}
 		}
-		tg, err := joingraph.NewTargetGraph(s.G, verts, edges, assign)
-		if err == nil {
-			m, err := s.evaluate(ctx, tg, req, 1, scr)
-			if err != nil {
+		if tg, err := joingraph.NewTargetGraph(s.G, verts, edges, assign); err == nil {
+			if err := visit(tg); err != nil {
 				return err
-			}
-			*evals++
-			if m.Feasible(req) {
-				best.add(tg, m)
 			}
 		}
 		// Advance the odometer.
@@ -337,7 +356,7 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 	if err != nil {
 		return 0, 0, err
 	}
-	rng := randNew(req.Seed + 99)
+	rng := rand.New(rand.NewSource(req.Seed + 99))
 	first := true
 	for _, tr := range cands {
 		tg, err := s.treeToTargetGraph(tr, req)
@@ -389,7 +408,7 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 
 // PriceRange scans all feasible target graphs (ignoring budget) and returns
 // the min and max price — the paper's LB/UB used to define budget ratios
-// (Sec 6.1). It reuses the brute-force enumeration with constraints relaxed.
+// (Sec 6.1). It walks the brute-force enumeration with constraints relaxed.
 func (s *Searcher) PriceRange(ctx context.Context, req Request, limits BruteForceLimits) (lb, ub float64, err error) {
 	relaxed := req
 	relaxed.Budget = 0
@@ -407,99 +426,48 @@ func (s *Searcher) PriceRange(ctx context.Context, req Request, limits BruteForc
 		return 0, 0, err
 	}
 	first := true
-	for mask := uint32(1); mask < 1<<uint(n); mask++ {
-		covered := true
-		for _, h := range holders {
-			if mask&h == 0 {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		verts := maskVertices(mask)
-		if !s.connectedSubset(verts) {
-			continue
-		}
-		for _, treeEdges := range spanningTrees(verts, s.edgesWithin(mask)) {
-			if hasUselessLeaf(verts, treeEdges, holders) {
-				continue
-			}
-			assign, err := s.G.AssignAttrs(all, verts)
+	err = s.forEachTree(all, holders, func(verts []int, tree [][2]int, assign map[string]int) error {
+		// Walk every variant combination: the paper's UB is the maximum
+		// price over all possible paths, and variants change which join
+		// attributes are purchased. Pricing is cached per (instance,
+		// attribute set), so this is cheap.
+		err := s.walkVariants(ctx, verts, tree, assign, limits, func(tg *joingraph.TargetGraph) error {
+			p, err := tg.Price(ctx)
 			if err != nil {
-				continue
+				return err
 			}
-			// Walk every variant combination: the paper's UB is the
-			// maximum price over all possible paths, and variants change
-			// which join attributes are purchased. Pricing is cached per
-			// (instance, attribute set), so this is cheap.
-			counts := make([]int, len(treeEdges))
-			combos := 1
-			for i, e := range treeEdges {
-				counts[i] = len(s.G.EdgeBetween(e[0], e[1]).Variants)
-				combos *= counts[i]
+			if first || p < lb {
+				lb = p
 			}
-			if combos > limits.MaxVariantCombos {
-				return 0, 0, fmt.Errorf("search: price-range variant combinations exceed limit %d", limits.MaxVariantCombos)
+			if first || p > ub {
+				ub = p
 			}
-			pick := make([]int, len(treeEdges))
-			for {
-				edges := make([]joingraph.TGEdge, len(treeEdges))
-				for i, e := range treeEdges {
-					a, b := e[0], e[1]
-					if a > b {
-						a, b = b, a
-					}
-					edges[i] = joingraph.TGEdge{I: a, J: b, Variant: pick[i]}
-				}
-				tg, err := joingraph.NewTargetGraph(s.G, verts, edges, assign)
-				if err == nil {
-					p, err := tg.Price(ctx)
-					if err != nil {
-						return 0, 0, err
-					}
-					if first || p < lb {
-						lb = p
-					}
-					if first || p > ub {
-						ub = p
-					}
-					first = false
-				}
-				i := 0
-				for ; i < len(pick); i++ {
-					pick[i]++
-					if pick[i] < counts[i] {
-						break
-					}
-					pick[i] = 0
-				}
-				if i == len(pick) {
-					break
-				}
-			}
-			// The marketplace also sells whole instances (the paper's
-			// "Purchase D1 and D2" options); the price range's upper end
-			// spans buying every attribute of each instance on the path.
-			full, err := s.fullInstancesPrice(ctx, verts)
-			if err != nil {
-				return 0, 0, err
-			}
-			if full > ub {
-				ub = full
-			}
+			first = false
+			return nil
+		})
+		if err != nil {
+			return err
 		}
+		// The marketplace also sells whole instances (the paper's
+		// "Purchase D1 and D2" options); the price range's upper end
+		// spans buying every attribute of each instance on the path.
+		full, err := s.fullInstancesPrice(ctx, verts)
+		if err != nil {
+			return err
+		}
+		if full > ub {
+			ub = full
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	if first {
 		return 0, 0, fmt.Errorf("search: no target graph exists for price range")
 	}
 	return lb, ub, nil
 }
-
-// randNew is a tiny indirection so brute.go does not import math/rand at the
-// top twice across files.
-func randNew(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // fullInstancesPrice sums the whole-instance price over the given vertices
 // (owned instances stay free).

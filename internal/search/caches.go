@@ -17,12 +17,14 @@ const evalCacheShardCap = 1 << 12
 // (sampling.PrefixCache). MCMC neighbors differ in one edge variant, so
 // candidate paths share long spine prefixes; caching the intermediate
 // after each hop lets a neighbor re-join only the suffix behind its changed
-// edge. Keys are produced by the sampling package and cover the path-prefix
-// fingerprint plus the sampling options' CacheKey — equal spines evaluated
-// under different η/ρ/seed produce different tables and must not share
-// entries. Entries are whole join intermediates, unbounded when η
-// re-sampling is off, so each shard is bounded both by entry count and by
-// its summed rows, and oversized intermediates are never cached at all.
+// edge. Each search builds its own memo (newPrefixMemo) and drops it when
+// it returns. With η > 0 the re-sampling hasher is seeded from the request,
+// so a prefix serves no other search. The keys, made by the sampling
+// package, cover only the path, since one search joins under one set of
+// sampling options and one keep set. Entries are whole join intermediates,
+// unbounded when η re-sampling is off, so each shard is bounded both by
+// entry count and by its summed rows, and oversized intermediates are never
+// cached at all.
 const (
 	prefixCacheShardCap = 48
 	// prefixCacheShardRowBudget bounds the summed NumRows of a shard's
@@ -32,6 +34,13 @@ const (
 	// the whole shard.
 	prefixEntryMaxRows = prefixCacheShardRowBudget / 4
 )
+
+// newPrefixMemo builds one search's join-prefix memo. It is a variable so
+// tests can bound or record a search's prefixes.
+var newPrefixMemo = func() sampling.PrefixCache {
+	return memo.NewCosted(memo.Shards(16), prefixCacheShardCap, prefixCacheShardRowBudget,
+		prefixEntryMaxRows, (*relation.Columnar).NumRows)
+}
 
 // maxViews bounds the projected-view memo. Views are cheap to rebuild (a
 // schema and a column-header slice), and distinct keep sets grow with the
@@ -57,18 +66,17 @@ type owned[T any] struct {
 }
 
 // Caches bundles the memoized evaluation state — metric evaluations,
-// projected views of the instances' columnar encodings, join indexes,
-// join prefixes and joined schemas — so it can outlive a single Searcher. Every key
+// projected views of the instances' columnar encodings, join indexes and
+// joined schemas — so it can outlive a single Searcher. Every key
 // incorporates the owning instance's (name, version) identity; a
 // sample-rate escalation therefore invalidates exactly the entries of
 // datasets whose rows changed, while state derived from unchanged datasets
 // (empty deltas, owned sources) keeps hitting. Safe for concurrent use by
 // any number of Searchers.
 type Caches struct {
-	eval     *memo.Memo[Metrics]
-	views    *memo.Memo[owned[*relation.Columnar]]
-	joinIdx  *memo.Memo[owned[*relation.JoinIndex]]
-	prefixes sampling.PrefixCache
+	eval    *memo.Memo[Metrics]
+	views   *memo.Memo[owned[*relation.Columnar]]
+	joinIdx *memo.Memo[owned[*relation.JoinIndex]]
 	// schemas memoizes the schemas of the joins searches run. Execute
 	// (Realize) never reaches it: its joins build their schemas once.
 	schemas *relation.SchemaMemo
@@ -80,8 +88,6 @@ func NewCaches() *Caches {
 		eval:    memo.New[Metrics](memo.Shards(32), evalCacheShardCap),
 		views:   memo.New[owned[*relation.Columnar]](1, maxViews),
 		joinIdx: memo.New[owned[*relation.JoinIndex]](1, maxJoinIndexes),
-		prefixes: memo.NewCosted(memo.Shards(16), prefixCacheShardCap, prefixCacheShardRowBudget,
-			prefixEntryMaxRows, (*relation.Columnar).NumRows),
 		schemas: relation.NewSchemaMemo(maxJoinedSchemas),
 	}
 }
@@ -90,8 +96,8 @@ func NewCaches() *Caches {
 // indexes — of instances whose versioned key is no longer live. A
 // long-lived session escalates repeatedly, and every escalation supersedes
 // most dataset versions; pruning frees a generation of per-row indexes at
-// once instead of waiting for eviction. (Evaluations are small and the
-// prefix memo is row-budgeted already.)
+// once instead of waiting for eviction. (Evaluations are small, and join
+// prefixes die with their search.)
 func (c *Caches) Retain(live map[string]bool) {
 	c.views.DeleteFunc(func(e owned[*relation.Columnar]) bool { return !live[e.inst] })
 	c.joinIdx.DeleteFunc(func(e owned[*relation.JoinIndex]) bool { return !live[e.inst] })

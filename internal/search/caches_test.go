@@ -121,7 +121,7 @@ func TestRetainPrunesProjectedViews(t *testing.T) {
 	if _, err := s2.Heuristic(bg, baseRequest()); err != nil {
 		t.Fatal(err)
 	}
-	tag := s2.keepFor(baseRequest(), []string{"xval"}, []string{"yval"}).tag
+	tag := s2.keepFor([]string{"xval"}, []string{"yval"}).tag
 	hasView := func(inst string) bool {
 		_, ok := caches.views.Get(safekey.Join(inst, tag))
 		return ok
@@ -152,7 +152,7 @@ func TestSearcherReusesBuildEncoding(t *testing.T) {
 	if _, err := s.Heuristic(bg, baseRequest()); err != nil {
 		t.Fatal(err)
 	}
-	tag := s.keepFor(baseRequest(), []string{"xval"}, []string{"yval"}).tag
+	tag := s.keepFor([]string{"xval"}, []string{"yval"}).tag
 	for v, inst := range g.Instances {
 		enc := inst.Columnar
 		if enc == nil {

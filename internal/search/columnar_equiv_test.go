@@ -7,8 +7,9 @@ package search_test
 // cache — must return bit-identical Metrics to the row-store pipeline it
 // replaced (a row-at-a-time re-sampled path join, CORR and Q), whose answers
 // are frozen in testdata/evaluate_golden.json. A -race test hammers one
-// shared Searcher from concurrent searches so the prefix cache, columnar
-// store and join-index store are exercised under parallel MCMC workers.
+// shared Searcher from concurrent searches so the evaluation memo, the
+// columnar store, the join-index store and each search's prefix memo are
+// exercised under parallel MCMC workers.
 
 import (
 	"context"
@@ -155,9 +156,9 @@ func TestColumnarEvaluateMatchesRowPathTPCE(t *testing.T) {
 }
 
 // TestSharedSearcherParallelSearchesRace exercises the shared columnar
-// store, join-index store and join-prefix cache from many concurrent
-// searches with parallel MCMC workers (run under -race in CI), and checks
-// every search still reproduces the single-threaded result.
+// store and join-index store from many concurrent searches, each with its
+// own join-prefix memo shared by parallel MCMC workers (run under -race in
+// CI), and checks every search still reproduces the single-threaded result.
 func TestSharedSearcherParallelSearchesRace(t *testing.T) {
 	env, err := experiments.NewEnv(experiments.EnvConfig{Dataset: "tpce", Scale: 1, Seed: 1, Rate: 0.6, NumInstances: 10})
 	if err != nil {
@@ -167,7 +168,7 @@ func TestSharedSearcherParallelSearchesRace(t *testing.T) {
 	mkReq := func(seed int64) search.Request {
 		req := env.Request(q, seed)
 		req.Iterations = 25
-		req.Eta = 80 // η > 0 keys the prefix cache on the sampling options too
+		req.Eta = 80 // η > 0: each seed re-samples with a hasher of its own
 		req.ResampleRate = 0.5
 		return req
 	}

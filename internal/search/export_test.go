@@ -13,7 +13,7 @@ import (
 // EvaluateWorkers is Evaluate with an explicit worker bound for the
 // columnar kernels of a cache miss.
 func (s *Searcher) EvaluateWorkers(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
-	return s.evaluate(ctx, tg, req, workers, s.newScratch())
+	return s.newScope(req).evaluate(ctx, tg, 0, workers)
 }
 
 // Measure sets m's correlation and quality on j, as the evaluator does.
@@ -28,5 +28,5 @@ func (s *Searcher) KeepNames(req Request) map[string]bool {
 	if err != nil {
 		panic(err)
 	}
-	return s.keepFor(req, x, y).names
+	return s.keepFor(x, y).names
 }

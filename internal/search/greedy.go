@@ -115,7 +115,7 @@ func (s *Searcher) greedyRun(ctx context.Context, req Request, visit func(*joing
 			ms := make([]Metrics, len(nbrs))
 			err := parallel.ForEachWorker(ctx, len(nbrs), sc.workers, func(w, i int) error {
 				var err error
-				ms[i], err = s.evaluate(ctx, tgs[i], req, 1, sc.scratch(w))
+				ms[i], err = sc.evaluate(ctx, tgs[i], w, 1)
 				return err
 			})
 			if err != nil {

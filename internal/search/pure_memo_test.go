@@ -15,18 +15,21 @@ import (
 	"github.com/dance-db/dance/internal/workload"
 )
 
-// newOneEntrySearcher wraps g with every search memo bounded to a single
-// entry, so nearly every lookup misses and every store evicts.
-func newOneEntrySearcher(g *joingraph.Graph) *Searcher {
-	s := NewSearcherWithCaches(g, &Caches{
-		eval:     memo.New[Metrics](1, 1),
-		views:    memo.New[owned[*relation.Columnar]](1, 1),
-		joinIdx:  memo.New[owned[*relation.JoinIndex]](1, 1),
-		prefixes: memo.NewCosted(1, 1, prefixCacheShardRowBudget, prefixEntryMaxRows, (*relation.Columnar).NumRows),
-		schemas:  relation.NewSchemaMemo(1),
-	})
-	s.keeps = memo.New[*keepSet](1, 1)
-	return s
+// oneEntrySearch runs search on a searcher over g with every search memo
+// bounded to a single entry, so nearly every lookup misses and every store
+// evicts: those of its cache set, and the prefix memo of every search it
+// starts.
+func oneEntrySearch(g *joingraph.Graph, search func(*Searcher) ([]*Result, error)) ([]*Result, error) {
+	defer func(old func() sampling.PrefixCache) { newPrefixMemo = old }(newPrefixMemo)
+	newPrefixMemo = func() sampling.PrefixCache {
+		return memo.NewCosted(1, 1, prefixCacheShardRowBudget, prefixEntryMaxRows, (*relation.Columnar).NumRows)
+	}
+	return search(NewSearcherWithCaches(g, &Caches{
+		eval:    memo.New[Metrics](1, 1),
+		views:   memo.New[owned[*relation.Columnar]](1, 1),
+		joinIdx: memo.New[owned[*relation.JoinIndex]](1, 1),
+		schemas: relation.NewSchemaMemo(1),
+	}))
 }
 
 // sampledGraph builds a join graph over correlated samples of tables, each
@@ -116,7 +119,7 @@ func TestSearchMemosArePure(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				got, err := sr.run(newOneEntrySearcher(fx.g), r)
+				got, err := oneEntrySearch(fx.g, func(s *Searcher) ([]*Result, error) { return sr.run(s, r) })
 				if err != nil {
 					t.Fatalf("%s with one-entry memos: %v", what, err)
 				}

@@ -26,27 +26,35 @@ func resampledRequest(eta, workers int) Request {
 		Iterations: 40, Seed: 7, Eta: eta, ResampleRate: 0.3, Workers: workers}
 }
 
-// prefixRecorder passes a searcher's join prefixes on to its prefix memo
-// and records every one the searcher publishes.
+// prefixRecorder records every join prefix the searches publish.
 type prefixRecorder struct {
-	sampling.PrefixCache
 	mu   sync.Mutex
 	keys []string
 	vals []*relation.Columnar
 }
 
-func (r *prefixRecorder) Put(key string, c *relation.Columnar) {
-	r.mu.Lock()
-	r.keys = append(r.keys, key)
-	r.vals = append(r.vals, c)
-	r.mu.Unlock()
-	r.PrefixCache.Put(key, c)
+// recordingPrefixes passes one search's join prefixes on to its prefix
+// memo and records them.
+type recordingPrefixes struct {
+	sampling.PrefixCache
+	r *prefixRecorder
 }
 
-// recordPrefixes makes s publish its join prefixes through a recorder.
-func recordPrefixes(s *Searcher) *prefixRecorder {
-	r := &prefixRecorder{PrefixCache: s.caches.prefixes}
-	s.caches.prefixes = r
+func (p recordingPrefixes) Put(key string, c *relation.Columnar) {
+	p.r.mu.Lock()
+	p.r.keys = append(p.r.keys, key)
+	p.r.vals = append(p.r.vals, c)
+	p.r.mu.Unlock()
+	p.PrefixCache.Put(key, c)
+}
+
+// recordPrefixes makes every search the test starts publish its join
+// prefixes through one recorder.
+func recordPrefixes(t *testing.T) *prefixRecorder {
+	r := &prefixRecorder{}
+	old := newPrefixMemo
+	newPrefixMemo = func() sampling.PrefixCache { return recordingPrefixes{PrefixCache: old(), r: r} }
+	t.Cleanup(func() { newPrefixMemo = old })
 	return r
 }
 
@@ -61,7 +69,7 @@ var terminalMark = safekey.Join(safekey.Join("$"))
 func TestTerminalJoinsNotPublished(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
-	rec := recordPrefixes(s)
+	rec := recordPrefixes(t)
 	if _, err := s.Heuristic(bg, resampledRequest(50, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +94,7 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 	}
 	for _, eta := range []int{0, 50} {
 		fresh := NewSearcher(g)
-		rec := recordPrefixes(fresh)
+		rec.keys = nil
 		if _, err := fresh.Evaluate(bg, res.TG, resampledRequest(eta, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +113,7 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
-	rec := recordPrefixes(s)
+	rec := recordPrefixes(t)
 	req := resampledRequest(50, 1)
 	res, err := s.Heuristic(bg, req)
 	if err != nil {
@@ -114,7 +122,7 @@ func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	if len(rec.vals) == 0 {
 		t.Fatal("the search published no join prefix")
 	}
-	scr := s.newScratch()
+	scr := relation.NewScratch(s.caches.schemas)
 	for _, c := range rec.vals {
 		n := c.NumRows()
 		scr.Release(c)
@@ -181,11 +189,13 @@ func TestResampledSearchParallelMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, oneEntry := range []bool{false, true} {
-				s := NewSearcher(g)
+				run := func(s *Searcher) ([]*Result, error) { return sr.run(s, resampledRequest(50, workers)) }
+				var got []*Result
 				if oneEntry {
-					s = newOneEntrySearcher(g)
+					got, err = oneEntrySearch(g, run)
+				} else {
+					got, err = run(NewSearcher(g))
 				}
-				got, err := sr.run(s, resampledRequest(50, workers))
 				if err != nil {
 					t.Fatal(err)
 				}

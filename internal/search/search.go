@@ -17,7 +17,6 @@ import (
 	"github.com/dance-db/dance/internal/graphalg"
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
-	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/parallel"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
@@ -165,8 +164,6 @@ type Searcher struct {
 	caches *Caches
 	// instKey is each instance's versioned cache identity, precomputed.
 	instKey []string
-
-	keeps *memo.Memo[*keepSet] // by Request.corrKey
 }
 
 // NewSearcher wraps a join graph with a private cache set (the classic
@@ -179,7 +176,7 @@ func NewSearcher(g *joingraph.Graph) *Searcher {
 // middleware passes one Caches across sample-rate escalations so that
 // evaluation state derived from unchanged datasets survives the rebuild.
 func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets)}
+	s := &Searcher{G: g, caches: caches}
 	s.instKey = make([]string, len(g.Instances))
 	for i, inst := range g.Instances {
 		s.instKey[i] = inst.CacheKey()
@@ -201,20 +198,13 @@ func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
 type keepSet struct {
 	names map[string]bool
 	// tag is the injective rendering of the sorted names; it is part of the
-	// projected-view and join-prefix keys.
+	// projected-view keys.
 	tag string
 }
 
-// maxKeepSets bounds a Searcher's memo of keep sets, since the X/Y splits
-// it is keyed by are shopper-chosen.
-const maxKeepSets = 64
-
-// keepFor returns req's keep set, computed once per X/Y split.
-func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
-	key := req.corrKey()
-	if k, ok := s.keeps.Get(key); ok {
-		return k
-	}
+// keepFor computes the keep set of the X/Y split x, y; a search computes
+// it once, in its scope.
+func (s *Searcher) keepFor(x, y []string) *keepSet {
 	names := map[string]bool{}
 	for _, a := range x {
 		names[a] = true
@@ -244,9 +234,7 @@ func (s *Searcher) keepFor(req Request, x, y []string) *keepSet {
 		sorted = append(sorted, a)
 	}
 	sort.Strings(sorted)
-	k := &keepSet{names: names, tag: safekey.Join(sorted...)}
-	s.keeps.Put(key, k)
-	return k
+	return &keepSet{names: names, tag: safekey.Join(sorted...)}
 }
 
 // renameShaped reports whether name has the shape of a name joinedSchema
@@ -328,7 +316,9 @@ func fingerprint(tg *joingraph.TargetGraph) string {
 }
 
 // samplingOptions are the re-sampled-join options this request implies.
-// Their CacheKey is part of the evaluator cache identity.
+// Their CacheKey is part of the evaluator cache identity. The hasher is
+// seeded from the request, so with η > 0 a join prefix belongs to one
+// request.
 func (r Request) samplingOptions() sampling.PathJoinOptions {
 	return sampling.PathJoinOptions{
 		Eta:          r.Eta,
@@ -347,21 +337,22 @@ func (r Request) corrKey() string {
 }
 
 // evalKey extends the target-graph fingerprint with the versioned identity
-// of every participating instance: metrics are a function of the samples,
-// so a cache shared across rebuilds must distinguish dataset versions —
-// and, by keying per instance, entries for target graphs touching only
-// unchanged datasets keep hitting after an escalation. Instance keys carry
-// seller-controlled names, so the parts are length-prefixed (safekey.Join):
-// instance keys "p@1;q@2", "r@3" and "p@1", "q@2;r@3" must not render one
-// key.
-func (s *Searcher) evalKey(tg *joingraph.TargetGraph, req Request) string {
-	parts := make([]string, 0, len(tg.Vertices)+3)
+// of every participating instance, then the scope's X/Y split and sampling
+// options: metrics are a function of the samples, so a cache shared across
+// rebuilds must distinguish dataset versions — and, by keying per instance,
+// entries for target graphs touching only unchanged datasets keep hitting
+// after an escalation. Instance keys carry seller-controlled names, so the
+// parts are length-prefixed (safekey.Join): instance keys "p@1;q@2", "r@3"
+// and "p@1", "q@2;r@3" must not render one key. safekey.Join concatenates
+// its parts' encodings, so appending the precomputed suffix renders the
+// key of the whole part list.
+func (sc *scope) evalKey(tg *joingraph.TargetGraph) string {
+	parts := make([]string, 0, len(tg.Vertices)+1)
 	parts = append(parts, fingerprint(tg))
 	for _, v := range tg.Vertices {
-		parts = append(parts, s.instKey[v])
+		parts = append(parts, sc.s.instKey[v])
 	}
-	parts = append(parts, req.corrKey(), req.samplingOptions().CacheKey())
-	return safekey.Join(parts...)
+	return safekey.Join(parts...) + sc.evalSuffix
 }
 
 // Evaluate computes the estimated metrics of tg on the held samples,
@@ -371,27 +362,30 @@ func (s *Searcher) evalKey(tg *joingraph.TargetGraph, req Request) string {
 // different attribute splits, Eta/ResampleRate/Seed, or offline state
 // versions without cross-contamination, from any number of goroutines.
 //
-// Evaluate is a search of one target graph: its scratch memory lives for
-// the call.
+// Evaluate is a search of one target graph: its scope — join prefixes and
+// scratch memory — lives for the call.
 func (s *Searcher) Evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request) (Metrics, error) {
-	return s.evaluate(ctx, tg, req, 1, s.newScratch())
+	return s.newScope(req).evaluate(ctx, tg, 0, 1)
 }
 
-// evaluate is Evaluate with a worker bound for the columnar join/grouping
-// kernels of a cache miss, and the scratch memory of the calling goroutine
-// (nil: allocate). Metrics are bit-identical for every worker count (the
+// evaluate is Evaluate within the search of sc, run by the scope's pool
+// goroutine w, with a worker bound for the columnar join/grouping kernels
+// of a cache miss. Metrics are bit-identical for every worker count (the
 // kernels pin that) and with or without scratch, so cached entries are
 // shared freely across calls.
-func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int, scr *relation.Scratch) (Metrics, error) {
-	key := s.evalKey(tg, req)
-	if m, ok := s.caches.eval.Get(key); ok {
+func (sc *scope) evaluate(ctx context.Context, tg *joingraph.TargetGraph, w, workers int) (Metrics, error) {
+	if sc.err != nil {
+		return Metrics{}, sc.err
+	}
+	key := sc.evalKey(tg)
+	if m, ok := sc.s.caches.eval.Get(key); ok {
 		return m, nil
 	}
-	m, err := s.evaluateUncached(ctx, tg, req, workers, scr)
+	m, err := sc.evaluateUncached(ctx, tg, workers, sc.scratch(w))
 	if err != nil {
 		return Metrics{}, err
 	}
-	s.caches.eval.Put(key, m)
+	sc.s.caches.eval.Put(key, m)
 	return m, nil
 }
 
@@ -400,23 +394,19 @@ func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 // views projected to the request's keep set (so it gathers only the columns
 // the metrics or later hops read), build-side join indexes are shared per
 // (instance, join-attrs), the join never materializes rows, and common path
-// prefixes are reused through the prefix cache. With η > 0 the terminal
-// join lives in scr and goes back to it once measured. The metrics are
-// bit-identical to those of the row-store pipeline this path replaced,
+// prefixes are reused through the search's prefix memo. With η > 0 the
+// terminal join lives in scr and goes back to it once measured. The metrics
+// are bit-identical to those of the row-store pipeline this path replaced,
 // frozen in testdata/evaluate_golden.json (columnar_equiv_test.go).
-func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int, scr *relation.Scratch) (Metrics, error) {
-	x, y, err := req.corrAttrs()
-	if err != nil {
-		return Metrics{}, err
-	}
+func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, workers int, scr *relation.Scratch) (Metrics, error) {
+	s := sc.s
 	hops, err := tg.JoinPlan()
 	if err != nil {
 		return Metrics{}, err
 	}
-	keep := s.keepFor(req, x, y)
 	steps := make([]sampling.ColumnarStep, len(hops))
 	for i, hp := range hops {
-		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, keep), On: hp.On, ID: s.instKey[hp.Vertex]}
+		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, sc.keep), On: hp.On, ID: s.instKey[hp.Vertex]}
 		if i > 0 {
 			if st.Index, err = s.joinIndexOf(hp.Vertex, hp.On, workers); err != nil {
 				return Metrics{}, err
@@ -424,11 +414,10 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 		}
 		steps[i] = st
 	}
-	opts := req.samplingOptions()
+	opts := sc.opts
 	opts.Workers = workers
-	opts.ProjectionTag = keep.tag
 	fds := tg.FDs()
-	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, s.caches.prefixes, scr)
+	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, sc.prefixes, scr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -438,7 +427,7 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	if err != nil {
 		return Metrics{}, err
 	}
-	if err := m.measure(j, x, y, fds, scr); err != nil {
+	if err := m.measure(j, sc.x, sc.y, fds, scr); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
@@ -863,15 +852,14 @@ func walkEvals(plans []chainPlan, units []segUnit) int {
 // prefix/join-index caches before the fan-out. Workers left over once every
 // candidate has one fan into each evaluation's columnar join and grouping
 // kernels (which are bit-identical for every worker count). It also returns
-// the search's scope — the resolved pool and its goroutines' scratch — which
-// the caller's walk keeps using.
+// the search's scope, which the caller's walk keeps using.
 func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, *scope, error) {
 	cands, err := s.step1Candidates(req)
 	if err != nil {
 		return nil, nil, err
 	}
 	plans, viable := s.chainPlans(cands, req)
-	sc := s.newScope(req.Workers)
+	sc := s.newScope(req)
 	perInit := 1
 	if viable > 0 && sc.workers/viable > 1 {
 		perInit = sc.workers / viable
@@ -881,7 +869,7 @@ func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, *scope
 			return nil
 		}
 		var err error
-		plans[i].init, err = s.evaluate(ctx, plans[i].tg, req, perInit, sc.scratch(w))
+		plans[i].init, err = sc.evaluate(ctx, plans[i].tg, w, perInit)
 		return err
 	})
 	if err != nil {
@@ -890,31 +878,48 @@ func (s *Searcher) phase0(ctx context.Context, req Request) ([]chainPlan, *scope
 	return plans, sc, nil
 }
 
-// scope is the working memory of one search call: a scratch and an RNG per
-// pool goroutine, made on first use. Each belongs to the goroutine that
-// runs as its worker index, and all of it is dropped when the search
-// returns, so a search never leaves a free list behind.
+// scope is the state of one search call. What the request fixes is
+// computed once: the X/Y split, the keep set, the sampling options and the
+// evaluation keys' suffix. The join-prefix memo is the search's own (its
+// keys omit what the request fixes) and is shared by the search's
+// goroutines; a scratch and an RNG per pool goroutine are made on first use
+// and belong to the goroutine that runs as their worker index. All of it is
+// dropped when the search returns, so a search leaves no join prefix or
+// free list behind.
 type scope struct {
-	s       *Searcher
+	s    *Searcher
+	x, y []string
+	// err is the request's X/Y split error. Every evaluation returns it,
+	// so it surfaces where an evaluation would have failed.
+	err        error
+	keep       *keepSet
+	opts       sampling.PathJoinOptions
+	evalSuffix string // safekey.Join(corrKey, opts.CacheKey())
+	prefixes   sampling.PrefixCache
+
 	workers int
 	scr     []*relation.Scratch
 	rngs    []*rand.Rand
 }
 
-// newScope sizes a scope for a search of req.Workers (≤ 0: one per CPU).
-func (s *Searcher) newScope(workers int) *scope {
-	n := parallel.DefaultWorkers(workers)
-	return &scope{s: s, workers: n, scr: make([]*relation.Scratch, n), rngs: make([]*rand.Rand, n)}
+// newScope starts a search of req on a pool of req.Workers goroutines
+// (≤ 0: one per CPU).
+func (s *Searcher) newScope(req Request) *scope {
+	n := parallel.DefaultWorkers(req.Workers)
+	sc := &scope{s: s, opts: req.samplingOptions(), prefixes: newPrefixMemo(),
+		workers: n, scr: make([]*relation.Scratch, n), rngs: make([]*rand.Rand, n)}
+	sc.evalSuffix = safekey.Join(req.corrKey(), sc.opts.CacheKey())
+	if sc.x, sc.y, sc.err = req.corrAttrs(); sc.err == nil {
+		sc.keep = s.keepFor(sc.x, sc.y)
+	}
+	return sc
 }
 
-// newScratch returns an empty scratch that joins through the searcher's
+// scratch returns worker w's scratch, which joins through the searcher's
 // schema memo.
-func (s *Searcher) newScratch() *relation.Scratch { return relation.NewScratch(s.caches.schemas) }
-
-// scratch returns worker w's scratch.
 func (sc *scope) scratch(w int) *relation.Scratch {
 	if sc.scr[w] == nil {
-		sc.scr[w] = sc.s.newScratch()
+		sc.scr[w] = relation.NewScratch(sc.s.caches.schemas)
 	}
 	return sc.scr[w]
 }
@@ -1014,7 +1019,6 @@ func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan,
 		un := units[u]
 		p := plans[un.cand]
 		rng := sc.rng(w, segmentSeed(req.Seed, un.cand, un.seg))
-		scr := sc.scratch(w)
 		cur, curM := p.tg, p.init
 		for it := 0; it < un.iters; it++ {
 			if err := ctx.Err(); err != nil {
@@ -1030,7 +1034,7 @@ func (s *Searcher) mcmcWalk(ctx context.Context, req Request, plans []chainPlan,
 			cand := cur.Clone()
 			cand.Edges[ei].Variant = nv
 
-			candM, err := s.evaluate(ctx, cand, req, 1, scr)
+			candM, err := sc.evaluate(ctx, cand, w, 1)
 			if err != nil {
 				return err
 			}

@@ -213,12 +213,12 @@ func FuzzAcquireFingerprint(f *testing.F) {
 			edits[i] = int(d.byte() % 17)
 		}
 		var a AcquireRequest
-		for f := 0; f < 17; f++ {
-			d.set(&a, f)
+		for field := 0; field < 17; field++ {
+			d.set(&a, field)
 		}
 		b := a
-		for _, f := range edits {
-			d.set(&b, f)
+		for _, field := range edits {
+			d.set(&b, field)
 		}
 		if acquireFingerprint(a) == acquireFingerprint(b) && !sameSearch(a, b) {
 			t.Fatalf("different searches share a fingerprint:\n%#v\n%#v", a, b)

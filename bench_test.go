@@ -225,7 +225,7 @@ func BenchmarkQualitySet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fd.QualitySetColumnar(c, fds); err != nil {
+		if _, err := fd.QualitySetColumnar(c, fds, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -817,13 +817,13 @@ func join1MInputs(b *testing.B) (base, bridge *relation.Columnar, on []string) {
 
 func benchEquiJoinColumnar1M(b *testing.B, workers int) {
 	base, bridge, on := join1MInputs(b)
-	idx, err := bridge.BuildJoinIndex(on...)
+	idx, err := bridge.BuildJoinIndex(1, on...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relation.EquiJoinColumnarOpts(base, bridge, on, idx, relation.JoinOptions{Workers: workers}); err != nil {
+		if _, err := relation.EquiJoinColumnar(base, bridge, on, idx, relation.JoinOptions{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -839,7 +839,7 @@ func BenchmarkCorrelationColumnar1M(b *testing.B) {
 	for i := 1; i < len(w.Truth.Path); i++ {
 		cur := l.table(w.Truth.Path[i])
 		on := relation.SharedAttrs(acc.Schema(), cur.Schema)
-		j, err := relation.EquiJoinColumnarOpts(acc, relation.ToColumnar(cur), on, nil, relation.JoinOptions{})
+		j, err := relation.EquiJoinColumnar(acc, relation.ToColumnar(cur), on, nil, relation.JoinOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -847,7 +847,7 @@ func BenchmarkCorrelationColumnar1M(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := infotheory.CorrelationColumnar(acc, []string{w.Truth.X}, []string{w.Truth.Y}); err != nil {
+		if _, err := infotheory.CorrelationColumnar(acc, []string{w.Truth.X}, []string{w.Truth.Y}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,12 +6,12 @@
 //
 // Emit (reads bench output from stdin):
 //
-//	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -out BENCH_3.json
+//	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -out BENCH_9.json
 //
 // Gate (reads bench output from stdin, compares ns/op against a baseline):
 //
 //	go test -run '^$' -bench BenchmarkHeuristicTPCEParallel -benchmem . |
-//	    go run ./cmd/benchjson -baseline BENCH_3.json \
+//	    go run ./cmd/benchjson -baseline BENCH_9.json \
 //	        -check BenchmarkHeuristicTPCEParallel -max-regress 0.20
 //
 // B/op ceilings on the current run alone (bytes per op depend on the code,

@@ -232,7 +232,7 @@ func JoinInformativeness(a, b *Table, on []string) (float64, error) {
 // Quality computes Q of Defs 2.2/2.3: the fraction of rows consistent with
 // every applicable FD, encoding t once.
 func Quality(t *Table, fds []FD) (float64, error) {
-	return fd.QualitySetColumnar(relation.ToColumnar(t), fds)
+	return fd.QualitySetColumnar(relation.ToColumnar(t), fds, nil)
 }
 
 // DiscoverFDs mines approximate FDs (TANE-style) with g3 error ≤ maxErr,

@@ -1,10 +1,7 @@
 // Package bitset provides a dense, fixed-capacity bitset used by the FD
-// engine for correct-record sets and by partition intersection.
+// engine for correct-record sets.
 //
-// The zero value of Set is not usable; construct with New. All operations
-// panic when two sets of different lengths are combined, because that is
-// always a programming error in this codebase (sets always range over the
-// rows of a single table).
+// The zero value of Set is not usable; construct with New.
 package bitset
 
 import (
@@ -78,39 +75,6 @@ func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-func (s *Set) check(o *Set) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: length mismatch %d != %d", s.n, o.n))
-	}
-}
-
-// And replaces s with s AND o and returns s.
-func (s *Set) And(o *Set) *Set {
-	s.check(o)
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-	return s
-}
-
-// Or replaces s with s OR o and returns s.
-func (s *Set) Or(o *Set) *Set {
-	s.check(o)
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-	return s
-}
-
-// AndNot replaces s with s AND NOT o and returns s.
-func (s *Set) AndNot(o *Set) *Set {
-	s.check(o)
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-	return s
 }
 
 // Equal reports whether s and o have identical lengths and contents.

@@ -3,7 +3,6 @@ package bitset
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewEmpty(t *testing.T) {
@@ -47,30 +46,6 @@ func TestSetClearHas(t *testing.T) {
 	s.Clear(63)
 	if s.Has(63) || s.Count() != 3 {
 		t.Fatalf("Clear(63) failed: count=%d", s.Count())
-	}
-}
-
-func TestAndOrAndNot(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(1)
-	a.Set(65)
-	a.Set(5)
-	b.Set(5)
-	b.Set(65)
-	b.Set(9)
-
-	and := a.Clone().And(b)
-	if got := and.Indices(); len(got) != 2 || got[0] != 5 || got[1] != 65 {
-		t.Errorf("And = %v, want [5 65]", got)
-	}
-	or := a.Clone().Or(b)
-	if or.Count() != 4 {
-		t.Errorf("Or.Count = %d, want 4", or.Count())
-	}
-	diff := a.Clone().AndNot(b)
-	if got := diff.Indices(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("AndNot = %v, want [1]", got)
 	}
 }
 
@@ -127,71 +102,11 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMismatchedLengthsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("And of mismatched sets should panic")
-		}
-	}()
-	New(10).And(New(20))
-}
-
 func TestString(t *testing.T) {
 	s := New(10)
 	s.Set(2)
 	s.Set(7)
 	if got := s.String(); got != "{2, 7}" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-// Property: Count equals len(Indices) and And is an intersection subset.
-func TestQuickIntersectionProperties(t *testing.T) {
-	f := func(bitsA, bitsB []uint16) bool {
-		const n = 512
-		a, b := New(n), New(n)
-		for _, i := range bitsA {
-			a.Set(int(i) % n)
-		}
-		for _, i := range bitsB {
-			b.Set(int(i) % n)
-		}
-		and := a.Clone().And(b)
-		if and.Count() != len(and.Indices()) {
-			return false
-		}
-		ok := true
-		and.ForEach(func(i int) bool {
-			if !a.Has(i) || !b.Has(i) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		// And is commutative.
-		return ok && and.Equal(b.Clone().And(a))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: De Morgan on fixed universe — NOT(a OR b) == NOT a AND NOT b.
-func TestQuickDeMorgan(t *testing.T) {
-	f := func(bitsA, bitsB []uint16) bool {
-		const n = 256
-		a, b := New(n), New(n)
-		for _, i := range bitsA {
-			a.Set(int(i) % n)
-		}
-		for _, i := range bitsB {
-			b.Set(int(i) % n)
-		}
-		lhs := NewFull(n).AndNot(a.Clone().Or(b))
-		rhs := NewFull(n).AndNot(a).And(NewFull(n).AndNot(b))
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

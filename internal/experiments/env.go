@@ -12,6 +12,7 @@ import (
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/marketplace"
+	"github.com/dance-db/dance/internal/policy"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
@@ -208,37 +209,20 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	return env, nil
 }
 
-// primaryJoinAttr picks the attribute shared with the most other instances
-// in the prefix (see DESIGN.md on sampling one join attribute).
-func (e *Env) primaryJoinAttr(name string) string {
-	schema := e.Tables[name].Schema
-	best, bestCount := schema.Column(0).Name, -1
-	for i := 0; i < schema.Len(); i++ {
-		attr := schema.Column(i).Name
-		count := 0
-		for _, other := range e.Order {
-			if other == name {
-				continue
-			}
-			if e.Tables[other].Schema.Has(attr) {
-				count++
-			}
-		}
-		if count > bestCount {
-			best, bestCount = attr, count
-		}
-	}
-	return best
-}
-
 func (e *Env) buildGraph(encoded map[string]*relation.Columnar, rate float64) (*joingraph.Graph, error) {
+	// Each sample is drawn on the attribute its table shares with the most
+	// other listed tables (see DESIGN.md on sampling one join attribute).
+	catalog := make([]marketplace.DatasetInfo, len(e.Order))
+	for i, name := range e.Order {
+		catalog[i] = marketplace.DatasetInfo{Name: name, Attrs: e.Tables[name].Schema.Columns()}
+	}
 	var instances []*joingraph.Instance
-	for _, name := range e.Order {
+	for i, name := range e.Order {
 		full := e.Tables[name]
 		sample := encoded[name]
 		if rate < 1 {
 			var err error
-			sample, err = sampling.CorrelatedSampleColumnar(sample, []string{e.primaryJoinAttr(name)}, rate,
+			sample, err = sampling.CorrelatedSampleColumnar(sample, []string{policy.PrimaryJoinAttr(catalog[i], catalog)}, rate,
 				sampling.NewHasher(uint64(e.Cfg.Seed)+12345))
 			if err != nil {
 				return nil, err

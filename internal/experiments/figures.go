@@ -66,7 +66,7 @@ func Fig4(ctx context.Context, opts Fig4Options) ([]Table, error) {
 				return nil, fmt.Errorf("fig4 %s n=%d heuristic: %w", q.Name, n, err)
 			}
 			lpTime, err := timeSearch(func() error {
-				_, err := env.SampledSearcher().BruteForce(ctx, req, search.BruteForceLimits{})
+				_, err := env.SampledSearcher().BruteForce(ctx, req)
 				return err
 			})
 			if err != nil {
@@ -75,7 +75,7 @@ func Fig4(ctx context.Context, opts Fig4Options) ([]Table, error) {
 			gpCell := "skipped"
 			if !opts.SkipGP {
 				gpTime, err := timeSearch(func() error {
-					_, err := env.FullSearcher().BruteForce(ctx, req, search.BruteForceLimits{})
+					_, err := env.FullSearcher().BruteForce(ctx, req)
 					return err
 				})
 				if err != nil {
@@ -263,7 +263,7 @@ func Fig6(ctx context.Context, opts Fig6Options) ([]Table, error) {
 				return nil, err
 			}
 			lp := env.SampledSearcher()
-			lpres, err := lp.BruteForce(ctx, req, search.BruteForceLimits{})
+			lpres, err := lp.BruteForce(ctx, req)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s rate=%v LP: %w", q.Name, rate, err)
 			}
@@ -272,7 +272,7 @@ func Fig6(ctx context.Context, opts Fig6Options) ([]Table, error) {
 				return nil, err
 			}
 			gp := env.FullSearcher()
-			gpres, err := gp.BruteForce(ctx, req, search.BruteForceLimits{})
+			gpres, err := gp.BruteForce(ctx, req)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s rate=%v GP: %w", q.Name, rate, err)
 			}
@@ -349,7 +349,7 @@ func Fig7(ctx context.Context, opts Fig7Options) ([]Table, error) {
 			Headers: []string{"budget_ratio", "heuristic", "lp", "gp"},
 		}
 		req := env.Request(q, opts.Seed)
-		_, ub, err := env.FullSearcher().PriceRange(ctx, req, search.BruteForceLimits{})
+		_, ub, err := env.FullSearcher().PriceRange(ctx, req)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s price range: %w", q.Name, err)
 		}
@@ -375,7 +375,7 @@ func Fig7(ctx context.Context, opts Fig7Options) ([]Table, error) {
 			})
 			lpCell := cell(func() (search.Metrics, error) {
 				s := env.SampledSearcher()
-				res, err := s.BruteForce(ctx, req, search.BruteForceLimits{})
+				res, err := s.BruteForce(ctx, req)
 				if err != nil {
 					return search.Metrics{}, err
 				}
@@ -383,7 +383,7 @@ func Fig7(ctx context.Context, opts Fig7Options) ([]Table, error) {
 			})
 			gpCell := cell(func() (search.Metrics, error) {
 				s := env.FullSearcher()
-				res, err := s.BruteForce(ctx, req, search.BruteForceLimits{})
+				res, err := s.BruteForce(ctx, req)
 				if err != nil {
 					return search.Metrics{}, err
 				}

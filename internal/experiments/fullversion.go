@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"github.com/dance-db/dance/internal/search"
 )
 
 // FigTPCHBudgetTime reproduces the experiment the paper defers to its full
@@ -28,7 +26,7 @@ func FigTPCHBudgetTime(ctx context.Context, opts Fig5Options) (Table, error) {
 	ubs := make([]float64, len(queries))
 	for qi, q := range queries {
 		req := env.Request(q, opts.Seed)
-		_, ub, err := env.FullSearcher().PriceRange(ctx, req, search.BruteForceLimits{})
+		_, ub, err := env.FullSearcher().PriceRange(ctx, req)
 		if err != nil {
 			return tab, fmt.Errorf("tpch budget time %s price range: %w", q.Name, err)
 		}

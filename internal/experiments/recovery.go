@@ -216,7 +216,7 @@ func fullDataOptimumPrice(ctx context.Context, w *workload.Workload, req search.
 	if err != nil {
 		return 0, err
 	}
-	res, err := search.NewSearcher(g).BruteForce(ctx, req, search.BruteForceLimits{})
+	res, err := search.NewSearcher(g).BruteForce(ctx, req)
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/relation"
-	"github.com/dance-db/dance/internal/search"
 	"github.com/dance-db/dance/internal/tpce"
 	"github.com/dance-db/dance/internal/tpch"
 )
@@ -166,7 +165,7 @@ func Table6(ctx context.Context, opts Table6Options) (Table, error) {
 	for _, q := range TPCHQueries() {
 		req := env.Request(q, opts.Seed)
 		req.Iterations = opts.Iterations
-		lb, ub, err := env.FullSearcher().PriceRange(ctx, req, search.BruteForceLimits{})
+		lb, ub, err := env.FullSearcher().PriceRange(ctx, req)
 		if err != nil {
 			return tab, fmt.Errorf("table6 %s price range: %w", q.Name, err)
 		}
@@ -195,7 +194,7 @@ func Table6(ctx context.Context, opts Table6Options) (Table, error) {
 		})
 
 		gs := env.FullSearcher()
-		gres, err := gs.BruteForce(ctx, req, search.BruteForceLimits{})
+		gres, err := gs.BruteForce(ctx, req)
 		if err != nil {
 			return tab, fmt.Errorf("table6 %s GP: %w", q.Name, err)
 		}

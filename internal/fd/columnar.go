@@ -30,14 +30,9 @@ func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
 // the AFD set fds: |⋂_F C(c, F)| / |c|. FDs whose attributes are missing
 // from c are skipped (they cannot constrain the join result). With no
 // applicable FDs, or no rows, the quality is 1. For a single FD this is
-// Q(D, F) of Def 2.2.
-func QualitySetColumnar(c *relation.Columnar, fds []FD) (float64, error) {
-	return QualitySetScratch(c, fds, nil)
-}
-
-// QualitySetScratch is QualitySetColumnar with its LHS groupings, their
-// refinements and the per-group tables taken from s (nil: allocated).
-func QualitySetScratch(c *relation.Columnar, fds []FD, s *relation.Scratch) (float64, error) {
+// Q(D, F) of Def 2.2. The LHS groupings, their refinements and the
+// per-group tables are taken from s (nil: allocated).
+func QualitySetColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (float64, error) {
 	if c.NumRows() == 0 {
 		return 1, nil
 	}

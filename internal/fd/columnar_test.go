@@ -72,7 +72,7 @@ func TestCorrectRowsColumnarMatchesRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotQ, err := QualitySetColumnar(c, fds)
+		gotQ, err := QualitySetColumnar(c, fds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,14 +84,14 @@ func TestCorrectRowsColumnarMatchesRows(t *testing.T) {
 
 func TestQualitySetColumnarEdgeCases(t *testing.T) {
 	empty := relation.NewTable("e", relation.NewSchema(relation.Cat("a", relation.KindInt)))
-	q, err := QualitySetColumnar(relation.ToColumnar(empty), []FD{New("a", "a")})
+	q, err := QualitySetColumnar(relation.ToColumnar(empty), []FD{New("a", "a")}, nil)
 	if err != nil || q != 1 {
 		t.Fatalf("empty table: got %v, %v, want quality 1", q, err)
 	}
 	tab := relation.NewTable("t", relation.NewSchema(relation.Cat("a", relation.KindInt)))
 	tab.AppendValues(relation.IntValue(1))
 	// No applicable FDs → quality 1, matching the row path.
-	q, err = QualitySetColumnar(relation.ToColumnar(tab), []FD{New("z", "y")})
+	q, err = QualitySetColumnar(relation.ToColumnar(tab), []FD{New("z", "y")}, nil)
 	if err != nil || q != 1 {
 		t.Fatalf("inapplicable FDs: got %v, %v, want 1", q, err)
 	}
@@ -133,10 +133,10 @@ func TestQualitySetColumnarSharedLHS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				acc.And(cr)
+				intersect(acc, cr)
 			}
 			want := float64(acc.Count()) / float64(c.NumRows())
-			got, err := QualitySetColumnar(c, set)
+			got, err := QualitySetColumnar(c, set, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := QualitySetColumnar(c, set)
+		got, err := QualitySetColumnar(c, set, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 // per row), so the map side of the fuse really runs.
 func mapSideSpan(t *testing.T, c *relation.Columnar) {
 	t.Helper()
-	groups, err := c.GroupBy([]int{c.Schema().Index("v")})
+	groups, err := (*relation.Scratch)(nil).GroupBy(c, []int{c.Schema().Index("v")}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

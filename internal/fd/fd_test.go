@@ -103,7 +103,7 @@ func TestAppliesTo(t *testing.T) {
 // quality is Q of Def 2.3 under fds on t's encoding; for one FD, Q(D, F)
 // of Def 2.2.
 func quality(t *relation.Table, fds ...FD) (float64, error) {
-	return QualitySetColumnar(relation.ToColumnar(t), fds)
+	return QualitySetColumnar(relation.ToColumnar(t), fds, nil)
 }
 
 func TestQualityExample21(t *testing.T) {

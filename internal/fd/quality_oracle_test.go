@@ -50,6 +50,15 @@ func correctRows(t *relation.Table, f FD) (*bitset.Set, error) {
 	return correct, nil
 }
 
+// intersect clears from acc every row c does not hold.
+func intersect(acc, c *bitset.Set) {
+	for _, i := range acc.Indices() {
+		if !c.Has(i) {
+			acc.Clear(i)
+		}
+	}
+}
+
 // qualitySet returns Q of Def 2.3, |⋂_F C(t, F)| / |t|, over the FDs of
 // fds that apply to t (1 when none does or t is empty).
 func qualitySet(t *relation.Table, fds []FD) (float64, error) {
@@ -65,7 +74,7 @@ func qualitySet(t *relation.Table, fds []FD) (float64, error) {
 		if acc == nil {
 			acc = c
 		} else {
-			acc.And(c)
+			intersect(acc, c)
 		}
 	}
 	if acc == nil {

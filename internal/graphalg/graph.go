@@ -59,12 +59,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.adj[v] = append(g.adj[v], u)
 }
 
-// HasEdge reports whether the undirected edge exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.weight[edgeKey(u, v)]
-	return ok
-}
-
 // Weight returns the weight of edge (u, v); it panics if absent.
 func (g *Graph) Weight(u, v int) float64 {
 	w, ok := g.weight[edgeKey(u, v)]
@@ -73,9 +67,6 @@ func (g *Graph) Weight(u, v int) float64 {
 	}
 	return w
 }
-
-// Neighbors returns the adjacency list of u (do not mutate).
-func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.weight) }
@@ -194,17 +185,4 @@ func (g *Graph) BuildLandmarks(k int, rng *rand.Rand) *Landmarks {
 		lm.parents = append(lm.parents, p)
 	}
 	return lm
-}
-
-// ApproxDistance estimates dist(u, v) by landmark triangulation:
-// min over landmarks of dist(u, m) + dist(m, v). It upper-bounds the true
-// distance.
-func (lm *Landmarks) ApproxDistance(u, v int) float64 {
-	best := math.Inf(1)
-	for i := range lm.IDs {
-		if d := lm.dist[i][u] + lm.dist[i][v]; d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -9,19 +9,15 @@ import (
 )
 
 // The information-theoretic measures on dictionary codes: groupings are
-// fused integer-code counts (relation.Columnar.GroupBy) instead of injective
+// fused integer-code counts (relation.Scratch.GroupBy) instead of injective
 // byte-string map keys, and group terms are summed in first-appearance
 // order. Entropy (kept on the row store for pricing) sums in the same order,
-// so EntropyColumnar is bit-identical to it; the row-store CORR formulation
+// so entropyColumnar is bit-identical to it; the row-store CORR formulation
 // survives as the test oracle of corr_oracle_test.go.
 
-// EntropyColumnar returns the joint Shannon entropy H(X) of the named
-// attribute set X in c. Bit-identical to Entropy on the decoded table.
-func EntropyColumnar(c *relation.Columnar, cols ...string) (float64, error) {
-	return entropyColumnar(c, cols, nil)
-}
-
-// entropyColumnar is EntropyColumnar counting its grouping in s.
+// entropyColumnar returns the joint Shannon entropy H(X) of the named
+// attribute set X in c, counting its grouping in s (nil: allocated).
+// Bit-identical to Entropy on the decoded table.
 func entropyColumnar(c *relation.Columnar, cols []string, s *relation.Scratch) (float64, error) {
 	if len(cols) == 0 || c.NumRows() == 0 {
 		return 0, nil
@@ -39,14 +35,9 @@ func entropyColumnar(c *relation.Columnar, cols []string, s *relation.Scratch) (
 	return h, nil
 }
 
-// ConditionalEntropyColumnar returns H(X | Y) = H(X ∪ Y) − H(Y).
-func ConditionalEntropyColumnar(c *relation.Columnar, x, y []string) (float64, error) {
-	return conditionalEntropyScratch(c, x, y, nil)
-}
-
-// conditionalEntropyScratch is ConditionalEntropyColumnar counting its
-// groupings in s.
-func conditionalEntropyScratch(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
+// conditionalEntropyColumnar returns H(X | Y) = H(X ∪ Y) − H(Y), counting
+// its groupings in s (nil: allocated).
+func conditionalEntropyColumnar(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
 	hy, err := entropyColumnar(c, y, s)
 	if err != nil {
 		return 0, err
@@ -60,15 +51,9 @@ func conditionalEntropyScratch(c *relation.Columnar, x, y []string, s *relation.
 
 // CorrelationColumnar computes CORR(X, Y) of Def 2.5 on the columnar
 // relation c — the evaluator's hot path. See Correlation for the measure's
-// definition.
-func CorrelationColumnar(c *relation.Columnar, x, y []string) (float64, error) {
-	return CorrelationScratch(c, x, y, nil)
-}
-
-// CorrelationScratch is CorrelationColumnar with every grouping it counts
-// and drops — Y, X and X ∪ Y — and the cumulative-entropy buffers taken
-// from s (nil: allocated).
-func CorrelationScratch(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
+// definition. Every grouping it counts and drops — Y, X and X ∪ Y — and the
+// cumulative-entropy buffers are taken from s (nil: allocated).
+func CorrelationColumnar(c *relation.Columnar, x, y []string, s *relation.Scratch) (float64, error) {
 	if len(x) == 0 || len(y) == 0 || c.NumRows() == 0 {
 		return 0, nil
 	}
@@ -83,7 +68,7 @@ func CorrelationScratch(c *relation.Columnar, x, y []string, s *relation.Scratch
 		if err != nil {
 			return 0, err
 		}
-		hxy, err := conditionalEntropyScratch(c, xc, y, s)
+		hxy, err := conditionalEntropyColumnar(c, xc, y, s)
 		if err != nil {
 			return 0, err
 		}

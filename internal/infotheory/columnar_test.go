@@ -56,7 +56,7 @@ func TestEntropyColumnarBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EntropyColumnar(c, cols...)
+			got, err := entropyColumnar(c, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestEntropyColumnarBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotC, err := ConditionalEntropyColumnar(c, []string{"k"}, []string{"s", "m"})
+		gotC, err := conditionalEntropyColumnar(c, []string{"k"}, []string{"s", "m"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestCorrelationColumnarBitIdenticalToRows(t *testing.T) {
 			}
 			// And the fully coded columnar (the search path's shape) must
 			// agree too.
-			got2, err := CorrelationColumnar(relation.ToColumnar(tab), xy[0], xy[1])
+			got2, err := CorrelationColumnar(relation.ToColumnar(tab), xy[0], xy[1], nil)
 			if err != nil {
 				t.Fatal(err)
 			}

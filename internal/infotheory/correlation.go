@@ -41,7 +41,7 @@ func Correlation(t *relation.Table, x, y []string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return CorrelationColumnar(c, x, y)
+	return CorrelationColumnar(c, x, y, nil)
 }
 
 // splitCorrAttrs partitions X into categorical and numerical attributes and

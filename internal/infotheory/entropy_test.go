@@ -91,7 +91,7 @@ func TestEntropyOnTable(t *testing.T) {
 func TestConditionalEntropyAndMI(t *testing.T) {
 	tab := uniformPairs()
 	// H(X|Y) = 0 (Y determines X).
-	hxy, err := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"})
+	hxy, err := conditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestConditionalEntropyAndMI(t *testing.T) {
 		t.Fatalf("H(X|Y) = %v, want 0", hxy)
 	}
 	// X and Z independent: H(X|Z) = H(X) = 1.
-	hxz, _ := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Z"})
+	hxz, _ := conditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Z"}, nil)
 	if !almost(hxz, 1, 1e-12) {
 		t.Fatalf("H(X|Z) = %v, want 1", hxz)
 	}
@@ -239,7 +239,7 @@ func TestQuickEntropyInequalities(t *testing.T) {
 			tab.AppendValues(relation.IntValue(int64(p%5)), relation.IntValue(int64((p/5)%5)))
 		}
 		hx, _ := Entropy(tab, "X")
-		hxy, _ := ConditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"})
+		hxy, _ := conditionalEntropyColumnar(relation.ToColumnar(tab), []string{"X"}, []string{"Y"}, nil)
 		return hxy >= -1e-9 && hxy <= hx+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

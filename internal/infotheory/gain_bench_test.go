@@ -36,7 +36,7 @@ func BenchmarkCumulativeGain(b *testing.B) {
 		}
 		encode := func() (*relation.Columnar, *relation.Grouping) {
 			c := relation.ToColumnar(parent).FilterRows(rows)
-			g, err := c.GroupBy([]int{1})
+			g, err := (*relation.Scratch)(nil).GroupBy(c, []int{1}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

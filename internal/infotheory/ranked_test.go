@@ -43,7 +43,7 @@ func val(v relation.Value) *relation.Value { return &v }
 // when the kernel declines the column) and on the sorted path.
 func paths(t *testing.T, c *relation.Columnar) (ranked float64, ok bool, sorted float64) {
 	t.Helper()
-	g, err := c.GroupBy(c.Schema().MustIndexes("g"))
+	g, err := (*relation.Scratch)(nil).GroupBy(c, c.Schema().MustIndexes("g"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func checkRanked(t *testing.T, name string, tab *relation.Table, c *relation.Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CorrelationColumnar(c, x, y)
+	got, err := CorrelationColumnar(c, x, y, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

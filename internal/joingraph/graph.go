@@ -8,8 +8,7 @@
 // infeasible for wide tables, so we exploit Property 4.1: every AS-edge
 // weight depends only on (instance pair, join-attribute set). The graph
 // therefore stores, per I-edge, one weighted *variant* per enumerated
-// join-attribute subset, and the explicit lattice (Def 4.1) is available
-// separately for narrow instances via Lattice.
+// join-attribute subset, and never materializes the lattice (Def 4.1).
 //
 // All weights (join informativeness) are estimated from the correlated
 // samples DANCE holds, per Sec 3.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dance-db/dance/internal/fd"
+	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 )
@@ -97,6 +98,30 @@ func TestBuildCreatesEdgeWithVariants(t *testing.T) {
 	for _, v := range e.Variants {
 		if v.JI < 0 || v.JI > 1 {
 			t.Fatalf("JI out of range: %v", v.JI)
+		}
+	}
+}
+
+// Property 4.1: an AS-edge weight depends only on the instance pair and the
+// join-attribute set, so Build's per-variant JI must equal the join
+// informativeness computed directly on that attribute set.
+func TestASEdgesProperty41(t *testing.T) {
+	insts := figure3Instances(10)
+	g, err := Build(insts, Config{MaxJoinAttrs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.EdgeBetween(0, 1)
+	if e == nil || len(e.Variants) != 3 { // {B}, {C}, {B,C}
+		t.Fatalf("edge D1–D2 = %+v, want 3 variants", e)
+	}
+	for _, v := range e.Variants {
+		direct, err := infotheory.JoinInformativeness(insts[0].Columnar, insts[1].Columnar, v.JoinAttrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := direct - v.JI; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("variant %v weight %v differs from direct JI %v", v.JoinAttrs, v.JI, direct)
 		}
 	}
 }

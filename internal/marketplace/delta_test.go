@@ -179,8 +179,8 @@ func TestSampleDeltaMergeEquivalence(t *testing.T) {
 			if cm != cf {
 				t.Fatalf("%s: row-path correlation %v != %v", label, cm, cf)
 			}
-			ccm, err1 := infotheory.CorrelationColumnar(mc, x, y)
-			ccf, err2 := infotheory.CorrelationColumnar(relation.ToColumnar(fresh), x, y)
+			ccm, err1 := infotheory.CorrelationColumnar(mc, x, y, nil)
+			ccf, err2 := infotheory.CorrelationColumnar(relation.ToColumnar(fresh), x, y, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: columnar correlation errs %v %v", label, err1, err2)
 			}

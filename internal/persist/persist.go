@@ -14,8 +14,9 @@
 // journal holds only their metadata. Journal appends are fsynced by default
 // — entries record money — and replay is last-wins for rates, datasets and
 // plans, append-only for ledger entries. A torn final line (the crash-mid-
-// append case) is tolerated and dropped; corruption anywhere earlier is an
-// error, not a silent truncation.
+// append case, which never reaches its newline) is tolerated and dropped;
+// a damaged newline-terminated line, the last one included, is an error,
+// not a silent truncation.
 //
 // Samples are journaled after merge, in the marketplace seller's canonical
 // hash-unit prefix order (internal/marketplace/index.go), so a recovered
@@ -352,7 +353,9 @@ func (s *FileStore) Close() error {
 }
 
 // Load implements Store. The replay tolerates exactly one torn trailing
-// line — the crash-mid-append case — and fails loudly on anything else.
+// line — an unterminated final fragment, the crash-mid-append case — and
+// fails loudly on anything else: every line that ends in a newline was
+// written whole, so one that does not decode is corruption.
 func (s *FileStore) Load() (*State, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, "journal.jsonl"))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -368,9 +371,9 @@ func (s *FileStore) Load() (*State, error) {
 	line, lineNo := data, 0
 	for len(line) > 0 {
 		lineNo++
-		raw := line
+		raw, terminated := line, false
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			raw, line = line[:i], line[i+1:]
+			raw, line, terminated = line[:i], line[i+1:], true
 		} else {
 			line = nil
 		}
@@ -379,7 +382,7 @@ func (s *FileStore) Load() (*State, error) {
 		}
 		var rec journalRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			if len(line) == 0 {
+			if !terminated {
 				break // torn final append: the record never completed
 			}
 			return nil, fmt.Errorf("persist: journal line %d corrupt: %w", lineNo, err)

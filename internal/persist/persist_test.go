@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -196,23 +197,57 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
-// TestFileStoreMidFileCorruption: damage anywhere before the final line is
-// an error, never a silent skip.
+// TestFileStoreMidFileCorruption: damage to any complete line — one that
+// ends in a newline, the final line included — is an error, never a silent
+// skip. Only an unterminated final fragment is a torn append.
 func TestFileStoreMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	content := `{"t":"ledger","ledger":{"kind":"sam` + "\n" +
-		`{"t":"ledger","ledger":{"kind":"sample","amount":1}}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Load(); err == nil {
-		t.Fatal("mid-file corruption must be reported, not skipped")
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, dir, path string)
+	}{
+		{"torn line mid-file", func(t *testing.T, _, path string) {
+			content := `{"t":"ledger","ledger":{"kind":"sam` + "\n" +
+				`{"t":"ledger","ledger":{"kind":"sample","amount":1}}` + "\n"
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"flipped byte in the newline-terminated final line", func(t *testing.T, dir, path string) {
+			s, err := Open(dir, Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, amount := range []float64{1, 2, 3} {
+				if err := s.AppendLedger(LedgerRecord{Kind: "sample", Amount: amount}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+			data[last] ^= 0x20 // '{' becomes '['; the '\n' stays
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir, filepath.Join(dir, "journal.jsonl"))
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if st, err := s.Load(); err == nil {
+				t.Fatalf("corruption must be reported, not skipped; ledger = %+v", st.Ledger)
+			}
+		})
 	}
 }
 

@@ -565,23 +565,16 @@ func (g *Grouping) RowLists() (starts, rows []int32) {
 // it the stage falls back to an int-keyed map (still exact, no byte keys).
 const maxFlatFuse = 1 << 20
 
-// GroupBy fuses the given columns into a Grouping. All columns must be
+// GroupBy fuses the given columns of c into a Grouping. All columns must be
 // dictionary-coded. An empty column list yields a single group holding every
-// row (mirroring the row path's empty grouping key).
-func (c *Columnar) GroupBy(cols []int) (*Grouping, error) { return c.groupBy(cols, 1, nil) }
-
-// GroupBy is c.GroupBy(cols) with up to workers goroutines on the fuse
-// passes of large relations, and the grouping's codes, counts and first
-// rows taken from s, for a caller that hands them back with
-// ReleaseGrouping after one pass (nil s: allocated). The Grouping — codes,
+// row (mirroring the row path's empty grouping key). Up to workers
+// goroutines run the fuse passes of large relations; the Grouping — codes,
 // counts, first rows, and the first-appearance id order — is bit-identical
-// to c.GroupBy's for every worker count (pinned by the parallel-equivalence
-// tests).
+// for every worker count (pinned by the parallel-equivalence tests). The
+// grouping's codes, counts and first rows come from s, for a caller that
+// hands them back with ReleaseGrouping after one pass; a nil s allocates
+// them.
 func (s *Scratch) GroupBy(c *Columnar, cols []int, workers int) (*Grouping, error) {
-	return c.groupBy(cols, workers, s)
-}
-
-func (c *Columnar) groupBy(cols []int, workers int, s *Scratch) (*Grouping, error) {
 	g := &Grouping{Cols: cols, owner: s}
 	if len(cols) == 0 {
 		g.Codes = ScratchSlice[uint32](s, c.n)
@@ -619,16 +612,9 @@ func (c *Columnar) groupBy(cols []int, workers int, s *Scratch) (*Grouping, erro
 
 // Refine fuses the grouping g of c with c's coded column col: the result
 // groups rows by (group of g, code of col), bit-identically to GroupBy on
-// g.Cols followed by col, without fusing g's columns again.
-func (c *Columnar) Refine(g *Grouping, col int) (*Grouping, error) { return c.refine(g, col, nil) }
-
-// Refine is c.Refine(g, col) with the refinement's storage taken from s,
-// like GroupBy's. A nil s allocates it.
+// g.Cols followed by col, without fusing g's columns again. The
+// refinement's storage comes from s, like GroupBy's; a nil s allocates it.
 func (s *Scratch) Refine(c *Columnar, g *Grouping, col int) (*Grouping, error) {
-	return c.refine(g, col, s)
-}
-
-func (c *Columnar) refine(g *Grouping, col int, s *Scratch) (*Grouping, error) {
 	if c.cols[col].Codes == nil {
 		return nil, fmt.Errorf("relation: column %q of %s is not dictionary-coded", c.schema.Column(col).Name, c.Name)
 	}
@@ -806,16 +792,11 @@ type JoinIndex struct {
 	fuse      []map[uint64]uint32
 }
 
-// BuildJoinIndex indexes c on the named join attributes.
-func (c *Columnar) BuildJoinIndex(on ...string) (*JoinIndex, error) {
-	return c.BuildJoinIndexWorkers(1, on...)
-}
-
-// BuildJoinIndexWorkers indexes c on the named join attributes, using up to
+// BuildJoinIndex indexes c on the named join attributes, using up to
 // workers goroutines for the grouping passes when c is large — the build side
 // of a million-row join is the expensive half of a cold evaluation. The index
-// is bit-identical to BuildJoinIndex's for every worker count.
-func (c *Columnar) BuildJoinIndexWorkers(workers int, on ...string) (*JoinIndex, error) {
+// is bit-identical for every worker count.
+func (c *Columnar) BuildJoinIndex(workers int, on ...string) (*JoinIndex, error) {
 	if len(on) == 0 {
 		return nil, fmt.Errorf("relation: join index on %s with no join attributes", c.Name)
 	}
@@ -823,7 +804,7 @@ func (c *Columnar) BuildJoinIndexWorkers(workers int, on ...string) (*JoinIndex,
 	if err != nil {
 		return nil, err
 	}
-	g, err := c.groupBy(cols, workers, nil)
+	g, err := (*Scratch)(nil).GroupBy(c, cols, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -963,7 +944,7 @@ func (c *Columnar) FilterRows(rows []int32) *Columnar {
 	return out
 }
 
-// JoinOptions tunes EquiJoinColumnarOpts.
+// JoinOptions tunes EquiJoinColumnar and EquiJoinPairs.
 type JoinOptions struct {
 	// Workers bounds the goroutines used for the probe, pairing and gather
 	// sweeps (and the index build when none is supplied) on large probe
@@ -980,17 +961,13 @@ type JoinOptions struct {
 // but producing gathered code columns instead of materialized rows. idx may
 // carry a prebuilt index of b on exactly the same attributes; pass nil to
 // build one in place.
-func EquiJoinColumnar(a, b *Columnar, on []string, idx *JoinIndex) (*Columnar, error) {
-	return EquiJoinColumnarOpts(a, b, on, idx, JoinOptions{})
-}
-
-// EquiJoinColumnarOpts is EquiJoinColumnar with tuning options.
-func EquiJoinColumnarOpts(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*Columnar, error) {
-	p, err := EquiJoinPairs(a, b, on, idx, opt)
+func EquiJoinColumnar(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*Columnar, error) {
+	var s *Scratch
+	p, err := s.EquiJoinPairs(a, b, on, idx, opt)
 	if err != nil {
 		return nil, err
 	}
-	return p.Gather(), nil
+	return s.Gather(p), nil
 }
 
 // JoinPairs is the pairs stage of a columnar equi-join: the joined schema
@@ -1007,25 +984,17 @@ type JoinPairs struct {
 	workers     int
 }
 
-// EquiJoinPairs runs the probe and pairing sweeps of EquiJoinColumnarOpts:
-// Gather on the result is that join, bit for bit.
-func EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*JoinPairs, error) {
-	return equiJoinPairs(a, b, on, idx, opt, nil)
-}
-
-// EquiJoinPairs is the package-level EquiJoinPairs with a multi-column
-// probe side grouped in s and the joined schema taken from s's schema memo.
+// EquiJoinPairs runs the probe and pairing sweeps of EquiJoinColumnar:
+// Gather on the result is that join, bit for bit. A multi-column probe
+// side is grouped in s and the joined schema taken from s's schema memo; a
+// nil s allocates both.
 func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*JoinPairs, error) {
-	return equiJoinPairs(a, b, on, idx, opt, s)
-}
-
-func equiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions, s *Scratch) (*JoinPairs, error) {
 	if len(on) == 0 {
 		return nil, fmt.Errorf("relation: equi-join of %s and %s with no join attributes", a.Name, b.Name)
 	}
 	var err error
 	if idx == nil {
-		if idx, err = b.BuildJoinIndexWorkers(opt.Workers, on...); err != nil {
+		if idx, err = b.BuildJoinIndex(opt.Workers, on...); err != nil {
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
 	}
@@ -1064,7 +1033,7 @@ func equiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions,
 			remap[code] = idx.groupOf(vals)
 		}
 	} else {
-		if ag, err = a.groupBy(aCols, workers, s); err != nil {
+		if ag, err = s.GroupBy(a, aCols, workers); err != nil {
 			poolInt32.put(pg)
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
@@ -1149,14 +1118,10 @@ func (p *JoinPairs) Keep(keep []int32) {
 	p.left, p.right = p.left[:len(keep)], p.right[:len(keep)]
 }
 
-// Gather gathers every output column of the pairs into the joined relation
-// and releases the pair lists; p must not be used afterwards.
-func (p *JoinPairs) Gather() *Columnar { return p.release(p.gather(nil, nil)) }
-
 // Gather gathers every output column of the pairs into s, for a caller that
 // hands the relation back with Release after one pass — the terminal join
 // of a re-sampled path — and releases the pair lists; p must not be used
-// afterwards.
+// afterwards. A nil s allocates the relation.
 func (s *Scratch) Gather(p *JoinPairs) *Columnar { return p.release(p.gather(nil, s)) }
 
 // gather gathers the output columns cols (nil: all) of every pair, into s.

@@ -94,12 +94,12 @@ func TestGroupByWorkersEquivalence(t *testing.T) {
 	c := ToColumnar(bigTable(rng, "G", parallelMinRows+1500, 2000))
 	s := NewScratch(nil)
 	for _, cols := range [][]int{{0}, {0, 1}, {0, 1, 3}, {1, 3}} {
-		want, err := c.GroupBy(cols)
+		want, err := noScratch.GroupBy(c, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			plain, err := c.groupBy(cols, workers, nil)
+			plain, err := noScratch.GroupBy(c, cols, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,21 +121,21 @@ func TestEquiJoinColumnarOptsEquivalence(t *testing.T) {
 	a := ToColumnar(bigTable(rng, "A", parallelMinRows+2000, 3000))
 	b := ToColumnar(bigTable(rng, "B", 20000, 3000))
 	for _, on := range [][]string{{"k"}, {"k", "s"}} {
-		want, err := EquiJoinColumnar(a, b, on, nil)
+		want, err := EquiJoinColumnar(a, b, on, nil, JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := b.BuildJoinIndexWorkers(4, on...)
+		idx, err := b.BuildJoinIndex(4, on...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := EquiJoinColumnarOpts(a, b, on, idx, JoinOptions{Workers: workers})
+			got, err := EquiJoinColumnar(a, b, on, idx, JoinOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			columnarsEqual(t, fmt.Sprintf("on %v workers %d", on, workers), want, got)
-			got2, err := EquiJoinColumnarOpts(a, b, on, nil, JoinOptions{Workers: workers})
+			got2, err := EquiJoinColumnar(a, b, on, nil, JoinOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,11 +151,11 @@ func TestEquiJoinColumnarOptsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := ToColumnar(bigTable(rng, "A", parallelMinRows+1000, 2500))
 	b := ToColumnar(bigTable(rng, "B", 15000, 2500))
-	idx, err := b.BuildJoinIndexWorkers(4, "k")
+	idx, err := b.BuildJoinIndex(4, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EquiJoinColumnar(a, b, []string{"k"}, idx)
+	want, err := EquiJoinColumnar(a, b, []string{"k"}, idx, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEquiJoinColumnarOptsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], errs[g] = EquiJoinColumnarOpts(a, b, []string{"k"}, idx, JoinOptions{Workers: 1 + g%4})
+			outs[g], errs[g] = EquiJoinColumnar(a, b, []string{"k"}, idx, JoinOptions{Workers: 1 + g%4})
 		}(g)
 	}
 	wg.Wait()

@@ -143,7 +143,7 @@ func TestColumnarGroupByMatchesGroupIndices(t *testing.T) {
 		for _, cols := range [][]string{{"k"}, {"m"}, {"k", "s"}, {"k", "s", "m"}} {
 			ordered := groupRowLists(tab, cols)
 			idx := tab.Schema.MustIndexes(cols...)
-			g, err := c.GroupBy(idx)
+			g, err := noScratch.GroupBy(c, idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,11 +152,11 @@ func TestColumnarGroupByMatchesGroupIndices(t *testing.T) {
 			}
 			// Refining the grouping of all but the last column by the last
 			// one is the same grouping.
-			prefix, err := c.GroupBy(idx[:len(idx)-1])
+			prefix, err := noScratch.GroupBy(c, idx[:len(idx)-1], 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.Refine(prefix, idx[len(idx)-1])
+			r, err := noScratch.Refine(c, prefix, idx[len(idx)-1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,18 +199,18 @@ func TestEquiJoinColumnarMatchesRowJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil)
+			got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil, JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tablesEqual(t, want, got.ToTable())
 
 			// A prebuilt index must give the same result.
-			idx, err := ToColumnar(b).BuildJoinIndex(on...)
+			idx, err := ToColumnar(b).BuildJoinIndex(1, on...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got2, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, idx)
+			got2, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, idx, JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestEquiJoinColumnarMixedIntFloatKeys(t *testing.T) {
 	if want.NumRows() != 2 {
 		t.Fatalf("row join found %d rows, want 2", want.NumRows())
 	}
-	got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), []string{"k"}, nil)
+	got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), []string{"k"}, nil, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

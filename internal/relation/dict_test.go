@@ -146,7 +146,7 @@ func TestEquiJoinIntFloatAcrossDictionaries(t *testing.T) {
 			if want.NumRows() != 8 {
 				t.Fatalf("row join %s ⋈ %s on %v found %d rows, want 8", a.Name, b.Name, on, want.NumRows())
 			}
-			got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil)
+			got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil, JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestEquiJoinNullKeys(t *testing.T) {
 		if want.NumRows() == 0 {
 			t.Fatalf("row join on %v is empty; the fixture must exercise NULL matches", on)
 		}
-		got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil)
+		got, err := EquiJoinColumnar(ToColumnar(a), ToColumnar(b), on, nil, JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestPrebuiltJoinIndexMatchesInPlace(t *testing.T) {
 		encoded[i] = ToColumnar(probes[i])
 	}
 	for _, on := range [][]string{{"k"}, {"s"}, {"m"}, {"k", "s"}, {"s", "m", "k"}} {
-		idx, err := b.BuildJoinIndex(on...)
+		idx, err := b.BuildJoinIndex(1, on...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestPrebuiltJoinIndexMatchesInPlace(t *testing.T) {
 			wg.Add(1)
 			go func(i int, a *Columnar) {
 				defer wg.Done()
-				got[i], errs[i] = EquiJoinColumnar(a, b, on, idx)
+				got[i], errs[i] = EquiJoinColumnar(a, b, on, idx, JoinOptions{})
 			}(i, a)
 		}
 		wg.Wait()
@@ -276,7 +276,7 @@ func TestPrebuiltJoinIndexMatchesInPlace(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			inPlace, err := EquiJoinColumnar(encoded[i], b, on, nil)
+			inPlace, err := EquiJoinColumnar(encoded[i], b, on, nil, JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

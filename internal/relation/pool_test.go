@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// noScratch is the nil Scratch: kernels run with it allocate as usual.
+var noScratch *Scratch
+
 // scratchTable builds a table with a coded key, a coded category and a raw
 // numeric measure column.
 func scratchTable(name string, n, keys int) *Table {
@@ -36,12 +39,12 @@ func TestScratchReleaseIgnoresForeignValues(t *testing.T) {
 	}
 	b := ToColumnar(scratchTable("b", 30, 5))
 	view := a.Project(map[string]bool{"k": true, "v": true})
-	pairs, err := EquiJoinPairs(a, b, []string{"k"}, nil, JoinOptions{})
+	pairs, err := noScratch.EquiJoinPairs(a, b, []string{"k"}, nil, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	published := pairs.Gather()
-	plainGroups, err := a.GroupBy([]int{0, 1})
+	published := noScratch.Gather(pairs)
+	plainGroups, err := noScratch.GroupBy(a, []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestScratchReuseMatchesPlain(t *testing.T) {
 	s := NewScratch(NewSchemaMemo(4))
 	for round := 0; round < 4; round++ {
 		for _, cols := range [][]int{{0}, {1}, {0, 1}, {}} {
-			want, err := a.GroupBy(cols)
+			want, err := noScratch.GroupBy(a, cols, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +130,7 @@ func TestScratchReuseMatchesPlain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantR, err := a.Refine(want, 1)
+			wantR, err := noScratch.Refine(a, want, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +140,7 @@ func TestScratchReuseMatchesPlain(t *testing.T) {
 			s.ReleaseGrouping(r)
 			s.ReleaseGrouping(got)
 		}
-		plain, err := EquiJoinColumnar(a, b, []string{"k"}, nil)
+		plain, err := EquiJoinColumnar(a, b, []string{"k"}, nil, JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

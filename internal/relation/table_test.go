@@ -82,7 +82,7 @@ func TestColumn(t *testing.T) {
 
 func TestGroupIndices(t *testing.T) {
 	d := ToColumnar(exampleD())
-	g, err := d.GroupBy(d.Schema().MustIndexes("A"))
+	g, err := noScratch.GroupBy(d, d.Schema().MustIndexes("A"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestPartitionExample21(t *testing.T) {
 	// Example 2.1 of the paper: π_A has classes {t1..t4}, {t5};
 	// π_AB has classes {t1,t2}, {t3}, {t4}, {t5}.
 	c := ToColumnar(exampleD())
-	pa, err := c.GroupBy([]int{0})
+	pa, err := noScratch.GroupBy(c, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []uint32{0, 0, 0, 0, 1}; !reflect.DeepEqual(pa.Codes, want) {
 		t.Fatalf("π_A classes = %v, want %v", pa.Codes, want)
 	}
-	pab, err := c.GroupBy([]int{0, 1})
+	pab, err := noScratch.GroupBy(c, []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,15 @@ func TestPartitionExample21(t *testing.T) {
 
 func TestPartitionRefineAgreesWithDirect(t *testing.T) {
 	c := ToColumnar(exampleD())
-	pa, err := c.GroupBy([]int{0})
+	pa, err := noScratch.GroupBy(c, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := c.Refine(pa, 1)
+	refined, err := noScratch.Refine(c, pa, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := c.GroupBy([]int{0, 1})
+	direct, err := noScratch.GroupBy(c, []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

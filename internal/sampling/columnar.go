@@ -187,15 +187,11 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 // that ends there, which no longer path shares, and a search asks for a
 // repeated target graph's metrics, not its join. Every η = 0 hop and every
 // non-terminal hop is published.
-func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache) (*relation.Columnar, ResampleStats, error) {
-	return ResampledJoinPathScratch(steps, opts, cache, nil)
-}
-
-// ResampledJoinPathScratch is ResampledJoinPathColumnar with one-pass work
-// in s: the join temporaries, every re-sampling decision and, with η > 0,
-// the terminal join itself, which the caller hands back with s.Release once
-// it has measured it. A nil s allocates as ResampledJoinPathColumnar does.
-func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch) (*relation.Columnar, ResampleStats, error) {
+//
+// One-pass work runs in s: the join temporaries, every re-sampling decision
+// and, with η > 0, the terminal join itself, which the caller hands back
+// with s.Release once it has measured it. A nil s allocates all of it.
+func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch) (*relation.Columnar, ResampleStats, error) {
 	var stats ResampleStats
 	if len(steps) == 0 {
 		return nil, stats, fmt.Errorf("sampling: empty join path")
@@ -236,7 +232,8 @@ func ResampledJoinPathScratch(steps []ColumnarStep, opts PathJoinOptions, cache 
 			acc = s.Gather(p)
 			break
 		}
-		acc = p.Gather()
+		// A published prefix outlives s, so it is allocated.
+		acc = (*relation.Scratch)(nil).Gather(p)
 		if cache != nil {
 			cache.Put(keys[i], acc)
 		}

@@ -147,7 +147,7 @@ func TestResampledJoinPathColumnarMatchesRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotStats, err := ResampledJoinPathColumnar(columnarizeSteps(steps), opts, nil)
+			got, gotStats, err := ResampledJoinPathColumnar(columnarizeSteps(steps), opts, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,12 +196,12 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		opts := tc.opts
 		steps := mkSteps()
 		keys := prefixKeys(steps, opts)
-		plain, _, err := ResampledJoinPathColumnar(steps, opts, nil)
+		plain, _, err := ResampledJoinPathColumnar(steps, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := &mapPrefixCache{m: map[string]*relation.Columnar{}}
-		first, _, err := ResampledJoinPathScratch(steps, opts, cache, scr)
+		first, _, err := ResampledJoinPathColumnar(steps, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		// The rerun reuses the longest published prefix and returns the
 		// same table.
 		cache.hits, cache.puts = 0, 0
-		second, stats, err := ResampledJoinPathScratch(steps, opts, cache, scr)
+		second, stats, err := ResampledJoinPathColumnar(steps, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +232,12 @@ func TestResampledJoinPathColumnarPrefixCache(t *testing.T) {
 		// prefix and still agree with the uncached computation.
 		forked := append([]ColumnarStep(nil), steps...)
 		forked[2] = ColumnarStep{C: relation.ToColumnar(randomStepTable(rng, "t2b", 120, 0.2)), On: []string{"j1"}, ID: "2b"}
-		wantFork, _, err := ResampledJoinPathColumnar(forked, opts, nil)
+		wantFork, _, err := ResampledJoinPathColumnar(forked, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache.puts = 0
-		gotFork, _, err := ResampledJoinPathScratch(forked, opts, cache, scr)
+		gotFork, _, err := ResampledJoinPathColumnar(forked, opts, cache, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,14 +294,14 @@ func TestPrefixKeysDoNotAlias(t *testing.T) {
 			t.Fatalf("opts %s: distinct paths share a prefix key", opts.CacheKey())
 		}
 		cache := &mapPrefixCache{m: map[string]*relation.Columnar{}}
-		if _, _, err := ResampledJoinPathColumnar(pathOdd, opts, cache); err != nil {
+		if _, _, err := ResampledJoinPathColumnar(pathOdd, opts, cache, nil); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ResampledJoinPathColumnar(pathX, opts, nil)
+		want, _, err := ResampledJoinPathColumnar(pathX, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ResampledJoinPathColumnar(pathX, opts, cache)
+		got, _, err := ResampledJoinPathColumnar(pathX, opts, cache, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func unfusedPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.Path
 	var stats sampling.ResampleStats
 	inter := []*relation.Columnar{steps[0].C}
 	for i := 1; i < len(steps); i++ {
-		j, err := relation.EquiJoinColumnar(inter[i-1], steps[i].C, steps[i].On, nil)
+		j, err := relation.EquiJoinColumnar(inter[i-1], steps[i].C, steps[i].On, nil, relation.JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestResampledJoinPathColumnarMatchesUnfused(t *testing.T) {
 				}
 				steps[i] = sampling.ColumnarStep{C: relation.ToColumnar(tab), On: p.on[i], ID: fmt.Sprint(i)}
 				if i > 0 {
-					idx, err := steps[i].C.BuildJoinIndex(p.on[i]...)
+					idx, err := steps[i].C.BuildJoinIndex(1, p.on[i]...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -225,7 +225,7 @@ func TestResampledJoinPathColumnarMatchesUnfused(t *testing.T) {
 							what := fmt.Sprintf("%s null=%v η=%d ρ=%v workers=%d scratch=%v", p.name, nullFrac, eta, rate, workers, s != nil)
 							opts.Workers = workers
 							cache := &recordingCache{m: map[string]*relation.Columnar{}}
-							got, stats, err := sampling.ResampledJoinPathScratch(steps, opts, cache, s)
+							got, stats, err := sampling.ResampledJoinPathColumnar(steps, opts, cache, s)
 							if err != nil {
 								t.Fatalf("%s: %v", what, err)
 							}

@@ -138,12 +138,12 @@ func TestResampledJoinPathBoundsIntermediates(t *testing.T) {
 		{Table: b, On: []string{"k"}},
 		{Table: c, On: []string{"k"}},
 	})
-	full, _, err := ResampledJoinPathColumnar(steps, PathJoinOptions{}, nil)
+	full, _, err := ResampledJoinPathColumnar(steps, PathJoinOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := PathJoinOptions{Eta: 1000, ResampleRate: 0.34, Hasher: NewHasher(3)}
-	res, stats, err := ResampledJoinPathColumnar(steps, opts, nil)
+	res, stats, err := ResampledJoinPathColumnar(steps, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestResampledJoinPathNoEtaMatchesPlainJoin(t *testing.T) {
 	a := randTable("a", 100, 5, 10)
 	b := randTable("b", 100, 5, 11)
 	steps := []relation.PathStep{{Table: a}, {Table: b, On: []string{"k"}}}
-	got, _, err := ResampledJoinPathColumnar(columnarizeSteps(steps), PathJoinOptions{}, nil)
+	got, _, err := ResampledJoinPathColumnar(columnarizeSteps(steps), PathJoinOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func sampledJoin(steps []relation.PathStep, rate float64, opts PathJoinOptions) 
 			return nil, err
 		}
 	}
-	j, _, err := ResampledJoinPathColumnar(sampled, opts, nil)
+	j, _, err := ResampledJoinPathColumnar(sampled, opts, nil, nil)
 	return j, err
 }
 
@@ -268,7 +268,7 @@ func TestCorrelationEstimateApproxUnbiased(t *testing.T) {
 			if js.NumRows() == 0 {
 				continue // degenerate sample; skip
 			}
-			est, err := infotheory.CorrelationColumnar(js, x, y)
+			est, err := infotheory.CorrelationColumnar(js, x, y, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func TestQualityEstimateApproxUnbiased(t *testing.T) {
 		t.Fatal(err)
 	}
 	fds := []fd.FD{fd.New("s", "k")}
-	exact, err := fd.QualitySetColumnar(relation.ToColumnar(j), fds)
+	exact, err := fd.QualitySetColumnar(relation.ToColumnar(j), fds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestQualityEstimateApproxUnbiased(t *testing.T) {
 		if js.NumRows() == 0 {
 			continue // degenerate sample; skip
 		}
-		est, err := fd.QualitySetColumnar(js, fds)
+		est, err := fd.QualitySetColumnar(js, fds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,24 +9,14 @@ import (
 	"github.com/dance-db/dance/internal/joingraph"
 )
 
-// BruteForceLimits guard the exponential enumeration.
-type BruteForceLimits struct {
-	// MaxInstances refuses graphs larger than this (default 16): the
-	// paper's GP/LP do not halt on TPC-E either.
-	MaxInstances int
-	// MaxVariantCombos caps per-tree variant products (default 200k).
-	MaxVariantCombos int
-}
-
-func (l BruteForceLimits) withDefaults() BruteForceLimits {
-	if l.MaxInstances <= 0 {
-		l.MaxInstances = 16
-	}
-	if l.MaxVariantCombos <= 0 {
-		l.MaxVariantCombos = 200000
-	}
-	return l
-}
+// The limits that guard the exponential enumeration.
+const (
+	// maxBruteInstances refuses larger graphs: the paper's GP/LP do not
+	// halt on TPC-E either.
+	maxBruteInstances = 16
+	// maxVariantCombos caps per-tree variant products.
+	maxVariantCombos = 200000
+)
 
 // BruteForce is the LP/GP optimal baseline: it enumerates every connected
 // instance subset that covers the source and target attributes, every
@@ -34,12 +24,11 @@ func (l BruteForceLimits) withDefaults() BruteForceLimits {
 // combination, evaluates each candidate, and returns the feasible target
 // graph with maximum correlation. Run against a join graph built from
 // samples this is the paper's LP; against full data it is GP.
-func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForceLimits) (*Result, error) {
+func (s *Searcher) BruteForce(ctx context.Context, req Request) (*Result, error) {
 	req = req.withDefaults()
-	limits = limits.withDefaults()
 	n := len(s.G.Instances)
-	if n > limits.MaxInstances {
-		return nil, fmt.Errorf("search: brute force refused for %d instances (max %d)", n, limits.MaxInstances)
+	if n > maxBruteInstances {
+		return nil, fmt.Errorf("search: brute force refused for %d instances (max %d)", n, maxBruteInstances)
 	}
 	sc := s.newScope(req)
 	if sc.err != nil {
@@ -57,7 +46,7 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 	var best bestFold
 	evals := 0
 	err = s.forEachTree(all, holders, func(verts []int, tree [][2]int, assign map[string]int) error {
-		return s.walkVariants(ctx, verts, tree, assign, limits, func(tg *joingraph.TargetGraph) error {
+		return s.walkVariants(ctx, verts, tree, assign, func(tg *joingraph.TargetGraph) error {
 			// The search's one goroutine evaluates serially.
 			m, err := sc.evaluate(ctx, tg, 0, 1)
 			if err != nil {
@@ -290,10 +279,10 @@ func isSpanningTree(verts []int, edges [][2]int) bool {
 
 // walkVariants calls visit with every target graph of the tree, one per
 // combination of per-edge join-attribute variants. It refuses a tree whose
-// combinations exceed the limit before walking any, and checks ctx once
-// per combination.
+// combinations exceed maxVariantCombos before walking any, and checks ctx
+// once per combination.
 func (s *Searcher) walkVariants(ctx context.Context, verts []int, tree [][2]int, assign map[string]int,
-	limits BruteForceLimits, visit func(*joingraph.TargetGraph) error) error {
+	visit func(*joingraph.TargetGraph) error) error {
 
 	counts := make([]int, len(tree))
 	combos := 1
@@ -304,8 +293,8 @@ func (s *Searcher) walkVariants(ctx context.Context, verts []int, tree [][2]int,
 		}
 		counts[i] = len(ie.Variants)
 		combos *= counts[i]
-		if combos > limits.MaxVariantCombos {
-			return fmt.Errorf("search: variant combinations exceed limit %d", limits.MaxVariantCombos)
+		if combos > maxVariantCombos {
+			return fmt.Errorf("search: variant combinations exceed limit %d", maxVariantCombos)
 		}
 	}
 	pick := make([]int, len(tree))
@@ -409,15 +398,14 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 // PriceRange scans all feasible target graphs (ignoring budget) and returns
 // the min and max price — the paper's LB/UB used to define budget ratios
 // (Sec 6.1). It walks the brute-force enumeration with constraints relaxed.
-func (s *Searcher) PriceRange(ctx context.Context, req Request, limits BruteForceLimits) (lb, ub float64, err error) {
+func (s *Searcher) PriceRange(ctx context.Context, req Request) (lb, ub float64, err error) {
 	relaxed := req
 	relaxed.Budget = 0
 	relaxed.Alpha = 0
 	relaxed.Beta = 0
 	relaxed = relaxed.withDefaults()
-	limits = limits.withDefaults()
 	n := len(s.G.Instances)
-	if n > limits.MaxInstances {
+	if n > maxBruteInstances {
 		return 0, 0, fmt.Errorf("search: price range refused for %d instances", n)
 	}
 	all := dedupe(append(append([]string{}, relaxed.SourceAttrs...), relaxed.TargetAttrs...))
@@ -431,7 +419,7 @@ func (s *Searcher) PriceRange(ctx context.Context, req Request, limits BruteForc
 		// price over all possible paths, and variants change which join
 		// attributes are purchased. Pricing is cached per (instance,
 		// attribute set), so this is cheap.
-		err := s.walkVariants(ctx, verts, tree, assign, limits, func(tg *joingraph.TargetGraph) error {
+		err := s.walkVariants(ctx, verts, tree, assign, func(tg *joingraph.TargetGraph) error {
 			p, err := tg.Price(ctx)
 			if err != nil {
 				return err

@@ -57,11 +57,11 @@ func TestBruteForcePinned(t *testing.T) {
 	i := 0
 	for _, fx := range bruteFixtures(t) {
 		for _, req := range fx.reqs {
-			lb, ub, err := fx.s.PriceRange(bg, req, BruteForceLimits{})
+			lb, ub, err := fx.s.PriceRange(bg, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := fx.s.BruteForce(bg, req, BruteForceLimits{})
+			res, err := fx.s.BruteForce(bg, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,12 +82,12 @@ func TestBruteForcePinned(t *testing.T) {
 func TestPriceRangeCancelledOnWarmGraph(t *testing.T) {
 	fx := bruteFixtures(t)[0]
 	req := fx.reqs[0]
-	if _, _, err := fx.s.PriceRange(bg, req, BruteForceLimits{}); err != nil {
+	if _, _, err := fx.s.PriceRange(bg, req); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, _, err := fx.s.PriceRange(ctx, req, BruteForceLimits{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := fx.s.PriceRange(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PriceRange on a warm graph with a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
 }

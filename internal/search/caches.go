@@ -92,23 +92,17 @@ func NewCaches() *Caches {
 	}
 }
 
-// Retain drops the heavyweight cached state — projected views and join
-// indexes — of instances whose versioned key is no longer live. A
+// RetainInstances drops the heavyweight cached state — projected views and
+// join indexes — of instances whose versioned key is not one of s's. A
 // long-lived session escalates repeatedly, and every escalation supersedes
 // most dataset versions; pruning frees a generation of per-row indexes at
 // once instead of waiting for eviction. (Evaluations are small, and join
 // prefixes die with their search.)
-func (c *Caches) Retain(live map[string]bool) {
-	c.views.DeleteFunc(func(e owned[*relation.Columnar]) bool { return !live[e.inst] })
-	c.joinIdx.DeleteFunc(func(e owned[*relation.JoinIndex]) bool { return !live[e.inst] })
-}
-
-// RetainInstances prunes the caches down to the given searcher's live
-// instance keys.
 func (c *Caches) RetainInstances(s *Searcher) {
 	live := make(map[string]bool, len(s.instKey))
 	for _, k := range s.instKey {
 		live[k] = true
 	}
-	c.Retain(live)
+	c.views.DeleteFunc(func(e owned[*relation.Columnar]) bool { return !live[e.inst] })
+	c.joinIdx.DeleteFunc(func(e owned[*relation.JoinIndex]) bool { return !live[e.inst] })
 }

@@ -105,9 +105,9 @@ func TestSharedCachesVersionedInvalidation(t *testing.T) {
 	}
 }
 
-// TestRetainPrunesProjectedViews pins that Retain drops the projected views
-// (and encodings and join indexes) of superseded instance versions, and
-// keeps every live instance's state.
+// TestRetainPrunesProjectedViews pins that RetainInstances drops the
+// projected views (and encodings and join indexes) of superseded instance
+// versions, and keeps every live instance's state.
 func TestRetainPrunesProjectedViews(t *testing.T) {
 	caches := NewCaches()
 	v1 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 3, "tgt2": 4}
@@ -133,11 +133,11 @@ func TestRetainPrunesProjectedViews(t *testing.T) {
 	}
 	caches.RetainInstances(s2)
 	if hasView(dead) {
-		t.Fatalf("Retain kept projected views of dead instance %s", dead)
+		t.Fatalf("RetainInstances kept projected views of dead instance %s", dead)
 	}
 	for _, k := range s2.instKey {
 		if !hasView(k) {
-			t.Fatalf("Retain dropped projected views of live instance %s", k)
+			t.Fatalf("RetainInstances dropped projected views of live instance %s", k)
 		}
 	}
 }

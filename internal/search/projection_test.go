@@ -39,7 +39,7 @@ func unprojectedEvaluate(t *testing.T, tg *joingraph.TargetGraph, req search.Req
 		Hasher:       sampling.NewHasher(uint64(req.Seed) + 1),
 		Workers:      workers,
 	}
-	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, nil)
+	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

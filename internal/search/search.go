@@ -278,7 +278,7 @@ func (s *Searcher) joinIndexOf(v int, on []string, workers int) (*relation.JoinI
 	if e, ok := s.caches.joinIdx.Get(key); ok {
 		return e.v, nil
 	}
-	idx, err := s.G.Instances[v].Columnar.BuildJoinIndexWorkers(workers, on...)
+	idx, err := s.G.Instances[v].Columnar.BuildJoinIndex(workers, on...)
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +417,7 @@ func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph
 	opts := sc.opts
 	opts.Workers = workers
 	fds := tg.FDs()
-	j, _, err := sampling.ResampledJoinPathScratch(steps, opts, sc.prefixes, scr)
+	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, sc.prefixes, scr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -442,10 +442,10 @@ func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD, scr 
 		return nil
 	}
 	var err error
-	if m.Correlation, err = infotheory.CorrelationScratch(j, x, y, scr); err != nil {
+	if m.Correlation, err = infotheory.CorrelationColumnar(j, x, y, scr); err != nil {
 		return err
 	}
-	m.Quality, err = fd.QualitySetScratch(j, fds, scr)
+	m.Quality, err = fd.QualitySetColumnar(j, fds, scr)
 	return err
 }
 
@@ -502,7 +502,7 @@ func Realize(steps []FullStep, req Request, fds []fd.FD) (*relation.Columnar, Me
 	}
 	// Eta 0 never re-samples: a plain left-deep join.
 	opts := sampling.PathJoinOptions{Workers: parallel.DefaultWorkers(req.Workers)}
-	j, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil)
+	j, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil, nil)
 	if err != nil {
 		return nil, Metrics{}, err
 	}

@@ -35,7 +35,7 @@ func TestApproxPriceRangeVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elb, eub, err := s.PriceRange(bg, req, BruteForceLimits{})
+	elb, eub, err := s.PriceRange(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}

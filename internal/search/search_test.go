@@ -164,7 +164,7 @@ func TestBruteForceAtLeastHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := s.BruteForce(bg, req, BruteForceLimits{})
+	bf, err := s.BruteForce(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBudgetConstraint(t *testing.T) {
 	if _, err := s.Heuristic(bg, req); err == nil {
 		t.Fatal("unaffordable request should fail")
 	}
-	if _, err := s.BruteForce(bg, req, BruteForceLimits{}); err == nil {
+	if _, err := s.BruteForce(bg, req); err == nil {
 		t.Fatal("unaffordable brute force should fail")
 	}
 }
@@ -231,7 +231,7 @@ func TestUnknownAttributeFails(t *testing.T) {
 	if _, err := s.Heuristic(bg, req); err == nil {
 		t.Fatal("unknown target attribute should fail")
 	}
-	if _, err := s.BruteForce(bg, req, BruteForceLimits{}); err == nil {
+	if _, err := s.BruteForce(bg, req); err == nil {
 		t.Fatal("unknown target attribute should fail in brute force")
 	}
 }
@@ -239,7 +239,7 @@ func TestUnknownAttributeFails(t *testing.T) {
 func TestPriceRange(t *testing.T) {
 	s, _ := buildSearcher(t, 9)
 	req := baseRequest()
-	lb, ub, err := s.PriceRange(bg, req, BruteForceLimits{})
+	lb, ub, err := s.PriceRange(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}

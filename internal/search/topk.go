@@ -150,41 +150,3 @@ func (f *topKFold) ranked(k, evals int) []Option {
 	}
 	return options
 }
-
-// SpreadScore measures how diverse a slice of options is: the mean pairwise
-// fraction of differing instance vertices. Exposed for tests and for
-// shoppers choosing k.
-func SpreadScore(options []Option) float64 {
-	if len(options) < 2 {
-		return 0
-	}
-	total, pairs := 0.0, 0
-	for i := 0; i < len(options); i++ {
-		for j := i + 1; j < len(options); j++ {
-			total += vertexDistance(options[i].Result.TG.Vertices, options[j].Result.TG.Vertices)
-			pairs++
-		}
-	}
-	return total / float64(pairs)
-}
-
-func vertexDistance(a, b []int) float64 {
-	set := map[int]int{}
-	for _, v := range a {
-		set[v] |= 1
-	}
-	for _, v := range b {
-		set[v] |= 2
-	}
-	union, diff := 0, 0
-	for _, m := range set {
-		union++
-		if m != 3 {
-			diff++
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(diff) / float64(union)
-}

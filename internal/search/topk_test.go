@@ -97,26 +97,3 @@ func TestScoreWeights(t *testing.T) {
 		_ = s // any finite value is fine; NaN would fail s != s
 	}
 }
-
-func TestSpreadScore(t *testing.T) {
-	s, _ := buildSearcher(t, 24)
-	req := baseRequest()
-	options, err := s.TopK(bg, req, 3, DefaultScoreWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread := SpreadScore(options)
-	if spread < 0 || spread > 1 {
-		t.Fatalf("spread = %v out of [0,1]", spread)
-	}
-	if got := SpreadScore(options[:1]); got != 0 {
-		t.Fatalf("single-option spread = %v", got)
-	}
-	// Identical options → spread 0; disjoint → 1.
-	if d := vertexDistance([]int{1, 2}, []int{1, 2}); d != 0 {
-		t.Fatalf("identical distance = %v", d)
-	}
-	if d := vertexDistance([]int{1}, []int{2}); d != 1 {
-		t.Fatalf("disjoint distance = %v", d)
-	}
-}

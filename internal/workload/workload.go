@@ -653,7 +653,7 @@ func (b *builder) groundTruth() error {
 	workers := runtime.GOMAXPROCS(0)
 	acc := relation.ToColumnar(steps[0].Table)
 	for i := 1; i < len(steps); i++ {
-		next, err := relation.EquiJoinColumnarOpts(acc, relation.ToColumnar(steps[i].Table), steps[i].On, nil,
+		next, err := relation.EquiJoinColumnar(acc, relation.ToColumnar(steps[i].Table), steps[i].On, nil,
 			relation.JoinOptions{Workers: workers})
 		if err != nil {
 			return fmt.Errorf("workload: planted join: %w", err)
@@ -661,7 +661,7 @@ func (b *builder) groundTruth() error {
 		acc = next
 	}
 	w.Truth.X, w.Truth.Y = "x", "y"
-	rho, err := infotheory.CorrelationColumnar(acc, []string{"x"}, []string{"y"})
+	rho, err := infotheory.CorrelationColumnar(acc, []string{"x"}, []string{"y"}, nil)
 	if err != nil {
 		return fmt.Errorf("workload: planted correlation: %w", err)
 	}

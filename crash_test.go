@@ -6,11 +6,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	dance "github.com/dance-db/dance"
+	"github.com/dance-db/dance/internal/persist"
 )
 
 // persistedService wires the durable topology: an httptest marketplace, a
@@ -35,11 +39,44 @@ func persistedService(t *testing.T, marketURL, dir string, own *dance.Table) (*d
 	return dance.NewAcquireClient(srv.URL), svc
 }
 
+// padToCheckpoint fills dir's journal with ledger entries up to one record
+// short of a checkpoint, so that the next append publishes one. The
+// interval is persist's own unexported constant; a scratch store finds it
+// by appending until its first checkpoint appears.
+func padToCheckpoint(t *testing.T, dir string) {
+	t.Helper()
+	pad := persist.LedgerRecord{Kind: "sample", Amount: 0.25}
+	appendPad := func(dir string, until func(n int) bool) int {
+		s, err := persist.Open(dir, persist.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; !until(n); n++ {
+			if err := s.AppendLedger(pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	probe := t.TempDir()
+	every := appendPad(probe, func(int) bool {
+		_, err := os.Stat(filepath.Join(probe, "checkpoint.bin"))
+		return err == nil
+	})
+	appendPad(dir, func(n int) bool { return n == every-1 })
+}
+
 // Acceptance (tentpole): kill -9 and restart. A danced process acquires and
 // executes a plan, then dies without any shutdown hook — no Close, no flush
-// beyond the journal's own per-append durability. A fresh process pointed at
-// the same directory resumes with the identical ledger, can fetch and
-// execute the old plan ID, and its offline refresh re-buys nothing from the
+// beyond the journal's own per-append durability. Its journal was one
+// record short of a checkpoint when it started, so it publishes one and
+// dies with a journal tail after it. A fresh process pointed at the same
+// directory resumes with the identical ledger, can fetch and execute the
+// old plan ID, and its offline refresh re-buys nothing from the
 // marketplace.
 func TestDancedCrashRestartRecovers(t *testing.T) {
 	market, own := marketFixture(1)
@@ -47,6 +84,7 @@ func TestDancedCrashRestartRecovers(t *testing.T) {
 	t.Cleanup(marketSrv.Close)
 	dir := t.TempDir()
 	ctx := context.Background()
+	padToCheckpoint(t, dir)
 	req := dance.AcquireRequest{
 		SourceAttrs: []string{"income"},
 		TargetAttrs: []string{"riskband"},
@@ -73,6 +111,9 @@ func TestDancedCrashRestartRecovers(t *testing.T) {
 		t.Fatal("first process billed nothing; the test proves nothing")
 	}
 	sampleSpend := market.Ledger().TotalByKind("sample") + market.Ledger().TotalByKind("sample_delta")
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.bin")); err != nil {
+		t.Fatalf("the first process published no checkpoint: %v", err)
+	}
 
 	// Process two: same directory, fresh everything else.
 	client2, _ := persistedService(t, marketSrv.URL, dir, own)
@@ -113,6 +154,58 @@ func TestDancedCrashRestartRecovers(t *testing.T) {
 	if math.Abs(plan2.Est.Correlation-plan1.Est.Correlation) > 1e-12 ||
 		math.Abs(plan2.Est.Price-plan1.Est.Price) > 1e-12 {
 		t.Fatalf("restored samples produced a different plan: %+v vs %+v", plan2.Est, plan1.Est)
+	}
+	if got := market.Ledger().TotalByKind("sample") + market.Ledger().TotalByKind("sample_delta"); got != sampleSpend {
+		t.Fatalf("restart re-bought samples: marketplace sample spend %v, want %v", got, sampleSpend)
+	}
+}
+
+// loadCounter counts Load calls on the store it wraps.
+type loadCounter struct {
+	persist.Store
+	loads *atomic.Int64
+}
+
+func (c loadCounter) Load() (*persist.State, error) {
+	c.loads.Add(1)
+	return c.Store.Load()
+}
+
+// A service and a middleware that share one store replay its journal once
+// per process: the service hands the State it loaded to the middleware.
+func TestNewServiceLoadsJournalOnce(t *testing.T) {
+	market, own := marketFixture(1)
+	marketSrv := httptest.NewServer(dance.Handler(market))
+	t.Cleanup(marketSrv.Close)
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := dance.AcquireRequest{SourceAttrs: []string{"income"}, TargetAttrs: []string{"riskband"}, Budget: 1e9, Iterations: 10, Seed: 2}
+	client1, _ := persistedService(t, marketSrv.URL, dir, own)
+	if _, err := client1.Acquire(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	sampleSpend := market.Ledger().TotalByKind("sample") + market.Ledger().TotalByKind("sample_delta")
+
+	inner, err := dance.OpenPersist(dir, dance.PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := loadCounter{Store: inner, loads: new(atomic.Int64)}
+	mw := dance.New(dance.NewMarketClient(marketSrv.URL), dance.Config{SampleRate: 0.9, SampleSeed: 4, Persist: store})
+	mw.AddSource(own, nil)
+	svc, err := dance.NewService(mw, dance.ServiceOptions{Persist: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := mw.Offline(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.loads.Load(); n != 1 {
+		t.Fatalf("the journal was loaded %d times, want once", n)
+	}
+	if mw.SampleCost() != 0 {
+		t.Fatalf("the restored middleware re-bought samples for %v", mw.SampleCost())
 	}
 	if got := market.Ledger().TotalByKind("sample") + market.Ledger().TotalByKind("sample_delta"); got != sampleSpend {
 		t.Fatalf("restart re-bought samples: marketplace sample spend %v, want %v", got, sampleSpend)

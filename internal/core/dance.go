@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -131,6 +132,9 @@ type Dance struct {
 	// datasets are not re-written every round.
 	restored  bool
 	persisted map[string]persistedMark
+	// preloaded is a State the service layer already loaded from
+	// cfg.Persist; restore uses it instead of replaying the journal again.
+	preloaded *persist.State
 
 	// mu guards the mutable middleware state below. Requests read a
 	// consistent (rate, graph, searcher) snapshot under mu and then run on
@@ -193,6 +197,24 @@ func markOf(ds *offline.Dataset) persistedMark {
 	return persistedMark{version: ds.Version, rate: ds.Rate, fdsResolved: ds.FDs != nil}
 }
 
+// Preload hands d a State its caller just loaded from store, so that d's
+// restore does not replay the journal a second time. It does nothing
+// unless store is d's own Config.Persist and d has not restored yet. Only
+// the middleware journals datasets and the rate, and only after it
+// restored, so the State is still current when restore uses it.
+func Preload(d *Dance, store persist.Store, st *persist.State) {
+	// == panics on two Stores of one uncomparable type; such stores are
+	// never the same one here.
+	if d.cfg.Persist == nil || !reflect.ValueOf(store).Comparable() || d.cfg.Persist != store {
+		return
+	}
+	d.offlineMu.Lock()
+	defer d.offlineMu.Unlock()
+	if !d.restored {
+		d.preloaded = st
+	}
+}
+
 // restore loads the persisted offline state into the sample store, once per
 // middleware. Restored datasets make the next rebuild's purchases free (at
 // the persisted rate) or delta-only (above it). The caller must hold
@@ -202,9 +224,13 @@ func (d *Dance) restore() error {
 		return nil
 	}
 	d.restored = true
-	st, err := d.cfg.Persist.Load()
-	if err != nil {
-		return fmt.Errorf("dance: restoring offline state: %w", err)
+	st := d.preloaded
+	d.preloaded = nil
+	if st == nil {
+		var err error
+		if st, err = d.cfg.Persist.Load(); err != nil {
+			return fmt.Errorf("dance: restoring offline state: %w", err)
+		}
 	}
 	for _, ds := range st.Datasets {
 		d.store.Replace(ds.Name, ds.Table, ds.JoinAttrs, ds.Seed, ds.Rate, ds.FullRows)

@@ -4,9 +4,11 @@
 // restarted danced recovers everything it paid for from disk instead of
 // re-buying it from the marketplace.
 //
-// The file layout is a single JSONL journal plus CSV side files:
+// The file layout is a JSONL journal, a checkpoint, and CSV side files:
 //
 //	<dir>/journal.jsonl       one JSON record per line, typed by "t"
+//	<dir>/checkpoint.bin      the state the journal extends (absent until
+//	                          the first checkpoint)
 //	<dir>/datasets/<hash>.csv one per dataset, canonical prefix-order rows
 //
 // Dataset rows go to side files (written atomically: temp file, fsync,
@@ -17,6 +19,23 @@
 // append case, which never reaches its newline) is tolerated and dropped;
 // a damaged newline-terminated line, the last one included, is an error,
 // not a silent truncation.
+//
+// Every checkpointEvery records the store folds the journal into a new
+// checkpoint and truncates the journal, so a restart decodes one
+// checkpoint and replays a bounded tail. The checkpoint holds the replayed
+// state — the rate, every ledger entry in a compact binary section, and
+// the last record of each plan and dataset as JSON, each in order of first
+// appearance — under a sha256 of the whole file (encodeCheckpoint has the
+// format). It is published by temp file, fsync, rename and a directory
+// fsync; then the journal is truncated to a header line naming the
+// checkpoint's epoch, which counts checkpoints from 1. Replay applies a
+// journal only to the checkpoint of its own epoch: a journal without a
+// header is epoch 0, so a pre-checkpoint journal loads as before; one
+// older than the checkpoint was folded in before a crash cut its
+// truncation short, and the first Load or append finishes that truncation;
+// one newer than the checkpoint has lost the state it extends, and Load
+// fails. A damaged
+// checkpoint fails Load too: it holds records that exist nowhere else.
 //
 // Samples are journaled after merge, in the marketplace seller's canonical
 // hash-unit prefix order (internal/marketplace/index.go), so a recovered
@@ -153,9 +172,11 @@ type State struct {
 
 // Store journals danced's durable state. Implementations must be safe for
 // concurrent use. Load may be called at any time and returns the state as
-// of the last completed append; recovery calls it once per consumer at
-// startup (the service layer for ledger and plans, the middleware for the
-// sample store).
+// of the last completed append. A restarting danced calls it once: the
+// service layer restores the ledger and plans from the State and hands it
+// to the middleware, which restores the sample store from it, when both
+// were given the same Store. A middleware with a Store of its own loads it
+// itself.
 type Store interface {
 	// Load replays the journal into a State.
 	Load() (*State, error)
@@ -177,12 +198,21 @@ type Store interface {
 
 // journalRecord is the typed envelope of one journal line.
 type journalRecord struct {
-	T       string         `json:"t"` // "ledger", "plan", "dataset", "rate"
+	T       string         `json:"t"` // "ledger", "plan", "dataset", "rate", "epoch"
 	Rate    *float64       `json:"rate,omitempty"`
 	Ledger  *LedgerRecord  `json:"ledger,omitempty"`
 	Plan    *PlanRecord    `json:"plan,omitempty"`
 	Dataset *DatasetRecord `json:"dataset,omitempty"`
+	// Epoch is set only on the header line a checkpoint writes at the head
+	// of the journal it truncates.
+	Epoch *uint64 `json:"epoch,omitempty"`
 }
+
+// File names under the store root.
+const (
+	journalFile    = "journal.jsonl"
+	checkpointFile = "checkpoint.bin"
+)
 
 // FileStore is the file-backed Store described in the package comment.
 type FileStore struct {
@@ -192,6 +222,22 @@ type FileStore struct {
 	mu      sync.Mutex // lockorder: leaf
 	journal *os.File   // guarded by mu
 	closed  bool       // guarded by mu
+	// epoch is the epoch of the live checkpoint, and of the journal
+	// extending it (0: no checkpoint yet). records counts the journal's
+	// records after its header. Both are read from the files by the first
+	// Load or append; records is -1 until then.
+	epoch   uint64 // guarded by mu
+	records int    // guarded by mu
+	// every is the checkpoint interval in records (checkpointEvery outside
+	// tests).
+	every int // guarded by mu
+	// failed is set when a checkpoint stopped after its rename but before
+	// the journal was truncated (or at a test fault point); appends would
+	// then be lost, so they fail until the store is reopened.
+	failed error // guarded by mu
+	// stopAfter names a checkpoint step at which to stop as if crashed
+	// (tests only).
+	stopAfter string // guarded by mu
 }
 
 var _ Store = (*FileStore)(nil)
@@ -200,6 +246,7 @@ var _ Store = (*FileStore)(nil)
 type Options struct {
 	// NoSync skips the per-append fsync. Appends then reach the OS on every
 	// call but the disk only at Flush/Close — faster, with a crash window.
+	// Checkpoints are always fsynced.
 	NoSync bool
 }
 
@@ -207,12 +254,23 @@ type Options struct {
 // journal line — the signature a crash mid-append leaves, since records
 // contain no raw newlines and a partial write persists as a prefix — is
 // truncated away first, so the next append starts a fresh, parseable line
-// instead of gluing onto the partial record.
+// instead of gluing onto the partial record. Temp files of a checkpoint
+// that a crash cut short are removed; the first Load or append finishes
+// the rest of its publication (see readLocked).
 func Open(dir string, opts Options) (*FileStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "datasets"), 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	path := filepath.Join(dir, "journal.jsonl")
+	temps, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.tmp"))
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	for _, tmp := range temps {
+		if err := os.Remove(tmp); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+	}
+	path := filepath.Join(dir, journalFile)
 	if err := repairTail(path); err != nil {
 		return nil, err
 	}
@@ -220,27 +278,65 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return &FileStore{dir: dir, sync: !opts.NoSync, journal: f}, nil
+	return &FileStore{dir: dir, sync: !opts.NoSync, journal: f, records: -1, every: checkpointEvery}, nil
 }
 
+// tailWindow is how many bytes repairTail reads at a time, from the end of
+// the journal backwards.
+const tailWindow = 4 << 10
+
 // repairTail truncates a journal that does not end in a newline back to its
-// last complete line.
+// last complete line. It reads only the journal's last bytes: the final
+// one, and as far back as the last newline.
 func repairTail(path string) error {
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return fmt.Errorf("persist: %w", err)
 	}
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		return nil
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
 	}
-	keep := int64(bytes.LastIndexByte(data, '\n') + 1)
-	if err := os.Truncate(path, keep); err != nil {
+	size := info.Size()
+	buf := make([]byte, tailWindow)
+	keep := int64(0)
+	for end := size; end > 0; {
+		start := max(end-tailWindow, 0)
+		chunk := buf[:end-start]
+		if _, err := f.ReadAt(chunk, start); err != nil {
+			return fmt.Errorf("persist: %w", err)
+		}
+		if end == size && chunk[len(chunk)-1] == '\n' {
+			return nil
+		}
+		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
+			keep = start + int64(i) + 1
+			break
+		}
+		end = start
+	}
+	if err := f.Truncate(keep); err != nil {
 		return fmt.Errorf("persist: dropping torn journal tail: %w", err)
 	}
 	return nil
+}
+
+// splitEpoch splits a journal into the epoch its header names (0 without a
+// header) and the records after the header.
+func splitEpoch(journal []byte) (uint64, []byte) {
+	i := bytes.IndexByte(journal, '\n')
+	if i < 0 {
+		return 0, journal
+	}
+	var rec journalRecord
+	if json.Unmarshal(journal[:i], &rec) != nil || rec.T != "epoch" || rec.Epoch == nil || *rec.Epoch == 0 {
+		return 0, journal
+	}
+	return *rec.Epoch, journal[i+1:]
 }
 
 // Dir returns the store root.
@@ -257,6 +353,14 @@ func (s *FileStore) append(rec journalRecord) error {
 	if s.closed {
 		return fmt.Errorf("persist: store is closed")
 	}
+	if s.failed != nil {
+		return fmt.Errorf("persist: store must be reopened: %w", s.failed)
+	}
+	if s.records < 0 {
+		if _, _, err := s.readLocked(); err != nil {
+			return err
+		}
+	}
 	if _, err := s.journal.Write(data); err != nil {
 		return fmt.Errorf("persist: journal append: %w", err)
 	}
@@ -264,6 +368,10 @@ func (s *FileStore) append(rec journalRecord) error {
 		if err := s.journal.Sync(); err != nil {
 			return fmt.Errorf("persist: journal sync: %w", err)
 		}
+	}
+	if s.records++; s.records >= s.every {
+		// The record itself is journaled; an error here is the checkpoint's.
+		return s.checkpointLocked()
 	}
 	return nil
 }
@@ -352,23 +460,100 @@ func (s *FileStore) Close() error {
 	return nil
 }
 
-// Load implements Store. The replay tolerates exactly one torn trailing
-// line — an unterminated final fragment, the crash-mid-append case — and
-// fails loudly on anything else: every line that ends in a newline was
-// written whole, so one that does not decode is corruption.
+// Load implements Store: the checkpoint, then the journal records after
+// it. The journal replay tolerates exactly one torn trailing line — an
+// unterminated final fragment, the crash-mid-append case — and fails
+// loudly on anything else: every line that ends in a newline was written
+// whole, so one that does not decode is corruption.
 func (s *FileStore) Load() (*State, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, "journal.jsonl"))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("persist: %w", err)
+	s.mu.Lock()
+	cp, journal, err := s.readLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
+	st, err := replay(cp, journal)
+	if err != nil {
+		return nil, err
+	}
+	for i := range st.Datasets {
+		if st.Datasets[i].Table, err = s.readDataset(st.Datasets[i].DatasetRecord); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// readLocked reads the checkpoint (nil when there is none) and the
+// journal, and sets the store's epoch and record count from them. Holding
+// s.mu keeps a checkpoint from landing between the two reads. A journal
+// whose epoch is older than the checkpoint's was folded into it before a
+// crash cut the truncation short; readLocked finishes the truncation, once
+// the checkpoint decodes, so that no append lands in a journal replay
+// skips. The caller holds s.mu.
+func (s *FileStore) readLocked() (cp, journal []byte, err error) {
+	cp, err = os.ReadFile(filepath.Join(s.dir, checkpointFile))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("persist: %w", err)
+	}
+	journal, err = os.ReadFile(filepath.Join(s.dir, journalFile))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("persist: %w", err)
+	}
+	var cpEpoch uint64
+	if cp != nil {
+		r := checkpointReader{buf: cp}
+		if cpEpoch, err = r.header(); err != nil {
+			return nil, nil, fmt.Errorf("persist: checkpoint: %w", err)
+		}
+	}
+	jEpoch, body := splitEpoch(journal)
+	s.epoch, s.records = cpEpoch, bytes.Count(body, []byte{'\n'})
+	if jEpoch < cpEpoch {
+		if _, _, err := decodeCheckpoint(cp); err != nil {
+			return nil, nil, err
+		}
+		if err := s.truncateJournalLocked(cpEpoch); err != nil {
+			return nil, nil, fmt.Errorf("persist: finishing checkpoint: %w", err)
+		}
+	}
+	return cp, journal, nil
+}
+
+// replay decodes a checkpoint (nil: none) and applies the journal on top,
+// into a State without dataset rows: last-wins for the rate, plans and
+// datasets, each kept in order of first appearance, and append-only for
+// the ledger. A journal whose header names an older epoch than the
+// checkpoint's is already folded into it and is skipped; one that names a
+// newer epoch has lost the checkpoint it extends, which is an error.
+func replay(cp, journal []byte) (*State, error) {
 	st := &State{}
-	var (
-		planOrder []string
-		plans     = map[string]PlanRecord{}
-		dsOrder   []string
-		dss       = map[string]DatasetRecord{}
-	)
-	line, lineNo := data, 0
+	var cpEpoch uint64
+	if cp != nil {
+		var err error
+		if cpEpoch, st, err = decodeCheckpoint(cp); err != nil {
+			return nil, err
+		}
+	}
+	jEpoch, line := splitEpoch(journal)
+	switch {
+	case jEpoch < cpEpoch:
+		return st, nil
+	case jEpoch > cpEpoch:
+		return nil, fmt.Errorf("persist: journal extends checkpoint epoch %d, but the checkpoint holds epoch %d", jEpoch, cpEpoch)
+	}
+	planAt := make(map[string]int, len(st.Plans))
+	for i, p := range st.Plans {
+		planAt[p.ID] = i
+	}
+	datasetAt := make(map[string]int, len(st.Datasets))
+	for i, d := range st.Datasets {
+		datasetAt[d.Name] = i
+	}
+	lineNo := 0
+	if len(line) < len(journal) {
+		lineNo = 1 // the header
+	}
 	for len(line) > 0 {
 		lineNo++
 		raw, terminated := line, false
@@ -393,37 +578,31 @@ func (s *FileStore) Load() (*State, error) {
 				st.Ledger = append(st.Ledger, *rec.Ledger)
 			}
 		case "plan":
-			if rec.Plan != nil {
-				if _, ok := plans[rec.Plan.ID]; !ok {
-					planOrder = append(planOrder, rec.Plan.ID)
+			if p := rec.Plan; p != nil {
+				if i, ok := planAt[p.ID]; ok {
+					st.Plans[i] = *p
+				} else {
+					planAt[p.ID] = len(st.Plans)
+					st.Plans = append(st.Plans, *p)
 				}
-				plans[rec.Plan.ID] = *rec.Plan
 			}
 		case "dataset":
-			if rec.Dataset != nil {
-				if _, ok := dss[rec.Dataset.Name]; !ok {
-					dsOrder = append(dsOrder, rec.Dataset.Name)
+			if d := rec.Dataset; d != nil {
+				if i, ok := datasetAt[d.Name]; ok {
+					st.Datasets[i].DatasetRecord = *d
+				} else {
+					datasetAt[d.Name] = len(st.Datasets)
+					st.Datasets = append(st.Datasets, Dataset{DatasetRecord: *d})
 				}
-				dss[rec.Dataset.Name] = *rec.Dataset
 			}
 		case "rate":
 			if rec.Rate != nil {
 				st.Rate = *rec.Rate
 			}
 		default:
+			// "epoch" included: a valid header was split off above.
 			return nil, fmt.Errorf("persist: journal line %d: unknown record type %q", lineNo, rec.T)
 		}
-	}
-	for _, id := range planOrder {
-		st.Plans = append(st.Plans, plans[id])
-	}
-	for _, name := range dsOrder {
-		rec := dss[name]
-		t, err := s.readDataset(rec)
-		if err != nil {
-			return nil, err
-		}
-		st.Datasets = append(st.Datasets, Dataset{DatasetRecord: rec, Table: t})
 	}
 	return st, nil
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dance-db/dance/internal/core"
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/persist"
 	"github.com/dance-db/dance/internal/policy"
@@ -305,6 +306,7 @@ func NewService(mw *Middleware, opts ServiceOptions) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dance: restoring service state: %w", err)
 		}
+		core.Preload(mw, opts.Persist, st)
 		for _, e := range st.Ledger {
 			s.ledger = append(s.ledger, ServiceLedgerEntry{
 				Kind: e.Kind, PlanID: e.PlanID, FromRate: e.FromRate, ToRate: e.ToRate,

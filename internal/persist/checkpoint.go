@@ -3,7 +3,7 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,16 +14,16 @@ import (
 
 // checkpointEvery is how many journal records a FileStore appends before it
 // folds the journal into a checkpoint and truncates it. A restart replays
-// fewer than this many JSON lines on top of the binary checkpoint; each
-// checkpoint rewrites the whole ledger, so a smaller interval trades write
-// volume for a shorter replay.
+// fewer than this many JSON lines on top of the checkpoint; each checkpoint
+// rewrites the whole ledger, so a smaller interval trades write volume for
+// a shorter replay.
 const checkpointEvery = 4096
 
 // checkpointMagic opens every checkpoint file; the byte after it is the
 // format version.
 const checkpointMagic = "DANCECKP"
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Checkpoint publication steps, in order. A FileStore can be told to stop
 // after one of them, as a crash there would (see stopAfter).
@@ -36,254 +36,139 @@ const (
 // errStopped is the simulated crash of a stopAfter fault point.
 var errStopped = errors.New("persist: stopped at a checkpoint fault point")
 
-// checkpointJSON is the checkpoint's JSON section.
-type checkpointJSON struct {
+// createTemp creates a checkpoint's temp file (tests replace it to make
+// the creation fail).
+var createTemp = os.CreateTemp
+
+// checkpoint is the gob-encoded body of a checkpoint file. The ledger is
+// stored as columns and every float as its IEEE-754 bits: gob leaves out a
+// struct field equal to zero, so a −0 amount in a LedgerRecord would come
+// back as +0.
+type checkpoint struct {
+	// Epoch counts checkpoints from 1.
+	Epoch uint64
+	// Folded is the sha256 of the journal this checkpoint folded in. Until
+	// that journal is truncated it is still on disk, and this is how replay
+	// knows to skip it.
+	Folded [sha256.Size]byte
+	Rate   uint64
+	// Kinds, PlanIDs and Policies hold one string per ledger entry; Floats
+	// holds three per entry: from_rate, to_rate and amount.
+	Kinds, PlanIDs, Policies []string
+	Floats                   []uint64
+	// Meta holds the plans and dataset records as JSON, the encoding they
+	// are journaled in, so they decode as a replay of the journal would.
+	Meta []byte
+}
+
+// checkpointMeta is a checkpoint's JSON section.
+type checkpointMeta struct {
 	Plans    []PlanRecord    `json:"plans"`
 	Datasets []DatasetRecord `json:"datasets"`
 }
 
-// ledgerFixed is the fixed-width tail of one encoded ledger entry: the
-// from_rate, to_rate and amount bits.
-const ledgerFixed = 3 * 8
-
 // encodeCheckpoint renders st, without dataset rows, as the checkpoint of
-// epoch. The file format is:
-//
-//	"DANCECKP" version:u8 epoch:uvarint rate:f64
-//	nstrings:uvarint { len:uvarint bytes }
-//	nledger:uvarint { kind:uvarint plan_id:uvarint policy:uvarint from_rate:f64 to_rate:f64 amount:f64 }
-//	json_len:uvarint json
-//	sha256 of everything before it
-//
-// uvarint is encoding/binary's; f64 is a float's IEEE-754 bits, little
-// endian, so every ledger float round-trips bit for bit. The three ledger
-// strings are indices into the string table.
-func encodeCheckpoint(epoch uint64, st *State) ([]byte, error) {
-	j := checkpointJSON{Plans: st.Plans}
+// epoch that folds in the journal whose sha256 is folded. The file is
+// "DANCECKP", a version byte, the gob-encoded checkpoint, and the sha256
+// of everything before it.
+func encodeCheckpoint(epoch uint64, folded [sha256.Size]byte, st *State) ([]byte, error) {
+	meta := checkpointMeta{Plans: st.Plans}
 	for _, d := range st.Datasets {
-		j.Datasets = append(j.Datasets, d.DatasetRecord)
+		meta.Datasets = append(meta.Datasets, d.DatasetRecord)
 	}
-	js, err := json.Marshal(j)
+	js, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("persist: encoding checkpoint: %w", err)
 	}
-	index := map[string]uint64{}
-	var table []string
-	intern := func(s string) uint64 {
-		i, ok := index[s]
-		if !ok {
-			i = uint64(len(table))
-			index[s] = i
-			table = append(table, s)
-		}
-		return i
+	cp := checkpoint{
+		Epoch: epoch, Folded: folded, Rate: math.Float64bits(st.Rate), Meta: js,
+		Kinds:    make([]string, len(st.Ledger)),
+		PlanIDs:  make([]string, len(st.Ledger)),
+		Policies: make([]string, len(st.Ledger)),
+		Floats:   make([]uint64, 0, 3*len(st.Ledger)),
 	}
-	body := make([]byte, 0, len(st.Ledger)*(ledgerFixed+3))
-	for _, e := range st.Ledger {
-		body = binary.AppendUvarint(body, intern(e.Kind))
-		body = binary.AppendUvarint(body, intern(e.PlanID))
-		body = binary.AppendUvarint(body, intern(e.Policy))
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.FromRate))
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.ToRate))
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(e.Amount))
+	for i, e := range st.Ledger {
+		cp.Kinds[i], cp.PlanIDs[i], cp.Policies[i] = e.Kind, e.PlanID, e.Policy
+		cp.Floats = append(cp.Floats, math.Float64bits(e.FromRate), math.Float64bits(e.ToRate), math.Float64bits(e.Amount))
 	}
-	out := append([]byte(checkpointMagic), checkpointVersion)
-	out = binary.AppendUvarint(out, epoch)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(st.Rate))
-	out = binary.AppendUvarint(out, uint64(len(table)))
-	for _, s := range table {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
+	buf := bytes.NewBufferString(checkpointMagic)
+	buf.WriteByte(checkpointVersion)
+	if err := gob.NewEncoder(buf).Encode(&cp); err != nil {
+		return nil, fmt.Errorf("persist: encoding checkpoint: %w", err)
 	}
-	out = binary.AppendUvarint(out, uint64(len(st.Ledger)))
-	out = append(out, body...)
-	out = binary.AppendUvarint(out, uint64(len(js)))
-	out = append(out, js...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...), nil
+	sum := sha256.Sum256(buf.Bytes())
+	return append(buf.Bytes(), sum[:]...), nil
 }
 
-// decodeCheckpoint verifies a checkpoint file's checksum and decodes its
-// epoch and State (without dataset rows). Any damage fails loudly: a
-// checkpoint folds journal records that no longer exist anywhere else, so
-// there is nothing to fall back to.
-func decodeCheckpoint(data []byte) (uint64, *State, error) {
-	if len(data) < sha256.Size {
-		return 0, nil, fmt.Errorf("persist: checkpoint truncated (%d bytes)", len(data))
+// decodeCheckpoint verifies a checkpoint file's checksum and decodes it
+// into its epoch, the sha256 of the journal it folded in, and its State
+// (without dataset rows). Any damage fails loudly: a checkpoint folds
+// journal records that no longer exist anywhere else, so there is nothing
+// to fall back to.
+func decodeCheckpoint(data []byte) (uint64, [sha256.Size]byte, *State, error) {
+	var cp checkpoint
+	if len(data) < len(checkpointMagic)+1+sha256.Size {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: checkpoint truncated (%d bytes)", len(data))
 	}
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if got := sha256.Sum256(body); !bytes.Equal(got[:], sum) {
-		return 0, nil, fmt.Errorf("persist: checkpoint checksum mismatch")
+		return 0, cp.Folded, nil, fmt.Errorf("persist: checkpoint checksum mismatch")
 	}
-	epoch, st, err := parseCheckpoint(body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("persist: checkpoint: %w", err)
+	if !bytes.HasPrefix(body, []byte(checkpointMagic)) {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: not a checkpoint file")
 	}
-	return epoch, st, nil
-}
-
-// parseCheckpoint decodes a checkpoint body (the file without its
-// checksum). It trusts no count: every length is checked against the bytes
-// that remain before anything is allocated for it.
-func parseCheckpoint(body []byte) (uint64, *State, error) {
-	r := checkpointReader{buf: body}
-	epoch, err := r.header()
-	if err != nil {
-		return 0, nil, err
+	if v := body[len(checkpointMagic)]; v != checkpointVersion {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: unknown checkpoint version %d", v)
 	}
-	st := &State{Rate: r.float()}
-	table := make([]string, r.count(1))
-	for i := range table {
-		table[i] = string(r.bytes(r.count(1)))
+	if err := gob.NewDecoder(bytes.NewReader(body[len(checkpointMagic)+1:])).Decode(&cp); err != nil {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: checkpoint: %w", err)
 	}
-	str := func() string {
-		i := r.uvarint()
-		if i >= uint64(len(table)) {
-			r.fail("string index %d out of range", i)
-			return ""
-		}
-		return table[i]
+	n := len(cp.Kinds)
+	if cp.Epoch == 0 || len(cp.PlanIDs) != n || len(cp.Policies) != n || len(cp.Floats) != 3*n {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: checkpoint: malformed epoch %d or ledger columns", cp.Epoch)
 	}
-	if n := r.count(3 + ledgerFixed); n > 0 {
+	var meta checkpointMeta
+	if err := json.Unmarshal(cp.Meta, &meta); err != nil {
+		return 0, cp.Folded, nil, fmt.Errorf("persist: checkpoint plans and datasets: %w", err)
+	}
+	st := &State{Rate: math.Float64frombits(cp.Rate), Plans: meta.Plans}
+	if n > 0 {
 		st.Ledger = make([]LedgerRecord, n)
 	}
 	for i := range st.Ledger {
-		e := &st.Ledger[i]
-		e.Kind = str()
-		e.PlanID = str()
-		e.Policy = str()
-		e.FromRate = r.float()
-		e.ToRate = r.float()
-		e.Amount = r.float()
+		f := cp.Floats[3*i:]
+		st.Ledger[i] = LedgerRecord{Kind: cp.Kinds[i], PlanID: cp.PlanIDs[i], Policy: cp.Policies[i],
+			FromRate: math.Float64frombits(f[0]), ToRate: math.Float64frombits(f[1]), Amount: math.Float64frombits(f[2])}
 	}
-	js := r.bytes(r.count(1))
-	if r.err == nil && len(r.buf) > 0 {
-		r.fail("%d trailing bytes", len(r.buf))
-	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	var j checkpointJSON
-	if err := json.Unmarshal(js, &j); err != nil {
-		return 0, nil, fmt.Errorf("plans and datasets: %w", err)
-	}
-	st.Plans = j.Plans
-	for _, d := range j.Datasets {
+	for _, d := range meta.Datasets {
 		st.Datasets = append(st.Datasets, Dataset{DatasetRecord: d})
 	}
-	return epoch, st, nil
-}
-
-// checkpointReader consumes a checkpoint body; the first malformed field
-// sets err, and every read after it returns zero values.
-type checkpointReader struct {
-	buf []byte
-	err error
-}
-
-func (r *checkpointReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-	r.buf = nil
-}
-
-// header reads the magic, the version and the epoch.
-func (r *checkpointReader) header() (uint64, error) {
-	if len(r.buf) <= len(checkpointMagic) || !bytes.HasPrefix(r.buf, []byte(checkpointMagic)) {
-		return 0, fmt.Errorf("not a checkpoint file")
-	}
-	if v := r.buf[len(checkpointMagic)]; v != checkpointVersion {
-		return 0, fmt.Errorf("unknown checkpoint version %d", v)
-	}
-	r.buf = r.buf[len(checkpointMagic)+1:]
-	epoch := r.uvarint()
-	if r.err == nil && epoch == 0 {
-		r.fail("epoch 0")
-	}
-	return epoch, r.err
-}
-
-func (r *checkpointReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("malformed varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// count reads a length whose items take at least minSize bytes each, and
-// rejects one the remaining bytes cannot hold.
-func (r *checkpointReader) count(minSize int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)/minSize) {
-		r.fail("count %d exceeds the %d bytes left", n, len(r.buf))
-		return 0
-	}
-	return int(n)
-}
-
-func (r *checkpointReader) bytes(n int) []byte {
-	if n > len(r.buf) {
-		r.fail("%d bytes wanted, %d left", n, len(r.buf))
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *checkpointReader) float() float64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return cp.Epoch, cp.Folded, st, nil
 }
 
 // checkpointLocked folds the journal into a new checkpoint and truncates
 // the journal to the header of the checkpoint's epoch. The order makes
 // every crash point recoverable: until the rename the old checkpoint and
-// journal stand; after it the journal's epoch is older than the
-// checkpoint's, which marks its records as folded in, and the next
-// process's readLocked finishes the truncation. The caller holds s.mu.
+// journal stand; after it the journal is the one the new checkpoint
+// folded in, which replay skips, and the next process's readLocked
+// finishes the truncation. The record that triggered the checkpoint is
+// already durable, so a failure before the rename is not the caller's: it
+// leaves the old files standing, and the store tries again after another
+// interval. The caller holds s.mu.
 func (s *FileStore) checkpointLocked() error {
-	cp, journal, err := s.readLocked()
-	if err != nil {
+	tmp, err := s.writeCheckpointLocked()
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, checkpointFile))
+	}
+	if errors.Is(err, errStopped) {
 		return err
 	}
-	st, err := replay(cp, journal)
 	if err != nil {
-		return err
-	}
-	data, err := encodeCheckpoint(s.epoch+1, st)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, "checkpoint-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: checkpoint: %w", err)
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = s.stopLocked(stepTempWritten)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(s.dir, checkpointFile))
-	}
-	if err != nil {
-		if !errors.Is(err, errStopped) {
-			os.Remove(tmp.Name())
+		if tmp != "" {
+			os.Remove(tmp)
 		}
-		return fmt.Errorf("persist: checkpoint: %w", err)
+		s.records = 0
+		return nil
 	}
 	// The new checkpoint may now be live, and it folds the journal in:
 	// an append to the old journal would be lost on replay, so a failure
@@ -293,7 +178,7 @@ func (s *FileStore) checkpointLocked() error {
 		err = s.stopLocked(stepRenamed)
 	}
 	if err == nil {
-		err = s.truncateJournalLocked(s.epoch + 1)
+		_, err = s.truncateJournalLocked(s.epoch + 1)
 	}
 	if err == nil {
 		err = s.stopLocked(stepJournalRewritten)
@@ -305,26 +190,55 @@ func (s *FileStore) checkpointLocked() error {
 	return nil
 }
 
+// writeCheckpointLocked writes the next checkpoint to a temp file, fsynced,
+// and returns its name ("" if none was created). The caller holds s.mu.
+func (s *FileStore) writeCheckpointLocked() (string, error) {
+	st, journal, err := s.readLocked()
+	if err != nil {
+		return "", err
+	}
+	data, err := encodeCheckpoint(s.epoch+1, sha256.Sum256(journal), st)
+	if err != nil {
+		return "", err
+	}
+	f, err := createTemp(s.dir, "checkpoint-*.tmp")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.stopLocked(stepTempWritten)
+	}
+	return f.Name(), err
+}
+
 // truncateJournalLocked empties the journal and writes the header of
-// epoch. A crash before the header is durable leaves an empty or torn
-// journal, which replays as epoch 0: folded, like the untruncated one.
-// The caller holds s.mu.
-func (s *FileStore) truncateJournalLocked(epoch uint64) error {
+// epoch, which it returns. A crash before the header is durable leaves a
+// journal without a complete line, which replay, like the untruncated
+// journal, treats as folded in. The caller holds s.mu.
+func (s *FileStore) truncateJournalLocked(epoch uint64) ([]byte, error) {
 	header, err := json.Marshal(journalRecord{T: "epoch", Epoch: &epoch})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	header = append(header, '\n')
 	if err := s.journal.Truncate(0); err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := s.journal.Write(append(header, '\n')); err != nil {
-		return err
+	if _, err := s.journal.Write(header); err != nil {
+		return nil, err
 	}
 	if err := s.journal.Sync(); err != nil {
-		return err
+		return nil, err
 	}
 	s.epoch, s.records = epoch, 0
-	return nil
+	return header, nil
 }
 
 // stopLocked simulates a crash after step when the store was told to stop

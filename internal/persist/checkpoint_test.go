@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -131,14 +132,29 @@ func csvOf(t *testing.T, tab *relation.Table) string {
 	return b.String()
 }
 
-// journalRecords counts the live journal's records after its header.
-func journalRecords(t *testing.T, dir string) int {
+// journalEpoch splits a journal into the epoch its header names (0
+// without a header) and the lines after the header.
+func journalEpoch(data []byte) (uint64, []byte) {
+	var rec journalRecord
+	if i := bytes.IndexByte(data, '\n'); i >= 0 && json.Unmarshal(data[:i], &rec) == nil && rec.T == "epoch" && rec.Epoch != nil {
+		return *rec.Epoch, data[i+1:]
+	}
+	return 0, data
+}
+
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, journalFile))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body := splitEpoch(data)
+	return data
+}
+
+// journalRecords counts the live journal's records after its header.
+func journalRecords(t *testing.T, dir string) int {
+	t.Helper()
+	_, body := journalEpoch(readFile(t, filepath.Join(dir, journalFile)))
 	return bytes.Count(body, []byte{'\n'})
 }
 
@@ -191,12 +207,19 @@ func TestCheckpointBoundsJournal(t *testing.T) {
 // A crash after each step of a checkpoint's publication neither loses nor
 // double-counts a record: Open + Load return the full replay of every
 // append that was made, and the reopened store goes on appending and
-// checkpointing.
+// checkpointing. The "header torn" case is a crash inside the journal
+// rewrite, after the truncation and before the header line was whole.
 func TestCheckpointCrashPoints(t *testing.T) {
 	const every = 8
 	ops := checkpointOps(40)
-	for _, step := range []string{stepTempWritten, stepRenamed, stepJournalRewritten} {
-		t.Run(strings.ReplaceAll(step, " ", "_"), func(t *testing.T) {
+	for _, tc := range []struct{ name, step, journal string }{
+		{"temp_written", stepTempWritten, ""},
+		{"checkpoint_renamed", stepRenamed, ""},
+		{"header_torn", stepRenamed, `{"t":"epo`},
+		{"journal_rewritten", stepJournalRewritten, ""},
+	} {
+		step := tc.step
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openEvery(t, dir, every)
 			defer s.Close()
@@ -220,6 +243,11 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			if step == stepTempWritten && len(temps) != 1 {
 				t.Fatalf("temp files after the crash: %v", temps)
 			}
+			if tc.journal != "" {
+				if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(tc.journal), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			r := openEvery(t, dir, every)
 			defer r.Close()
@@ -227,19 +255,11 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			if temps, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.tmp")); len(temps) != 0 {
 				t.Fatalf("Open left temp files: %v", temps)
 			}
-			data, err := os.ReadFile(filepath.Join(dir, journalFile))
+			cpEpoch, _, _, err := decodeCheckpoint(readFile(t, filepath.Join(dir, checkpointFile)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cpEpoch, _, err := decodeCheckpoint(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jEpoch, _ := splitEpoch(data); jEpoch != cpEpoch {
+			if jEpoch, _ := journalEpoch(readFile(t, filepath.Join(dir, journalFile))); jEpoch != cpEpoch {
 				t.Fatalf("reopened journal extends epoch %d, checkpoint holds %d", jEpoch, cpEpoch)
 			}
 
@@ -269,89 +289,114 @@ func TestCheckpointLegacyJournal(t *testing.T) {
 	checkSameState(t, "checkpointed", load(t, s), fullReplay(t, ops))
 }
 
-// Damage to the checkpoint, or its loss under a journal that extends it,
-// is a load error: the journal alone would be a silently shorter ledger.
+// Damage to the checkpoint or to the journal's header, or the loss of the
+// checkpoint under a journal that extends it, fails Load and every append,
+// and leaves the journal as it is: the journal alone would be a silently
+// shorter ledger, and a damaged header must not pass for the journal a
+// checkpoint folded in.
 func TestCheckpointDamageFailsLoad(t *testing.T) {
+	// flip XORs x into the byte of path at offset at (negative: from the
+	// end).
+	flip := func(t *testing.T, path string, at int, x byte) {
+		t.Helper()
+		data := readFile(t, path)
+		if at < 0 {
+			at += len(data)
+		}
+		data[at] ^= x
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// setEpoch rewrites the journal header's epoch digit; the header is
+	// {"t":"epoch","epoch":3}.
+	setEpoch := func(t *testing.T, path string, digit byte) {
+		t.Helper()
+		data := readFile(t, path)
+		i := bytes.IndexByte(data, '}') - 1
+		if data[i] != '3' {
+			t.Fatalf("journal header %q does not hold epoch 3", data[:i+2])
+		}
+		data[i] = digit
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name   string
-		damage func(t *testing.T, cp string)
+		damage func(t *testing.T, cp, journal string)
 	}{
-		{"flipped byte", func(t *testing.T, cp string) {
-			data, err := os.ReadFile(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 1
-			if err := os.WriteFile(cp, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"removed", func(t *testing.T, cp string) {
+		{"checkpoint flipped byte", func(t *testing.T, cp, _ string) { flip(t, cp, -100, 1) }},
+		{"checkpoint removed", func(t *testing.T, cp, _ string) {
 			if err := os.Remove(cp); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"journal header not JSON", func(t *testing.T, _, journal string) { flip(t, journal, 0, 0x20) }},
+		{"journal header epoch lowered by one", func(t *testing.T, _, journal string) { setEpoch(t, journal, '2') }},
+		{"journal header epoch lowered by two", func(t *testing.T, _, journal string) { setEpoch(t, journal, '1') }},
+		{"journal header epoch raised", func(t *testing.T, _, journal string) { setEpoch(t, journal, '4') }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openEvery(t, dir, 4)
-			apply(t, s, checkpointOps(6))
+			apply(t, s, checkpointOps(14)) // three checkpoints and two records
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			tc.damage(t, filepath.Join(dir, checkpointFile))
+			journal := filepath.Join(dir, journalFile)
+			tc.damage(t, filepath.Join(dir, checkpointFile), journal)
+			damaged := readFile(t, journal)
 			s, err := Open(dir, Options{})
 			if err != nil {
 				return // loud
 			}
 			defer s.Close()
 			if st, err := s.Load(); err == nil {
-				t.Fatalf("a damaged checkpoint must fail the load; ledger = %+v", st.Ledger)
+				t.Fatalf("the damage must fail the load; ledger = %+v", st.Ledger)
+			}
+			if err := s.AppendLedger(LedgerRecord{Kind: "sample", Amount: 1}); err == nil {
+				t.Fatal("the damage must fail an append")
+			}
+			if got := readFile(t, journal); !bytes.Equal(got, damaged) {
+				t.Fatalf("the damaged journal was rewritten:\n got %q\nwant %q", got, damaged)
 			}
 		})
 	}
 }
 
-// repairTail reads the journal backwards in windows; a torn tail longer
-// than one window is still cut back to the last complete line.
-func TestRepairTailLongerThanWindow(t *testing.T) {
+// A checkpoint that fails before its rename (here: its temp file cannot be
+// created) does not fail the append that triggered it, whose record is
+// durable. The old checkpoint and journal stand, and the store tries again
+// only after another full interval.
+func TestCheckpointFailureBeforeRename(t *testing.T) {
+	const every = 4
+	ops := checkpointOps(2*every + 2)
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	written := fuzzLedger[:3]
-	for _, rec := range written {
-		if err := s.AppendLedger(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := `{"t":"plan","plan":{"id":"pl_torn","weight":` + strings.Repeat("1", 3*tailWindow)
-	if _, err := f.WriteString(torn); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openEvery(t, dir, every)
 	defer s.Close()
-	if info, err := os.Stat(path); err != nil || info.Size() >= int64(len(torn)) {
-		t.Fatalf("torn tail not truncated: %v, %v", info.Size(), err)
+	createTemp = func(string, string) (*os.File, error) { return nil, errors.New("no space left on device") }
+	defer func() { createTemp = os.CreateTemp }()
+	apply(t, s, ops[:every])
+	if _, err := os.Stat(filepath.Join(dir, checkpointFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a checkpoint was published: %v", err)
 	}
-	after := LedgerRecord{Kind: "purchase", PlanID: "pl_after", Amount: 0.7}
-	if err := s.AppendLedger(after); err != nil {
-		t.Fatal(err)
+	if n := journalRecords(t, dir); n != every {
+		t.Fatalf("the journal holds %d records, want %d", n, every)
 	}
-	checkLedger(t, "after repair", load(t, s).Ledger, append(written[:3:3], after))
+	checkSameState(t, "after the failed checkpoint", load(t, s), fullReplay(t, ops[:every]))
+
+	createTemp = os.CreateTemp
+	apply(t, s, ops[every:2*every-1])
+	if n := journalRecords(t, dir); n != 2*every-1 {
+		t.Fatalf("the store checkpointed before another interval: the journal holds %d records", n)
+	}
+	apply(t, s, ops[2*every-1:])
+	if n := journalRecords(t, dir); n != len(ops)-2*every {
+		t.Fatalf("the journal holds %d records after the retried checkpoint", n)
+	}
+	checkSameState(t, "after the retried checkpoint", load(t, s), fullReplay(t, ops))
+	if temps, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.tmp")); len(temps) != 0 {
+		t.Fatalf("temp files left: %v", temps)
+	}
 }

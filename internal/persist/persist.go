@@ -23,19 +23,23 @@
 // Every checkpointEvery records the store folds the journal into a new
 // checkpoint and truncates the journal, so a restart decodes one
 // checkpoint and replays a bounded tail. The checkpoint holds the replayed
-// state — the rate, every ledger entry in a compact binary section, and
-// the last record of each plan and dataset as JSON, each in order of first
-// appearance — under a sha256 of the whole file (encodeCheckpoint has the
-// format). It is published by temp file, fsync, rename and a directory
-// fsync; then the journal is truncated to a header line naming the
-// checkpoint's epoch, which counts checkpoints from 1. Replay applies a
-// journal only to the checkpoint of its own epoch: a journal without a
-// header is epoch 0, so a pre-checkpoint journal loads as before; one
-// older than the checkpoint was folded in before a crash cut its
-// truncation short, and the first Load or append finishes that truncation;
-// one newer than the checkpoint has lost the state it extends, and Load
-// fails. A damaged
-// checkpoint fails Load too: it holds records that exist nowhere else.
+// state — the rate, every ledger entry as columns of strings and float
+// bits, and the last record of each plan and dataset as JSON, each in
+// order of first appearance — gob-encoded under a sha256 of the whole file
+// (encodeCheckpoint has the format). It also records its epoch, which
+// counts checkpoints from 1, and the sha256 of the journal it folded in.
+// It is published by temp file, fsync, rename and a directory fsync; then
+// the journal is truncated to a header line naming the checkpoint's epoch.
+// Replay applies a journal only to the checkpoint of its own epoch; a
+// journal without a header is a pre-checkpoint journal and loads as
+// before while there is no checkpoint. Only two other journals may stand
+// next to a checkpoint, both left by a crash that cut its truncation
+// short: the journal it folded in, byte for byte, and one without a
+// complete line. Replay skips them, and the first Load or append finishes
+// the truncation. Any other journal — a header of another epoch, a first
+// line that does not decode — fails Load and every append, and is never
+// truncated. A damaged or missing checkpoint under a journal that extends
+// it fails Load too: the checkpoint holds records that exist nowhere else.
 //
 // Samples are journaled after merge, in the marketplace seller's canonical
 // hash-unit prefix order (internal/marketplace/index.go), so a recovered
@@ -224,14 +228,15 @@ type FileStore struct {
 	closed  bool       // guarded by mu
 	// epoch is the epoch of the live checkpoint, and of the journal
 	// extending it (0: no checkpoint yet). records counts the journal's
-	// records after its header. Both are read from the files by the first
-	// Load or append; records is -1 until then.
+	// records after its header, or since a checkpoint that failed before
+	// its rename. Both are read from the files by the first Load or
+	// append; records is -1 until then, and counted in memory after.
 	epoch   uint64 // guarded by mu
 	records int    // guarded by mu
 	// every is the checkpoint interval in records (checkpointEvery outside
 	// tests).
 	every int // guarded by mu
-	// failed is set when a checkpoint stopped after its rename but before
+	// failed is set when a checkpoint failed after its rename but before
 	// the journal was truncated (or at a test fault point); appends would
 	// then be lost, so they fail until the store is reopened.
 	failed error // guarded by mu
@@ -281,13 +286,9 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	return &FileStore{dir: dir, sync: !opts.NoSync, journal: f, records: -1, every: checkpointEvery}, nil
 }
 
-// tailWindow is how many bytes repairTail reads at a time, from the end of
-// the journal backwards.
-const tailWindow = 4 << 10
-
 // repairTail truncates a journal that does not end in a newline back to its
-// last complete line. It reads only the journal's last bytes: the final
-// one, and as far back as the last newline.
+// last complete line. It reads only the journal's last byte unless that
+// byte shows a torn tail.
 func repairTail(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -301,42 +302,61 @@ func repairTail(path string) error {
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	size := info.Size()
-	buf := make([]byte, tailWindow)
-	keep := int64(0)
-	for end := size; end > 0; {
-		start := max(end-tailWindow, 0)
-		chunk := buf[:end-start]
-		if _, err := f.ReadAt(chunk, start); err != nil {
+	last := []byte{'\n'}
+	if info.Size() > 0 {
+		if _, err := f.ReadAt(last, info.Size()-1); err != nil {
 			return fmt.Errorf("persist: %w", err)
 		}
-		if end == size && chunk[len(chunk)-1] == '\n' {
-			return nil
-		}
-		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
-			keep = start + int64(i) + 1
-			break
-		}
-		end = start
 	}
-	if err := f.Truncate(keep); err != nil {
+	if last[0] == '\n' {
+		return nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := f.Truncate(int64(bytes.LastIndexByte(data, '\n') + 1)); err != nil {
 		return fmt.Errorf("persist: dropping torn journal tail: %w", err)
 	}
 	return nil
 }
 
-// splitEpoch splits a journal into the epoch its header names (0 without a
-// header) and the records after the header.
-func splitEpoch(journal []byte) (uint64, []byte) {
-	i := bytes.IndexByte(journal, '\n')
-	if i < 0 {
-		return 0, journal
+// journalTail returns the records of journal that extend the checkpoint of
+// epoch cpEpoch (0: none), and the journal line they start at. It accepts
+// only the journals a process or a crash leaves next to that checkpoint:
+// one headed by the checkpoint's epoch; with no checkpoint, one without a
+// header (written before the first checkpoint, or before checkpoints
+// existed); and, reported as folded, the journal the checkpoint folded in,
+// whose sha256 it recorded in folded, or one without a complete line, left
+// when a crash cut its truncation short. Anything else — a first line that
+// does not decode, a header of another epoch — is damage, and an error.
+func journalTail(journal []byte, cpEpoch uint64, folded [sha256.Size]byte) (tail []byte, firstLine int, isFolded bool, err error) {
+	end := bytes.IndexByte(journal, '\n')
+	if end < 0 {
+		if cpEpoch > 0 {
+			return nil, 0, true, nil
+		}
+		return journal, 1, false, nil // empty, or one torn append
 	}
 	var rec journalRecord
-	if json.Unmarshal(journal[:i], &rec) != nil || rec.T != "epoch" || rec.Epoch == nil || *rec.Epoch == 0 {
-		return 0, journal
+	derr := json.Unmarshal(journal[:end], &rec)
+	if derr == nil && rec.T == "epoch" && rec.Epoch != nil && cpEpoch > 0 && *rec.Epoch == cpEpoch {
+		return journal[end+1:], 2, false, nil
 	}
-	return *rec.Epoch, journal[i+1:]
+	if cpEpoch > 0 && sha256.Sum256(journal) == folded {
+		return nil, 0, true, nil
+	}
+	switch {
+	case derr != nil:
+		return nil, 0, false, fmt.Errorf("persist: journal line 1 corrupt: %w", derr)
+	case rec.T != "epoch" && cpEpoch == 0:
+		return journal, 1, false, nil
+	case rec.T != "epoch":
+		return nil, 0, false, fmt.Errorf("persist: journal has no epoch header, but extends checkpoint epoch %d", cpEpoch)
+	case rec.Epoch == nil:
+		return nil, 0, false, fmt.Errorf("persist: journal line 1: epoch header without an epoch")
+	}
+	return nil, 0, false, fmt.Errorf("persist: journal extends checkpoint epoch %d, but the checkpoint holds epoch %d", *rec.Epoch, cpEpoch)
 }
 
 // Dir returns the store root.
@@ -370,7 +390,8 @@ func (s *FileStore) append(rec journalRecord) error {
 		}
 	}
 	if s.records++; s.records >= s.every {
-		// The record itself is journaled; an error here is the checkpoint's.
+		// The record is durable; checkpointLocked fails only when the
+		// store can take no further appends.
 		return s.checkpointLocked()
 	}
 	return nil
@@ -467,12 +488,8 @@ func (s *FileStore) Close() error {
 // whole, so one that does not decode is corruption.
 func (s *FileStore) Load() (*State, error) {
 	s.mu.Lock()
-	cp, journal, err := s.readLocked()
+	st, _, err := s.readLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	st, err := replay(cp, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -484,64 +501,55 @@ func (s *FileStore) Load() (*State, error) {
 	return st, nil
 }
 
-// readLocked reads the checkpoint (nil when there is none) and the
-// journal, and sets the store's epoch and record count from them. Holding
-// s.mu keeps a checkpoint from landing between the two reads. A journal
-// whose epoch is older than the checkpoint's was folded into it before a
-// crash cut the truncation short; readLocked finishes the truncation, once
-// the checkpoint decodes, so that no append lands in a journal replay
-// skips. The caller holds s.mu.
-func (s *FileStore) readLocked() (cp, journal []byte, err error) {
-	cp, err = os.ReadFile(filepath.Join(s.dir, checkpointFile))
+// readLocked replays the checkpoint and the journal records that extend it
+// into a State without dataset rows, sets the store's epoch (and, the
+// first time, its record count) from them, and returns the State and the
+// journal as it now stands.
+// Holding s.mu keeps a checkpoint from landing between the two reads. A
+// journal the checkpoint has folded in was left by a crash that cut the
+// checkpoint's truncation short; readLocked finishes the truncation, so
+// that no append lands in a journal replay skips. The caller holds s.mu.
+func (s *FileStore) readLocked() (*State, []byte, error) {
+	cp, err := os.ReadFile(filepath.Join(s.dir, checkpointFile))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	journal, err = os.ReadFile(filepath.Join(s.dir, journalFile))
+	journal, err := os.ReadFile(filepath.Join(s.dir, journalFile))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	var cpEpoch uint64
+	st := &State{}
+	var epoch uint64
+	var folded [sha256.Size]byte
 	if cp != nil {
-		r := checkpointReader{buf: cp}
-		if cpEpoch, err = r.header(); err != nil {
-			return nil, nil, fmt.Errorf("persist: checkpoint: %w", err)
-		}
-	}
-	jEpoch, body := splitEpoch(journal)
-	s.epoch, s.records = cpEpoch, bytes.Count(body, []byte{'\n'})
-	if jEpoch < cpEpoch {
-		if _, _, err := decodeCheckpoint(cp); err != nil {
+		if epoch, folded, st, err = decodeCheckpoint(cp); err != nil {
 			return nil, nil, err
 		}
-		if err := s.truncateJournalLocked(cpEpoch); err != nil {
+	}
+	tail, firstLine, isFolded, err := journalTail(journal, epoch, folded)
+	if err != nil {
+		return nil, nil, err
+	}
+	if isFolded {
+		if journal, err = s.truncateJournalLocked(epoch); err != nil {
 			return nil, nil, fmt.Errorf("persist: finishing checkpoint: %w", err)
 		}
+		return st, journal, nil
 	}
-	return cp, journal, nil
+	if err := replay(st, tail, firstLine); err != nil {
+		return nil, nil, err
+	}
+	s.epoch = epoch
+	if s.records < 0 {
+		s.records = bytes.Count(tail, []byte{'\n'})
+	}
+	return st, journal, nil
 }
 
-// replay decodes a checkpoint (nil: none) and applies the journal on top,
-// into a State without dataset rows: last-wins for the rate, plans and
-// datasets, each kept in order of first appearance, and append-only for
-// the ledger. A journal whose header names an older epoch than the
-// checkpoint's is already folded into it and is skipped; one that names a
-// newer epoch has lost the checkpoint it extends, which is an error.
-func replay(cp, journal []byte) (*State, error) {
-	st := &State{}
-	var cpEpoch uint64
-	if cp != nil {
-		var err error
-		if cpEpoch, st, err = decodeCheckpoint(cp); err != nil {
-			return nil, err
-		}
-	}
-	jEpoch, line := splitEpoch(journal)
-	switch {
-	case jEpoch < cpEpoch:
-		return st, nil
-	case jEpoch > cpEpoch:
-		return nil, fmt.Errorf("persist: journal extends checkpoint epoch %d, but the checkpoint holds epoch %d", jEpoch, cpEpoch)
-	}
+// replay applies journal records, the first of them on journal line
+// firstLine, to st: last-wins for the rate, plans and datasets, each kept
+// in order of first appearance, and append-only for the ledger.
+func replay(st *State, line []byte, firstLine int) error {
 	planAt := make(map[string]int, len(st.Plans))
 	for i, p := range st.Plans {
 		planAt[p.ID] = i
@@ -550,12 +558,7 @@ func replay(cp, journal []byte) (*State, error) {
 	for i, d := range st.Datasets {
 		datasetAt[d.Name] = i
 	}
-	lineNo := 0
-	if len(line) < len(journal) {
-		lineNo = 1 // the header
-	}
-	for len(line) > 0 {
-		lineNo++
+	for lineNo := firstLine; len(line) > 0; lineNo++ {
 		raw, terminated := line, false
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
 			raw, line, terminated = line[:i], line[i+1:], true
@@ -570,7 +573,7 @@ func replay(cp, journal []byte) (*State, error) {
 			if !terminated {
 				break // torn final append: the record never completed
 			}
-			return nil, fmt.Errorf("persist: journal line %d corrupt: %w", lineNo, err)
+			return fmt.Errorf("persist: journal line %d corrupt: %w", lineNo, err)
 		}
 		switch rec.T {
 		case "ledger":
@@ -600,11 +603,11 @@ func replay(cp, journal []byte) (*State, error) {
 				st.Rate = *rec.Rate
 			}
 		default:
-			// "epoch" included: a valid header was split off above.
-			return nil, fmt.Errorf("persist: journal line %d: unknown record type %q", lineNo, rec.T)
+			// "epoch" included: only the first line may be a header.
+			return fmt.Errorf("persist: journal line %d: unknown record type %q", lineNo, rec.T)
 		}
 	}
-	return st, nil
+	return nil
 }
 
 func (s *FileStore) readDataset(rec DatasetRecord) (*relation.Table, error) {

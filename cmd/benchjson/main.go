@@ -48,7 +48,10 @@ type Result struct {
 
 // benchLine matches `BenchmarkName-8   123   456.7 ns/op   89 B/op   10 allocs/op`.
 // The -N GOMAXPROCS suffix is stripped so names are stable across machines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// The value-unit pairs after ns/op are split by parse: `go test` prints a
+// benchmark's own metrics (b.ReportMetric, such as `12460 rows/op`) before
+// B/op and allocs/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 
 func parse(ctx context.Context, r *bufio.Scanner) (map[string]Result, error) {
 	out := map[string]Result{}
@@ -65,13 +68,15 @@ func parse(ctx context.Context, r *bufio.Scanner) (map[string]Result, error) {
 			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", r.Text(), err)
 		}
 		res := Result{NsPerOp: ns}
-		if m[3] != "" {
-			res.BytesPerOp, _ = strconv.ParseInt(m[3], 10, 64)
+		for f := strings.Fields(m[3]); len(f) >= 2; f = f[2:] {
+			switch f[1] {
+			case "B/op":
+				res.BytesPerOp, _ = strconv.ParseInt(f[0], 10, 64)
+				res.mem = true
+			case "allocs/op":
+				res.AllocsPerOp, _ = strconv.ParseInt(f[0], 10, 64)
+			}
 		}
-		if m[4] != "" {
-			res.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		res.mem = m[3] != ""
 		out[m[1]] = res
 	}
 	return out, r.Err()

@@ -14,14 +14,15 @@ pkg: github.com/dance-db/dance
 BenchmarkCorrelation-8   	  126180	     19071 ns/op	   18344 B/op	      50 allocs/op
 BenchmarkHeuristicTPCESerial 	    1716	   1439719.5 ns/op	 1316721 B/op	    5163 allocs/op
 BenchmarkNoMem-4         	     100	      1234 ns/op
+BenchmarkMarketplaceLoopback-2   	     229	   4990193 ns/op	     12460 rows/op	 3875358 B/op	    2921 allocs/op
 PASS
 `
 	got, err := parse(context.Background(), bufio.NewScanner(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
 	}
 	c := got["BenchmarkCorrelation"]
 	if c.NsPerOp != 19071 || c.BytesPerOp != 18344 || c.AllocsPerOp != 50 || !c.mem {
@@ -30,6 +31,11 @@ PASS
 	h := got["BenchmarkHeuristicTPCESerial"]
 	if h.NsPerOp != 1439719.5 || h.AllocsPerOp != 5163 {
 		t.Fatalf("BenchmarkHeuristicTPCESerial = %+v", h)
+	}
+	// A benchmark's own metrics come before B/op and allocs/op.
+	l := got["BenchmarkMarketplaceLoopback"]
+	if l.NsPerOp != 4990193 || l.BytesPerOp != 3875358 || l.AllocsPerOp != 2921 || !l.mem {
+		t.Fatalf("BenchmarkMarketplaceLoopback = %+v", l)
 	}
 	n := got["BenchmarkNoMem"]
 	if n.NsPerOp != 1234 || n.BytesPerOp != 0 || n.AllocsPerOp != 0 || n.mem {

@@ -4,15 +4,11 @@
 // The zero value of Set is not usable; construct with New.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const wordBits = 64
 
-// Set is a dense bitset over the half-open interval [0, Len()).
+// Set is a dense bitset over the half-open interval [0, n).
 type Set struct {
 	words []uint64
 	n     int
@@ -43,22 +39,9 @@ func (s *Set) trim() {
 	}
 }
 
-// Len returns the capacity (number of addressable bits).
-func (s *Set) Len() int { return s.n }
-
-// Set sets bit i to one.
-func (s *Set) Set(i int) {
-	s.words[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
 // Clear sets bit i to zero.
 func (s *Set) Clear(i int) {
 	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
-// Has reports whether bit i is one.
-func (s *Set) Has(i int) bool {
-	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
 // Count returns the number of one bits.
@@ -68,68 +51,4 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// Equal reports whether s and o have identical lengths and contents.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Indices returns the positions of all one bits in increasing order.
-func (s *Set) Indices() []int {
-	out := make([]int, 0, s.Count())
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
-// ForEach calls fn for every one bit in increasing order. Iteration stops
-// if fn returns false.
-func (s *Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// String renders the set as a compact {i, j, ...} list, for debugging.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) bool {
-		if !first {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", i)
-		first = false
-		return true
-	})
-	b.WriteByte('}')
-	return b.String()
 }

@@ -59,13 +59,11 @@ func TestCorrectRowsColumnarMatchesRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.Count() != got.Count() {
-				t.Fatalf("fd %s: %d correct rows, want %d", f, got.Count(), want.Count())
+			if got.Count() != len(want) {
+				t.Fatalf("fd %s: %d correct rows, want %d", f, got.Count(), len(want))
 			}
-			for i := 0; i < tab.NumRows(); i++ {
-				if want.Has(i) != got.Has(i) {
-					t.Fatalf("fd %s row %d: columnar %v, row path %v", f, i, got.Has(i), want.Has(i))
-				}
+			if rows := rowsOf(got, tab.NumRows()); !slices.Equal(rows, want) {
+				t.Fatalf("fd %s: columnar correct rows %v, row path %v", f, rows, want)
 			}
 		}
 		wantQ, err := qualitySet(tab, fds)
@@ -124,18 +122,19 @@ func TestQualitySetColumnarSharedLHS(t *testing.T) {
 		tab := randomFDTable(rng, 1+rng.Intn(250), []float64{0, 0.2, 0.5}[trial%3])
 		c := relation.ToColumnar(tab)
 		for _, set := range sets {
-			acc, err := CorrectRowsColumnar(c, set[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range set[1:] {
+			var acc []int
+			for k, f := range set {
 				cr, err := CorrectRowsColumnar(c, f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				intersect(acc, cr)
+				if rows := rowsOf(cr, c.NumRows()); k == 0 {
+					acc = rows
+				} else {
+					acc = intersectRows(acc, rows)
+				}
 			}
-			want := float64(acc.Count()) / float64(c.NumRows())
+			want := float64(len(acc)) / float64(c.NumRows())
 			got, err := QualitySetColumnar(c, set, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -219,8 +218,8 @@ func assertQualityOracle(t *testing.T, what string, c *relation.Columnar, fds []
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: fd %s: columnar correct rows %v, row path %v", what, f, got, want)
+		if rows := rowsOf(got, tab.NumRows()); !slices.Equal(rows, want) {
+			t.Fatalf("%s: fd %s: columnar correct rows %v, row path %v", what, f, rows, want)
 		}
 	}
 	sets := [][]FD{fds}
@@ -291,7 +290,7 @@ func TestQualityColumnarMatchesRowOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cr.Indices(); !slices.Equal(got, []int{0, 3, 5, 6, 7}) {
+	if got := rowsOf(cr, tc.NumRows()); !slices.Equal(got, []int{0, 3, 5, 6, 7}) {
 		t.Fatalf("ties: correct rows %v, want [0 3 5 6 7]", got)
 	}
 

@@ -120,7 +120,7 @@ func TestQualityExample21(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 1, 4}
-	got := c.Indices()
+	got := rowsOf(c, d.NumRows())
 	if len(got) != len(want) {
 		t.Fatalf("correct rows = %v, want %v", got, want)
 	}

@@ -68,9 +68,6 @@ func (g *Graph) Weight(u, v int) float64 {
 	return w
 }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.weight) }
-
 // Edges returns all undirected edges sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, len(g.weight))

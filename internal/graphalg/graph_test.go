@@ -37,8 +37,8 @@ func diamond() *Graph {
 
 func TestAddEdgeAndAccessors(t *testing.T) {
 	g := diamond()
-	if g.N() != 5 || g.NumEdges() != 5 {
-		t.Fatalf("N=%d edges=%d", g.N(), g.NumEdges())
+	if g.N() != 5 || len(g.Edges()) != 5 {
+		t.Fatalf("N=%d edges=%v", g.N(), g.Edges())
 	}
 	if _, ok := g.weight[edgeKey(1, 0)]; !ok {
 		t.Fatal("edge (1,0) missing")
@@ -58,8 +58,8 @@ func TestAddEdgeAndAccessors(t *testing.T) {
 	if g.Weight(0, 1) != 0.1 {
 		t.Fatal("heavier parallel edge must not overwrite")
 	}
-	if len(g.Edges()) != g.NumEdges() {
-		t.Fatal("Edges() length mismatch")
+	if len(g.Edges()) != 5 {
+		t.Fatalf("parallel edges must collapse: Edges() = %v", g.Edges())
 	}
 }
 

@@ -164,8 +164,8 @@ func TestEdgeBetweenAndInstanceIndex(t *testing.T) {
 func TestILayerExport(t *testing.T) {
 	g, _ := buildFig3(t)
 	ig := g.ILayer()
-	if ig.N() != 2 || ig.NumEdges() != 1 {
-		t.Fatalf("ILayer shape: %d vertices %d edges", ig.N(), ig.NumEdges())
+	if ig.N() != 2 || len(ig.Edges()) != 1 {
+		t.Fatalf("ILayer shape: %d vertices %d edges", ig.N(), len(ig.Edges()))
 	}
 	if ig.Weight(0, 1) != g.Edges[0].MinJI+ILayerEdgeEpsilon {
 		t.Fatal("ILayer weight should be MinJI plus the tie-breaking epsilon")

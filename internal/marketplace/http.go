@@ -162,6 +162,8 @@ func Handler(m Market) http.Handler {
 		return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
 	}
 	tableResponse := func(w http.ResponseWriter, r *http.Request, t *relation.Table, price float64) {
+		// WriteCSV hands a sample-sized body over in one Write, so buf is
+		// allocated once, at the body's length.
 		var buf bytes.Buffer
 		if err := t.WriteCSV(&buf); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
@@ -525,7 +527,7 @@ func decodeTableResponse(resp *http.Response, name string) (*relation.Table, flo
 	if err != nil || math.IsNaN(price) || math.IsInf(price, 0) {
 		return nil, 0, &transientError{fmt.Errorf("marketplace client: bad %s header %q", PriceHeader, resp.Header.Get(PriceHeader))}
 	}
-	t, err := relation.ReadCSV(name, bytes.NewReader(data))
+	t, err := relation.DecodeCSV(name, data)
 	if err != nil {
 		return nil, 0, &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
 	}

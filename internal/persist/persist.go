@@ -48,7 +48,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -611,14 +610,13 @@ func replay(st *State, line []byte, firstLine int) error {
 }
 
 func (s *FileStore) readDataset(rec DatasetRecord) (*relation.Table, error) {
-	f, err := os.Open(filepath.Join(s.dir, rec.File))
+	data, err := os.ReadFile(filepath.Join(s.dir, rec.File))
 	if err != nil {
 		// The journal record is only written after the rows landed, so a
 		// missing side file is real corruption, not a crash artifact.
 		return nil, fmt.Errorf("persist: rows of %q: %w", rec.Name, err)
 	}
-	defer f.Close()
-	t, err := relation.ReadCSV(rec.Name, bufio.NewReader(f))
+	t, err := relation.DecodeCSV(rec.Name, data)
 	if err != nil {
 		return nil, fmt.Errorf("persist: rows of %q: %w", rec.Name, err)
 	}

@@ -45,7 +45,8 @@ func (t *Table) Clone() *Table {
 
 // Project returns a new table containing only the named columns, in order.
 // Row order is preserved; duplicates are kept (bag semantics, matching the
-// projection queries DANCE issues against the marketplace).
+// projection queries DANCE issues against the marketplace). The output rows
+// are carved from one slab, each capped at its own width.
 func (t *Table) Project(names ...string) (*Table, error) {
 	idx, err := t.Schema.Indexes(names...)
 	if err != nil {
@@ -57,8 +58,10 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	}
 	out := NewTable(t.Name, schema)
 	out.Rows = make([][]Value, len(t.Rows))
+	w := len(idx)
+	slab := make([]Value, len(t.Rows)*w)
 	for i, r := range t.Rows {
-		nr := make([]Value, len(idx))
+		nr := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, c := range idx {
 			nr[j] = r[c]
 		}

@@ -64,6 +64,11 @@ func TestProjectReorders(t *testing.T) {
 	if p.Rows[0][0] != StringValue("b1") || p.Rows[0][1] != StringValue("a1") {
 		t.Fatalf("row values not reordered: %v", p.Rows[0])
 	}
+	// Rows share one slab, so appending to a row must not reach the next.
+	_ = append(p.Rows[0], IntValue(9))
+	if p.Rows[1][0] != StringValue("b1") {
+		t.Fatalf("appending to row 0 overwrote row 1: %v", p.Rows[1])
+	}
 }
 
 func TestColumn(t *testing.T) {

@@ -474,6 +474,34 @@ func BenchmarkEvaluateTPCHResample(b *testing.B) {
 	}
 }
 
+// BenchmarkHeuristicTPCHResample times one whole search of the
+// resample-search workload: the Heuristic over scale-15 TPC-H samples at
+// η=150, ρ=0.3 and Workers=1, cycling through Q1–Q3. Every iteration uses a
+// fresh request seed, so its evaluations and join prefixes are cold, while
+// the Searcher's instance encodings, projected views and join indexes stay
+// warm. Unlike BenchmarkEvaluateTPCHResample, each evaluation runs with the
+// search's own scratch, warm after the first few proposals.
+func BenchmarkHeuristicTPCHResample(b *testing.B) {
+	env, err := experiments.NewEnv(experiments.EnvConfig{Dataset: "tpch", Scale: 15, Seed: 1, Rate: 0.9, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := experiments.TPCHQueries()[:3]
+	s := env.SampledSearcher()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := env.Request(queries[i%len(queries)], int64(i)+2)
+		req.Iterations = 80
+		req.Eta = 150
+		req.ResampleRate = 0.3
+		req.Workers = 1
+		if _, err := s.Heuristic(bg, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // variantSwaps returns every single-edge variant swap of tg: the moves the
 // MCMC proposes from it.
 func variantSwaps(g *joingraph.Graph, tg *joingraph.TargetGraph) []*joingraph.TargetGraph {

@@ -58,7 +58,7 @@ func correctRowsColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (*
 		if rhs[i] = c.Schema().Index(f.RHS); rhs[i] < 0 {
 			return nil, fmt.Errorf("fd %s on %s: no column %q", f, c.Name, f.RHS)
 		}
-		if c.Codes(rhs[i]) == nil {
+		if c.Dict(rhs[i]) == nil {
 			return nil, fmt.Errorf("fd %s on %s: column %q is not dictionary-coded", f, c.Name, f.RHS)
 		}
 	}
@@ -79,7 +79,7 @@ func correctRowsColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (*
 				continue
 			}
 			done[j] = true
-			if holdsExactly(g, c.Codes(rhs[j]), groupRHS) {
+			if holdsExactly(g, c.CodeCol(rhs[j]), groupRHS) {
 				continue
 			}
 			pairs, err := s.Refine(c, g, rhs[j])
@@ -97,12 +97,21 @@ func correctRowsColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (*
 
 // holdsExactly reports whether every group of g carries a single code of
 // rhs, using scratch (g.N() long) for each group's first code.
-func holdsExactly(g *relation.Grouping, rhs, scratch []uint32) bool {
+func holdsExactly(g *relation.Grouping, rhs relation.CodeCol, scratch []uint32) bool {
 	for gid, row := range g.First {
-		scratch[gid] = rhs[row]
+		scratch[gid] = rhs.At(int(row))
+	}
+	codes, ids := rhs.Parts()
+	if ids == nil {
+		for row, gid := range g.Codes {
+			if codes[row] != scratch[gid] {
+				return false
+			}
+		}
+		return true
 	}
 	for row, gid := range g.Codes {
-		if rhs[row] != scratch[gid] {
+		if codes[ids[row]] != scratch[gid] {
 			return false
 		}
 	}

@@ -160,12 +160,19 @@ func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []flo
 // false when the observed range makes normalization non-monotone in
 // floating point (an infinite width or scale); the caller then sorts.
 func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.Dict, order []uint32, logTab []float64, s *relation.Scratch) (gain float64, ok bool) {
-	codes := c.Codes(ai)
+	codes, ids := c.CodeCol(ai).Parts() // row i's code: codes[ids[i]], or codes[i]
+	n := c.NumRows()
 	counts := relation.ScratchSlice[int32](s, d.Len())
 	defer relation.FreeSlice(s, counts)
 	clear(counts)
-	for _, code := range codes {
-		counts[code]++
+	if ids == nil {
+		for _, code := range codes {
+			counts[code]++
+		}
+	} else {
+		for _, id := range ids {
+			counts[codes[id]]++
+		}
 	}
 	first, last := -1, -1
 	for i, code := range order {
@@ -189,7 +196,7 @@ func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.
 	}
 	// Counting sort: each present code's run, in value order; counts[code]
 	// becomes the run's next free position.
-	vals := relation.ScratchSlice[float64](s, len(codes)-int(counts[0]))[:0]
+	vals := relation.ScratchSlice[float64](s, n-int(counts[0]))[:0]
 	defer relation.FreeSlice(s, vals)
 	for _, code := range order[first : last+1] {
 		k := counts[code]
@@ -211,9 +218,12 @@ func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.
 	end := relation.ScratchSlice[int32](s, g.N()+1) // group sizes, then offsets
 	defer relation.FreeSlice(s, end)
 	clear(end)
-	for row, code := range codes {
-		if code != 0 {
-			gid := g.Codes[row]
+	for row, gid := range g.Codes {
+		r := row
+		if ids != nil {
+			r = int(ids[row])
+		}
+		if code := codes[r]; code != 0 {
 			gidAt[counts[code]] = gid
 			counts[code]++
 			end[gid+1]++

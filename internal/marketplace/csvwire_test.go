@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -246,6 +247,37 @@ func tableResponseFor(body []byte, csvMode bool, price string, n int) *http.Resp
 		Header:        h,
 		ContentLength: int64(len(body)),
 		Body:          io.NopCloser(bytes.NewReader(body[:n])),
+	}
+}
+
+// A positive Content-Length presizes the body buffer: the body reads back
+// whole in one allocation whatever the header says, a lying header costs
+// no more than the presize cap, and a body short of its Content-Length is
+// still a transient error.
+func TestReadBodyPresized(t *testing.T) {
+	body := bytes.Repeat([]byte("k,v\n1,2\n"), 4096)
+	n := int64(len(body))
+	for _, header := range []int64{-1, 0, 1, n - 1, n, n + 7, 1 << 40} {
+		got, err := readBody(bytes.NewReader(body), header)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("Content-Length %d: read %d bytes, err %v; want the %d-byte body", header, len(got), err, n)
+		}
+	}
+	r := bytes.NewReader(body)
+	if allocs := testing.AllocsPerRun(10, func() { r.Reset(body); _, _ = readBody(r, n) }); allocs != 1 {
+		t.Fatalf("reading a body of its Content-Length took %.0f allocations, want 1", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if got, err := readBody(bytes.NewReader(body[:10]), 1<<40); err != nil || len(got) != 10 {
+		t.Fatalf("a lying Content-Length: read %d bytes, err %v", len(got), err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*maxPresize {
+		t.Fatalf("a lying Content-Length allocated %d bytes, cap %d", grew, maxPresize)
+	}
+	if _, _, err := decodeTableResponse(tableResponseFor(body, true, "1", len(body)-1), "short"); err == nil || !isTransient(err) {
+		t.Fatalf("a body one byte short of its Content-Length: err %v, want transient", err)
 	}
 }
 

@@ -436,10 +436,15 @@ func (c *Client) postTable(ctx context.Context, path, idemKey, name string, in i
 // uses it as its capability probe.
 var errEndpointUnsupported = errors.New("endpoint unsupported by server")
 
+// maxPresize caps the buffer a response's Content-Length presizes. A body
+// past it still reads whole, growing the buffer as io.ReadAll does, so a
+// lying header cannot force a large allocation before its bytes arrive.
+const maxPresize = 8 << 20
+
 // readResponse reads a whole response body and turns non-200 statuses
 // into errors.
 func readResponse(resp *http.Response) ([]byte, error) {
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		// Mid-body connection resets surface here; the response is lost but
 		// the round trip is repeatable.
@@ -449,6 +454,30 @@ func readResponse(resp *http.Response) ([]byte, error) {
 		return nil, statusError(resp.StatusCode, data)
 	}
 	return data, nil
+}
+
+// readBody reads r to EOF like io.ReadAll, into a buffer presized from a
+// positive Content-Length n (capped at maxPresize), with one spare byte so
+// the read that meets EOF does not grow it: a table response is read
+// without the doubling copies.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n <= 0 {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, min(n, maxPresize)+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // statusError maps a non-200 response to its error.

@@ -22,11 +22,14 @@ import (
 //     assigned in first-appearance row order — the same deterministic order
 //     the row path's group-count collection uses — counted in flat slices
 //     or small int-keyed maps instead of injective byte-string map keys.
-//   - Equi-joins hash-join on code columns and produce row-index pairings;
-//     output columns are gathered uint32 codes that share the input
-//     dictionaries, so no value is ever re-encoded downstream. Probe values
+//   - Equi-joins hash-join on code columns and produce join paths: the
+//     joined schema plus one row-id vector per base relation. A path's
+//     columns are its base relations' columns read through those row ids,
+//     so a join copies no column and re-encodes no value; extending a path
+//     by a hop gathers its row-id vectors, never its columns. Probe values
 //     find their build-side group through the build dictionaries, never
-//     through byte-string keys.
+//     through byte-string keys. Materialize gathers a path's columns once,
+//     for a caller that keeps the join.
 //
 // Columnar values are immutable after construction (a dictionary's lookup
 // maps are rebuilt at most once, under sync.Once): instances built once per
@@ -264,24 +267,101 @@ func (d *Dict) clone() *Dict {
 // CCol is one columnar column. Exactly one storage mode is populated:
 // dictionary-coded (Codes+Dict, the general form, required for grouping and
 // joins) or raw numeric (Nums+Null, used by metrics-only numeric columns
-// where dictionary identity is never needed).
+// where dictionary identity is never needed). A join path's column is a
+// base relation's column, read through the path's row-id vector via.
 type CCol struct {
 	Codes []uint32
 	Dict  *Dict
 	Nums  []float64
 	Null  []bool
+	via   int
 }
 
-// Columnar is the dictionary-encoded columnar form of a Table.
+// Columnar is the dictionary-encoded columnar form of a Table: a stored
+// relation, whose columns hold its rows, or a join path.
 type Columnar struct {
 	Name   string
 	schema *Schema
 	cols   []CCol
 	n      int
-	// owner is the Scratch that gathered c, nil for a plain allocation;
-	// back is then the storage its columns are carved from.
+	// ids are a join path's row-id vectors, one per base relation in join
+	// order: row i of column j is row ids[cols[j].via][i] of the base
+	// column cols[j]. A stored relation has none.
+	ids [][]int32
+	// owner is the Scratch a path's vectors were taken from, nil for a
+	// plain allocation; back is then their storage.
 	owner *Scratch
-	back  gatherBack
+	back  []int32
+}
+
+// rowsOf returns the row ids column j is read at: nil when c stores it.
+func (c *Columnar) rowsOf(j int) []int32 {
+	if c.ids == nil {
+		return nil
+	}
+	return c.ids[c.cols[j].via]
+}
+
+// base returns the base row that row of column j is read at.
+func (c *Columnar) base(row, j int) int {
+	if c.ids == nil {
+		return row
+	}
+	return int(c.ids[c.cols[j].via][row])
+}
+
+// ReadBlock is the window CodeCol.Read fills: a caller sweeping a column
+// keeps a [ReadBlock]uint32 on its stack and reads the column through it.
+const ReadBlock = 512
+
+// CodeCol reads one dictionary-coded column in row order. A stored
+// column is read in place; a join path's column through its row ids, so
+// reading it never gathers the column.
+type CodeCol struct {
+	codes []uint32
+	rows  []int32
+	dict  *Dict
+}
+
+// CodeCol returns the reader of the coded column col (a reader with a nil
+// Dict for a raw-numeric column).
+func (c *Columnar) CodeCol(col int) CodeCol {
+	cc := &c.cols[col]
+	return CodeCol{codes: cc.Codes, rows: c.rowsOf(col), dict: cc.Dict}
+}
+
+// Dict returns the column's dictionary, nil for a raw-numeric column.
+func (r CodeCol) Dict() *Dict { return r.dict }
+
+// Parts returns the column's stored codes and the row ids they are read
+// at: row i's code is codes[rows[i]], or codes[i] when rows is nil. A hot
+// sweep writes its loop once per case instead of reading blocks.
+func (r CodeCol) Parts() (codes []uint32, rows []int32) { return r.codes, r.rows }
+
+// At returns the code of row.
+func (r CodeCol) At(row int) uint32 {
+	if r.rows == nil {
+		return r.codes[row]
+	}
+	return r.codes[r.rows[row]]
+}
+
+// Read returns the codes of rows [lo, lo+len(buf)): the stored window
+// itself, or buf filled through the row ids. A sweep reads a column
+// ReadBlock rows at a time:
+//
+//	var buf [ReadBlock]uint32
+//	for lo := 0; lo < n; lo += ReadBlock {
+//		for i, code := range col.Read(buf[:min(ReadBlock, n-lo)], lo) { … row lo+i … }
+//	}
+func (r CodeCol) Read(buf []uint32, lo int) []uint32 {
+	if r.rows == nil {
+		return r.codes[lo : lo+len(buf)]
+	}
+	for i, id := range r.rows[lo : lo+len(buf)] {
+		buf[i] = r.codes[id]
+	}
+	return buf
 }
 
 // encodeColumn dictionary-encodes column j of t. The dense-slot hit is
@@ -369,6 +449,9 @@ func ToColumnarSubset(t *Table, coded, numeric []string) (*Columnar, error) {
 // snapshots stay valid. Columns that were left unpopulated by
 // ToColumnarSubset stay unpopulated.
 func (c *Columnar) AppendTable(delta *Table) (*Columnar, error) {
+	if c.ids != nil {
+		return nil, fmt.Errorf("relation: append to the join path %s", c.Name)
+	}
 	if !c.schema.Equal(delta.Schema) {
 		return nil, fmt.Errorf("relation: append to %s%s with mismatched schema %s%s",
 			c.Name, c.schema, delta.Name, delta.Schema)
@@ -408,9 +491,15 @@ func (c *Columnar) NumRows() int { return c.n }
 // Schema returns the schema.
 func (c *Columnar) Schema() *Schema { return c.schema }
 
-// Codes returns the code column at col, or nil if the column is stored in
-// raw-numeric mode.
-func (c *Columnar) Codes(col int) []uint32 { return c.cols[col].Codes }
+// Codes returns the stored code column at col, or nil if the column is
+// stored in raw-numeric mode. A join path stores no column: Codes panics on
+// one, whose columns are read through CodeCol.
+func (c *Columnar) Codes(col int) []uint32 {
+	if c.ids != nil {
+		panic(fmt.Sprintf("relation: Codes of the join path %s; read it through CodeCol", c.Name))
+	}
+	return c.cols[col].Codes
+}
 
 // Dict returns the dictionary of a coded column, or nil if the column is
 // stored in raw-numeric mode.
@@ -433,7 +522,7 @@ func (c *Columnar) Project(keep map[string]bool) *Columnar {
 	if len(cols) == len(c.cols) {
 		return c
 	}
-	return &Columnar{Name: c.Name, schema: NewSchema(cols...), cols: kept, n: c.n}
+	return &Columnar{Name: c.Name, schema: NewSchema(cols...), cols: kept, n: c.n, ids: c.ids}
 }
 
 // DictLen returns the dictionary size of a coded column (0 for raw-numeric).
@@ -446,7 +535,7 @@ func (c *Columnar) DictLen(col int) int {
 
 // IsNullAt reports whether the cell at (row, col) is NULL.
 func (c *Columnar) IsNullAt(row, col int) bool {
-	cc := &c.cols[col]
+	cc, row := &c.cols[col], c.base(row, col)
 	if cc.Codes != nil {
 		return cc.Codes[row] == 0
 	}
@@ -457,7 +546,7 @@ func (c *Columnar) IsNullAt(row, col int) bool {
 // is reconstructed as a float (sufficient for metrics; such columns are never
 // joined or grouped).
 func (c *Columnar) ValueAt(row, col int) Value {
-	cc := &c.cols[col]
+	cc, row := &c.cols[col], c.base(row, col)
 	if cc.Codes != nil {
 		return cc.Dict.vals[cc.Codes[row]]
 	}
@@ -479,34 +568,24 @@ func (c *Columnar) AppendRowKey(buf []byte, row int, cols []int) []byte {
 // AppendNumeric appends the non-NULL numeric values of column col to dst, for
 // the given rows (all rows when rows is nil), in order.
 func (c *Columnar) AppendNumeric(dst []float64, col int, rows []int32) []float64 {
-	cc := &c.cols[col]
-	if cc.Codes != nil {
-		vals := cc.Dict.vals
-		if rows == nil {
-			for _, code := range cc.Codes {
-				if code != 0 {
-					dst = append(dst, vals[code].Num())
-				}
-			}
-			return dst
-		}
-		for _, r := range rows {
-			if code := cc.Codes[r]; code != 0 {
-				dst = append(dst, vals[code].Num())
-			}
-		}
-		return dst
-	}
+	cc, ids := &c.cols[col], c.rowsOf(col)
+	n := len(rows)
 	if rows == nil {
-		for i, v := range cc.Nums {
-			if !cc.Null[i] {
-				dst = append(dst, v)
-			}
-		}
-		return dst
+		n = c.n
 	}
-	for _, r := range rows {
-		if !cc.Null[r] {
+	for i := 0; i < n; i++ {
+		r := int32(i)
+		if rows != nil {
+			r = rows[i]
+		}
+		if ids != nil {
+			r = ids[r]
+		}
+		if cc.Codes != nil {
+			if code := cc.Codes[r]; code != 0 {
+				dst = append(dst, cc.Dict.vals[code].Num())
+			}
+		} else if !cc.Null[r] {
 			dst = append(dst, cc.Nums[r])
 		}
 	}
@@ -600,7 +679,7 @@ func (s *Scratch) GroupBy(c *Columnar, cols []int, workers int) (*Grouping, erro
 	curN := 1
 	for i, ci := range cols {
 		last := i == len(cols)-1
-		next, nextN := c.fuseStage(g, cur, curN, &c.cols[ci], last, workers, s)
+		next, nextN := c.fuseStage(g, cur, curN, c.CodeCol(ci), last, workers, s)
 		if cur != nil {
 			poolUint32.put(cur)
 		}
@@ -619,7 +698,7 @@ func (s *Scratch) Refine(c *Columnar, g *Grouping, col int) (*Grouping, error) {
 		return nil, fmt.Errorf("relation: column %q of %s is not dictionary-coded", c.schema.Column(col).Name, c.Name)
 	}
 	r := &Grouping{Cols: append(slices.Clip(g.Cols), col), owner: s}
-	r.Codes, _ = c.fuseStage(r, g.Codes, g.N(), &c.cols[col], true, 1, s)
+	r.Codes, _ = c.fuseStage(r, g.Codes, g.N(), c.CodeCol(col), true, 1, s)
 	return r, nil
 }
 
@@ -630,7 +709,7 @@ func (s *Scratch) Refine(c *Columnar, g *Grouping, col int) (*Grouping, error) {
 // first rows go to g; an earlier stage's ids come from the pool. The key
 // space decides the table: a flat slice while it stays small (or within a
 // few slots per row), an int-keyed map past that.
-func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, last bool, workers int, s *Scratch) ([]uint32, int) {
+func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col CodeCol, last bool, workers int, s *Scratch) ([]uint32, int) {
 	var next []uint32
 	if last {
 		next = ScratchSlice[uint32](s, c.n) // escapes as g.Codes
@@ -638,7 +717,7 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, las
 		next = poolUint32.get(c.n)
 	}
 	nextN := uint32(0)
-	dictN := col.Dict.Len()
+	dictN := col.dict.Len()
 	span := uint64(curN) * uint64(dictN)
 	flatOK := span <= maxFlatFuse || span <= uint64(4*c.n+16)
 	parallel := flatOK && workers > 1 && c.n >= parallelMinRows && span <= 1<<30
@@ -663,43 +742,66 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, las
 		}
 		return id
 	}
+	if parallel {
+		nextN = c.fuseStageParallel(g, col, cur, int(span), dictN, next, last, workers, s)
+		return next, int(nextN)
+	}
+	if !flatOK {
+		c.fuseMap(cur, col, assign)
+		return next, int(nextN)
+	}
+	// Keys: the code alone in the first stage, else the current id fused
+	// with it (cur·dictN + code). A join path's codes are read through its
+	// row ids in place: these sweeps are the metrics' hot loops.
+	flat := poolInt32.get(int(span))
+	for i := range flat {
+		flat[i] = -1
+	}
+	codes, ids := col.codes, col.rows
 	switch {
-	case parallel:
-		nextN = c.fuseStageParallel(g, col.Codes, cur, int(span), dictN, next, last, workers, s)
-	case flatOK:
-		flat := poolInt32.get(int(span))
-		for i := range flat {
-			flat[i] = -1
+	case ids == nil && cur == nil:
+		for row, code := range codes {
+			flat[code] = assign(row, flat[code])
 		}
-		if cur == nil {
-			for row, code := range col.Codes {
-				flat[code] = assign(row, flat[code])
-			}
-		} else {
-			for row, code := range col.Codes {
-				k := uint64(cur[row])*uint64(dictN) + uint64(code)
-				flat[k] = assign(row, flat[k])
-			}
+	case ids == nil:
+		for row, code := range codes {
+			k := uint64(cur[row])*uint64(dictN) + uint64(code)
+			flat[k] = assign(row, flat[k])
 		}
-		poolInt32.put(flat)
+	case cur == nil:
+		for row, id := range ids {
+			code := codes[id]
+			flat[code] = assign(row, flat[code])
+		}
 	default:
-		m := make(map[uint64]int32, c.n/4+16)
-		for row, code := range col.Codes {
-			var k uint64
-			if cur == nil {
-				k = uint64(code)
-			} else {
-				k = uint64(cur[row])<<32 | uint64(code)
+		for row, id := range ids {
+			k := uint64(cur[row])*uint64(dictN) + uint64(codes[id])
+			flat[k] = assign(row, flat[k])
+		}
+	}
+	poolInt32.put(flat)
+	return next, int(nextN)
+}
+
+// fuseMap is a fuse stage over a key space too large for a flat table:
+// keys cur<<32 | code (the code alone in the first stage) in an int-keyed
+// map.
+func (c *Columnar) fuseMap(cur []uint32, col CodeCol, assign func(row int, id int32) int32) {
+	m := make(map[uint64]int32, c.n/4+16)
+	var buf [ReadBlock]uint32
+	for lo := 0; lo < c.n; lo += ReadBlock {
+		for i, code := range col.Read(buf[:min(ReadBlock, c.n-lo)], lo) {
+			k := uint64(code)
+			if cur != nil {
+				k |= uint64(cur[lo+i]) << 32
 			}
 			id, ok := m[k]
 			if !ok {
 				id = -1
 			}
-			id = assign(row, id)
-			m[k] = id
+			m[k] = assign(lo+i, id)
 		}
 	}
-	return next, int(nextN)
 }
 
 // fuseStageParallel runs one flat fuse stage with the chunked two-pass
@@ -709,20 +811,23 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col *CCol, las
 // assigns, and pass 2 maps every row to its group id. Counts are summed in a
 // final serial sweep. Bit-identical to the serial stage for every worker
 // count.
-func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dictN int, next []uint32, last bool, workers int, s *Scratch) uint32 {
+func (c *Columnar) fuseStageParallel(g *Grouping, col CodeCol, cur []uint32, span, dictN int, next []uint32, last bool, workers int, s *Scratch) uint32 {
+	// key is row's fused key, given its code.
+	key := func(row int, code uint32) int {
+		if cur == nil {
+			return int(code)
+		}
+		return int(uint64(cur[row])*uint64(dictN) + uint64(code))
+	}
 	minRow := poolInt32.get(span)
 	for i := range minRow {
 		minRow[i] = -1
 	}
 	runChunks(workers, c.n, func(_, lo, hi int) {
-		if cur == nil {
-			for row := lo; row < hi; row++ {
-				atomicMinInt32(&minRow[codes[row]], int32(row))
-			}
-		} else {
-			for row := lo; row < hi; row++ {
-				k := uint64(cur[row])*uint64(dictN) + uint64(codes[row])
-				atomicMinInt32(&minRow[k], int32(row))
+		var buf [ReadBlock]uint32
+		for ; lo < hi; lo += ReadBlock {
+			for i, code := range col.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+				atomicMinInt32(&minRow[key(lo+i, code)], int32(lo+i))
 			}
 		}
 	})
@@ -749,14 +854,10 @@ func (c *Columnar) fuseStageParallel(g *Grouping, codes, cur []uint32, span, dic
 		}
 	}
 	runChunks(workers, c.n, func(_, lo, hi int) {
-		if cur == nil {
-			for row := lo; row < hi; row++ {
-				next[row] = uint32(ids[codes[row]])
-			}
-		} else {
-			for row := lo; row < hi; row++ {
-				k := uint64(cur[row])*uint64(dictN) + uint64(codes[row])
-				next[row] = uint32(ids[k])
+		var buf [ReadBlock]uint32
+		for ; lo < hi; lo += ReadBlock {
+			for i, code := range col.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+				next[lo+i] = uint32(ids[key(lo+i, code)])
 			}
 		}
 	})
@@ -813,14 +914,17 @@ func (c *Columnar) BuildJoinIndex(workers int, on ...string) (*JoinIndex, error)
 	for _, ci := range cols {
 		idx.dicts = append(idx.dicts, c.cols[ci].Dict)
 	}
-	first := c.cols[cols[0]].Codes
+	codes := make([]CodeCol, len(cols))
+	for s, ci := range cols {
+		codes[s] = c.CodeCol(ci)
+	}
 	if len(cols) == 1 {
 		idx.codeGroup = make([]int32, idx.dicts[0].Len())
 		for code := range idx.codeGroup {
 			idx.codeGroup[code] = -1
 		}
 		for gid, row := range g.First {
-			idx.codeGroup[first[row]] = int32(gid)
+			idx.codeGroup[codes[0].At(int(row))] = int32(gid)
 		}
 		return idx, nil
 	}
@@ -829,10 +933,10 @@ func (c *Columnar) BuildJoinIndex(workers int, on ...string) (*JoinIndex, error)
 		idx.fuse[s] = make(map[uint64]uint32, g.N())
 	}
 	for gid, row := range g.First {
-		p := uint64(first[row])
+		p := uint64(codes[0].At(int(row)))
 		for s := 1; s < len(cols); s++ {
 			stage := idx.fuse[s-1]
-			key := p<<32 | uint64(c.cols[cols[s]].Codes[row])
+			key := p<<32 | uint64(codes[s].At(int(row)))
 			if s == len(cols)-1 {
 				stage[key] = uint32(gid)
 				break
@@ -875,29 +979,14 @@ func (idx *JoinIndex) groupOf(vals []Value) int32 {
 // gatherBack is the storage a gather carves its output columns from: all
 // coded output columns share one codes allocation and all numeric ones one
 // nums and one null allocation — one allocation per storage mode per
-// gather instead of one per column, which is what keeps a steady-state join
-// down to a handful of allocations.
+// gather instead of one per column.
 type gatherBack struct {
 	codes []uint32
 	nums  []float64
 	null  []bool
 }
 
-// newGatherBack takes room for n rows of coded coded and num numeric
-// columns from s (nil: allocates).
-func newGatherBack(s *Scratch, coded, num, n int) gatherBack {
-	var b gatherBack
-	if coded > 0 {
-		b.codes = ScratchSlice[uint32](s, coded*n)
-	}
-	if num > 0 {
-		b.nums = ScratchSlice[float64](s, num*n)
-		b.null = ScratchSlice[bool](s, num*n)
-	}
-	return b
-}
-
-// gatherCol gathers src at the pick rows, carving the output from the
+// gatherCol gathers src at the base rows, carving the output from the
 // front of back. Output codes share the source dictionary. workers > 1
 // parallelizes the row sweep; gathers are element-wise, so the output is
 // trivially identical for every worker count.
@@ -926,10 +1015,13 @@ func gatherCol(src *CCol, rows []int32, workers int, back *gatherBack) CCol {
 	return CCol{Nums: dn, Null: du}
 }
 
-// FilterRows returns a new Columnar containing the given rows, in order.
-// Dictionaries are shared with c.
-func (c *Columnar) FilterRows(rows []int32) *Columnar {
-	out := &Columnar{Name: c.Name, schema: c.schema, n: len(rows)}
+// store returns a stored relation of n rows whose column j is c's column j
+// gathered at the base rows rowsOf(j), into a plain allocation.
+func (c *Columnar) store(n int, rowsOf func(j int) []int32, workers int) *Columnar {
+	if n < parallelMinRows {
+		workers = 1
+	}
+	out := &Columnar{Name: c.Name, schema: c.schema, n: n}
 	out.cols = make([]CCol, len(c.cols))
 	coded := 0
 	for j := range c.cols {
@@ -937,11 +1029,59 @@ func (c *Columnar) FilterRows(rows []int32) *Columnar {
 			coded++
 		}
 	}
-	back := newGatherBack(nil, coded, len(c.cols)-coded, len(rows))
+	var back gatherBack
+	if coded > 0 {
+		back.codes = make([]uint32, coded*n)
+	}
+	if num := len(c.cols) - coded; num > 0 {
+		back.nums, back.null = make([]float64, num*n), make([]bool, num*n)
+	}
 	for j := range c.cols {
-		out.cols[j] = gatherCol(&c.cols[j], rows, 1, &back)
+		out.cols[j] = gatherCol(&c.cols[j], rowsOf(j), workers, &back)
 	}
 	return out
+}
+
+// Materialize returns c with every column stored: a join path's columns
+// gathered once through its row ids, into a plain allocation, for a caller
+// that keeps the join (an execute's purchase). Up to workers goroutines
+// run the gathers of a large path; the result is identical for every
+// worker count. A stored relation is returned as it is. Dictionaries are
+// shared with the base relations.
+func (c *Columnar) Materialize(workers int) *Columnar {
+	if c.ids == nil {
+		return c
+	}
+	return c.store(c.n, c.rowsOf, workers)
+}
+
+// FilterRows returns c restricted to the given rows, in order: a stored
+// relation's columns gathered into a new stored relation, or a join path
+// whose row-id vectors are gathered at rows. Dictionaries are shared with
+// c.
+func (c *Columnar) FilterRows(rows []int32) *Columnar {
+	if c.ids == nil {
+		return c.store(len(rows), func(int) []int32 { return rows }, 1)
+	}
+	out := &Columnar{Name: c.Name, schema: c.schema, cols: c.cols, n: len(rows)}
+	out.ids, out.back = newIDs(nil, len(c.ids), len(rows))
+	for v, src := range c.ids {
+		for i, r := range rows {
+			out.ids[v][i] = src[r]
+		}
+	}
+	return out
+}
+
+// newIDs returns k row-id vectors of n rows, carved from one backing taken
+// from s (nil: allocated).
+func newIDs(s *Scratch, k, n int) ([][]int32, []int32) {
+	back := ScratchSlice[int32](s, k*n)
+	ids := make([][]int32, k)
+	for v := range ids {
+		ids[v] = back[v*n : (v+1)*n : (v+1)*n]
+	}
+	return ids, back
 }
 
 // JoinOptions tunes EquiJoinColumnar and EquiJoinPairs.
@@ -958,7 +1098,7 @@ type JoinOptions struct {
 // EquiJoinColumnar computes the inner equi-join of a and b on the named
 // shared attributes, matching EquiJoin's semantics, schema and output row
 // order exactly (probe a in row order, build b rows ascending per match) —
-// but producing gathered code columns instead of materialized rows. idx may
+// as a join path over a and b (Extend), not materialized rows. idx may
 // carry a prebuilt index of b on exactly the same attributes; pass nil to
 // build one in place.
 func EquiJoinColumnar(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptions) (*Columnar, error) {
@@ -967,19 +1107,19 @@ func EquiJoinColumnar(a, b *Columnar, on []string, idx *JoinIndex, opt JoinOptio
 	if err != nil {
 		return nil, err
 	}
-	return s.Gather(p), nil
+	return s.Extend(p), nil
 }
 
 // JoinPairs is the pairs stage of a columnar equi-join: the joined schema
-// and, for every output row, its probe (a) row and build (b) row, before any
-// column is gathered. A caller that drops output rows (a correlated
-// re-sample) decides on a narrow gather of the columns it needs, compacts
-// the pairs with Keep, and gathers every column once.
+// and, for every output row, its probe (a) row and build (b) row. A caller
+// that drops output rows (a correlated re-sample) decides on a path of the
+// columns it needs (ExtendSubset), compacts the pairs with Keep, and
+// extends the whole path once.
 type JoinPairs struct {
 	a, b      *Columnar
 	schema    *Schema
 	rightKeep []int
-	// left and right are pooled temporaries, released by Gather.
+	// left and right are pooled temporaries, released by Extend.
 	left, right []int32
 	workers     int
 }
@@ -1021,11 +1161,11 @@ func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt
 	// first so each distinct tuple is looked up once. The probe-group and
 	// remap tables are pooled temporaries.
 	pg := poolInt32.get(a.n)
-	var probe []uint32
+	var probe CodeCol
 	var remap []int32
 	var ag *Grouping
 	if col := &a.cols[aCols[0]]; len(aCols) == 1 && col.Codes != nil {
-		probe = col.Codes
+		probe = a.CodeCol(aCols[0])
 		remap = poolInt32.get(col.Dict.Len())
 		vals := make([]Value, 1)
 		for code, v := range col.Dict.vals {
@@ -1037,7 +1177,7 @@ func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt
 			poolInt32.put(pg)
 			return nil, fmt.Errorf("join %s ⋈ %s: %w", a.Name, b.Name, err)
 		}
-		probe = ag.Codes
+		probe = CodeCol{codes: ag.Codes}
 		remap = poolInt32.get(ag.N())
 		vals := make([]Value, len(aCols))
 		for gid, row := range ag.First {
@@ -1048,8 +1188,11 @@ func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt
 		}
 	}
 	runChunks(workers, a.n, func(_, lo, hi int) {
-		for row := lo; row < hi; row++ {
-			pg[row] = remap[probe[row]]
+		var buf [ReadBlock]uint32
+		for ; lo < hi; lo += ReadBlock {
+			for i, code := range probe.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+				pg[lo+i] = remap[code]
+			}
 		}
 	})
 	poolInt32.put(remap)
@@ -1103,13 +1246,6 @@ func (p *JoinPairs) Schema() *Schema { return p.schema }
 // Name returns the joined relation's name.
 func (p *JoinPairs) Name() string { return p.a.Name + "⋈" + p.b.Name }
 
-// GatherSubset gathers only the output columns cols of every pair, into s
-// (nil: allocated) for a caller that hands the relation back with Release
-// after one pass; the pairs stay usable. Like ToColumnarSubset's result,
-// the relation carries the full joined schema but leaves the other columns
-// unpopulated: callers must touch only cols.
-func (s *Scratch) GatherSubset(p *JoinPairs, cols []int) *Columnar { return p.gather(cols, s) }
-
 // Keep restricts the pairs to the output rows keep (ascending), in place.
 func (p *JoinPairs) Keep(keep []int32) {
 	for k, r := range keep {
@@ -1118,47 +1254,80 @@ func (p *JoinPairs) Keep(keep []int32) {
 	p.left, p.right = p.left[:len(keep)], p.right[:len(keep)]
 }
 
-// Gather gathers every output column of the pairs into s, for a caller that
-// hands the relation back with Release after one pass — the terminal join
-// of a re-sampled path — and releases the pair lists; p must not be used
-// afterwards. A nil s allocates the relation.
-func (s *Scratch) Gather(p *JoinPairs) *Columnar { return p.release(p.gather(nil, s)) }
+// Extend returns the join of the pairs as a join path, into s (nil:
+// allocated) for a caller that hands it back with Release after one pass —
+// the terminal join of a re-sampled path — and releases the pair lists; p
+// must not be used afterwards. The path's row-id vectors are a's gathered
+// at the pairs' left rows (the left rows themselves when a is stored),
+// then b's at the right rows: a hop gathers int32 row ids, never a column.
+func (s *Scratch) Extend(p *JoinPairs) *Columnar { return p.release(p.path(nil, s)) }
 
-// gather gathers the output columns cols (nil: all) of every pair, into s.
-func (p *JoinPairs) gather(cols []int, s *Scratch) *Columnar {
+// ExtendSubset is Extend restricted to the row-id vectors the output
+// columns cols are read through, into s (nil: allocated), for a one-pass
+// decision on those columns; the pairs stay usable. Like
+// ToColumnarSubset's result, the path carries the full joined schema but
+// leaves the other columns unreadable: callers must touch only cols.
+func (s *Scratch) ExtendSubset(p *JoinPairs, cols []int) *Columnar { return p.path(cols, s) }
+
+// path builds the join path of the pairs, composing the row-id vectors the
+// output columns cols read (nil: all of them).
+func (p *JoinPairs) path(cols []int, s *Scratch) *Columnar {
+	ka := max(1, len(p.a.ids))
+	k := ka + max(1, len(p.b.ids))
 	out := &Columnar{Name: p.Name(), schema: p.schema, n: p.Len(), owner: s}
 	out.cols = make([]CCol, p.schema.Len())
-	width := len(cols)
-	col := func(k int) int { return cols[k] }
-	if cols == nil {
-		width = len(out.cols)
-		col = func(k int) int { return k }
+	aLen := p.a.schema.Len()
+	copy(out.cols, p.a.cols)
+	for j, bj := range p.rightKeep {
+		out.cols[aLen+j] = p.b.cols[bj]
+		out.cols[aLen+j].via += ka
 	}
-	coded := 0
-	for k := 0; k < width; k++ {
-		if src, _ := p.source(col(k)); src.Codes != nil {
-			coded++
+	// Bit v of need is set when vector v is read: all of them without a
+	// column list or past 64 vectors.
+	need := ^uint64(0)
+	if cols != nil && k <= 64 {
+		need = 0
+		for _, j := range cols {
+			need |= 1 << out.cols[j].via
 		}
 	}
-	back := newGatherBack(s, coded, width-coded, p.Len())
-	if s != nil {
-		out.back = back
+	m := 0
+	for v := 0; v < k; v++ {
+		if v >= 64 || need&(1<<v) != 0 {
+			m++
+		}
 	}
-	for k := 0; k < width; k++ {
-		j := col(k)
-		src, rows := p.source(j)
-		out.cols[j] = gatherCol(src, rows, p.workers, &back)
+	n := out.n
+	back := ScratchSlice[int32](s, m*n)
+	out.back = back
+	out.ids = make([][]int32, k)
+	for v := 0; v < k; v++ {
+		if v < 64 && need&(1<<v) == 0 {
+			continue
+		}
+		dst := back[:n:n]
+		back = back[n:]
+		out.ids[v] = dst
+		pick, from := p.left, p.a.ids
+		u := v
+		if v >= ka {
+			pick, from, u = p.right, p.b.ids, v-ka
+		}
+		var src []int32 // nil: the side is stored, and pick are its rows
+		if from != nil {
+			src = from[u]
+		}
+		runChunks(p.workers, n, func(_, lo, hi int) {
+			if src == nil {
+				copy(dst[lo:hi], pick[lo:hi])
+				return
+			}
+			for i := lo; i < hi; i++ {
+				dst[i] = src[pick[i]]
+			}
+		})
 	}
 	return out
-}
-
-// source returns output column j's source column and the rows it is
-// gathered at.
-func (p *JoinPairs) source(j int) (*CCol, []int32) {
-	if aLen := p.a.schema.Len(); j >= aLen {
-		return &p.b.cols[p.rightKeep[j-aLen]], p.right
-	}
-	return &p.a.cols[j], p.left
 }
 
 // release returns the pair lists to the pool and passes out through; p

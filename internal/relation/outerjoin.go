@@ -128,8 +128,12 @@ func (c *Columnar) keyGroups(on []string) (*keyGroups, error) {
 	if len(cols) == 1 {
 		d := k.dicts[0]
 		k.counts = make([]int64, d.Len())
-		for _, code := range c.cols[cols[0]].Codes {
-			k.counts[code]++
+		col := c.CodeCol(cols[0])
+		var buf [ReadBlock]uint32
+		for lo := 0; lo < c.n; lo += ReadBlock {
+			for _, code := range col.Read(buf[:min(ReadBlock, c.n-lo)], lo) {
+				k.counts[code]++
+			}
 		}
 		k.order = make([]int32, 0, min(d.Len(), c.n))
 		for _, code := range d.keyOrder() {
@@ -152,9 +156,9 @@ func (c *Columnar) keyGroups(on []string) (*keyGroups, error) {
 		for r, code := range k.dicts[s].keyOrder() {
 			rank[code] = int32(r)
 		}
-		codes := c.cols[ci].Codes
+		codes := c.CodeCol(ci)
 		for gid, row := range g.First {
-			code := codes[row]
+			code := codes.At(int(row))
 			k.tuples[gid*w+s] = code
 			ranks[gid*w+s] = rank[code]
 		}

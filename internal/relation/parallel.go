@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Chunked parallel execution for the columnar kernels (probe, gather,
-// grouping). These helpers deliberately do not take a context: one chunk
+// Chunked parallel execution for the columnar kernels (probe, row-id
+// composition, gather, grouping). These helpers deliberately do not take a context: one chunk
 // sweep over even a million rows finishes in milliseconds, and the search
 // layer already checks cancellation between evaluations.
 

@@ -2,21 +2,28 @@ package relation
 
 import "sync"
 
-// Buffer ownership in the columnar kernels. Every buffer a kernel touches
-// falls in one of three classes:
+// Buffer ownership in the columnar kernels. A join path holds no column of
+// its own: it is its joined schema plus one []int32 row-id vector per base
+// relation, over base columns that are immutable (a search's instance
+// views), and every kernel reads a path's columns through those row ids. So
+// a hop allocates row-id vectors, never gathered columns, and only
+// Materialize copies a column. Every buffer a kernel touches falls in one of
+// three classes:
 //
 //   - Results that escape into a value someone may keep — a published join
-//     prefix, a view, a JoinIndex, a Realize result, anything stored in a
-//     memo — are plain allocations. They are immutable, shared across
-//     workers, and retained for as long as a cache holds them.
+//     prefix's row-id vectors, a view, a JoinIndex, a Realize result (the one
+//     join that is materialized), anything stored in a memo — are plain
+//     allocations. They are immutable, shared across workers, and retained
+//     for as long as a cache holds them.
 //   - Temporaries dead before the function returns (probe maps, remap and
 //     fuse tables, a JoinPairs' row lists) come from the process-wide pools
 //     below: any goroutine may take one, and it is put back before the
 //     kernel returns, so the pools hold only what is idle between calls.
-//   - Values a caller drops after one pass — the terminal join of a
-//     re-sampled path and the groupings the metrics count — come from the
-//     caller's Scratch and go back to it through Release and
-//     ReleaseGrouping. Without a Scratch they are plain allocations.
+//   - Values a caller drops after one pass — the row-id vectors of a
+//     re-sampled path's terminal join and of each re-sampling decision, and
+//     the groupings the metrics count — come from the caller's Scratch and
+//     go back to it through Release and ReleaseGrouping. Without a Scratch
+//     they are plain allocations.
 //
 // A Scratch belongs to one goroutine and lives for one search: the search
 // creates one per worker goroutine and drops them all when it returns, so
@@ -28,6 +35,14 @@ import "sync"
 // 50k-row relation between calls. A recycled buffer has arbitrary
 // contents, so every taker overwrites (or explicitly resets) it before its
 // first read.
+//
+// Recycling across searches does not pay here: a search runs only a dozen
+// or so uncached evaluations, so its free lists are mostly cold, but a
+// Scratch kept warm across searches (or a process-wide pool of one-pass
+// buffers) retains the largest buffers it ever saw. Measured on
+// resample-search, a pooled Scratch cut cpu_ms_per_op from 21.7 to 17.7 ms
+// but raised heap_live_mb from 16 to 29–57 MB. Not producing the bytes —
+// row ids instead of gathered columns — is the cut that keeps both down.
 
 // slicePool recycles []T temporaries across goroutines. get returns a
 // length-n slice with arbitrary contents; put recycles a buffer that no
@@ -63,9 +78,9 @@ type Scalar interface {
 }
 
 // maxFree bounds each of a Scratch's free lists. A search holds a handful
-// of buffers of each type at once (one gathered relation, a few
-// groupings), so the bound only matters when sizes drift upward: the
-// smallest buffers go first.
+// of buffers of each type at once (one path's row ids, a few groupings),
+// so the bound only matters when sizes drift upward: the smallest buffers
+// go first.
 const maxFree = 16
 
 // freeList is a Scratch's recycled buffers of one element type.
@@ -165,18 +180,16 @@ func FreeSlice[T Scalar](s *Scratch, b []T) {
 	}
 }
 
-// Release returns the storage of c to s when s gathered it (Gather,
-// GatherSubset), and empties c: nothing may read it afterwards. Anything
-// else — a published prefix, a view, an instance sample, a Realize result,
-// or c already released — is left untouched.
+// Release returns the row-id vectors of the join path c to s when s
+// extended it (Extend, ExtendSubset), and empties c: nothing may read it
+// afterwards. Anything else — a published prefix, a view, an instance
+// sample, a Realize result, or c already released — is left untouched.
 func (s *Scratch) Release(c *Columnar) {
 	if s == nil || c == nil || c.owner != s {
 		return
 	}
-	s.u32.put(c.back.codes)
-	s.f64.put(c.back.nums)
-	s.bools.put(c.back.null)
-	c.owner, c.back, c.cols, c.n = nil, gatherBack{}, nil, 0
+	s.i32.put(c.back)
+	c.owner, c.back, c.ids, c.cols, c.n = nil, nil, nil, nil, 0
 }
 
 // ReleaseGrouping returns the storage of g to s when s grouped it

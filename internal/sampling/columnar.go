@@ -8,8 +8,9 @@ import (
 )
 
 // Correlated sampling and the re-sampled multi-way join (Sec 3) on
-// dictionary codes: joins gather codes instead of materializing rows, and
-// the correlated hash is computed once per distinct join-attribute tuple
+// dictionary codes: a join path is its row-id vectors over the steps'
+// relations, so no joined row or column is ever materialized, and the
+// correlated hash is computed once per distinct join-attribute tuple
 // instead of once per row. The row-store formulations these kernels
 // replaced survive as test oracles (row_oracle_test.go), which pin kept
 // rows, output order and re-sampling decisions bit for bit.
@@ -37,13 +38,14 @@ func CorrelatedSampleColumnar(c *relation.Columnar, joinAttrs []string, rate flo
 	return c.FilterRows(keep), nil
 }
 
-// resamplePairs re-samples the join pairs p before their gather, keeping
-// exactly the rows CorrelatedSampleColumnar keeps of the gathered join: only
-// the join attributes are gathered to decide, and every kept column is then
-// gathered once instead of twice. The grouping pass runs on up to workers
-// goroutines; kept rows are identical for every worker count. The decision
-// — the narrow gather, its grouping and the kept rows — is one pass of work
-// in s.
+// resamplePairs re-samples the join pairs p before the path is extended,
+// keeping exactly the rows CorrelatedSampleColumnar keeps of the joined
+// path: only the row-id vectors the join attributes are read through are
+// composed to decide, and the pairs are then compacted, so the path's
+// vectors are composed at the kept rows alone. The grouping pass runs on up
+// to workers goroutines; kept rows are identical for every worker count.
+// The decision — the narrow path, its grouping and the kept rows — is one
+// pass of work in s.
 func resamplePairs(p *relation.JoinPairs, joinAttrs []string, rate float64, h Hasher, workers int, s *relation.Scratch) error {
 	if rate >= 1 {
 		return nil
@@ -56,7 +58,7 @@ func resamplePairs(p *relation.JoinPairs, joinAttrs []string, rate float64, h Ha
 	if err != nil {
 		return fmt.Errorf("correlated sample of %s: %w", p.Name(), err)
 	}
-	sub := s.GatherSubset(p, cols)
+	sub := s.ExtendSubset(p, cols)
 	keep, err := sampleRows(sub, cols, rate, h, workers, s)
 	s.Release(sub)
 	if err != nil {
@@ -173,10 +175,12 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 }
 
 // ResampledJoinPathColumnar joins steps left to right, ((C1 ⋈ C2) ⋈ C3) ⋈ …,
-// like relation.JoinPath. When an intermediate result exceeds opts.Eta rows
-// and another join follows, it is re-sampled with the correlated hash on the
-// *next* step's join attributes, bounding intermediate sizes while
-// preserving join structure (Sec 3.2). No joined row is ever materialized.
+// like relation.JoinPath, into a join path: one row-id vector per step over
+// the steps' relations (relation.Scratch.Extend). When an intermediate
+// result exceeds opts.Eta rows and another join follows, it is re-sampled
+// with the correlated hash on the *next* step's join attributes, bounding
+// intermediate sizes while preserving join structure (Sec 3.2). No joined
+// row or column is ever materialized.
 // When cache is non-nil, the longest already-cached prefix of the path is
 // reused and newly computed intermediates are published, so MCMC
 // neighbors that differ in one edge variant re-join only the suffix behind
@@ -189,8 +193,9 @@ func prefixKeys(steps []ColumnarStep, opts PathJoinOptions) []string {
 // non-terminal hop is published.
 //
 // One-pass work runs in s: the join temporaries, every re-sampling decision
-// and, with η > 0, the terminal join itself, which the caller hands back
-// with s.Release once it has measured it. A nil s allocates all of it.
+// and, with η > 0, the terminal path's row-id vectors, which the caller
+// hands back with s.Release once it has measured it. A nil s allocates all
+// of it.
 func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache PrefixCache, s *relation.Scratch) (*relation.Columnar, ResampleStats, error) {
 	var stats ResampleStats
 	if len(steps) == 0 {
@@ -229,11 +234,11 @@ func ResampledJoinPathColumnar(steps []ColumnarStep, opts PathJoinOptions, cache
 		}
 		stats.Resampled = append(stats.Resampled, resampled)
 		if i == last && opts.Eta > 0 {
-			acc = s.Gather(p)
+			acc = s.Extend(p)
 			break
 		}
-		// A published prefix outlives s, so it is allocated.
-		acc = (*relation.Scratch)(nil).Gather(p)
+		// A published prefix outlives s, so its vectors are allocated.
+		acc = (*relation.Scratch)(nil).Extend(p)
 		if cache != nil {
 			cache.Put(keys[i], acc)
 		}

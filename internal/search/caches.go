@@ -13,11 +13,11 @@ import (
 // Metrics are small, so the bound is generous.
 const evalCacheShardCap = 1 << 12
 
-// The join-prefix memo holds accumulated columnar join prefixes
-// (sampling.PrefixCache). MCMC neighbors differ in one edge variant, so
-// candidate paths share long spine prefixes; caching the intermediate
-// after each hop lets a neighbor re-join only the suffix behind its changed
-// edge. Each search builds its own memo (newPrefixMemo) and drops it when
+// The join-prefix memo holds accumulated join prefixes, each a row-id
+// join path over the search's views (sampling.PrefixCache). MCMC neighbors
+// differ in one edge variant, so candidate paths share long spine
+// prefixes; caching the intermediate after each hop lets a neighbor
+// re-join only the suffix behind its changed edge. Each search builds its own memo (newPrefixMemo) and drops it when
 // it returns. With η > 0 the re-sampling hasher is seeded from the request,
 // so a prefix serves no other search. The keys, made by the sampling
 // package, cover only the path, since one search joins under one set of
@@ -28,7 +28,8 @@ const evalCacheShardCap = 1 << 12
 const (
 	prefixCacheShardCap = 48
 	// prefixCacheShardRowBudget bounds the summed NumRows of a shard's
-	// entries (~16 MB of codes per shard at 4 typical uint32 columns).
+	// entries (~14 MB of row ids per shard at a typical 3.5 int32 row-id
+	// vectors per prefix).
 	prefixCacheShardRowBudget = 1 << 20
 	// prefixEntryMaxRows keeps any single huge intermediate from churning
 	// the whole shard.
@@ -46,6 +47,10 @@ var newPrefixMemo = func() sampling.PrefixCache {
 // schema and a column-header slice), and distinct keep sets grow with the
 // X/Y splits shoppers ask for.
 const maxViews = 4096
+
+// maxKeepSets bounds a Searcher's memo of keep sets, one per X/Y split its
+// searches asked for; each is a name set over the graph's columns.
+const maxKeepSets = 64
 
 // maxJoinedSchemas bounds the joined-schema memo. A search joins a few
 // dozen distinct (left, right, attributes) schema triples; each entry is

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,8 +65,10 @@ func recordPrefixes(t *testing.T) *prefixRecorder {
 var terminalMark = safekey.Join(safekey.Join("$"))
 
 // With η > 0 a search publishes every join prefix but the terminal one: the
-// terminal join lives in the evaluating goroutine's scratch and dies once
-// measured. With η = 0 every hop, the terminal one included, is published.
+// terminal join path's row ids live in the evaluating goroutine's scratch
+// and die once measured. With η = 0 every hop, the terminal one included,
+// is published. Every published prefix is a row-id path: no column of it
+// was gathered.
 func TestTerminalJoinsNotPublished(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
@@ -76,9 +79,12 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 	if len(rec.keys) == 0 {
 		t.Fatal("an η > 0 search published no join prefix")
 	}
-	for _, k := range rec.keys {
+	for i, k := range rec.keys {
 		if strings.HasSuffix(k, terminalMark) {
 			t.Fatalf("an η > 0 search published a terminal join: %q", k)
+		}
+		if c := rec.vals[i]; !isRowIDPath(c) {
+			t.Fatalf("published prefix %q is stored, not a row-id path", k)
 		}
 	}
 
@@ -108,8 +114,20 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 	}
 }
 
+// isRowIDPath reports whether every column of c is read through row ids.
+func isRowIDPath(c *relation.Columnar) bool {
+	for col := 0; col < c.Schema().Len(); col++ {
+		if _, ids := c.CodeCol(col).Parts(); ids == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // A Realize result and a published prefix are not the search scratch's to
-// recycle: releasing them leaves them whole.
+// recycle: releasing them leaves every row of them whole. A published
+// prefix is a row-id path; Realize materializes its join once, so its
+// result stores every column.
 func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
@@ -124,10 +142,13 @@ func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	}
 	scr := relation.NewScratch(s.caches.schemas)
 	for _, c := range rec.vals {
-		n := c.NumRows()
+		if !isRowIDPath(c) {
+			t.Fatal("a published prefix is stored, not a row-id path")
+		}
+		before := c.ToTable()
 		scr.Release(c)
-		if c.NumRows() != n {
-			t.Fatal("releasing a published prefix emptied it")
+		if after := c.ToTable(); !slices.EqualFunc(after.Rows, before.Rows, sameRow) || c.NumRows() != before.NumRows() {
+			t.Fatal("releasing a published prefix changed it")
 		}
 	}
 	hops, err := res.TG.JoinPlan()
@@ -142,9 +163,14 @@ func TestScratchIgnoresRealizeAndPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for col := 0; col < j.Schema().Len(); col++ {
+		if _, ids := j.CodeCol(col).Parts(); ids != nil {
+			t.Fatalf("Realize returned column %s unmaterialized", j.Schema().Column(col).Name)
+		}
+	}
 	before := j.ToTable()
 	scr.Release(j)
-	if after := j.ToTable(); after.NumRows() != before.NumRows() || after.NumRows() == 0 {
+	if after := j.ToTable(); after.NumRows() != before.NumRows() || after.NumRows() == 0 || !slices.EqualFunc(after.Rows, before.Rows, sameRow) {
 		t.Fatalf("releasing a Realize result changed it: %d rows, had %d", after.NumRows(), before.NumRows())
 	}
 	var again Metrics
@@ -208,4 +234,9 @@ func TestResampledSearchParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameRow reports whether two decoded rows hold the same values.
+func sameRow(a, b []relation.Value) bool {
+	return slices.EqualFunc(a, b, func(x, y relation.Value) bool { return x.EqualValue(y) && x.IsNull() == y.IsNull() })
 }

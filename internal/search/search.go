@@ -17,6 +17,7 @@ import (
 	"github.com/dance-db/dance/internal/graphalg"
 	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
+	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/parallel"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/safekey"
@@ -164,6 +165,9 @@ type Searcher struct {
 	caches *Caches
 	// instKey is each instance's versioned cache identity, precomputed.
 	instKey []string
+	// keeps memoizes the keep set of each X/Y split (Request.corrKey): a
+	// function of the split and of G, so one per split serves every search.
+	keeps *memo.Memo[*keepSet]
 }
 
 // NewSearcher wraps a join graph with a private cache set (the classic
@@ -176,7 +180,7 @@ func NewSearcher(g *joingraph.Graph) *Searcher {
 // middleware passes one Caches across sample-rate escalations so that
 // evaluation state derived from unchanged datasets survives the rebuild.
 func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches}
+	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets)}
 	s.instKey = make([]string, len(g.Instances))
 	for i, inst := range g.Instances {
 		s.instKey[i] = inst.CacheKey()
@@ -202,8 +206,18 @@ type keepSet struct {
 	tag string
 }
 
-// keepFor computes the keep set of the X/Y split x, y; a search computes
-// it once, in its scope.
+// keepOf returns the keep set of the X/Y split x, y, whose corrKey is key,
+// computing it on the split's first search.
+func (s *Searcher) keepOf(key string, x, y []string) *keepSet {
+	if k, ok := s.keeps.Get(key); ok {
+		return k
+	}
+	k := s.keepFor(x, y)
+	s.keeps.Put(key, k)
+	return k
+}
+
+// keepFor computes the keep set of the X/Y split x, y.
 func (s *Searcher) keepFor(x, y []string) *keepSet {
 	names := map[string]bool{}
 	for _, a := range x {
@@ -391,28 +405,18 @@ func (sc *scope) evaluate(ctx context.Context, tg *joingraph.TargetGraph, w, wor
 
 // evaluateUncached runs entirely on the columnar fast path: instance
 // samples are dictionary-encoded once per Searcher, the join runs over
-// views projected to the request's keep set (so it gathers only the columns
-// the metrics or later hops read), build-side join indexes are shared per
-// (instance, join-attrs), the join never materializes rows, and common path
-// prefixes are reused through the search's prefix memo. With η > 0 the
-// terminal join lives in scr and goes back to it once measured. The metrics
+// views projected to the request's keep set, build-side join indexes are
+// shared per (instance, join-attrs), the join is a path of row-id vectors
+// that the metrics read the views' columns through — no joined column is
+// ever gathered — and common path prefixes are reused through the search's
+// prefix memo. With η > 0 the terminal path's vectors live in scr and go
+// back to it once measured. The metrics
 // are bit-identical to those of the row-store pipeline this path replaced,
 // frozen in testdata/evaluate_golden.json (columnar_equiv_test.go).
 func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, workers int, scr *relation.Scratch) (Metrics, error) {
-	s := sc.s
-	hops, err := tg.JoinPlan()
+	steps, err := sc.joinSteps(tg, workers)
 	if err != nil {
 		return Metrics{}, err
-	}
-	steps := make([]sampling.ColumnarStep, len(hops))
-	for i, hp := range hops {
-		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, sc.keep), On: hp.On, ID: s.instKey[hp.Vertex]}
-		if i > 0 {
-			if st.Index, err = s.joinIndexOf(hp.Vertex, hp.On, workers); err != nil {
-				return Metrics{}, err
-			}
-		}
-		steps[i] = st
 	}
 	opts := sc.opts
 	opts.Workers = workers
@@ -431,6 +435,28 @@ func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph
 		return Metrics{}, err
 	}
 	return m, nil
+}
+
+// joinSteps resolves tg's join plan to the search's steps: each hop's
+// projected view, its shared build-side join index (built with up to
+// workers goroutines) and its versioned instance key.
+func (sc *scope) joinSteps(tg *joingraph.TargetGraph, workers int) ([]sampling.ColumnarStep, error) {
+	s := sc.s
+	hops, err := tg.JoinPlan()
+	if err != nil {
+		return nil, err
+	}
+	steps := make([]sampling.ColumnarStep, len(hops))
+	for i, hp := range hops {
+		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, sc.keep), On: hp.On, ID: s.instKey[hp.Vertex]}
+		if i > 0 {
+			if st.Index, err = s.joinIndexOf(hp.Vertex, hp.On, workers); err != nil {
+				return nil, err
+			}
+		}
+		steps[i] = st
+	}
+	return steps, nil
 }
 
 // measure sets m's correlation and quality on the joined relation j, with
@@ -464,7 +490,8 @@ type FullStep struct {
 // Sec 6 evaluation protocol. Only Correlation and Quality of the returned
 // metrics are set; weight and price are the caller's. The join runs on up
 // to req.Workers goroutines (≤ 0: one per CPU) and is bit-identical for
-// every worker count.
+// every worker count. Its hops extend a join path of row ids; the
+// returned join is the path materialized, once.
 //
 // Tables without a prebuilt encoding are encoded for this call only, and
 // float measure columns that are never joined or grouped on stay raw
@@ -500,12 +527,14 @@ func Realize(steps []FullStep, req Request, fds []fd.FD) (*relation.Columnar, Me
 		}
 		csteps[i] = sampling.ColumnarStep{C: c, On: st.On}
 	}
-	// Eta 0 never re-samples: a plain left-deep join.
+	// Eta 0 never re-samples: a plain left-deep join path, materialized
+	// once because the purchase keeps it.
 	opts := sampling.PathJoinOptions{Workers: parallel.DefaultWorkers(req.Workers)}
-	j, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil, nil)
+	path, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil, nil)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
+	j := path.Materialize(opts.Workers)
 	var m Metrics
 	if err := m.measure(j, x, y, fds, nil); err != nil {
 		return nil, Metrics{}, err
@@ -908,9 +937,10 @@ func (s *Searcher) newScope(req Request) *scope {
 	n := parallel.DefaultWorkers(req.Workers)
 	sc := &scope{s: s, opts: req.samplingOptions(), prefixes: newPrefixMemo(),
 		workers: n, scr: make([]*relation.Scratch, n), rngs: make([]*rand.Rand, n)}
-	sc.evalSuffix = safekey.Join(req.corrKey(), sc.opts.CacheKey())
+	ck := req.corrKey()
+	sc.evalSuffix = safekey.Join(ck, sc.opts.CacheKey())
 	if sc.x, sc.y, sc.err = req.corrAttrs(); sc.err == nil {
-		sc.keep = s.keepFor(sc.x, sc.y)
+		sc.keep = s.keepOf(ck, sc.x, sc.y)
 	}
 	return sc
 }

@@ -160,7 +160,7 @@ func sortedGain(c *relation.Columnar, ai int, g *relation.Grouping, logTab []flo
 // false when the observed range makes normalization non-monotone in
 // floating point (an infinite width or scale); the caller then sorts.
 func rankedGain(c *relation.Columnar, ai int, g *relation.Grouping, d *relation.Dict, order []uint32, logTab []float64, s *relation.Scratch) (gain float64, ok bool) {
-	codes, ids := c.CodeCol(ai).Parts() // row i's code: codes[ids[i]], or codes[i]
+	codes, ids := c.CodeCol(ai).Parts()
 	n := c.NumRows()
 	counts := relation.ScratchSlice[int32](s, d.Len())
 	defer relation.FreeSlice(s, counts)

@@ -310,9 +310,9 @@ func (c *Columnar) base(row, j int) int {
 	return int(c.ids[c.cols[j].via][row])
 }
 
-// ReadBlock is the window CodeCol.Read fills: a caller sweeping a column
-// keeps a [ReadBlock]uint32 on its stack and reads the column through it.
-const ReadBlock = 512
+// readBlock is the window CodeCol.read fills: a kernel sweeping a column
+// keeps a [readBlock]uint32 on its stack and reads the column through it.
+const readBlock = 512
 
 // CodeCol reads one dictionary-coded column in row order. A stored
 // column is read in place; a join path's column through its row ids, so
@@ -335,7 +335,7 @@ func (r CodeCol) Dict() *Dict { return r.dict }
 
 // Parts returns the column's stored codes and the row ids they are read
 // at: row i's code is codes[rows[i]], or codes[i] when rows is nil. A hot
-// sweep writes its loop once per case instead of reading blocks.
+// sweep writes its loop once per case.
 func (r CodeCol) Parts() (codes []uint32, rows []int32) { return r.codes, r.rows }
 
 // At returns the code of row.
@@ -346,15 +346,15 @@ func (r CodeCol) At(row int) uint32 {
 	return r.codes[r.rows[row]]
 }
 
-// Read returns the codes of rows [lo, lo+len(buf)): the stored window
+// read returns the codes of rows [lo, lo+len(buf)): the stored window
 // itself, or buf filled through the row ids. A sweep reads a column
-// ReadBlock rows at a time:
+// readBlock rows at a time:
 //
-//	var buf [ReadBlock]uint32
-//	for lo := 0; lo < n; lo += ReadBlock {
-//		for i, code := range col.Read(buf[:min(ReadBlock, n-lo)], lo) { … row lo+i … }
+//	var buf [readBlock]uint32
+//	for lo := 0; lo < n; lo += readBlock {
+//		for i, code := range col.read(buf[:min(readBlock, n-lo)], lo) { … row lo+i … }
 //	}
-func (r CodeCol) Read(buf []uint32, lo int) []uint32 {
+func (r CodeCol) read(buf []uint32, lo int) []uint32 {
 	if r.rows == nil {
 		return r.codes[lo : lo+len(buf)]
 	}
@@ -788,9 +788,9 @@ func (c *Columnar) fuseStage(g *Grouping, cur []uint32, curN int, col CodeCol, l
 // map.
 func (c *Columnar) fuseMap(cur []uint32, col CodeCol, assign func(row int, id int32) int32) {
 	m := make(map[uint64]int32, c.n/4+16)
-	var buf [ReadBlock]uint32
-	for lo := 0; lo < c.n; lo += ReadBlock {
-		for i, code := range col.Read(buf[:min(ReadBlock, c.n-lo)], lo) {
+	var buf [readBlock]uint32
+	for lo := 0; lo < c.n; lo += readBlock {
+		for i, code := range col.read(buf[:min(readBlock, c.n-lo)], lo) {
 			k := uint64(code)
 			if cur != nil {
 				k |= uint64(cur[lo+i]) << 32
@@ -824,9 +824,9 @@ func (c *Columnar) fuseStageParallel(g *Grouping, col CodeCol, cur []uint32, spa
 		minRow[i] = -1
 	}
 	runChunks(workers, c.n, func(_, lo, hi int) {
-		var buf [ReadBlock]uint32
-		for ; lo < hi; lo += ReadBlock {
-			for i, code := range col.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+		var buf [readBlock]uint32
+		for ; lo < hi; lo += readBlock {
+			for i, code := range col.read(buf[:min(readBlock, hi-lo)], lo) {
 				atomicMinInt32(&minRow[key(lo+i, code)], int32(lo+i))
 			}
 		}
@@ -854,9 +854,9 @@ func (c *Columnar) fuseStageParallel(g *Grouping, col CodeCol, cur []uint32, spa
 		}
 	}
 	runChunks(workers, c.n, func(_, lo, hi int) {
-		var buf [ReadBlock]uint32
-		for ; lo < hi; lo += ReadBlock {
-			for i, code := range col.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+		var buf [readBlock]uint32
+		for ; lo < hi; lo += readBlock {
+			for i, code := range col.read(buf[:min(readBlock, hi-lo)], lo) {
 				next[lo+i] = uint32(ids[key(lo+i, code)])
 			}
 		}
@@ -1055,33 +1055,10 @@ func (c *Columnar) Materialize(workers int) *Columnar {
 	return c.store(c.n, c.rowsOf, workers)
 }
 
-// FilterRows returns c restricted to the given rows, in order: a stored
-// relation's columns gathered into a new stored relation, or a join path
-// whose row-id vectors are gathered at rows. Dictionaries are shared with
-// c.
+// FilterRows returns a new stored relation holding the given rows of c, in
+// order. Dictionaries are shared with c.
 func (c *Columnar) FilterRows(rows []int32) *Columnar {
-	if c.ids == nil {
-		return c.store(len(rows), func(int) []int32 { return rows }, 1)
-	}
-	out := &Columnar{Name: c.Name, schema: c.schema, cols: c.cols, n: len(rows)}
-	out.ids, out.back = newIDs(nil, len(c.ids), len(rows))
-	for v, src := range c.ids {
-		for i, r := range rows {
-			out.ids[v][i] = src[r]
-		}
-	}
-	return out
-}
-
-// newIDs returns k row-id vectors of n rows, carved from one backing taken
-// from s (nil: allocated).
-func newIDs(s *Scratch, k, n int) ([][]int32, []int32) {
-	back := ScratchSlice[int32](s, k*n)
-	ids := make([][]int32, k)
-	for v := range ids {
-		ids[v] = back[v*n : (v+1)*n : (v+1)*n]
-	}
-	return ids, back
+	return c.Materialize(1).store(len(rows), func(int) []int32 { return rows }, 1)
 }
 
 // JoinOptions tunes EquiJoinColumnar and EquiJoinPairs.
@@ -1188,9 +1165,9 @@ func (s *Scratch) EquiJoinPairs(a, b *Columnar, on []string, idx *JoinIndex, opt
 		}
 	}
 	runChunks(workers, a.n, func(_, lo, hi int) {
-		var buf [ReadBlock]uint32
-		for ; lo < hi; lo += ReadBlock {
-			for i, code := range probe.Read(buf[:min(ReadBlock, hi-lo)], lo) {
+		var buf [readBlock]uint32
+		for ; lo < hi; lo += readBlock {
+			for i, code := range probe.read(buf[:min(readBlock, hi-lo)], lo) {
 				pg[lo+i] = remap[code]
 			}
 		}

@@ -129,9 +129,9 @@ func (c *Columnar) keyGroups(on []string) (*keyGroups, error) {
 		d := k.dicts[0]
 		k.counts = make([]int64, d.Len())
 		col := c.CodeCol(cols[0])
-		var buf [ReadBlock]uint32
-		for lo := 0; lo < c.n; lo += ReadBlock {
-			for _, code := range col.Read(buf[:min(ReadBlock, c.n-lo)], lo) {
+		var buf [readBlock]uint32
+		for lo := 0; lo < c.n; lo += readBlock {
+			for _, code := range col.read(buf[:min(readBlock, c.n-lo)], lo) {
 				k.counts[code]++
 			}
 		}

@@ -30,8 +30,8 @@ func (c *recordingCache) Put(key string, v *relation.Columnar) {
 
 // unfusedPath is the oracle of ResampledJoinPathColumnar: every hop is the
 // serial join materialized (every column gathered), and a tripped η
-// re-samples it afterwards with CorrelatedSampleColumnar. It returns every intermediate, re-sampled where
-// η tripped.
+// re-samples it afterwards with CorrelatedSampleColumnar. It returns every
+// intermediate, re-sampled where η tripped.
 func unfusedPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.PathJoinOptions) ([]*relation.Columnar, sampling.ResampleStats) {
 	t.Helper()
 	var stats sampling.ResampleStats

@@ -410,9 +410,9 @@ func (sc *scope) evaluate(ctx context.Context, tg *joingraph.TargetGraph, w, wor
 // that the metrics read the views' columns through — no joined column is
 // ever gathered — and common path prefixes are reused through the search's
 // prefix memo. With η > 0 the terminal path's vectors live in scr and go
-// back to it once measured. The metrics
-// are bit-identical to those of the row-store pipeline this path replaced,
-// frozen in testdata/evaluate_golden.json (columnar_equiv_test.go).
+// back to it once measured. The metrics are bit-identical to those of the
+// row-store pipeline this path replaced, frozen in
+// testdata/evaluate_golden.json (columnar_equiv_test.go).
 func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, workers int, scr *relation.Scratch) (Metrics, error) {
 	steps, err := sc.joinSteps(tg, workers)
 	if err != nil {

@@ -323,15 +323,11 @@ type CodeCol struct {
 	dict  *Dict
 }
 
-// CodeCol returns the reader of the coded column col (a reader with a nil
-// Dict for a raw-numeric column).
+// CodeCol returns the reader of the coded column col.
 func (c *Columnar) CodeCol(col int) CodeCol {
 	cc := &c.cols[col]
 	return CodeCol{codes: cc.Codes, rows: c.rowsOf(col), dict: cc.Dict}
 }
-
-// Dict returns the column's dictionary, nil for a raw-numeric column.
-func (r CodeCol) Dict() *Dict { return r.dict }
 
 // Parts returns the column's stored codes and the row ids they are read
 // at: row i's code is codes[rows[i]], or codes[i] when rows is nil. A hot

@@ -69,7 +69,7 @@ func assertColumnarIdentical(t *testing.T, what string, want, got *relation.Colu
 		if want.Dict(col) != got.Dict(col) {
 			t.Fatalf("%s: column %s differs", what, want.Schema().Column(col).Name)
 		}
-		if w, g := want.CodeCol(col), got.CodeCol(col); w.Dict() != nil {
+		if w, g := want.CodeCol(col), got.CodeCol(col); want.Dict(col) != nil {
 			for row := 0; row < want.NumRows(); row++ {
 				if w.At(row) != g.At(row) {
 					t.Fatalf("%s: row %d of column %s: code %d, want %d", what, row, want.Schema().Column(col).Name, g.At(row), w.At(row))

@@ -48,13 +48,13 @@ func sameJoin(want, got *relation.Columnar) error {
 		return fmt.Errorf("got %s with %d rows, want %s with %d rows", got.Schema(), got.NumRows(), want.Schema(), want.NumRows())
 	}
 	for col := 0; col < want.Schema().Len(); col++ {
-		w, g := want.CodeCol(col), got.CodeCol(col)
-		if w.Dict() != g.Dict() {
+		d, w, g := want.Dict(col), want.CodeCol(col), got.CodeCol(col)
+		if d != got.Dict(col) {
 			return fmt.Errorf("column %s: another dictionary", want.Schema().Column(col).Name)
 		}
 		for row := 0; row < want.NumRows(); row++ {
-			if w.Dict() != nil && w.At(row) != g.At(row) ||
-				w.Dict() == nil && !want.ValueAt(row, col).EqualValue(got.ValueAt(row, col)) {
+			if d != nil && w.At(row) != g.At(row) ||
+				d == nil && !want.ValueAt(row, col).EqualValue(got.ValueAt(row, col)) {
 				return fmt.Errorf("column %s row %d differs", want.Schema().Column(col).Name, row)
 			}
 		}

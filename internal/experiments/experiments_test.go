@@ -87,19 +87,33 @@ func TestFig4Small(t *testing.T) {
 	}
 }
 
+// The headline claim: the heuristic beats the brute-force optima at the
+// largest instance count, on every query. Each method's time is the
+// minimum of three Fig4 runs, so a run slowed by other work on the machine
+// does not decide the comparison.
 func TestFig4HeuristicFasterThanGPAtLargestN(t *testing.T) {
-	tabs, err := Fig4(context.Background(), Fig4Options{Scale: 1, Seed: 2, Rate: 0.6, Ns: []int{8}, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
+	const runs = 3
+	var ids []string
+	h, gp := map[string]float64{}, map[string]float64{}
+	for r := 0; r < runs; r++ {
+		tabs, err := Fig4(context.Background(), Fig4Options{Scale: 1, Seed: 2, Rate: 0.6, Ns: []int{8}, Iterations: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range tabs {
+			row := tab.Rows[0]
+			hs, _ := strconv.ParseFloat(row[1], 64)
+			gps, _ := strconv.ParseFloat(row[3], 64)
+			if r == 0 {
+				ids = append(ids, tab.ID)
+				h[tab.ID], gp[tab.ID] = hs, gps
+			}
+			h[tab.ID], gp[tab.ID] = min(h[tab.ID], hs), min(gp[tab.ID], gps)
+		}
 	}
-	// The headline claim: the heuristic beats the brute-force optima at
-	// the largest instance count, on every query.
-	for _, tab := range tabs {
-		row := tab.Rows[0]
-		h, _ := strconv.ParseFloat(row[1], 64)
-		gp, _ := strconv.ParseFloat(row[3], 64)
-		if h >= gp {
-			t.Errorf("%s: heuristic (%vs) not faster than GP (%vs)", tab.ID, h, gp)
+	for _, id := range ids {
+		if h[id] >= gp[id] {
+			t.Errorf("%s: heuristic (%vs) not faster than GP (%vs), each the fastest of %d runs", id, h[id], gp[id], runs)
 		}
 	}
 }

@@ -33,14 +33,7 @@ func CorrectRowsColumnar(c *relation.Columnar, f FD) (*bitset.Set, error) {
 // Q(D, F) of Def 2.2. The LHS groupings, their refinements and the
 // per-group tables are taken from s (nil: allocated).
 func QualitySetColumnar(c *relation.Columnar, fds []FD, s *relation.Scratch) (float64, error) {
-	if c.NumRows() == 0 {
-		return 1, nil
-	}
-	correct, err := correctRowsColumnar(c, Applicable(fds, c.Schema()), s)
-	if err != nil {
-		return 0, err
-	}
-	return float64(correct.Count()) / float64(c.NumRows()), nil
+	return QualityFactored(c, Applicable(fds, c.Schema()), nil, s)
 }
 
 // correctRowsColumnar returns ⋂_{f ∈ fds} C(D, f) over the rows of c

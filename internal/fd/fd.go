@@ -7,6 +7,15 @@
 // is less than 10%". We resolve the ambiguity by parameterizing on MaxError:
 // an AFD holds iff its g3 error (1 − Q) is at most MaxError; the paper's
 // θ = 0.1 corresponds to MaxError = 0.1.
+//
+// Quality has two kernels with one answer. The path kernel
+// (QualitySetColumnar) groups a relation's rows by each FD's LHS and RHS
+// codes. The factorized kernel (QualityFactored) serves an FD whose
+// columns a join path reads through one base relation's row-id vector: the
+// FD splits the path's rows as it splits that relation's rows, so one
+// refinement of the base rows (RefineBase), kept across paths, and two
+// sweeps over the vector give the path kernel's correct set, first-row
+// tie-breaks included.
 package fd
 
 import (

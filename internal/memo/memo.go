@@ -95,6 +95,12 @@ func (m *Memo[V]) Get(key string) (V, bool) {
 	return e.v, ok
 }
 
+// Admits reports whether a value costing cost can be stored: false past
+// the maximum cost of a costed memo, true in any other memo.
+func (m *Memo[V]) Admits(cost int) bool {
+	return m.cost == nil || cost <= m.maxCost
+}
+
 // Put memoizes v under key unless key is already present (the first of two
 // racing computations wins; both are the same value). It then evicts the
 // shard's oldest entries past the entry cap or the cost budget.
@@ -102,7 +108,7 @@ func (m *Memo[V]) Put(key string, v V) {
 	c := 0
 	if m.cost != nil {
 		c = m.cost(v)
-		if c > m.maxCost {
+		if !m.Admits(c) {
 			return
 		}
 	}

@@ -67,6 +67,12 @@ func TestOversizedEntriesAreSkipped(t *testing.T) {
 	if !has(m, "small") {
 		t.Fatal("skipping an oversized entry evicted another")
 	}
+	if !m.Admits(6) || m.Admits(7) {
+		t.Fatal("Admits disagrees with what Put stores")
+	}
+	if !New[int](1, 1).Admits(1 << 40) {
+		t.Fatal("a memo without costs refuses a cost")
+	}
 }
 
 func TestDeleteFunc(t *testing.T) {

@@ -267,14 +267,16 @@ func (d *Dict) clone() *Dict {
 // CCol is one columnar column. Exactly one storage mode is populated:
 // dictionary-coded (Codes+Dict, the general form, required for grouping and
 // joins) or raw numeric (Nums+Null, used by metrics-only numeric columns
-// where dictionary identity is never needed). A join path's column is a
-// base relation's column, read through the path's row-id vector via.
+// where dictionary identity is never needed). A join path's column is
+// column src of a base relation, read through the path's row-id vector via;
+// a stored relation's column is its own, and via and src mean nothing.
 type CCol struct {
 	Codes []uint32
 	Dict  *Dict
 	Nums  []float64
 	Null  []bool
 	via   int
+	src   int
 }
 
 // Columnar is the dictionary-encoded columnar form of a Table: a stored
@@ -308,6 +310,26 @@ func (c *Columnar) base(row, j int) int {
 		return row
 	}
 	return int(c.ids[c.cols[j].via][row])
+}
+
+// Origin returns the row-id vector column col is read through and the
+// column of that vector's base relation it reads. A stored relation reads
+// its own rows: (0, col).
+func (c *Columnar) Origin(col int) (vec, baseCol int) {
+	if c.ids == nil {
+		return 0, col
+	}
+	return c.cols[col].via, c.cols[col].src
+}
+
+// RowIDs returns the join path's row-id vector vec: row i of every column
+// read through it is row RowIDs(vec)[i] of that vector's base relation. A
+// stored relation has none (nil): its rows are its own.
+func (c *Columnar) RowIDs(vec int) []int32 {
+	if c.ids == nil {
+		return nil
+	}
+	return c.ids[vec]
 }
 
 // readBlock is the window CodeCol.read fills: a kernel sweeping a column
@@ -1251,9 +1273,17 @@ func (p *JoinPairs) path(cols []int, s *Scratch) *Columnar {
 	out.cols = make([]CCol, p.schema.Len())
 	aLen := p.a.schema.Len()
 	copy(out.cols, p.a.cols)
+	if p.a.ids == nil {
+		for j := range aLen {
+			out.cols[j].src = j
+		}
+	}
 	for j, bj := range p.rightKeep {
 		out.cols[aLen+j] = p.b.cols[bj]
 		out.cols[aLen+j].via += ka
+		if p.b.ids == nil {
+			out.cols[aLen+j].src = bj
+		}
 	}
 	// Bit v of need is set when vector v is read: all of them without a
 	// column list or past 64 vectors.

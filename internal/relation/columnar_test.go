@@ -219,6 +219,47 @@ func TestEquiJoinColumnarMatchesRowJoin(t *testing.T) {
 	}
 }
 
+// A join path's Origin and RowIDs name the base cell every path cell
+// reads, renamed columns included: each coded cell is the code its base
+// relation stores at that row.
+func TestPathOriginReadsBaseCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bases := []*Columnar{
+		ToColumnar(randomTable(t, rng, "A", 60, 0.2)),
+		ToColumnar(randomTable(t, rng, "B", 60, 0.2)),
+		ToColumnar(randomTable(t, rng, "C", 60, 0.2)),
+	}
+	// B joins on k, so its s, v and m are renamed; C joins on s.
+	path, err := EquiJoinColumnar(bases[0], bases[1], []string{"k"}, nil, JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path, err = EquiJoinColumnar(path, bases[2], []string{"s"}, nil, JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if path.NumRows() == 0 || !path.Schema().Has("s_r") {
+		t.Fatalf("the path %s has %d rows; want rows and a renamed s", path.Schema(), path.NumRows())
+	}
+	for col := 0; col < path.Schema().Len(); col++ {
+		vec, baseCol := path.Origin(col)
+		base, rows := bases[vec], path.RowIDs(vec)
+		if base.Dict(baseCol) != path.Dict(col) {
+			t.Fatalf("column %s: Origin names %s's column %d, another column", path.Schema().Column(col).Name, base.Name, baseCol)
+		}
+		if path.Dict(col) == nil {
+			continue
+		}
+		for row := 0; row < path.NumRows(); row++ {
+			if got, want := path.CodeCol(col).At(row), base.Codes(baseCol)[rows[row]]; got != want {
+				t.Fatalf("column %s row %d: code %d, base cell %d", path.Schema().Column(col).Name, row, got, want)
+			}
+		}
+	}
+	if vec, col := bases[0].Origin(2); vec != 0 || col != 2 || bases[0].RowIDs(0) != nil {
+		t.Fatal("a stored relation does not read its own rows")
+	}
+}
+
 func TestEquiJoinColumnarMixedIntFloatKeys(t *testing.T) {
 	// Build side stores IntValue keys, probe side FloatValue keys: the
 	// grouping rule IntValue(3) == FloatValue(3.0) must survive dictionary

@@ -1,30 +1,43 @@
 package search
 
 import (
+	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/memo"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/sampling"
 )
 
-// evalCacheShardCap bounds one shard of the metric-evaluation memo. The
-// memo outlives a single Searcher (it is shared across offline rebuilds,
-// keyed by dataset version), so without a bound a long-lived escalating
-// session would accumulate one generation of dead entries per round.
-// Metrics are small, so the bound is generous.
+// evalCacheShardCap bounds one shard of the shared memo of η = 0 metric
+// evaluations. The memo outlives a single Searcher (it is shared across
+// offline rebuilds, keyed by dataset version), so without a bound a
+// long-lived escalating session would accumulate one generation of dead
+// entries per round. Metrics are small, so the bound is generous.
 const evalCacheShardCap = 1 << 12
 
-// The join-prefix memo holds accumulated join prefixes, each a row-id
-// join path over the search's views (sampling.PrefixCache). MCMC neighbors
-// differ in one edge variant, so candidate paths share long spine
-// prefixes; caching the intermediate after each hop lets a neighbor
-// re-join only the suffix behind its changed edge. Each search builds its own memo (newPrefixMemo) and drops it when
-// it returns. With η > 0 the re-sampling hasher is seeded from the request,
-// so a prefix serves no other search. The keys, made by the sampling
-// package, cover only the path, since one search joins under one set of
-// sampling options and one keep set. Entries are whole join intermediates,
-// unbounded when η re-sampling is off, so each shard is bounded both by
-// entry count and by its summed rows, and oversized intermediates are never
-// cached at all.
+// resampledEvalShardCap bounds one shard of the shared memo of η > 0
+// evaluations. Their keys carry the request's re-sampling seed, so an entry
+// serves only a later request with the same seed: a shopper repeating a
+// request, shoppers sharing a seed or omitting it (108 of 120 lookups hit
+// an earlier search's entry on danceload traffic cycling four seeds).
+// Traffic that gives every search a fresh seed only leaves dead entries, so
+// the bound is far tighter than the η = 0 memo's: 4 096 entries (about
+// 1 MB) on 2 CPUs, room for the few hundred evaluations of each of a few
+// concurrent searches.
+const resampledEvalShardCap = 1 << 8
+
+// The join-prefix memo holds accumulated join prefixes, each a row-id join
+// path over the search's views (sampling.PrefixCache). MCMC neighbors differ
+// in one edge variant, so candidate paths share long spine prefixes; caching
+// the intermediate after each hop lets a neighbor re-join only the suffix
+// behind its changed edge. Each search builds its own memo (newPrefixMemo)
+// and drops it when it returns; an exported Evaluate, a search of one target
+// graph, publishes only distinct prefixes and builds none. With η > 0 the
+// re-sampling hasher is seeded from the request, so a prefix serves no other
+// search. The keys, made by the sampling package, cover only the path, since
+// one search joins under one set of sampling options and one keep set.
+// Entries are whole join intermediates, unbounded when η re-sampling is off,
+// so each shard is bounded both by entry count and by its summed rows, and
+// oversized intermediates are never cached at all.
 const (
 	prefixCacheShardCap = 48
 	// prefixCacheShardRowBudget bounds the summed NumRows of a shard's
@@ -57,6 +70,23 @@ const maxKeepSets = 64
 // one schema of a few dozen columns.
 const maxJoinedSchemas = 1024
 
+// maxFDPlans bounds a Searcher's memo of FD classifications, one per
+// (X/Y split, join plan) its searches evaluated; each entry is a few dozen
+// FDs and column indexes.
+const maxFDPlans = 1024
+
+// The refinement memo holds each anchored FD's base-row refinement
+// (fd.RefineBase), keyed by the versioned instance and the FD's columns. An
+// exact FD's refinement is a flag; any other holds an int32 per base row,
+// so each shard is bounded by its summed base rows as well as by entries,
+// and a refinement of a huge sample is never kept.
+const (
+	refineShards         = 4
+	refineShardCap       = 1024
+	refineShardRowBudget = 1 << 21
+	refineEntryMaxRows   = refineShardRowBudget / 2
+)
+
 // maxJoinIndexes bounds the join-index memo. An index holds a row list per
 // key of an instance sample, so it is the heaviest entry here; a graph
 // needs one per (instance, join-attribute set) its candidate paths probe,
@@ -71,17 +101,19 @@ type owned[T any] struct {
 }
 
 // Caches bundles the memoized evaluation state — metric evaluations,
-// projected views of the instances' columnar encodings, join indexes and
-// joined schemas — so it can outlive a single Searcher. Every key
-// incorporates the owning instance's (name, version) identity; a
+// projected views of the instances' columnar encodings, join indexes, FD
+// refinements and joined schemas — so it can outlive a single Searcher.
+// Every key incorporates the owning instance's (name, version) identity; a
 // sample-rate escalation therefore invalidates exactly the entries of
 // datasets whose rows changed, while state derived from unchanged datasets
 // (empty deltas, owned sources) keeps hitting. Safe for concurrent use by
 // any number of Searchers.
 type Caches struct {
-	eval    *memo.Memo[Metrics]
-	views   *memo.Memo[owned[*relation.Columnar]]
-	joinIdx *memo.Memo[owned[*relation.JoinIndex]]
+	// eval holds η = 0 evaluations, resampled η > 0 ones.
+	eval, resampled *memo.Memo[Metrics]
+	views           *memo.Memo[owned[*relation.Columnar]]
+	joinIdx         *memo.Memo[owned[*relation.JoinIndex]]
+	refines         *memo.Memo[owned[*fd.Refinement]]
 	// schemas memoizes the schemas of the joins searches run. Execute
 	// (Realize) never reaches it: its joins build their schemas once.
 	schemas *relation.SchemaMemo
@@ -90,19 +122,29 @@ type Caches struct {
 // NewCaches returns an empty cache set.
 func NewCaches() *Caches {
 	return &Caches{
-		eval:    memo.New[Metrics](memo.Shards(32), evalCacheShardCap),
-		views:   memo.New[owned[*relation.Columnar]](1, maxViews),
-		joinIdx: memo.New[owned[*relation.JoinIndex]](1, maxJoinIndexes),
-		schemas: relation.NewSchemaMemo(maxJoinedSchemas),
+		eval:      memo.New[Metrics](memo.Shards(32), evalCacheShardCap),
+		resampled: memo.New[Metrics](memo.Shards(16), resampledEvalShardCap),
+		views:     memo.New[owned[*relation.Columnar]](1, maxViews),
+		joinIdx:   memo.New[owned[*relation.JoinIndex]](1, maxJoinIndexes),
+		refines:   newRefineMemo(refineShards, refineShardCap, refineEntryMaxRows),
+		schemas:   relation.NewSchemaMemo(maxJoinedSchemas),
 	}
 }
 
-// RetainInstances drops the heavyweight cached state — projected views and
-// join indexes — of instances whose versioned key is not one of s's. A
-// long-lived session escalates repeatedly, and every escalation supersedes
-// most dataset versions; pruning frees a generation of per-row indexes at
-// once instead of waiting for eviction. (Evaluations are small, and join
-// prefixes die with their search.)
+// newRefineMemo builds a refinement memo of shards shards of at most
+// entries refinements each, bounded in base rows, that keeps no refinement
+// of more than maxRows base rows.
+func newRefineMemo(shards, entries, maxRows int) *memo.Memo[owned[*fd.Refinement]] {
+	return memo.NewCosted(shards, entries, refineShardRowBudget, maxRows,
+		func(e owned[*fd.Refinement]) int { return e.v.BaseRows() })
+}
+
+// RetainInstances drops the heavyweight cached state — projected views,
+// join indexes and FD refinements — of instances whose versioned key is not
+// one of s's. A long-lived session escalates repeatedly, and every
+// escalation supersedes most dataset versions; pruning frees a generation
+// of per-row indexes at once instead of waiting for eviction. (Evaluations
+// are small and age out; join prefixes die with their search.)
 func (c *Caches) RetainInstances(s *Searcher) {
 	live := make(map[string]bool, len(s.instKey))
 	for _, k := range s.instKey {
@@ -110,4 +152,5 @@ func (c *Caches) RetainInstances(s *Searcher) {
 	}
 	c.views.DeleteFunc(func(e owned[*relation.Columnar]) bool { return !live[e.inst] })
 	c.joinIdx.DeleteFunc(func(e owned[*relation.JoinIndex]) bool { return !live[e.inst] })
+	c.refines.DeleteFunc(func(e owned[*fd.Refinement]) bool { return !live[e.inst] })
 }

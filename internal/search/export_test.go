@@ -13,7 +13,7 @@ import (
 // EvaluateWorkers is Evaluate with an explicit worker bound for the
 // columnar kernels of a cache miss.
 func (s *Searcher) EvaluateWorkers(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
-	return s.newScope(req).evaluate(ctx, tg, 0, workers)
+	return s.graphScope(req, 1).evaluate(ctx, tg, 0, workers)
 }
 
 // Measure sets m's correlation and quality on j, as the evaluator does.

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// maxMemoHitEvaluateAllocs bounds the allocations of an exported Evaluate
+// answered by the shared evaluation memo.
+const maxMemoHitEvaluateAllocs = 24
+
 // A Searcher computes the keep set of an X/Y split once: an exported
 // Evaluate answered by the evaluation memo allocates less than one keepFor
 // call alone, every search of the split shares one keep set, and the keep
@@ -34,6 +38,11 @@ func TestKeepSetComputedOncePerSplit(t *testing.T) {
 	t.Logf("memoized Evaluate: %.0f allocs; keepFor: %.0f allocs", evalAllocs, keepAllocs)
 	if evalAllocs >= keepAllocs {
 		t.Fatalf("a memoized Evaluate allocates %.0f times, a keepFor call %.0f: the keep set is recomputed per call", evalAllocs, keepAllocs)
+	}
+	// Evaluate searches one target graph, so it builds no join-prefix
+	// memo: 20 allocations measured, where that memo alone made 18 more.
+	if evalAllocs > maxMemoHitEvaluateAllocs {
+		t.Fatalf("a memoized Evaluate allocates %.0f times, want at most %d: it builds a join-prefix memo", evalAllocs, maxMemoHitEvaluateAllocs)
 	}
 
 	other := req

@@ -17,20 +17,23 @@ import (
 
 // oneEntrySearch runs search on a searcher over g with every search memo
 // bounded to a single entry, so nearly every lookup misses and every store
-// evicts: those of its cache set, its keep-set memo, and the prefix memo of
-// every search it starts.
+// evicts: those of its cache set, its keep-set and FD-plan memos, and the
+// prefix memo of every search it starts.
 func oneEntrySearch(g *joingraph.Graph, search func(*Searcher) ([]*Result, error)) ([]*Result, error) {
 	defer func(old func() sampling.PrefixCache) { newPrefixMemo = old }(newPrefixMemo)
 	newPrefixMemo = func() sampling.PrefixCache {
 		return memo.NewCosted(1, 1, prefixCacheShardRowBudget, prefixEntryMaxRows, (*relation.Columnar).NumRows)
 	}
 	s := NewSearcherWithCaches(g, &Caches{
-		eval:    memo.New[Metrics](1, 1),
-		views:   memo.New[owned[*relation.Columnar]](1, 1),
-		joinIdx: memo.New[owned[*relation.JoinIndex]](1, 1),
-		schemas: relation.NewSchemaMemo(1),
+		eval:      memo.New[Metrics](1, 1),
+		resampled: memo.New[Metrics](1, 1),
+		views:     memo.New[owned[*relation.Columnar]](1, 1),
+		joinIdx:   memo.New[owned[*relation.JoinIndex]](1, 1),
+		refines:   newRefineMemo(1, 1, refineEntryMaxRows),
+		schemas:   relation.NewSchemaMemo(1),
 	})
 	s.keeps = memo.New[*keepSet](1, 1)
+	s.plans = memo.New[*fdPlan](1, 1)
 	return search(s)
 }
 

@@ -68,7 +68,8 @@ var terminalMark = safekey.Join(safekey.Join("$"))
 // terminal join path's row ids live in the evaluating goroutine's scratch
 // and die once measured. With η = 0 every hop, the terminal one included,
 // is published. Every published prefix is a row-id path: no column of it
-// was gathered.
+// was gathered. An exported Evaluate, a search of one target graph, builds
+// no prefix memo and publishes nothing.
 func TestTerminalJoinsNotPublished(t *testing.T) {
 	g := tpchGraph(t)
 	s := NewSearcher(g)
@@ -88,8 +89,8 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 		}
 	}
 
-	// One evaluation of a k-hop path publishes k−1 prefixes at η = 0 and
-	// k−2 at η > 0.
+	// One evaluation of a k-hop path in a search publishes k−1 prefixes at
+	// η = 0 and k−2 at η > 0.
 	res, err := s.Heuristic(bg, resampledRequest(0, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +100,8 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 		t.Fatalf("the search picked a %d-hop path; the check needs 3+", hops)
 	}
 	for _, eta := range []int{0, 50} {
-		fresh := NewSearcher(g)
 		rec.keys = nil
-		if _, err := fresh.Evaluate(bg, res.TG, resampledRequest(eta, 1)); err != nil {
+		if _, err := NewSearcher(g).newScope(resampledRequest(eta, 1)).evaluate(bg, res.TG, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 		want := hops - 1
@@ -110,6 +110,13 @@ func TestTerminalJoinsNotPublished(t *testing.T) {
 		}
 		if got := len(rec.keys); got != want {
 			t.Fatalf("η=%d: one %d-hop evaluation published %d prefixes, want %d", eta, hops, got, want)
+		}
+		rec.keys = nil
+		if _, err := NewSearcher(g).Evaluate(bg, res.TG, resampledRequest(eta, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.keys) != 0 {
+			t.Fatalf("η=%d: an exported Evaluate published %d prefixes, want none", eta, len(rec.keys))
 		}
 	}
 }

@@ -168,6 +168,9 @@ type Searcher struct {
 	// keeps memoizes the keep set of each X/Y split (Request.corrKey): a
 	// function of the split and of G, so one per split serves every search.
 	keeps *memo.Memo[*keepSet]
+	// plans memoizes the FD classification of each (X/Y split, join plan)
+	// the searches evaluated (fdPlanOf).
+	plans *memo.Memo[*fdPlan]
 }
 
 // NewSearcher wraps a join graph with a private cache set (the classic
@@ -180,7 +183,8 @@ func NewSearcher(g *joingraph.Graph) *Searcher {
 // middleware passes one Caches across sample-rate escalations so that
 // evaluation state derived from unchanged datasets survives the rebuild.
 func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets)}
+	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets),
+		plans: memo.New[*fdPlan](1, maxFDPlans)}
 	s.instKey = make([]string, len(g.Instances))
 	for i, inst := range g.Instances {
 		s.instKey[i] = inst.CacheKey()
@@ -376,10 +380,11 @@ func (sc *scope) evalKey(tg *joingraph.TargetGraph) string {
 // different attribute splits, Eta/ResampleRate/Seed, or offline state
 // versions without cross-contamination, from any number of goroutines.
 //
-// Evaluate is a search of one target graph: its scope — join prefixes and
-// scratch memory — lives for the call.
+// Evaluate is a search of one target graph: its scope — scratch memory —
+// lives for the call. It publishes only distinct join prefixes, so it
+// builds no prefix memo.
 func (s *Searcher) Evaluate(ctx context.Context, tg *joingraph.TargetGraph, req Request) (Metrics, error) {
-	return s.newScope(req).evaluate(ctx, tg, 0, 1)
+	return s.graphScope(req, 1).evaluate(ctx, tg, 0, 1)
 }
 
 // evaluate is Evaluate within the search of sc, run by the scope's pool
@@ -392,14 +397,14 @@ func (sc *scope) evaluate(ctx context.Context, tg *joingraph.TargetGraph, w, wor
 		return Metrics{}, sc.err
 	}
 	key := sc.evalKey(tg)
-	if m, ok := sc.s.caches.eval.Get(key); ok {
+	if m, ok := sc.evals.Get(key); ok {
 		return m, nil
 	}
 	m, err := sc.evaluateUncached(ctx, tg, workers, sc.scratch(w))
 	if err != nil {
 		return Metrics{}, err
 	}
-	sc.s.caches.eval.Put(key, m)
+	sc.evals.Put(key, m)
 	return m, nil
 }
 
@@ -410,8 +415,9 @@ func (sc *scope) evaluate(ctx context.Context, tg *joingraph.TargetGraph, w, wor
 // that the metrics read the views' columns through — no joined column is
 // ever gathered — and common path prefixes are reused through the search's
 // prefix memo. With η > 0 the terminal path's vectors live in scr and go
-// back to it once measured. The metrics are bit-identical to those of the
-// row-store pipeline this path replaced, frozen in
+// back to it once measured. FDs that read one hop's rows are evaluated on
+// that hop's refinement (sc.quality). The metrics are bit-identical to
+// those of the row-store pipeline this path replaced, frozen in
 // testdata/evaluate_golden.json (columnar_equiv_test.go).
 func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, workers int, scr *relation.Scratch) (Metrics, error) {
 	steps, err := sc.joinSteps(tg, workers)
@@ -420,7 +426,6 @@ func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph
 	}
 	opts := sc.opts
 	opts.Workers = workers
-	fds := tg.FDs()
 	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, sc.prefixes, scr)
 	if err != nil {
 		return Metrics{}, err
@@ -431,7 +436,8 @@ func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph
 	if err != nil {
 		return Metrics{}, err
 	}
-	if err := m.measure(j, sc.x, sc.y, fds, scr); err != nil {
+	quality := func() (float64, error) { return sc.quality(j, steps, tg, scr) }
+	if err := m.measureWith(j, sc.x, sc.y, scr, quality); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
@@ -463,6 +469,11 @@ func (sc *scope) joinSteps(tg *joingraph.TargetGraph, workers int) ([]sampling.C
 // the groupings they count in scr (nil: allocated). An empty join carries
 // no correlation evidence and its quality is vacuous: both stay zero.
 func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD, scr *relation.Scratch) error {
+	return m.measureWith(j, x, y, scr, func() (float64, error) { return fd.QualitySetColumnar(j, fds, scr) })
+}
+
+// measureWith is measure with j's quality computed by quality.
+func (m *Metrics) measureWith(j *relation.Columnar, x, y []string, scr *relation.Scratch, quality func() (float64, error)) error {
 	if j.NumRows() == 0 {
 		m.Correlation, m.Quality = 0, 0
 		return nil
@@ -471,7 +482,7 @@ func (m *Metrics) measure(j *relation.Columnar, x, y []string, fds []fd.FD, scr 
 	if m.Correlation, err = infotheory.CorrelationColumnar(j, x, y, scr); err != nil {
 		return err
 	}
-	m.Quality, err = fd.QualitySetColumnar(j, fds, scr)
+	m.Quality, err = quality()
 	return err
 }
 
@@ -923,8 +934,12 @@ type scope struct {
 	err        error
 	keep       *keepSet
 	opts       sampling.PathJoinOptions
+	splitKey   string // safekey.Join(corrKey)
 	evalSuffix string // safekey.Join(corrKey, opts.CacheKey())
 	prefixes   sampling.PrefixCache
+	// evals is the shared memo of the request's evaluations: Caches.eval
+	// at η = 0, Caches.resampled at η > 0.
+	evals *memo.Memo[Metrics]
 
 	workers int
 	scr     []*relation.Scratch
@@ -934,11 +949,23 @@ type scope struct {
 // newScope starts a search of req on a pool of req.Workers goroutines
 // (≤ 0: one per CPU).
 func (s *Searcher) newScope(req Request) *scope {
-	n := parallel.DefaultWorkers(req.Workers)
-	sc := &scope{s: s, opts: req.samplingOptions(), prefixes: newPrefixMemo(),
-		workers: n, scr: make([]*relation.Scratch, n), rngs: make([]*rand.Rand, n)}
+	sc := s.graphScope(req, parallel.DefaultWorkers(req.Workers))
+	sc.prefixes = newPrefixMemo()
+	return sc
+}
+
+// graphScope starts a search of one target graph of req on a pool of
+// workers goroutines: a search without a join-prefix memo.
+func (s *Searcher) graphScope(req Request, workers int) *scope {
+	sc := &scope{s: s, opts: req.samplingOptions(),
+		workers: workers, scr: make([]*relation.Scratch, workers), rngs: make([]*rand.Rand, workers)}
 	ck := req.corrKey()
+	sc.splitKey = safekey.Join(ck)
 	sc.evalSuffix = safekey.Join(ck, sc.opts.CacheKey())
+	sc.evals = s.caches.eval
+	if sc.opts.Eta > 0 {
+		sc.evals = s.caches.resampled
+	}
 	if sc.x, sc.y, sc.err = req.corrAttrs(); sc.err == nil {
 		sc.keep = s.keepOf(ck, sc.x, sc.y)
 	}

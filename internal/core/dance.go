@@ -112,13 +112,6 @@ type Dance struct {
 	// store is the versioned offline sample state: merged incrementally by
 	// delta purchases, snapshotted immutably per rebuild.
 	store *offline.SampleStore
-	// caches is the search-layer evaluation state shared across rebuilds;
-	// its keys carry per-dataset versions, so an escalation invalidates
-	// only entries derived from datasets whose samples actually changed.
-	caches *search.Caches
-	// ji memoizes join-informativeness estimates across graph rebuilds,
-	// versioned the same way.
-	ji *joingraph.JICache
 
 	// offlineMu serializes offline rebuilds (catalog fetch, sample
 	// purchases, graph construction): concurrent escalations must not buy
@@ -176,8 +169,6 @@ func New(market marketplace.Market, cfg Config) *Dance {
 		cfg:       cfg,
 		rate:      cfg.SampleRate,
 		store:     offline.NewSampleStore(),
-		caches:    search.NewCaches(),
-		ji:        joingraph.NewJICache(),
 		persisted: make(map[string]persistedMark),
 	}
 }
@@ -428,10 +419,9 @@ type fetchOutcome struct {
 // resulting graph. Instead of re-buying complete samples, datasets already
 // held by the sample store are topped up with SampleDelta purchases — only
 // the rows with sampling unit in (oldRate, rate] — and merged copy-on-write
-// into the versioned store; the join graph and searcher are then rebuilt
-// from the merged state, with version-keyed caches preserving evaluation
-// state derived from unchanged datasets. The caller must hold offlineMu
-// (not mu). Rounds that spend money are stamped with policyName.
+// into the versioned store; the join graph and a searcher with fresh caches
+// are then built from the merged state. The caller must hold offlineMu (not
+// mu). Rounds that spend money are stamped with policyName.
 func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) error {
 	d.mu.Lock()
 	srcs := append([]source(nil), d.sources...)
@@ -517,7 +507,7 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	}
 
 	// Merge the purchases into the versioned store. Datasets with empty
-	// deltas keep their version, so caches derived from them stay valid.
+	// deltas keep their version, so persistRound does not re-journal them.
 	keep := make(map[string]bool, len(catalog))
 	for i, info := range catalog {
 		keep[info.Name] = true
@@ -572,17 +562,13 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	snap = d.store.Snapshot()
 
 	var instances []*joingraph.Instance
-	for si, s := range srcs {
+	for _, s := range srcs {
 		instances = append(instances, &joingraph.Instance{
 			Name:     s.cols.Name,
 			Columnar: s.cols, // owned data needs no sampling
 			FullRows: s.cols.NumRows(),
 			FDs:      s.fds,
 			Owned:    true,
-			// Owned tables never change, but each registered source needs
-			// a distinct cache identity even under a duplicated name — the
-			// source index is stable (AddSource only appends).
-			Version: uint64(si),
 		})
 	}
 	for _, info := range catalog {
@@ -590,7 +576,6 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 		instances = append(instances, &joingraph.Instance{
 			Name:     ds.Name,
 			Columnar: ds.Cols,
-			Version:  ds.Version,
 			FullRows: ds.FullRows,
 			FDs:      ds.FDs,
 		})
@@ -598,7 +583,6 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	g, err := joingraph.Build(instances, joingraph.Config{
 		MaxJoinAttrs: d.cfg.MaxJoinAttrs,
 		Quoter:       d.market,
-		JI:           d.ji,
 	})
 	if err != nil {
 		recordSpend()
@@ -611,15 +595,10 @@ func (d *Dance) rebuild(ctx context.Context, rate float64, policyName string) er
 	if err := d.persistRound(snap, rate); err != nil {
 		return err
 	}
-	searcher := search.NewSearcherWithCaches(g, d.caches)
-	// Drop cached state of superseded dataset versions: a long-lived
-	// session escalates many times, and each round would otherwise strand
-	// a generation of projected views and join indexes.
-	d.caches.RetainInstances(searcher)
 	d.mu.Lock()
 	d.rate = rate
 	d.graph = g
-	d.searcher = searcher
+	d.searcher = search.NewSearcher(g)
 	d.mu.Unlock()
 	return nil
 }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/pricing"
+	"github.com/dance-db/dance/internal/relation"
 )
 
 // newLegacyServer serves a marketplace without the /sample_delta endpoint,
@@ -221,38 +224,60 @@ func TestEscalatedStateMatchesFreshOffline(t *testing.T) {
 	}
 }
 
-// TestEscalationKeepsUnchangedCaches checks the per-dataset-version
-// invalidation: after a same-rate Offline refresh (all deltas empty) every
-// dataset keeps its version, so the rebuilt searcher serves evaluations
-// from the shared cache without touching the marketplace sampling path
-// again — and no money moves.
-func TestEscalationKeepsUnchangedCaches(t *testing.T) {
+// samplerCounter counts the sample purchases its marketplace is asked for.
+type samplerCounter struct {
+	marketplace.Market
+	calls atomic.Int64
+}
+
+func (c *samplerCounter) Sample(ctx context.Context, name string, joinAttrs []string, rate float64, seed uint64) (*relation.Table, float64, error) {
+	c.calls.Add(1)
+	return c.Market.Sample(ctx, name, joinAttrs, rate, seed)
+}
+
+func (c *samplerCounter) SampleDelta(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
+	c.calls.Add(1)
+	return c.Market.SampleDelta(ctx, name, joinAttrs, fromRate, toRate, seed)
+}
+
+// TestSameRateRefreshIsFree checks that an Offline refresh at the held
+// rate (every delta empty) buys nothing: the marketplace sampler is not
+// called, no money moves, and every dataset keeps the version that
+// persistedMark keys re-journaling on.
+func TestSameRateRefreshIsFree(t *testing.T) {
 	m, src := buildScenario(52)
-	d := New(m, Config{SampleRate: 0.8, SampleSeed: 5})
+	market := &samplerCounter{Market: m}
+	d := New(market, Config{SampleRate: 0.8, SampleSeed: 5})
 	d.AddSource(src, nil)
 	if _, err := d.Acquire(bg, acquisitionRequest()); err != nil {
 		t.Fatal(err)
 	}
 	cost := d.SampleCost()
 	entries := len(m.Ledger().Entries())
-
-	// Refresh at the same rate: free, and versions unchanged.
-	v0 := map[string]uint64{}
-	for _, inst := range d.Graph().Instances {
-		v0[inst.Name] = inst.Version
+	calls := market.calls.Load()
+	if calls == 0 {
+		t.Fatal("the first round bought no sample")
 	}
+	v0 := map[string]uint64{}
+	for _, ds := range d.store.Snapshot().Datasets() {
+		v0[ds.Name] = ds.Version
+	}
+
 	if err := d.Offline(bg); err != nil {
 		t.Fatal(err)
+	}
+	if got := market.calls.Load(); got != calls {
+		t.Fatalf("same-rate refresh called the marketplace sampler: %d → %d calls", calls, got)
 	}
 	if got := d.SampleCost(); got != cost {
 		t.Fatalf("same-rate refresh charged money: %v → %v", cost, got)
 	}
 	if got := len(m.Ledger().Entries()); got != entries {
-		t.Fatalf("same-rate refresh hit the marketplace sampler: %d → %d entries", entries, got)
+		t.Fatalf("same-rate refresh charged the ledger: %d → %d entries", entries, got)
 	}
-	for _, inst := range d.Graph().Instances {
-		if inst.Version != v0[inst.Name] {
-			t.Fatalf("%s version changed on a no-op refresh: %d → %d", inst.Name, v0[inst.Name], inst.Version)
+	for _, ds := range d.store.Snapshot().Datasets() {
+		if ds.Version != v0[ds.Name] {
+			t.Fatalf("%s version changed on a no-op refresh: %d → %d", ds.Name, v0[ds.Name], ds.Version)
 		}
 	}
 	if _, err := d.Acquire(bg, acquisitionRequest()); err != nil {

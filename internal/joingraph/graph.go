@@ -11,7 +11,10 @@
 // join-attribute subset, and never materializes the lattice (Def 4.1).
 //
 // All weights (join informativeness) are estimated from the correlated
-// samples DANCE holds, per Sec 3.
+// samples DANCE holds, per Sec 3. A graph is a function of the samples it
+// was built over: a sample-rate escalation builds a new graph, estimating
+// every weight afresh, and state derived from a graph (a search.Searcher's
+// caches) names instances by vertex index and is dropped with it.
 package joingraph
 
 import (
@@ -47,23 +50,6 @@ type Instance struct {
 	// Owned marks the data shopper's own source instance: it participates
 	// in joins but costs nothing to "purchase".
 	Owned bool
-	// Version identifies the sample's offline state: it increases whenever
-	// the dataset's rows (or FDs) change, and 0 for state that never
-	// changes (owned sources, or callers that don't version). Search-layer
-	// caches key on (Name, Version), so entries derived from an unchanged
-	// dataset survive a graph rebuild.
-	Version uint64
-}
-
-// CacheKey is the instance's identity for cross-rebuild caches. Owned
-// instances live in their own key namespace so a shopper source can never
-// alias a marketplace dataset's cached state (names are seller- and
-// shopper-controlled; the two spaces aren't coordinated).
-func (inst *Instance) CacheKey() string {
-	if inst.Owned {
-		return fmt.Sprintf("%s@own%d", inst.Name, inst.Version)
-	}
-	return fmt.Sprintf("%s@%d", inst.Name, inst.Version)
 }
 
 // PriceQuoter returns exact marketplace price quotes for projection queries.
@@ -83,28 +69,7 @@ type Config struct {
 	MaxJoinAttrs int
 	// Quoter supplies AS-vertex prices. Required for priced searches.
 	Quoter PriceQuoter
-	// JI optionally memoizes variant weights across graph rebuilds, keyed
-	// by the instance pair's (name, version) identity and the attribute
-	// set. With the incremental offline store most escalations change most
-	// samples — but datasets with empty deltas, and the shopper's own
-	// instances, keep their versions, and their pairwise estimates are
-	// reused instead of re-measured. Callers that rebuild graphs from
-	// *unversioned* instances must not share a JICache across different
-	// samples.
-	JI *JICache
 }
-
-// JICache memoizes join-informativeness estimates across graph rebuilds.
-// Safe for concurrent use.
-type JICache struct{ m *memo.Memo[float64] }
-
-// jiCacheCap bounds the entries held across rebuilds: superseded dataset
-// versions leave dead keys behind, and evicting one only costs
-// re-estimation on the next build.
-const jiCacheCap = 1 << 16
-
-// NewJICache returns an empty cache.
-func NewJICache() *JICache { return &JICache{memo.New[float64](1, jiCacheCap)} }
 
 // Variant is one choice of join-attribute set for an I-edge, with its
 // estimated join informativeness (the AS-edge weight of Def 4.2).
@@ -170,34 +135,11 @@ func Build(instances []*Instance, cfg Config) (*Graph, error) {
 				continue
 			}
 			e := &IEdge{I: i, J: j, Shared: shared}
-			subsets := enumerateSubsets(shared, cfg.MaxJoinAttrs)
-			// Length-prefixed parts: instance names are seller-controlled
-			// free text, so any printable separator could alias two
-			// different (pair, attrs) composites. safekey.Join is
-			// prefix-compositional, so the pair prefix hoists out of the
-			// attrs loop.
-			pairKey := ""
-			if cfg.JI != nil {
-				pairKey = safekey.Join(instances[i].CacheKey(), instances[j].CacheKey())
-			}
-			for _, attrs := range subsets {
-				var ji float64
-				var hit bool
-				key := ""
-				if cfg.JI != nil {
-					key = pairKey + safekey.Join(attrs...)
-					ji, hit = cfg.JI.m.Get(key)
-				}
-				if !hit {
-					var err error
-					ji, err = infotheory.JoinInformativeness(instances[i].Columnar, instances[j].Columnar, attrs)
-					if err != nil {
-						return nil, fmt.Errorf("joingraph: JI(%s, %s) on %v: %w",
-							instances[i].Name, instances[j].Name, attrs, err)
-					}
-					if cfg.JI != nil {
-						cfg.JI.m.Put(key, ji)
-					}
+			for _, attrs := range enumerateSubsets(shared, cfg.MaxJoinAttrs) {
+				ji, err := infotheory.JoinInformativeness(instances[i].Columnar, instances[j].Columnar, attrs)
+				if err != nil {
+					return nil, fmt.Errorf("joingraph: JI(%s, %s) on %v: %w",
+						instances[i].Name, instances[j].Name, attrs, err)
 				}
 				e.Variants = append(e.Variants, Variant{JoinAttrs: attrs, JI: ji})
 			}

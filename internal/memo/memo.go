@@ -1,8 +1,8 @@
 // Package memo is the bounded, concurrency-safe memo behind every cache of
 // pure-function results on the serving path: metric evaluations, projected
-// views, join indexes, join-informativeness estimates and projection prices,
-// which live as long as the process or a join graph, and each search's own
-// join prefixes, which die with the search. A memoized value is a function
+// views, join indexes, FD refinements and projection prices, which live as
+// long as the process or a join graph, and each search's own join prefixes,
+// which die with the search. A memoized value is a function
 // of its key, so evicting an entry or storing a racing twin never changes a
 // result; it only costs a recomputation.
 //
@@ -15,7 +15,6 @@ package memo
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -125,25 +124,6 @@ func (m *Memo[V]) Put(key string, v V) {
 		s.cost -= s.m[s.fifo[0]].cost
 		delete(s.m, s.fifo[0])
 		s.fifo = s.fifo[1:]
-	}
-}
-
-// DeleteFunc drops every entry whose value del reports true for. del runs
-// under the shard's lock and must not call back into the memo.
-func (m *Memo[V]) DeleteFunc(del func(V) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		s.fifo = slices.DeleteFunc(s.fifo, func(k string) bool {
-			e := s.m[k]
-			if !del(e.v) {
-				return false
-			}
-			s.cost -= e.cost
-			delete(s.m, k)
-			return true
-		})
-		s.mu.Unlock()
 	}
 }
 

@@ -8,17 +8,16 @@
 // needs only the delta rows with unit in (ρ, ρ′], appended in place. The
 // SampleStore materializes this: each dataset's sample is held once, as its
 // dictionary encoding (relation.Columnar), and extended copy-on-write by
-// appending the delta's rows; every change bumps a monotonically increasing
-// version, and Snapshot exposes immutable views that searches keep using
-// while the next escalation merges. Row tables appear only at the edges:
-// purchases arrive as rows and are encoded on arrival, and the persist
-// journal is written from the decoded encoding.
+// appending the delta's rows; every change bumps the dataset's version, and
+// Snapshot exposes immutable views that searches keep using while the next
+// escalation merges. Row tables appear only at the edges: purchases arrive
+// as rows and are encoded on arrival, and the persist journal is written
+// from the decoded encoding.
 //
-// Versions key the search-layer caches (evaluator, columnar, join-index,
-// join-prefix): a dataset whose rows did not change across a rebuild — an
-// empty delta, or the shopper's own data — keeps its version, and every
-// cache entry derived from it stays valid instead of being dropped
-// wholesale.
+// A dataset whose rows and FDs did not change across a round — an empty
+// delta — keeps its version, so the middleware can skip re-journaling it.
+// Search-layer caches do not read versions: each rebuilt join graph gets
+// a fresh searcher.
 package offline
 
 import (
@@ -43,8 +42,8 @@ type Dataset struct {
 	Seed uint64
 	// Rate is the sampling rate the rows cover.
 	Rate float64
-	// Version increases whenever the dataset's rows or FDs change; it keys
-	// the per-dataset cache invalidation downstream.
+	// Version increases whenever the dataset's rows or FDs change; the
+	// middleware re-journals a dataset only when it moved.
 	Version uint64
 	// FullRows is the marketplace-reported cardinality of the full
 	// instance.
@@ -58,8 +57,6 @@ type Dataset struct {
 // Snapshot is an immutable view of the whole store at one state version.
 // Searches run against a snapshot while the store merges the next round.
 type Snapshot struct {
-	// Version is the store-wide state version at snapshot time.
-	Version uint64
 	// Rate is the last committed store-wide sampling rate.
 	Rate float64
 
@@ -111,7 +108,6 @@ func (s *SampleStore) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &Snapshot{
-		Version:  s.version,
 		Rate:     s.rate,
 		order:    append([]string(nil), s.order...),
 		datasets: make(map[string]*Dataset, len(s.datasets)),
@@ -155,8 +151,7 @@ func (s *SampleStore) Replace(name string, t *relation.Table, joinAttrs []string
 // (d.Rate, toRate] in canonical order — onto the dataset's current state,
 // copy-on-write: existing snapshots keep the old Dataset untouched. An
 // empty delta updates the covered rate and cardinality but keeps the rows,
-// the columnar encoding and the version, so every downstream cache entry
-// derived from the dataset survives the escalation.
+// the columnar encoding and the version.
 func (s *SampleStore) Extend(name string, delta *relation.Table, toRate float64, fullRows int) (*Dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,9 +189,8 @@ func (s *SampleStore) Extend(name string, delta *relation.Table, toRate float64,
 }
 
 // SetFDs updates a dataset's AFDs. The version bumps only when the set
-// actually changed — quality metrics depend on FDs, so cached evaluations
-// must not survive an FD change, but re-publishing identical FDs every
-// round must not invalidate anything. The stored slice is always non-nil
+// actually changed, so re-publishing identical FDs every round leaves
+// nothing to re-journal. The stored slice is always non-nil
 // once SetFDs has run, so "FDs were resolved (possibly to none)" is
 // distinguishable from "never resolved" — the middleware uses that to skip
 // re-discovery over unchanged rows even when discovery found nothing.

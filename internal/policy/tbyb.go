@@ -128,7 +128,7 @@ func (tbybPolicy) Acquire(ctx context.Context, h Host, req Request) ([]Ranked, e
 
 	rate := pilotRate
 	for round := 0; ; round++ {
-		options, err := tbybSearch(ctx, h, req, byName, active, weights, shortlist, uint64(round))
+		options, err := tbybSearch(ctx, h, req, byName, active, weights, shortlist)
 		if err != nil {
 			if errors.Is(err, search.ErrInfeasible) && round < maxRounds && rate < 1 {
 				// Nothing feasible on these samples yet: escalate every
@@ -200,16 +200,15 @@ func (tbybPolicy) Acquire(ctx context.Context, h Host, req Request) ([]Ranked, e
 // tbybSearch builds a join graph over the policy's private samples of the
 // active listings (plus the shopper's owned sources) and ranks candidate
 // plans on it.
-func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tbybPilot, active []string, weights search.ScoreWeights, shortlist int, version uint64) ([]search.Option, error) {
+func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tbybPilot, active []string, weights search.ScoreWeights, shortlist int) ([]search.Option, error) {
 	var instances []*joingraph.Instance
-	for si, s := range h.Sources() {
+	for _, s := range h.Sources() {
 		instances = append(instances, &joingraph.Instance{
 			Name:     s.Columnar.Name,
 			Columnar: s.Columnar,
 			FullRows: s.Columnar.NumRows(),
 			FDs:      s.FDs,
 			Owned:    true,
-			Version:  uint64(si),
 		})
 	}
 	for _, name := range active {
@@ -219,7 +218,6 @@ func tbybSearch(ctx context.Context, h Host, req Request, byName map[string]*tby
 			Columnar: p.cols,
 			FullRows: p.info.Rows,
 			FDs:      p.fds,
-			Version:  version, // fresh searcher per round: any constant works
 		})
 	}
 	g, err := joingraph.Build(instances, joingraph.Config{

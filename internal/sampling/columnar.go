@@ -124,7 +124,7 @@ type ColumnarStep struct {
 	// workers.
 	Index *relation.JoinIndex
 	// ID is a stable identity of the step's table for prefix-cache keys
-	// (search uses the versioned instance key). Steps with equal IDs must
+	// (search uses the instance's vertex index). Steps with equal IDs must
 	// carry the same columnar data.
 	ID string
 }

@@ -346,27 +346,13 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 		return 0, 0, err
 	}
 	rng := rand.New(rand.NewSource(req.Seed + 99))
-	first := true
+	var span priceSpan
 	for _, tr := range cands {
 		tg, err := s.treeToTargetGraph(tr, req)
 		if err != nil {
 			continue
 		}
-		consider := func(t *joingraph.TargetGraph) error {
-			p, err := t.Price(ctx)
-			if err != nil {
-				return err
-			}
-			if first || p < lb {
-				lb = p
-			}
-			if first || p > ub {
-				ub = p
-			}
-			first = false
-			return nil
-		}
-		if err := consider(tg); err != nil {
+		if err := span.addPrice(ctx, tg); err != nil {
 			return 0, 0, err
 		}
 		for k := 0; k < samples; k++ {
@@ -376,7 +362,7 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 				nv := len(s.G.EdgeBetween(e.I, e.J).Variants)
 				cand.Edges[ei].Variant = rng.Intn(nv)
 			}
-			if err := consider(cand); err != nil {
+			if err := span.addPrice(ctx, cand); err != nil {
 				return 0, 0, err
 			}
 		}
@@ -385,14 +371,12 @@ func (s *Searcher) ApproxPriceRange(ctx context.Context, req Request, samples in
 		if err != nil {
 			return 0, 0, err
 		}
-		if full > ub {
-			ub = full
-		}
+		span.raise(full)
 	}
-	if first {
+	if !span.found {
 		return 0, 0, fmt.Errorf("search: no candidate target graphs for price range")
 	}
-	return lb, ub, nil
+	return span.lb, span.ub, nil
 }
 
 // PriceRange scans all feasible target graphs (ignoring budget) and returns
@@ -413,25 +397,14 @@ func (s *Searcher) PriceRange(ctx context.Context, req Request) (lb, ub float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	first := true
+	var span priceSpan
 	err = s.forEachTree(all, holders, func(verts []int, tree [][2]int, assign map[string]int) error {
 		// Walk every variant combination: the paper's UB is the maximum
 		// price over all possible paths, and variants change which join
 		// attributes are purchased. Pricing is cached per (instance,
 		// attribute set), so this is cheap.
 		err := s.walkVariants(ctx, verts, tree, assign, func(tg *joingraph.TargetGraph) error {
-			p, err := tg.Price(ctx)
-			if err != nil {
-				return err
-			}
-			if first || p < lb {
-				lb = p
-			}
-			if first || p > ub {
-				ub = p
-			}
-			first = false
-			return nil
+			return span.addPrice(ctx, tg)
 		})
 		if err != nil {
 			return err
@@ -443,18 +416,48 @@ func (s *Searcher) PriceRange(ctx context.Context, req Request) (lb, ub float64,
 		if err != nil {
 			return err
 		}
-		if full > ub {
-			ub = full
-		}
+		span.raise(full)
 		return nil
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	if first {
+	if !span.found {
 		return 0, 0, fmt.Errorf("search: no target graph exists for price range")
 	}
-	return lb, ub, nil
+	return span.lb, span.ub, nil
+}
+
+// priceSpan folds target-graph prices into their [lb, ub] range, as
+// bestFold folds correlations: empty until the first price is added.
+type priceSpan struct {
+	lb, ub float64
+	found  bool
+}
+
+// addPrice widens the span to tg's price.
+func (p *priceSpan) addPrice(ctx context.Context, tg *joingraph.TargetGraph) error {
+	v, err := tg.Price(ctx)
+	if err != nil {
+		return err
+	}
+	if !p.found || v < p.lb {
+		p.lb = v
+	}
+	if !p.found || v > p.ub {
+		p.ub = v
+	}
+	p.found = true
+	return nil
+}
+
+// raise lifts the upper end to v, a whole-instance purchase price. It
+// leaves the span empty: the first target-graph price still sets both
+// ends.
+func (p *priceSpan) raise(v float64) {
+	if v > p.ub {
+		p.ub = v
+	}
 }
 
 // fullInstancesPrice sums the whole-instance price over the given vertices

@@ -7,14 +7,13 @@ import (
 	"github.com/dance-db/dance/internal/sampling"
 )
 
-// evalCacheShardCap bounds one shard of the shared memo of η = 0 metric
-// evaluations. The memo outlives a single Searcher (it is shared across
-// offline rebuilds, keyed by dataset version), so without a bound a
-// long-lived escalating session would accumulate one generation of dead
-// entries per round. Metrics are small, so the bound is generous.
+// evalCacheShardCap bounds one shard of a Searcher's memo of η = 0 metric
+// evaluations. The middleware serves every request of a sampling round
+// from one Searcher, so a long round over many X/Y splits would otherwise
+// grow it without end. Metrics are small, so the bound is generous.
 const evalCacheShardCap = 1 << 12
 
-// resampledEvalShardCap bounds one shard of the shared memo of η > 0
+// resampledEvalShardCap bounds one shard of a Searcher's memo of η > 0
 // evaluations. Their keys carry the request's re-sampling seed, so an entry
 // serves only a later request with the same seed: a shopper repeating a
 // request, shoppers sharing a seed or omitting it (108 of 120 lookups hit
@@ -76,7 +75,7 @@ const maxJoinedSchemas = 1024
 const maxFDPlans = 1024
 
 // The refinement memo holds each anchored FD's base-row refinement
-// (fd.RefineBase), keyed by the versioned instance and the FD's columns. An
+// (fd.RefineBase), keyed by the instance's vertex and the FD's columns. An
 // exact FD's refinement is a flag; any other holds an int32 per base row,
 // so each shard is bounded by its summed base rows as well as by entries,
 // and a refinement of a huge sample is never kept.
@@ -89,68 +88,50 @@ const (
 
 // maxJoinIndexes bounds the join-index memo. An index holds a row list per
 // key of an instance sample, so it is the heaviest entry here; a graph
-// needs one per (instance, join-attribute set) its candidate paths probe,
-// and Retain drops superseded versions.
+// needs one per (instance, join-attribute set) its candidate paths probe.
 const maxJoinIndexes = 256
 
-// owned tags a memoized value with the versioned instance it derives from,
-// so Retain can select entries by instance without parsing keys.
-type owned[T any] struct {
-	inst string
-	v    T
-}
-
-// Caches bundles the memoized evaluation state — metric evaluations,
-// projected views of the instances' columnar encodings, join indexes, FD
-// refinements and joined schemas — so it can outlive a single Searcher.
-// Every key incorporates the owning instance's (name, version) identity; a
-// sample-rate escalation therefore invalidates exactly the entries of
-// datasets whose rows changed, while state derived from unchanged datasets
-// (empty deltas, owned sources) keeps hitting. Safe for concurrent use by
-// any number of Searchers.
-type Caches struct {
+// cacheSet is one Searcher's memoized evaluation state: metric
+// evaluations, projected views of the instances' columnar encodings, join
+// indexes, FD refinements, joined schemas, keep sets and FD plans. It lives
+// and dies with its Searcher, so it is a function of one join graph: every
+// key names an instance by its vertex index in the graph, never by its
+// name. Every memo is safe for concurrent use.
+type cacheSet struct {
 	// eval holds η = 0 evaluations, resampled η > 0 ones.
 	eval, resampled *memo.Memo[Metrics]
-	views           *memo.Memo[owned[*relation.Columnar]]
-	joinIdx         *memo.Memo[owned[*relation.JoinIndex]]
-	refines         *memo.Memo[owned[*fd.Refinement]]
+	views           *memo.Memo[*relation.Columnar]
+	joinIdx         *memo.Memo[*relation.JoinIndex]
+	refines         *memo.Memo[*fd.Refinement]
 	// schemas memoizes the schemas of the joins searches run. Execute
 	// (Realize) never reaches it: its joins build their schemas once.
 	schemas *relation.SchemaMemo
+	// keeps memoizes the keep set of each X/Y split (Request.corrKey): a
+	// function of the split and of the graph, so one per split serves
+	// every search.
+	keeps *memo.Memo[*keepSet]
+	// plans memoizes the FD classification of each (X/Y split, join plan)
+	// the searches evaluated (fdPlanOf).
+	plans *memo.Memo[*fdPlan]
 }
 
-// NewCaches returns an empty cache set.
-func NewCaches() *Caches {
-	return &Caches{
+// newCacheSet returns an empty cache set.
+func newCacheSet() *cacheSet {
+	return &cacheSet{
 		eval:      memo.New[Metrics](memo.Shards(32), evalCacheShardCap),
 		resampled: memo.New[Metrics](memo.Shards(16), resampledEvalShardCap),
-		views:     memo.New[owned[*relation.Columnar]](1, maxViews),
-		joinIdx:   memo.New[owned[*relation.JoinIndex]](1, maxJoinIndexes),
+		views:     memo.New[*relation.Columnar](1, maxViews),
+		joinIdx:   memo.New[*relation.JoinIndex](1, maxJoinIndexes),
 		refines:   newRefineMemo(refineShards, refineShardCap, refineEntryMaxRows),
 		schemas:   relation.NewSchemaMemo(maxJoinedSchemas),
+		keeps:     memo.New[*keepSet](1, maxKeepSets),
+		plans:     memo.New[*fdPlan](1, maxFDPlans),
 	}
 }
 
 // newRefineMemo builds a refinement memo of shards shards of at most
 // entries refinements each, bounded in base rows, that keeps no refinement
 // of more than maxRows base rows.
-func newRefineMemo(shards, entries, maxRows int) *memo.Memo[owned[*fd.Refinement]] {
-	return memo.NewCosted(shards, entries, refineShardRowBudget, maxRows,
-		func(e owned[*fd.Refinement]) int { return e.v.BaseRows() })
-}
-
-// RetainInstances drops the heavyweight cached state — projected views,
-// join indexes and FD refinements — of instances whose versioned key is not
-// one of s's. A long-lived session escalates repeatedly, and every
-// escalation supersedes most dataset versions; pruning frees a generation
-// of per-row indexes at once instead of waiting for eviction. (Evaluations
-// are small and age out; join prefixes die with their search.)
-func (c *Caches) RetainInstances(s *Searcher) {
-	live := make(map[string]bool, len(s.instKey))
-	for _, k := range s.instKey {
-		live[k] = true
-	}
-	c.views.DeleteFunc(func(e owned[*relation.Columnar]) bool { return !live[e.inst] })
-	c.joinIdx.DeleteFunc(func(e owned[*relation.JoinIndex]) bool { return !live[e.inst] })
-	c.refines.DeleteFunc(func(e owned[*fd.Refinement]) bool { return !live[e.inst] })
+func newRefineMemo(shards, entries, maxRows int) *memo.Memo[*fd.Refinement] {
+	return memo.NewCosted(shards, entries, refineShardRowBudget, maxRows, (*fd.Refinement).BaseRows)
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -10,10 +11,9 @@ import (
 	"github.com/dance-db/dance/internal/safekey"
 )
 
-// rebuildGraph builds the scenario graph with explicit per-instance
-// versions (and optionally a mutated tgt1 sample), imitating what the
-// incremental offline store hands the searcher after an escalation.
-func rebuildGraph(t *testing.T, seed int64, versions map[string]uint64, mutate func(map[string]*relation.Table)) (*joingraph.Graph, map[string]*relation.Table) {
+// rebuildGraph builds the scenario graph, optionally over a mutated
+// sample, as an offline round hands the searcher its graph.
+func rebuildGraph(t *testing.T, seed int64, mutate func(map[string]*relation.Table)) *joingraph.Graph {
 	t.Helper()
 	insts, tables := scenario(seed)
 	if mutate != nil {
@@ -22,124 +22,78 @@ func rebuildGraph(t *testing.T, seed int64, versions map[string]uint64, mutate f
 			inst.Columnar = relation.ToColumnar(tables[inst.Name])
 		}
 	}
-	for _, inst := range insts {
-		inst.Version = versions[inst.Name]
-	}
 	g, err := joingraph.Build(insts, joingraph.Config{
 		Quoter: &testQuoter{model: pricing.Cached(pricing.DefaultEntropyModel()), tables: tables},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, tables
+	return g
 }
 
-// TestSharedCachesVersionedInvalidation pins the per-dataset-version cache
-// keying: a cache set shared across two searchers must keep serving entries
-// for unchanged (same-version) instances, and must NOT serve stale metrics
-// once an instance's sample changed under a bumped version.
-func TestSharedCachesVersionedInvalidation(t *testing.T) {
-	caches := NewCaches()
-	v1 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 3, "tgt2": 4}
+// memoSizes counts the entries of a cache set's evaluation, projected-view,
+// join-index and refinement memos.
+func memoSizes(c *cacheSet) [4]int {
+	return [4]int{c.eval.Len() + c.resampled.Len(), c.views.Len(), c.joinIdx.Len(), c.refines.Len()}
+}
 
-	g1, _ := rebuildGraph(t, 3, v1, nil)
-	s1 := NewSearcherWithCaches(g1, caches)
+// TestSearcherCachesServeRepeatedSearches pins what a Searcher's caches
+// are for: every request of a round runs on one Searcher, so a repeated
+// request is served from them, adding no entry and returning the identical
+// result, at η = 0 and at η > 0. A Searcher over a rebuilt graph starts
+// empty and measures the new samples, as a fresh one does.
+func TestSearcherCachesServeRepeatedSearches(t *testing.T) {
+	s := NewSearcher(tpchGraph(t))
+	for _, eta := range []int{0, 50} {
+		req := resampledRequest(eta, 2)
+		first, err := s.Heuristic(bg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := memoSizes(s.caches)
+		if warm[0] == 0 || warm[1] == 0 || warm[2] == 0 {
+			t.Fatalf("η = %d: the search cached nothing: %v", eta, warm)
+		}
+		again, err := s.Heuristic(bg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := memoSizes(s.caches); got != warm {
+			t.Fatalf("η = %d: a repeated search grew the memos %v → %v", eta, warm, got)
+		}
+		sameResult(t, fmt.Sprintf("η = %d repeated search", eta), first, again)
+	}
+	if s.caches.refines.Len() == 0 {
+		t.Fatal("the searches built no refinement")
+	}
+
+	// The tgt1 sample changes under a rebuild: rewrite yval so every key3
+	// maps to the same label, and correlation through the tgt1 chain
+	// collapses.
 	req := baseRequest()
-	res1, err := s1.Heuristic(bg, req)
+	old, err := NewSearcher(rebuildGraph(t, 3, nil)).Heuristic(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := caches.eval.Len()
-	if warm == 0 {
-		t.Fatal("no evaluations were cached")
-	}
-
-	// Same versions, new Searcher: everything hits, nothing re-evaluates.
-	g2, _ := rebuildGraph(t, 3, v1, nil)
-	s2 := NewSearcherWithCaches(g2, caches)
-	res2, err := s2.Heuristic(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caches.eval.Len() != warm {
-		t.Fatalf("same-version rebuild re-evaluated: cache %d → %d", warm, caches.eval.Len())
-	}
-	if fingerprint(res1.TG) != fingerprint(res2.TG) || res1.Est != res2.Est {
-		t.Fatal("same-version rebuild changed the result")
-	}
-
-	// Bump tgt1's version with a *changed* sample: evaluations touching
-	// tgt1 must be redone (the cache grows), and the metrics reflect the
-	// new data rather than the cached old values.
-	v2 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 30, "tgt2": 4}
-	g3, _ := rebuildGraph(t, 3, v2, func(tables map[string]*relation.Table) {
+	g := rebuildGraph(t, 3, func(tables map[string]*relation.Table) {
 		tgt1 := tables["tgt1"]
-		// Rewrite yval so every key3 maps to the same label: correlation
-		// through the tgt1 chain collapses.
 		for i := range tgt1.Rows {
 			tgt1.Rows[i][1] = relation.StringValue("same")
 		}
 	})
-	s3 := NewSearcherWithCaches(g3, caches)
-	res3, err := s3.Heuristic(bg, req)
+	rebuilt := NewSearcher(g)
+	got, err := rebuilt.Heuristic(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if caches.eval.Len() == warm {
-		t.Fatal("bumped version served stale cached evaluations")
+	if got.Est.Correlation >= old.Est.Correlation {
+		t.Fatalf("correlation %v should drop below %v after tgt1 degraded", got.Est.Correlation, old.Est.Correlation)
 	}
-	if res3.Est.Correlation >= res1.Est.Correlation {
-		t.Fatalf("stale metrics: correlation %v should drop below %v after tgt1 degraded",
-			res3.Est.Correlation, res1.Est.Correlation)
-	}
-
-	// Sanity: a *fresh* cache on the degraded graph agrees with s3 — the
-	// shared cache did not contaminate the new evaluation.
-	s4 := NewSearcher(g3)
-	res4, err := s4.Heuristic(bg, req)
+	fresh, err := NewSearcher(g).Heuristic(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res4.Est != res3.Est {
-		t.Fatalf("shared-cache result %+v != fresh-cache result %+v", res3.Est, res4.Est)
-	}
-}
-
-// TestRetainPrunesProjectedViews pins that RetainInstances drops the
-// projected views (and encodings and join indexes) of superseded instance
-// versions, and keeps every live instance's state.
-func TestRetainPrunesProjectedViews(t *testing.T) {
-	caches := NewCaches()
-	v1 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 3, "tgt2": 4}
-	g1, _ := rebuildGraph(t, 3, v1, nil)
-	if _, err := NewSearcherWithCaches(g1, caches).Heuristic(bg, baseRequest()); err != nil {
-		t.Fatal(err)
-	}
-	v2 := map[string]uint64{"mid1": 1, "mid2": 2, "tgt1": 30, "tgt2": 4}
-	g2, _ := rebuildGraph(t, 3, v2, nil)
-	s2 := NewSearcherWithCaches(g2, caches)
-	if _, err := s2.Heuristic(bg, baseRequest()); err != nil {
-		t.Fatal(err)
-	}
-	tag := s2.keepFor([]string{"xval"}, []string{"yval"}).tag
-	hasView := func(inst string) bool {
-		_, ok := caches.views.Get(safekey.Join(inst, tag))
-		return ok
-	}
-	dead := g1.Instances[g1.InstanceIndex("tgt1")].CacheKey()
-	live := s2.instKey[g2.InstanceIndex("tgt1")]
-	if !hasView(dead) || !hasView(live) {
-		t.Fatalf("expected views of both %s and %s before pruning", dead, live)
-	}
-	caches.RetainInstances(s2)
-	if hasView(dead) {
-		t.Fatalf("RetainInstances kept projected views of dead instance %s", dead)
-	}
-	for _, k := range s2.instKey {
-		if !hasView(k) {
-			t.Fatalf("RetainInstances dropped projected views of live instance %s", k)
-		}
-	}
+	sameResult(t, "rebuilt graph", fresh, got)
 }
 
 // TestSearcherReusesBuildEncoding pins that evaluation reads the encoding
@@ -147,7 +101,7 @@ func TestRetainPrunesProjectedViews(t *testing.T) {
 // cached shares its columns' codes and dictionaries with that encoding by
 // pointer, so no sample is encoded twice.
 func TestSearcherReusesBuildEncoding(t *testing.T) {
-	g, _ := rebuildGraph(t, 3, nil, nil)
+	g := rebuildGraph(t, 3, nil)
 	s := NewSearcher(g)
 	if _, err := s.Heuristic(bg, baseRequest()); err != nil {
 		t.Fatal(err)
@@ -158,13 +112,13 @@ func TestSearcherReusesBuildEncoding(t *testing.T) {
 		if enc == nil {
 			t.Fatalf("instance %s has no encoding after Build", inst.Name)
 		}
-		e, ok := s.caches.views.Get(safekey.Join(s.instKey[v], tag))
+		view, ok := s.caches.views.Get(safekey.Join(vertexKey(v), tag))
 		if !ok {
 			t.Fatalf("the search cached no projected view of %s", inst.Name)
 		}
-		for j, col := range e.v.Schema().Names() {
+		for j, col := range view.Schema().Names() {
 			k := enc.Schema().Index(col)
-			if e.v.Dict(j) != enc.Dict(k) || &e.v.Codes(j)[0] != &enc.Codes(k)[0] {
+			if view.Dict(j) != enc.Dict(k) || &view.Codes(j)[0] != &enc.Codes(k)[0] {
 				t.Fatalf("view of %s re-encoded column %s", inst.Name, col)
 			}
 		}
@@ -182,26 +136,36 @@ func TestCorrKeysDoNotAliasOnNUL(t *testing.T) {
 }
 
 // TestJoinIndexKeysDoNotAliasOnNUL pins that join-index keys keep seller
-// column names apart: on one instance, on = ["a","b"] and on = ["a\x00b"]
-// are different indexes.
+// column names and vertices apart: on one instance, on = ["a","b"] and
+// on = ["a\x00b"] are different indexes, and two instances of one name
+// never share an index.
 func TestJoinIndexKeysDoNotAliasOnNUL(t *testing.T) {
-	tab := relation.NewTable("t", relation.NewSchema(relation.Cat("a", relation.KindInt),
-		relation.Cat("b", relation.KindInt), relation.Cat("a\x00b", relation.KindInt)))
-	for i := int64(0); i < 4; i++ {
-		tab.AppendValues(relation.IntValue(i), relation.IntValue(i), relation.IntValue(i))
+	var insts []*joingraph.Instance
+	for _, n := range []int64{4, 5} {
+		tab := relation.NewTable("t", relation.NewSchema(relation.Cat("a", relation.KindInt),
+			relation.Cat("b", relation.KindInt), relation.Cat("a\x00b", relation.KindInt)))
+		for i := int64(0); i < n; i++ {
+			tab.AppendValues(relation.IntValue(i), relation.IntValue(i), relation.IntValue(i))
+		}
+		insts = append(insts, &joingraph.Instance{Name: "t", Columnar: relation.ToColumnar(tab), FullRows: int(n)})
 	}
-	g, err := joingraph.Build([]*joingraph.Instance{{Name: "t", Columnar: relation.ToColumnar(tab), FullRows: 4}}, joingraph.Config{})
+	g, err := joingraph.Build(insts, joingraph.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSearcher(g)
 	for _, on := range [][]string{{"a", "b"}, {"a\x00b"}} {
-		idx, err := s.joinIndexOf(0, on, 1)
-		if err != nil {
-			t.Fatal(err)
+		var idxs [2]*relation.JoinIndex
+		for v := range idxs {
+			if idxs[v], err = s.joinIndexOf(v, on, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(idxs[v].On, on) {
+				t.Fatalf("join index for on = %q is the index on %q", on, idxs[v].On)
+			}
 		}
-		if !slices.Equal(idx.On, on) {
-			t.Fatalf("join index for on = %q is the index on %q", on, idx.On)
+		if idxs[0] == idxs[1] {
+			t.Fatalf("vertices 0 and 1 share the join index on %q", on)
 		}
 	}
 }

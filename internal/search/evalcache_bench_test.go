@@ -50,5 +50,5 @@ func BenchmarkEvalCacheContentionSingleShard(b *testing.B) {
 }
 
 func BenchmarkEvalCacheContentionSharded(b *testing.B) {
-	benchmarkEvalCacheContention(b, NewCaches().eval)
+	benchmarkEvalCacheContention(b, newCacheSet().eval)
 }

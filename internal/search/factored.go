@@ -19,8 +19,8 @@ import (
 // follows from one refinement of the base rows (fd.RefineBase) and two
 // sweeps over the vector (fd.QualityFactored). Which hop anchors which FD
 // is a function of the join plan, classified once per (X/Y split, plan);
-// refinements are built once per (versioned instance, FD) and shared
-// through Caches.
+// refinements are built once per (instance, FD) and shared through the
+// Searcher's cache set.
 
 // fdPlan is the classification of the FDs of one join plan: the FDs
 // anchored at a hop, and the rest, which the path kernel evaluates.
@@ -35,9 +35,9 @@ type anchoredFD struct {
 	hop int // the hop, and its row-id vector on the path
 	// cols are the FD's columns in the hop's view: LHS, then RHS.
 	cols []int
-	// inst is the hop's versioned instance key, and key the refinement's
-	// memo key: inst and the FD's column names in the view.
-	inst, key string
+	// key is the refinement's memo key: the hop's vertex key and the FD's
+	// column names in the view.
+	key string
 }
 
 // quality returns Q of the non-empty join path j of tg's join steps, for
@@ -65,7 +65,7 @@ func (sc *scope) quality(j *relation.Columnar, steps []sampling.ColumnarStep, tg
 // path is j, computing it on the (X/Y split, plan)'s first evaluation.
 func (sc *scope) fdPlanOf(steps []sampling.ColumnarStep, j *relation.Columnar, tg *joingraph.TargetGraph) *fdPlan {
 	key := sc.planKey(steps)
-	if p, ok := sc.s.plans.Get(key); ok {
+	if p, ok := sc.s.caches.plans.Get(key); ok {
 		return p
 	}
 	p := &fdPlan{}
@@ -77,14 +77,14 @@ func (sc *scope) fdPlanOf(steps []sampling.ColumnarStep, j *relation.Columnar, t
 		}
 	}
 	p.rest = slices.Clip(p.rest)
-	sc.s.plans.Put(key, p)
+	sc.s.caches.plans.Put(key, p)
 	return p
 }
 
-// planKey identifies the join plan of steps — each hop's versioned
-// instance and join attributes — under the scope's X/Y split, whose keep
-// set fixes the views' column indexes. Instance and attribute names are
-// seller text, so every part is length-prefixed.
+// planKey identifies the join plan of steps — each hop's vertex and join
+// attributes — under the scope's X/Y split, whose keep set fixes the views'
+// column indexes. Attribute names are seller text, so every part is
+// length-prefixed.
 func (sc *scope) planKey(steps []sampling.ColumnarStep) string {
 	var buf [256]byte
 	b := append(buf[:0], sc.splitKey...)
@@ -142,7 +142,7 @@ func anchorOf(f fd.FD, steps []sampling.ColumnarStep, j *relation.Columnar) (anc
 			names[i] = view.Schema().Column(c).Name
 		}
 		key := safekey.Join(hop.ID, safekey.Join(names[:len(names)-1]...), names[len(names)-1])
-		return anchoredFD{f: f, hop: h, cols: cols, inst: hop.ID, key: key}, true
+		return anchoredFD{f: f, hop: h, cols: cols, key: key}, true
 	}
 	return anchoredFD{}, false
 }
@@ -155,8 +155,8 @@ func anchorOf(f fd.FD, steps []sampling.ColumnarStep, j *relation.Columnar) (anc
 // evaluated only a few times each. Nor is one built for a view too large
 // for the memo to keep, which would refine it again on every evaluation.
 func (s *Searcher) refinementOf(a *anchoredFD, view *relation.Columnar, pathRows int, scr *relation.Scratch) *fd.Refinement {
-	if e, ok := s.caches.refines.Get(a.key); ok {
-		return e.v
+	if ref, ok := s.caches.refines.Get(a.key); ok {
+		return ref
 	}
 	if pathRows < view.NumRows() || !s.caches.refines.Admits(view.NumRows()) {
 		return nil
@@ -166,6 +166,6 @@ func (s *Searcher) refinementOf(a *anchoredFD, view *relation.Columnar, pathRows
 	if err != nil {
 		return nil // the path kernel reports it
 	}
-	s.caches.refines.Put(a.key, owned[*fd.Refinement]{inst: a.inst, v: ref})
+	s.caches.refines.Put(a.key, ref)
 	return ref
 }

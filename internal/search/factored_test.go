@@ -206,58 +206,16 @@ func factoredMatchesPathKernel(sc *scope, c *oracleCase, workers int, scr *relat
 	defer tally.mu.Unlock()
 	for _, a := range plan.anchors {
 		tally.anchored++
-		if e, ok := sc.s.caches.refines.Get(a.key); ok {
+		if ref, ok := sc.s.caches.refines.Get(a.key); ok {
 			switch {
-			case e.v.Holds():
+			case ref.Holds():
 				tally.holding++
-			case e.v.Factored():
+			case ref.Factored():
 				tally.refined++
 			}
 		}
 	}
 	return nil
-}
-
-// RetainInstances drops the FD refinements of a superseded instance
-// version, and keeps every live instance's.
-func TestRetainDropsRefinements(t *testing.T) {
-	h := tpch.Generate(tpch.Config{Scale: 1, Seed: 1, DirtyFraction: 0.3})
-	caches := NewCaches()
-	g1 := sampledGraph(t, h.Tables, h.FDs, "")
-	if _, err := NewSearcherWithCaches(g1, caches).Heuristic(bg, resampledRequest(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	refinements := func() map[string]int {
-		n := map[string]int{}
-		caches.refines.DeleteFunc(func(e owned[*fd.Refinement]) bool {
-			n[e.inst]++
-			return false
-		})
-		return n
-	}
-	before := refinements()
-	dead := -1
-	for i, inst := range g1.Instances {
-		if before[inst.CacheKey()] > 0 {
-			dead = i
-			break
-		}
-	}
-	if dead < 0 {
-		t.Fatal("the search built no refinement")
-	}
-	g2 := sampledGraph(t, h.Tables, h.FDs, "")
-	g2.Instances[dead].Version++
-	caches.RetainInstances(NewSearcherWithCaches(g2, caches))
-	after := refinements()
-	for k, n := range before {
-		if k == g1.Instances[dead].CacheKey() {
-			n = 0
-		}
-		if after[k] != n {
-			t.Fatalf("instance %s keeps %d refinements after RetainInstances, want %d", k, after[k], n)
-		}
-	}
 }
 
 // A refinement is first built by an evaluation whose path has at least as

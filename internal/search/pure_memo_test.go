@@ -17,24 +17,23 @@ import (
 
 // oneEntrySearch runs search on a searcher over g with every search memo
 // bounded to a single entry, so nearly every lookup misses and every store
-// evicts: those of its cache set, its keep-set and FD-plan memos, and the
-// prefix memo of every search it starts.
+// evicts: those of its cache set and the prefix memo of every search it
+// starts.
 func oneEntrySearch(g *joingraph.Graph, search func(*Searcher) ([]*Result, error)) ([]*Result, error) {
 	defer func(old func() sampling.PrefixCache) { newPrefixMemo = old }(newPrefixMemo)
 	newPrefixMemo = func() sampling.PrefixCache {
 		return memo.NewCosted(1, 1, prefixCacheShardRowBudget, prefixEntryMaxRows, (*relation.Columnar).NumRows)
 	}
-	s := NewSearcherWithCaches(g, &Caches{
+	return search(&Searcher{G: g, caches: &cacheSet{
 		eval:      memo.New[Metrics](1, 1),
 		resampled: memo.New[Metrics](1, 1),
-		views:     memo.New[owned[*relation.Columnar]](1, 1),
-		joinIdx:   memo.New[owned[*relation.JoinIndex]](1, 1),
+		views:     memo.New[*relation.Columnar](1, 1),
+		joinIdx:   memo.New[*relation.JoinIndex](1, 1),
 		refines:   newRefineMemo(1, 1, refineEntryMaxRows),
 		schemas:   relation.NewSchemaMemo(1),
-	})
-	s.keeps = memo.New[*keepSet](1, 1)
-	s.plans = memo.New[*fdPlan](1, 1)
-	return search(s)
+		keeps:     memo.New[*keepSet](1, 1),
+		plans:     memo.New[*fdPlan](1, 1),
+	}})
 }
 
 // sampledGraph builds a join graph over correlated samples of tables, each
@@ -120,7 +119,7 @@ func TestSearchMemosArePure(t *testing.T) {
 		for _, r := range fx.reqs {
 			for _, sr := range searches {
 				what := fmt.Sprintf("%s %s %v→%v", fx.name, sr.name, r.SourceAttrs, r.TargetAttrs)
-				want, err := sr.run(NewSearcherWithCaches(fx.g, NewCaches()), r)
+				want, err := sr.run(NewSearcher(fx.g), r)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}

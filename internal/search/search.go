@@ -108,13 +108,13 @@ func (r Request) withDefaults() Request {
 // source-less request form).
 func (r Request) corrAttrs() (x, y []string, err error) {
 	if len(r.TargetAttrs) == 0 {
-		return nil, nil, fmt.Errorf("search: no target attributes")
+		return nil, nil, fmt.Errorf("search: no target attributes: %w", ErrInfeasible)
 	}
 	if len(r.SourceAttrs) > 0 {
 		return r.SourceAttrs, r.TargetAttrs, nil
 	}
 	if len(r.TargetAttrs) < 2 {
-		return nil, nil, fmt.Errorf("search: source-less request needs ≥ 2 target attributes")
+		return nil, nil, fmt.Errorf("search: source-less request needs ≥ 2 target attributes: %w", ErrInfeasible)
 	}
 	return r.TargetAttrs[:1], r.TargetAttrs[1:], nil
 }
@@ -155,41 +155,18 @@ type Result struct {
 // use: every cache is a concurrency-safe memo, and every search derives
 // chain-local RNGs instead of mutating shared state.
 //
-// The caches may be shared across Searchers (NewSearcherWithCaches): every
-// cache key incorporates the per-instance (name, version) identity, so a
-// graph rebuilt from an incrementally merged sample store invalidates only
-// the entries of datasets whose offline state actually changed.
+// Its caches are its own and key instances by vertex index, so they serve
+// every search over the graph and die with it: a rebuilt graph gets a new
+// Searcher.
 type Searcher struct {
 	G *joingraph.Graph
 
-	caches *Caches
-	// instKey is each instance's versioned cache identity, precomputed.
-	instKey []string
-	// keeps memoizes the keep set of each X/Y split (Request.corrKey): a
-	// function of the split and of G, so one per split serves every search.
-	keeps *memo.Memo[*keepSet]
-	// plans memoizes the FD classification of each (X/Y split, join plan)
-	// the searches evaluated (fdPlanOf).
-	plans *memo.Memo[*fdPlan]
+	caches *cacheSet
 }
 
-// NewSearcher wraps a join graph with a private cache set (the classic
-// one-searcher-per-graph mode).
+// NewSearcher wraps a join graph with an empty cache set.
 func NewSearcher(g *joingraph.Graph) *Searcher {
-	return NewSearcherWithCaches(g, NewCaches())
-}
-
-// NewSearcherWithCaches wraps a join graph around a shared cache set. The
-// middleware passes one Caches across sample-rate escalations so that
-// evaluation state derived from unchanged datasets survives the rebuild.
-func NewSearcherWithCaches(g *joingraph.Graph, caches *Caches) *Searcher {
-	s := &Searcher{G: g, caches: caches, keeps: memo.New[*keepSet](1, maxKeepSets),
-		plans: memo.New[*fdPlan](1, maxFDPlans)}
-	s.instKey = make([]string, len(g.Instances))
-	for i, inst := range g.Instances {
-		s.instKey[i] = inst.CacheKey()
-	}
-	return s
+	return &Searcher{G: g, caches: newCacheSet()}
 }
 
 // keepSet is the column projection evaluateUncached joins under: X ∪ Y,
@@ -213,11 +190,11 @@ type keepSet struct {
 // keepOf returns the keep set of the X/Y split x, y, whose corrKey is key,
 // computing it on the split's first search.
 func (s *Searcher) keepOf(key string, x, y []string) *keepSet {
-	if k, ok := s.keeps.Get(key); ok {
+	if k, ok := s.caches.keeps.Get(key); ok {
 		return k
 	}
 	k := s.keepFor(x, y)
-	s.keeps.Put(key, k)
+	s.caches.keeps.Put(key, k)
 	return k
 }
 
@@ -271,15 +248,18 @@ func renameShaped(name string) bool {
 	return true
 }
 
+// vertexKey is instance v's identity in cache keys: its vertex index.
+func vertexKey(v int) string { return strconv.Itoa(v) }
+
 // viewOf returns instance v's columnar encoding projected to keep, shared
-// per (versioned instance, keep set).
+// per (vertex, keep set).
 func (s *Searcher) viewOf(v int, keep *keepSet) *relation.Columnar {
-	key := safekey.Join(s.instKey[v], keep.tag)
-	if e, ok := s.caches.views.Get(key); ok {
-		return e.v
+	key := safekey.Join(vertexKey(v), keep.tag)
+	if c, ok := s.caches.views.Get(key); ok {
+		return c
 	}
 	c := s.G.Instances[v].Columnar.Project(keep.names)
-	s.caches.views.Put(key, owned[*relation.Columnar]{inst: s.instKey[v], v: c})
+	s.caches.views.Put(key, c)
 	return c
 }
 
@@ -290,17 +270,17 @@ func (s *Searcher) viewOf(v int, keep *keepSet) *relation.Columnar {
 // different (instance, attrs) pairs don't serialize; a racing duplicate
 // build is harmless (indexes are immutable and equal).
 func (s *Searcher) joinIndexOf(v int, on []string, workers int) (*relation.JoinIndex, error) {
-	// Instance and attribute names are seller text: length-prefixed parts
-	// keep on = ["a","b"] apart from on = ["a\x00b"].
-	key := safekey.Join(append([]string{s.instKey[v]}, on...)...)
-	if e, ok := s.caches.joinIdx.Get(key); ok {
-		return e.v, nil
+	// Attribute names are seller text: length-prefixed parts keep
+	// on = ["a","b"] apart from on = ["a\x00b"].
+	key := safekey.Join(append([]string{vertexKey(v)}, on...)...)
+	if idx, ok := s.caches.joinIdx.Get(key); ok {
+		return idx, nil
 	}
 	idx, err := s.G.Instances[v].Columnar.BuildJoinIndex(workers, on...)
 	if err != nil {
 		return nil, err
 	}
-	s.caches.joinIdx.Put(key, owned[*relation.JoinIndex]{inst: s.instKey[v], v: idx})
+	s.caches.joinIdx.Put(key, idx)
 	return idx, nil
 }
 
@@ -354,31 +334,20 @@ func (r Request) corrKey() string {
 	return safekey.Join(safekey.Join(r.SourceAttrs...), safekey.Join(r.TargetAttrs...))
 }
 
-// evalKey extends the target-graph fingerprint with the versioned identity
-// of every participating instance, then the scope's X/Y split and sampling
-// options: metrics are a function of the samples, so a cache shared across
-// rebuilds must distinguish dataset versions — and, by keying per instance,
-// entries for target graphs touching only unchanged datasets keep hitting
-// after an escalation. Instance keys carry seller-controlled names, so the
-// parts are length-prefixed (safekey.Join): instance keys "p@1;q@2", "r@3"
-// and "p@1", "q@2;r@3" must not render one key. safekey.Join concatenates
-// its parts' encodings, so appending the precomputed suffix renders the
-// key of the whole part list.
+// evalKey extends the target-graph fingerprint, which names instances by
+// vertex, with the scope's X/Y split and sampling options. safekey.Join
+// concatenates its parts' encodings, so appending the precomputed suffix
+// renders the key of the whole part list.
 func (sc *scope) evalKey(tg *joingraph.TargetGraph) string {
-	parts := make([]string, 0, len(tg.Vertices)+1)
-	parts = append(parts, fingerprint(tg))
-	for _, v := range tg.Vertices {
-		parts = append(parts, sc.s.instKey[v])
-	}
-	return safekey.Join(parts...) + sc.evalSuffix
+	return safekey.Join(fingerprint(tg)) + sc.evalSuffix
 }
 
 // Evaluate computes the estimated metrics of tg on the held samples,
 // re-sampling intermediate joins per the request. Results are memoized
-// under the (target-graph fingerprint, instance versions, X/Y split,
-// sampling options) tuple, so one cache set can serve requests with
-// different attribute splits, Eta/ResampleRate/Seed, or offline state
-// versions without cross-contamination, from any number of goroutines.
+// under the (target-graph fingerprint, X/Y split, sampling options) tuple,
+// so the Searcher's cache set serves requests with different attribute
+// splits or Eta/ResampleRate/Seed without cross-contamination, from any
+// number of goroutines.
 //
 // Evaluate is a search of one target graph: its scope — scratch memory —
 // lives for the call. It publishes only distinct join prefixes, so it
@@ -445,7 +414,7 @@ func (sc *scope) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph
 
 // joinSteps resolves tg's join plan to the search's steps: each hop's
 // projected view, its shared build-side join index (built with up to
-// workers goroutines) and its versioned instance key.
+// workers goroutines) and its vertex key.
 func (sc *scope) joinSteps(tg *joingraph.TargetGraph, workers int) ([]sampling.ColumnarStep, error) {
 	s := sc.s
 	hops, err := tg.JoinPlan()
@@ -454,7 +423,7 @@ func (sc *scope) joinSteps(tg *joingraph.TargetGraph, workers int) ([]sampling.C
 	}
 	steps := make([]sampling.ColumnarStep, len(hops))
 	for i, hp := range hops {
-		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, sc.keep), On: hp.On, ID: s.instKey[hp.Vertex]}
+		st := sampling.ColumnarStep{C: s.viewOf(hp.Vertex, sc.keep), On: hp.On, ID: vertexKey(hp.Vertex)}
 		if i > 0 {
 			if st.Index, err = s.joinIndexOf(hp.Vertex, hp.On, workers); err != nil {
 				return nil, err
@@ -621,9 +590,11 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 	il := s.G.ILayer()
 	rng := rand.New(rand.NewSource(req.Seed))
 
+	// Cover errors are the request's own: no attribute to cover, or one
+	// nobody sells.
 	targetCovers, err := s.G.TargetCovers(req.TargetAttrs, req.MaxCovers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", err, ErrInfeasible)
 	}
 	var sourceCovers [][]int
 	if len(req.SourceAttrs) > 0 {
@@ -633,7 +604,7 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 		// (free) instances.
 		sourceCovers, err = s.G.SourceCovers(req.SourceAttrs, req.MaxCovers)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", err, ErrInfeasible)
 		}
 		sort.SliceStable(sourceCovers, func(a, b int) bool {
 			return s.nonOwnedCount(sourceCovers[a]) < s.nonOwnedCount(sourceCovers[b])
@@ -937,8 +908,8 @@ type scope struct {
 	splitKey   string // safekey.Join(corrKey)
 	evalSuffix string // safekey.Join(corrKey, opts.CacheKey())
 	prefixes   sampling.PrefixCache
-	// evals is the shared memo of the request's evaluations: Caches.eval
-	// at η = 0, Caches.resampled at η > 0.
+	// evals is the Searcher's memo of the request's evaluations:
+	// cacheSet.eval at η = 0, cacheSet.resampled at η > 0.
 	evals *memo.Memo[Metrics]
 
 	workers int

@@ -69,6 +69,9 @@ type AcquireRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// toRequest converts the wire request. Workers is capped at GOMAXPROCS: a
+// search is bit-identical for every worker count and sizes per-worker
+// state by it, so a shopper's huge value could only exhaust memory.
 func (r AcquireRequest) toRequest() Request {
 	return Request{
 		SourceAttrs:  r.SourceAttrs,
@@ -83,7 +86,7 @@ func (r AcquireRequest) toRequest() Request {
 		MaxCovers:    r.MaxCovers,
 		MaxIGraphs:   r.MaxIGraphs,
 		Seed:         r.Seed,
-		Workers:      r.Workers,
+		Workers:      min(r.Workers, runtime.GOMAXPROCS(0)),
 		Greedy:       r.Greedy,
 		Policy:       r.Policy,
 		PolicyParams: r.PolicyParams,

@@ -166,11 +166,12 @@ func RecoverOne(ctx context.Context, spec workload.Spec, seed int64, o RecoveryO
 	if err != nil {
 		// A request-infeasible outcome is a legitimate non-recovery — the
 		// policy found no plan within the optimum budget, or abandoned the
-		// acquisition on weak pilots; any other failure is an
+		// acquisition on weak pilots; any other failure, a malformed
+		// request (search.ErrInvalidRequest) included, is an engine or
 		// infrastructure error that must surface — counting it as
 		// non-recovery would let an engine regression read as a slightly
 		// lower recovery rate.
-		if errors.Is(err, search.ErrInfeasible) {
+		if errors.Is(err, search.ErrInfeasible) && !errors.Is(err, search.ErrInvalidRequest) {
 			out.Infeasible = true
 			return out, nil
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -222,6 +224,74 @@ func TestEscalatingPoliciesErrorText(t *testing.T) {
 		}
 		if !errors.Is(err, search.ErrInfeasible) {
 			t.Errorf("%s k=%d: error %v does not wrap ErrInfeasible", tc.policy, tc.k, err)
+		}
+	}
+}
+
+// countingMarket counts the sampling calls a policy makes and sums what
+// the marketplace charged for them.
+type countingMarket struct {
+	marketplace.Market
+	samples, deltas atomic.Int32
+	mu              sync.Mutex
+	charged         float64
+}
+
+func (m *countingMarket) charge(cost float64) {
+	m.mu.Lock()
+	m.charged += cost
+	m.mu.Unlock()
+}
+
+func (m *countingMarket) Sample(ctx context.Context, name string, joinAttrs []string, rate float64, seed uint64) (*relation.Table, float64, error) {
+	m.samples.Add(1)
+	t, cost, err := m.Market.Sample(ctx, name, joinAttrs, rate, seed)
+	m.charge(cost)
+	return t, cost, err
+}
+
+func (m *countingMarket) SampleDelta(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
+	m.deltas.Add(1)
+	t, cost, err := m.Market.SampleDelta(ctx, name, joinAttrs, fromRate, toRate, seed)
+	m.charge(cost)
+	return t, cost, err
+}
+
+// A request no sample can fix — an attribute nobody sells, a lone
+// source-less target — fails as search.ErrInvalidRequest after the first
+// sampling round: no policy escalates it, so the only spend is the first
+// round's (the offline samples, or the try-before-you-buy pilot).
+func TestInvalidRequestBuysNoEscalation(t *testing.T) {
+	spec, err := workload.ParseSpec("chain:3,decoys=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(spec, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range policy.Names() {
+		for _, targets := range [][]string{{w.Truth.X, "nosuchattr"}, {w.Truth.X}} {
+			market := &countingMarket{Market: w.Marketplace()}
+			mw := core.New(market, core.Config{SampleRate: 0.5, SampleSeed: 86, Workers: 1})
+			catalog, err := market.Catalog(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := search.Request{TargetAttrs: targets, Iterations: 40, Seed: 22, Workers: 1, Policy: name}
+			_, err = mw.Acquire(context.Background(), req)
+			if !errors.Is(err, search.ErrInvalidRequest) || !errors.Is(err, search.ErrInfeasible) {
+				t.Errorf("%s %v: error %v, want ErrInvalidRequest wrapping ErrInfeasible", name, targets, err)
+			}
+			if n := market.deltas.Load(); n != 0 {
+				t.Errorf("%s %v: %d SampleDelta calls, want 0", name, targets, n)
+			}
+			if n := market.samples.Load(); int(n) != len(catalog) {
+				t.Errorf("%s %v: %d Sample calls, want one per listing (%d)", name, targets, n, len(catalog))
+			}
+			if got := mw.SampleCost(); math.Abs(got-market.charged) > 1e-9*math.Max(1, got) {
+				t.Errorf("%s %v: SampleCost %v, but the first round charged %v", name, targets, got, market.charged)
+			}
 		}
 	}
 }

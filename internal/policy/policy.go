@@ -17,6 +17,7 @@ package policy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -206,7 +207,8 @@ func namesLocked() []string {
 // searchEscalating is the round loop of the policies that search the
 // Host's own offline state: search the current snapshot — single in
 // single-plan mode, ranked when req.K > 0 — and return on success; on a
-// failed search, unless ctx is done, escalate the sample rate and search
+// failed search, unless ctx is done or the request is one no sample can
+// fix (search.ErrInvalidRequest), escalate the sample rate and search
 // again, for up to Limits.MaxSampleRounds rounds. When the rounds run out
 // or the rate cannot grow, the last search error is wrapped as "<what>
 // after N sample rounds".
@@ -238,6 +240,9 @@ func searchEscalating(ctx context.Context, h Host, req Request, what string,
 		}
 		if ctx.Err() != nil {
 			return nil, err
+		}
+		if errors.Is(err, search.ErrInvalidRequest) {
+			return nil, fmt.Errorf("%s: %w", what, err)
 		}
 		lastErr = err
 		if round == rounds-1 {

@@ -130,7 +130,8 @@ func (tbybPolicy) Acquire(ctx context.Context, h Host, req Request) ([]Ranked, e
 	for round := 0; ; round++ {
 		options, err := tbybSearch(ctx, h, req, byName, active, weights, shortlist)
 		if err != nil {
-			if errors.Is(err, search.ErrInfeasible) && round < maxRounds && rate < 1 {
+			if errors.Is(err, search.ErrInfeasible) && !errors.Is(err, search.ErrInvalidRequest) &&
+				round < maxRounds && rate < 1 {
 				// Nothing feasible on these samples yet: escalate every
 				// active listing and look again.
 				next := math.Min(1, rate*growth)

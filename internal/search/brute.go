@@ -136,7 +136,7 @@ func (s *Searcher) holderMasks(attrs []string, req Request) ([]uint32, error) {
 			holders[ai] |= 1 << uint(i)
 		}
 		if holders[ai] == 0 {
-			return nil, fmt.Errorf("search: attribute %q not offered by any instance: %w", a, ErrInfeasible)
+			return nil, fmt.Errorf("search: attribute %q not offered by any instance: %w", a, ErrInvalidRequest)
 		}
 	}
 	return holders, nil

@@ -32,6 +32,13 @@ import (
 // status.
 var ErrInfeasible = errors.New("request infeasible")
 
+// ErrInvalidRequest marks the infeasible requests that no sample can fix:
+// no target attribute, a lone source-less target, or an attribute nobody
+// sells. It wraps ErrInfeasible, so services still answer it as the
+// shopper's problem, but loops that escalate the sample rate on
+// ErrInfeasible must not retry it: a larger sample buys nothing for it.
+var ErrInvalidRequest = fmt.Errorf("invalid request: %w", ErrInfeasible)
+
 // Request is one data-acquisition request (Sec 2.5).
 type Request struct {
 	// SourceAttrs is AS. If empty, the request degenerates to finding the
@@ -108,13 +115,13 @@ func (r Request) withDefaults() Request {
 // source-less request form).
 func (r Request) corrAttrs() (x, y []string, err error) {
 	if len(r.TargetAttrs) == 0 {
-		return nil, nil, fmt.Errorf("search: no target attributes: %w", ErrInfeasible)
+		return nil, nil, fmt.Errorf("search: no target attributes: %w", ErrInvalidRequest)
 	}
 	if len(r.SourceAttrs) > 0 {
 		return r.SourceAttrs, r.TargetAttrs, nil
 	}
 	if len(r.TargetAttrs) < 2 {
-		return nil, nil, fmt.Errorf("search: source-less request needs ≥ 2 target attributes: %w", ErrInfeasible)
+		return nil, nil, fmt.Errorf("search: source-less request needs ≥ 2 target attributes: %w", ErrInvalidRequest)
 	}
 	return r.TargetAttrs[:1], r.TargetAttrs[1:], nil
 }
@@ -594,7 +601,7 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 	// nobody sells.
 	targetCovers, err := s.G.TargetCovers(req.TargetAttrs, req.MaxCovers)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrInfeasible)
+		return nil, fmt.Errorf("%w: %w", err, ErrInvalidRequest)
 	}
 	var sourceCovers [][]int
 	if len(req.SourceAttrs) > 0 {
@@ -604,7 +611,7 @@ func (s *Searcher) step1Candidates(req Request) ([]*graphalg.SteinerTree, error)
 		// (free) instances.
 		sourceCovers, err = s.G.SourceCovers(req.SourceAttrs, req.MaxCovers)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %w", err, ErrInfeasible)
+			return nil, fmt.Errorf("%w: %w", err, ErrInvalidRequest)
 		}
 		sort.SliceStable(sourceCovers, func(a, b int) bool {
 			return s.nonOwnedCount(sourceCovers[a]) < s.nonOwnedCount(sourceCovers[b])

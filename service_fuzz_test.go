@@ -6,42 +6,20 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
+	"time"
 
 	dance "github.com/dance-db/dance"
 )
 
-// fuzzTimeoutMS bounds every fuzzed request's server-side work, so that a
-// body asking for 2^30 iterations ends by cancellation.
-const fuzzTimeoutMS = 20
+// fuzzTimeout bounds every fuzzed request's server-side work through the
+// request context, from which the service derives its deadline, so that a
+// body asking for 2^30 iterations ends by cancellation while the service
+// still decodes the fuzzed bytes as sent.
+const fuzzTimeout = 20 * time.Millisecond
 
 // fuzzPaths are the v1 endpoints that decode a shopper's JSON body.
 var fuzzPaths = []string{"/v1/acquire", "/v1/topk", "/v1/execute"}
-
-// withTimeout returns body with its timeout_ms set to fuzzTimeoutMS when
-// body starts with a JSON object, as the service decodes it: only the first
-// JSON value counts, and keys match fields case-insensitively, so every key
-// that folds to timeout_ms is replaced. Any other body is returned as is;
-// the service rejects it before it can start a search.
-func withTimeout(body []byte) []byte {
-	var obj map[string]json.RawMessage
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&obj); err != nil || obj == nil {
-		return body
-	}
-	for k := range obj {
-		if strings.EqualFold(k, "timeout_ms") {
-			delete(obj, k)
-		}
-	}
-	obj["timeout_ms"] = json.RawMessage(strconv.Itoa(fuzzTimeoutMS))
-	out, err := json.Marshal(obj)
-	if err != nil {
-		return body
-	}
-	return out
-}
 
 // FuzzServiceRequest posts arbitrary bodies to danced's v1 endpoints over
 // a tiny in-memory marketplace. The service must never panic, and every
@@ -61,13 +39,13 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Cleanup(func() { svc.Close() })
 	h := svc.Handler()
 
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
+	post := func(ctx context.Context, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(withTimeout(body))))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
 		return rec
 	}
 	acquire := `{"source_attrs":["income"],"target_attrs":["riskband"],"budget":1e9,"iterations":40,"seed":2}`
-	rec := post("/v1/acquire", []byte(acquire))
+	rec := post(context.Background(), "/v1/acquire", []byte(acquire))
 	var plan dance.PlanInfo
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &plan) != nil {
 		f.Fatalf("seed acquire: %d %s", rec.Code, rec.Body)
@@ -95,7 +73,9 @@ func FuzzServiceRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
 		path := fuzzPaths[int(sel)%len(fuzzPaths)]
-		rec := post(path, body)
+		ctx, cancel := context.WithTimeout(context.Background(), fuzzTimeout)
+		defer cancel()
+		rec := post(ctx, path, body)
 		if rec.Code/100 == 2 {
 			return
 		}

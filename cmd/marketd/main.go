@@ -129,7 +129,7 @@ func priceModelFor(dir string) pricing.Model {
 }
 
 // loadDir registers every .csv in dir; an optional *.fds file declares FDs
-// as "table: A,B -> C" lines.
+// as "table: A,B -> C" lines (fd.Format syntax).
 func loadDir(m *marketplace.InMemory, dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -143,14 +143,15 @@ func loadDir(m *marketplace.InMemory, dir string) error {
 				return err
 			}
 			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" {
+				if strings.TrimSpace(line) == "" {
 					continue
 				}
 				parts := strings.SplitN(line, ":", 2)
 				if len(parts) != 2 {
 					return fmt.Errorf("malformed FD line %q", line)
 				}
+				// Parse drops the FD's unescaped edge whitespace (a CR
+				// included) and keeps an escaped one.
 				f, err := fd.Parse(parts[1])
 				if err != nil {
 					return err

@@ -4,8 +4,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"github.com/dance-db/dance/internal/datadir"
+	"github.com/dance-db/dance/internal/fd"
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/relation"
 	"github.com/dance-db/dance/internal/workload"
@@ -43,6 +46,30 @@ func TestLoadDirRoundTrip(t *testing.T) {
 	fds, err := m.DatasetFDs(context.Background(), "alpha")
 	if err != nil || len(fds) != 1 || fds[0].RHS != "v" {
 		t.Fatalf("fds = %v, %v", fds, err)
+	}
+}
+
+// FDs over names that hold the FD syntax's delimiters (edge spaces
+// included) survive datadir.WriteTables and loadDir unchanged.
+func TestLoadDirDelimiterNames(t *testing.T) {
+	dir := t.TempDir()
+	tab := relation.NewTable("odd", relation.NewSchema(
+		relation.Cat("a,b", relation.KindInt),
+		relation.Cat("p→q ", relation.KindInt),
+		relation.Cat(" c", relation.KindInt),
+	))
+	tab.AppendValues(relation.IntValue(1), relation.IntValue(2), relation.IntValue(3))
+	want := []fd.FD{fd.New(" c", "a,b"), fd.New(" c", "p→q ")}
+	if _, err := datadir.WriteTables(dir, []*relation.Table{tab}, map[string][]fd.FD{"odd": want}, "odd"); err != nil {
+		t.Fatal(err)
+	}
+	m := marketplace.NewInMemory(nil)
+	if err := loadDir(m, dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.DatasetFDs(context.Background(), "odd")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fds = %q, %v; want %q", got, err, want)
 	}
 }
 

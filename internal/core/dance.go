@@ -797,8 +797,9 @@ type Purchase struct {
 	// Tables are the bought projections, in query order.
 	Tables []*relation.Table
 	// Joined is the equi-join of owned sources and purchases along the
-	// plan's target graph, in columnar form (ToTable decodes it to rows;
-	// see search.Realize for which columns stay raw floats).
+	// plan's target graph: a join path of row ids over their encodings, no
+	// column gathered (ToTable decodes it to rows; see search.Realize for
+	// which columns stay raw floats).
 	Joined *relation.Columnar
 	// TotalPrice is the sum actually charged by the marketplace.
 	TotalPrice float64

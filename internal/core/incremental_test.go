@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,19 +11,6 @@ import (
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 )
-
-// newLegacyServer serves a marketplace without the /sample_delta endpoint,
-// imitating a server built before delta sampling existed.
-func newLegacyServer(m marketplace.Market) *httptest.Server {
-	inner := marketplace.Handler(m)
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/sample_delta") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-}
 
 // TestEscalationBillsOnlyDeltas is the ledger proof of the acceptance
 // criterion: escalating 0.05 → 0.15 → 0.45 → 1 bills, per dataset, exactly
@@ -285,13 +270,12 @@ func TestSameRateRefreshIsFree(t *testing.T) {
 	}
 }
 
-// TestEscalationAgainstLegacyHTTPServer drives the middleware against a
-// marketplace that predates /sample_delta: the client capability probe
-// falls back to full samples, and the escalation still converges to the
-// same offline state (it just cannot bill the difference).
-func TestEscalationAgainstLegacyHTTPServer(t *testing.T) {
+// TestEscalationOverHTTP drives the middleware against a remote marketplace:
+// an escalation round buys one sample delta per listing (no full sample)
+// and converges to the offline state of a fresh run at the escalated rate.
+func TestEscalationOverHTTP(t *testing.T) {
 	backend, src := buildScenario(53)
-	srv := newLegacyServer(backend)
+	srv := httptest.NewServer(marketplace.Handler(backend))
 	defer srv.Close()
 
 	d := New(marketplace.NewClient(srv.URL), Config{SampleRate: 0.2, SampleSeed: 6, RateGrowth: 4})
@@ -299,11 +283,21 @@ func TestEscalationAgainstLegacyHTTPServer(t *testing.T) {
 	if err := d.Offline(bg); err != nil {
 		t.Fatal(err)
 	}
+	samples := len(backend.Ledger().Entries())
 	if _, err := d.Escalate(bg); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.SampleRate(); got != 0.8 {
 		t.Fatalf("rate = %v, want 0.8", got)
+	}
+	escalation := backend.Ledger().Entries()[samples:]
+	if len(escalation) != samples {
+		t.Fatalf("escalation billed %d entries, want one per listing (%d)", len(escalation), samples)
+	}
+	for _, e := range escalation {
+		if e.Kind != "sample_delta" {
+			t.Fatalf("escalation billed a %q for %s, want sample_delta", e.Kind, e.Dataset)
+		}
 	}
 	fresh := New(backend, Config{SampleRate: 0.8, SampleSeed: 6})
 	fresh.AddSource(src, nil)
@@ -313,7 +307,7 @@ func TestEscalationAgainstLegacyHTTPServer(t *testing.T) {
 	for i, inst := range d.Graph().Instances {
 		want := fresh.Graph().Instances[i]
 		if inst.Name != want.Name || inst.Columnar.NumRows() != want.Columnar.NumRows() {
-			t.Fatalf("legacy-fallback state diverged for %s: %d rows vs %d",
+			t.Fatalf("escalated state diverged for %s: %d rows vs %d",
 				inst.Name, inst.Columnar.NumRows(), want.Columnar.NumRows())
 		}
 	}

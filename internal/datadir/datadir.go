@@ -1,6 +1,7 @@
 // Package datadir writes datasets in the directory layout marketd serves
 // with -dir: one typed CSV per table plus a .fds file declaring each
-// table's approximate functional dependencies as "table: A,B -> C" lines.
+// table's approximate functional dependencies as "table: A,B -> C" lines
+// (fd.Format syntax).
 // cmd/datagen (tpch/tpce and synthetic workloads alike) and
 // workload.WriteDir share it, so the layout cannot drift between
 // generators.
@@ -38,7 +39,7 @@ func WriteTables(dir string, tables []*relation.Table, fds map[string][]fd.FD, f
 	var lines []string
 	for _, t := range tables {
 		for _, f := range fds[t.Name] {
-			lines = append(lines, t.Name+": "+strings.Join(f.LHS, ",")+" -> "+f.RHS)
+			lines = append(lines, t.Name+": "+fd.Format(f))
 		}
 	}
 	path := filepath.Join(dir, fdsName+".fds")

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,6 +89,56 @@ func TestParseAndString(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// syntaxRepros are FDs whose names hold the wire syntax's delimiters: each
+// rendered without escapes parsed back as another FD.
+var syntaxRepros = []FD{
+	New("c", "a,b"), // LHS split into [a b]
+	New("c", " a"),  // edge space trimmed
+	New("c", "p→q"), // LHS [p], RHS "q -> c"
+}
+
+// TestFormatRoundTrip: Parse inverts Format for names holding delimiters,
+// and names without delimiters render as they always have.
+func TestFormatRoundTrip(t *testing.T) {
+	for _, f := range append(syntaxRepros,
+		New("z", "x\\", "y->"), New(" ", "\t"), New("a -> b", "c,d → e")) {
+		g, err := Parse(Format(f))
+		if err != nil || !reflect.DeepEqual(f, g) {
+			t.Fatalf("Parse(Format(%q)) = %q, %v", f, g, err)
+		}
+	}
+	if got := Format(New("state", "zip", "city")); got != "city,zip -> state" {
+		t.Fatalf("Format = %q", got)
+	}
+	if got := Format(New("p-q", "a>b", "x y")); got != "a>b,x y -> p-q" {
+		t.Fatalf("Format = %q", got)
+	}
+	if _, err := Parse(`a -> b\`); err == nil {
+		t.Fatal("a bare trailing escape parsed")
+	}
+}
+
+// FuzzFDSyntax: Parse never panics, and an FD it accepts survives Format
+// and Parse unchanged.
+func FuzzFDSyntax(f *testing.F) {
+	for _, fd := range syntaxRepros {
+		f.Add(strings.Join(fd.LHS, ",") + " -> " + fd.RHS)
+		f.Add(Format(fd))
+	}
+	f.Add("zip , city → state")
+	f.Add(`a\,b\ -> \→c`)
+	f.Fuzz(func(t *testing.T, s string) {
+		fd, err := Parse(s)
+		if err != nil {
+			return
+		}
+		again, err := Parse(Format(fd))
+		if err != nil || !reflect.DeepEqual(fd, again) {
+			t.Fatalf("Parse(%q) = %q, but its Format %q parses as %q, %v", s, fd, Format(fd), again, err)
+		}
+	})
 }
 
 func TestAppliesTo(t *testing.T) {

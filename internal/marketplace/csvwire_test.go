@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/dance-db/dance/internal/fd"
-	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
 )
 
@@ -96,34 +95,6 @@ func TestCSVModeResponse(t *testing.T) {
 	}
 }
 
-// jsonOnlyHandler serves the wire surface of a server without the CSV
-// media type or the catalog's fds field, and counts GET /fds requests.
-func jsonOnlyHandler(m Market, fdsHits *atomic.Int64) http.Handler {
-	inner := Handler(m)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		switch r.URL.Path {
-		case "/fds":
-			fdsHits.Add(1)
-		case "/catalog":
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, r)
-			var infos []map[string]json.RawMessage
-			if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			for _, info := range infos {
-				delete(info, "fds")
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(infos)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
 // countingHandler counts GET /fds requests to a current server.
 func countingHandler(m Market, fdsHits *atomic.Int64) http.Handler {
 	inner := Handler(m)
@@ -135,75 +106,103 @@ func countingHandler(m Market, fdsHits *atomic.Int64) http.Handler {
 	})
 }
 
-// TestClientAgainstJSONOnlyServer: a current Client gets identical tables,
-// prices and FDs from a current server and from one without the CSV media
-// type and catalog FDs; only the old server needs GET /fds.
-func TestClientAgainstJSONOnlyServer(t *testing.T) {
-	var oldHits, newHits atomic.Int64
-	oldSrv := httptest.NewServer(jsonOnlyHandler(demoMarket(), &oldHits))
-	defer oldSrv.Close()
-	newSrv := httptest.NewServer(countingHandler(demoMarket(), &newHits))
-	defer newSrv.Close()
-	oldC, newC := NewClient(oldSrv.URL), NewClient(newSrv.URL)
+// TestCatalogCarriesFDs: once a Catalog has listed a dataset's FDs the
+// client answers DatasetFDs without GET /fds; a name that catalog did not
+// list falls back to GET /fds and keeps its typed error.
+func TestCatalogCarriesFDs(t *testing.T) {
+	var hits atomic.Int64
+	backend := demoMarket()
+	srv := httptest.NewServer(countingHandler(backend, &hits))
+	defer srv.Close()
+	c := NewClient(srv.URL)
 
-	type answer struct {
-		csv   string
-		price float64
+	cat, err := c.Catalog(bg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buy := func(c *Client) []answer {
-		var out []answer
-		add := func(tab *relation.Table, price float64, err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := tab.WriteCSV(&buf); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, answer{buf.String(), price})
-		}
-		add(c.Sample(bg, "alpha", []string{"k"}, 0.4, 3))
-		add(c.SampleDelta(bg, "alpha", []string{"k"}, 0.4, 0.9, 3))
-		add(c.ExecuteProjection(bg, pricing.Query{Instance: "beta", Attrs: []string{"amount", "k"}}))
-		return out
-	}
-	if got, want := buy(oldC), buy(newC); !reflect.DeepEqual(got, want) {
-		t.Fatalf("tables or prices differ between JSON-only and CSV servers:\n%v\n%v", got, want)
-	}
-
-	fdsOf := func(c *Client) map[string][]fd.FD {
-		cat, err := c.Catalog(bg)
+	for _, info := range cat {
+		got, err := c.DatasetFDs(bg, info.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[string][]fd.FD{}
-		for _, info := range cat {
-			fds, err := c.DatasetFDs(bg, info.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[info.Name] = fds
+		want, err := backend.DatasetFDs(bg, info.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s: FDs %v, want %v", info.Name, got, want)
+		}
 	}
-	oldFDs, newFDs := fdsOf(oldC), fdsOf(newC)
-	if !reflect.DeepEqual(oldFDs, newFDs) || len(newFDs["alpha"]) != 1 {
-		t.Fatalf("FDs differ: old server %v, new server %v", oldFDs, newFDs)
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("current server saw %d GET /fds, want 0 (FDs come with the catalog)", n)
 	}
-	if got := oldHits.Load(); got != 2 {
-		t.Fatalf("JSON-only server saw %d GET /fds, want one per listing (2)", got)
-	}
-	if got := newHits.Load(); got != 0 {
-		t.Fatalf("current server saw %d GET /fds, want 0 (FDs come with the catalog)", got)
-	}
-
-	// A name the latest catalog did not list falls back to GET /fds and
-	// keeps its typed error.
-	if _, err := newC.DatasetFDs(bg, "ghost"); !errors.Is(err, ErrUnknownDataset) {
+	if _, err := c.DatasetFDs(bg, "ghost"); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("unknown dataset: %v", err)
 	}
-	if got := newHits.Load(); got != 1 {
-		t.Fatalf("unknown name did not fall back to GET /fds (%d requests)", got)
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("unknown name did not fall back to GET /fds (%d requests)", n)
+	}
+}
+
+// TestFDNamesSurviveTheWire: FDs over attribute names that hold the FD
+// syntax's delimiters reach a remote client as the seller registered them,
+// from the catalog and from GET /fds alike.
+func TestFDNamesSurviveTheWire(t *testing.T) {
+	tab := relation.NewTable("odd", relation.NewSchema(
+		relation.Cat("a,b", relation.KindInt),
+		relation.Cat(" a", relation.KindInt),
+		relation.Cat("p→q", relation.KindInt),
+		relation.Cat("c", relation.KindInt),
+	))
+	tab.AppendValues(relation.IntValue(1), relation.IntValue(2), relation.IntValue(3), relation.IntValue(4))
+	want := []fd.FD{fd.New("c", "a,b"), fd.New("c", " a"), fd.New("c", "p→q")}
+	m := NewInMemory(nil)
+	m.Register(tab, want)
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+
+	c := NewClient(srv.URL)
+	fromFDs, err := c.DatasetFDs(bg, "odd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Catalog(bg); err != nil {
+		t.Fatal(err)
+	}
+	fromCatalog, err := c.DatasetFDs(bg, "odd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFDs, want) || !reflect.DeepEqual(fromCatalog, want) {
+		t.Fatalf("FDs over the wire: GET /fds %q, catalog %q; want %q", fromFDs, fromCatalog, want)
+	}
+}
+
+// TestNonCSVTableResponseIsError: the client asks every table purchase for
+// CSVMediaType, so a 200 answer in any other media type is an error, not a
+// decode, and is not retried: the JSON object a request without that
+// Accept header gets is refused.
+func TestNonCSVTableResponseIsError(t *testing.T) {
+	h := Handler(demoMarket())
+	for _, lr := range legacyRequests {
+		legacy := serve(h, lr.path, lr.body, nil).Body.Bytes()
+		tab, _, err := decodeTableResponse(tableResponseFor(legacy, false, "", len(legacy)), "alpha")
+		if err == nil || isTransient(err) || tab != nil {
+			t.Fatalf("%s: JSON table answer: err %v, table %v; want a non-transient error", lr.path, err, tab != nil)
+		}
+	}
+	var tries atomic.Int64
+	noAccept := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tries.Add(1)
+		r.Header.Del("Accept")
+		h.ServeHTTP(w, r)
+	})
+	c, _ := retryClient(t, noAccept)
+	if _, _, err := c.Sample(bg, "alpha", []string{"k"}, 0.5, 7); err == nil || isTransient(err) {
+		t.Fatalf("JSON answer to a sample: err %v, want a non-transient error", err)
+	}
+	if n := tries.Load(); n != 1 {
+		t.Fatalf("a JSON table answer took %d attempts, want 1", n)
 	}
 }
 
@@ -282,8 +281,9 @@ func TestReadBodyPresized(t *testing.T) {
 }
 
 // FuzzDecodeTableResponse: the table decoder never panics, a body shorter
-// than its Content-Length is a transient error (never a shorter table),
-// and an accepted CSV table is a WriteCSV fixed point.
+// than its Content-Length is a transient error (never a shorter table), a
+// whole body in another media type (the JSON seeds) is a non-transient
+// error, and an accepted CSV table is a WriteCSV fixed point.
 func FuzzDecodeTableResponse(f *testing.F) {
 	// Seeds are real responses from a small listing: short inputs keep the
 	// fuzzer fast.
@@ -309,7 +309,13 @@ func FuzzDecodeTableResponse(f *testing.F) {
 			}
 			return
 		}
-		if err != nil || !csvMode {
+		if !csvMode {
+			if err == nil || isTransient(err) {
+				t.Fatalf("a whole non-CSV body: err %v, want a non-transient error", err)
+			}
+			return
+		}
+		if err != nil {
 			return
 		}
 		var first, second bytes.Buffer

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dance-db/dance/internal/infotheory"
@@ -253,65 +253,28 @@ func TestSampleDeltaOverHTTP(t *testing.T) {
 	}
 }
 
-// legacyHandler serves the pre-delta wire surface: /sample_delta does not
-// exist, so the routing layer answers a plain 404.
-func legacyHandler(m Market) http.Handler {
-	inner := Handler(m)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/sample_delta") {
+// TestSampleDeltaBare404IsFinal: a server that answers /sample_delta with a
+// bare 404 (no JSON error payload) gets one attempt and a non-transient
+// error, and nothing is bought in the delta's place.
+func TestSampleDeltaBare404IsFinal(t *testing.T) {
+	backend := demoMarket()
+	var deltaHits atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/sample_delta" {
+			deltaHits.Add(1)
 			http.NotFound(w, r)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		Handler(backend).ServeHTTP(w, r)
 	})
-}
-
-// TestSampleDeltaFallbackAgainstOldServer pins the capability probe: a
-// server without /sample_delta triggers the full-Sample fallback, which
-// returns the identical delta rows but bills the full sample price.
-func TestSampleDeltaFallbackAgainstOldServer(t *testing.T) {
-	backend := demoMarket()
-	srv := httptest.NewServer(legacyHandler(backend))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	got, price, err := c.SampleDelta(bg, "alpha", []string{"k"}, 0.2, 0.7, 9)
-	if err != nil {
-		t.Fatal(err)
+	c, _ := retryClient(t, h)
+	if _, _, err := c.SampleDelta(bg, "alpha", []string{"k"}, 0.2, 0.7, 9); err == nil || isTransient(err) {
+		t.Fatalf("bare 404: err %v, want a non-transient error", err)
 	}
-	want, _, err := backend.SampleDelta(bg, "alpha", []string{"k"}, 0.2, 0.7, 9)
-	if err != nil {
-		t.Fatal(err)
+	if n := deltaHits.Load(); n != 1 {
+		t.Fatalf("/sample_delta saw %d attempts, want 1", n)
 	}
-	rowsEqual(t, "fallback delta", got, want)
-
-	full, err := backend.QuoteProjection(bg, "alpha", []string{"k", "state", "amount"})
-	if err != nil {
-		t.Fatal(err)
+	if entries := backend.Ledger().Entries(); len(entries) != 0 {
+		t.Fatalf("a refused delta billed %v", entries)
 	}
-	if want := pricing.SampleDiscount(full, 0.7); price != want {
-		t.Fatalf("fallback bills the full rate-0.7 sample (%v), got %v", want, price)
-	}
-	c.probeMu.Lock()
-	cached := c.probeState == probeUnsupported
-	c.probeMu.Unlock()
-	if !cached {
-		t.Fatal("capability probe result not cached")
-	}
-
-	// The full-rate fallback must deliver NULL-join rows too.
-	nh := NewInMemory(nil)
-	nh.Register(nullHeavyTable(), nil)
-	srv2 := httptest.NewServer(legacyHandler(nh))
-	defer srv2.Close()
-	c2 := NewClient(srv2.URL)
-	got2, _, err := c2.SampleDelta(bg, "nullish", []string{"k"}, 0.3, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, _, err := nh.SampleDelta(bg, "nullish", []string{"k"}, 0.3, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, "fallback full-rate delta", got2, want2)
 }

@@ -56,9 +56,9 @@ type wireDatasetInfo struct {
 	Name  string       `json:"name"`
 	Rows  int          `json:"rows"`
 	Attrs []wireColumn `json:"attrs"`
-	// FDs are the listing's published FDs in "A,B -> C" syntax, always
-	// present (possibly empty) on servers that send them; older servers
-	// omit the field, which decodes as nil.
+	// FDs are the listing's published FDs in fd.Format syntax. Handler
+	// always sends the field (possibly empty); a catalog without it decodes
+	// as nil, and DatasetFDs then asks GET /fds.
 	FDs []string `json:"fds"`
 }
 
@@ -120,7 +120,7 @@ func errCode(err error, fallback int) (string, int) {
 // Handler serves a Market over JSON/HTTP:
 //
 //	GET  /catalog            → []DatasetInfo, each with its FDs ("fds")
-//	GET  /fds?name=…         → []string (FDs, "A,B -> C" syntax)
+//	GET  /fds?name=…         → []string (FDs, fd.Format syntax)
 //	POST /quote {name,attrs} → {price}
 //	POST /sample {…}         → table
 //	POST /sample_delta {…}   → table (rows in (from_rate, to_rate])
@@ -274,12 +274,12 @@ func Handler(m Market) http.Handler {
 	return mux
 }
 
-// formatFDs renders FDs in the wire's "A,B -> C" syntax; never nil, so
-// the catalog's fds field is present even for listings without FDs.
+// formatFDs renders FDs in the wire syntax (fd.Format); never nil, so the
+// catalog's fds field is present even for listings without FDs.
 func formatFDs(fds []fd.FD) []string {
 	out := make([]string, len(fds))
 	for i, f := range fds {
-		out[i] = strings.Join(f.LHS, ",") + " -> " + f.RHS
+		out[i] = fd.Format(f)
 	}
 	return out
 }
@@ -308,8 +308,9 @@ const DefaultClientTimeout = 2 * time.Minute
 // its context: deadlines and cancellation abort the in-flight HTTP request.
 // Transient failures are retried per the Retry policy; billing calls carry
 // idempotency keys so retries never purchase twice (see RetryPolicy).
-// Table purchases ask for the raw CSV media type and accept the JSON
-// object of older servers too.
+// It speaks the protocol Handler serves: table purchases ask for the raw
+// CSV media type and accept no other answer, and sample deltas are bought
+// from POST /sample_delta.
 type Client struct {
 	BaseURL string
 	// HTTP is the underlying client. Replace it to tune the transport.
@@ -334,29 +335,12 @@ type Client struct {
 	idemNonce string
 	idemSeq   atomic.Uint64
 
-	// The /sample_delta capability probe. Exactly one caller probes a
-	// not-yet-classified server; concurrent SampleDelta calls wait on
-	// probeDone instead of racing duplicate probes (each of which would
-	// fall back to a full-price Sample on an old server).
-	probeMu    sync.Mutex    // lockorder: leaf
-	probeState int           // guarded by probeMu
-	probeDone  chan struct{} // guarded by probeMu
-
 	// fdSnap holds the FDs the latest catalog listed, by dataset name.
 	// DatasetFDs answers from it and asks GET /fds only for names it lacks:
-	// listings added since, or every name on a server whose catalog carries
-	// no FDs.
+	// listings added since, or every name before the first Catalog.
 	fdMu   sync.Mutex         // lockorder: leaf
 	fdSnap map[string][]fd.FD // guarded by fdMu
 }
-
-// Probe states for Client.probeState.
-const (
-	probeUnknown     = iota // never probed (or last probe failed transiently)
-	probeInFlight           // one caller is probing now
-	probeSupported          // server answers /sample_delta
-	probeUnsupported        // routing-layer 404/405: pre-delta server
-)
 
 var _ Market = (*Client)(nil)
 
@@ -409,7 +393,7 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) err
 
 // postTable buys a table: it posts in with an idempotency key attached to
 // every retry attempt (billing endpoints must carry one) and asks for the
-// raw CSV media type, decoding either answer (see decodeTableResponse).
+// raw CSV media type (see decodeTableResponse).
 func (c *Client) postTable(ctx context.Context, path, idemKey, name string, in interface{}) (*relation.Table, float64, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -429,12 +413,6 @@ func (c *Client) postTable(ctx context.Context, path, idemKey, name string, in i
 	}
 	return t, price, nil
 }
-
-// errEndpointUnsupported marks responses that came from the HTTP routing
-// layer rather than the marketplace itself — a 404/405 without the JSON
-// error payload — i.e. the server predates the endpoint. Client.SampleDelta
-// uses it as its capability probe.
-var errEndpointUnsupported = errors.New("endpoint unsupported by server")
 
 // maxPresize caps the buffer a response's Content-Length presizes. A body
 // past it still reads whole, growing the buffer as io.ReadAll does, so a
@@ -498,9 +476,6 @@ func statusError(code int, data []byte) error {
 		}
 		return fmt.Errorf("marketplace client: %s", e.Error)
 	}
-	if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
-		return fmt.Errorf("marketplace client: status %d: %w", code, errEndpointUnsupported)
-	}
 	err := fmt.Errorf("marketplace client: status %d", code)
 	if code == http.StatusTooManyRequests || code >= 500 {
 		// Payload-less 5xx/429: the infrastructure, not the
@@ -525,13 +500,13 @@ func jsonDecoder(out interface{}) func(*http.Response) error {
 	}
 }
 
-// decodeTableResponse decodes a table endpoint's response in either media
-// type: raw CSV with the price in PriceHeader, or the {csv, price} JSON
-// object of servers (and requests) without the CSV media type. A body that
-// is not exactly Content-Length bytes, an undecodable body and a missing or
-// non-finite price are all transient: the bytes were damaged in transit,
-// and the Idempotency-Key replay of a retry delivers them whole without
-// billing again.
+// decodeTableResponse decodes a table endpoint's raw CSV response, with the
+// price in PriceHeader. A body that is not exactly Content-Length bytes, an
+// undecodable body and a missing or non-finite price are all transient: the
+// bytes were damaged in transit, and the Idempotency-Key replay of a retry
+// delivers them whole without billing again. Any other media type is not:
+// the client asks for CSVMediaType, so a server answering otherwise would
+// answer the retry the same way.
 func decodeTableResponse(resp *http.Response, name string) (*relation.Table, float64, error) {
 	data, err := readResponse(resp)
 	if err != nil {
@@ -542,15 +517,8 @@ func decodeTableResponse(resp *http.Response, name string) (*relation.Table, flo
 			len(data), resp.ContentLength)}
 	}
 	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != CSVMediaType {
-		var wire wireTableResponse
-		if err := json.Unmarshal(data, &wire); err != nil {
-			return nil, 0, &transientError{fmt.Errorf("marketplace client: decoding response: %w", err)}
-		}
-		t, err := relation.ReadCSV(name, strings.NewReader(wire.CSV))
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, wire.Price, nil
+		return nil, 0, fmt.Errorf("marketplace client: table response has Content-Type %q, want %s",
+			resp.Header.Get("Content-Type"), CSVMediaType)
 	}
 	price, err := strconv.ParseFloat(resp.Header.Get(PriceHeader), 64)
 	if err != nil || math.IsNaN(price) || math.IsInf(price, 0) {
@@ -610,9 +578,9 @@ func parseKind(s string) (relation.Kind, error) {
 }
 
 // DatasetFDs implements Market. It answers from the latest Catalog's FDs
-// without a round trip; names that catalog did not list with FDs (new
-// listings, or a server that predates the catalog's fds field) are fetched
-// from GET /fds.
+// without a round trip; names that catalog did not list (listings added
+// since, or any name asked before the first Catalog) are fetched from
+// GET /fds.
 func (c *Client) DatasetFDs(ctx context.Context, name string) ([]fd.FD, error) {
 	c.fdMu.Lock()
 	fds, ok := c.fdSnap[name]
@@ -630,7 +598,7 @@ func (c *Client) DatasetFDs(ctx context.Context, name string) ([]fd.FD, error) {
 	return parseFDs(wire)
 }
 
-// parseFDs parses FDs in the wire's "A,B -> C" syntax.
+// parseFDs parses FDs in the wire syntax (fd.Parse).
 func parseFDs(wire []string) ([]fd.FD, error) {
 	out := make([]fd.FD, len(wire))
 	for i, s := range wire {
@@ -661,101 +629,15 @@ func (c *Client) Sample(ctx context.Context, name string, joinAttrs []string, ra
 
 func formatRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
 
-// sampleDeltaCall is one raw POST /sample_delta (idempotent across retries).
-func (c *Client) sampleDeltaCall(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
+// SampleDelta implements Market: one POST /sample_delta, idempotent across
+// retries. The seller cuts the (fromRate, toRate] rows and bills only the
+// difference.
+func (c *Client) SampleDelta(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
 	key := c.idemKey("sample_delta", append(append([]string{name},
 		joinAttrs...), formatRate(fromRate), formatRate(toRate), strconv.FormatUint(seed, 10))...)
 	return c.postTable(ctx, "/sample_delta", key, name, sampleDeltaRequest{
 		Name: name, JoinAttrs: joinAttrs, FromRate: fromRate, ToRate: toRate, Seed: seed,
 	})
-}
-
-// sampleDeltaFallback serves SampleDelta against a pre-delta server: buy the
-// full toRate sample and filter it down to the delta rows locally —
-// functionally identical, but billed at the full sample price, since an old
-// server has no way to charge for a difference.
-func (c *Client) sampleDeltaFallback(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
-	if !validDelta(fromRate, toRate) {
-		return nil, 0, fmt.Errorf("marketplace client: sample delta rates (%v, %v] not within 0 ≤ from < to ≤ 1: %w",
-			fromRate, toRate, ErrBadRate)
-	}
-	t, price, err := c.Sample(ctx, name, joinAttrs, toRate, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Ranking the bought sample in the seller's canonical order keeps
-	// exactly the (fromRate, toRate] rows in hash-unit order — even when the
-	// old server delivered table-order samples — so a store merging this
-	// fallback delta still reproduces the fresh sample bit for bit.
-	d, err := sampleRange(t, joinAttrs, fromRate, toRate, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, price, nil
-}
-
-// SampleDelta implements Market. The first call probes whether the server
-// has /sample_delta at all (pre-delta servers answer with a routing-layer
-// 404/405); the verdict is remembered for the client's lifetime, and
-// concurrent first calls share one probe instead of each paying for a
-// full-price fallback Sample. Against a pre-delta server every call takes
-// the local-filter fallback (see sampleDeltaFallback).
-func (c *Client) SampleDelta(ctx context.Context, name string, joinAttrs []string, fromRate, toRate float64, seed uint64) (*relation.Table, float64, error) {
-	for {
-		c.probeMu.Lock()
-		switch c.probeState {
-		case probeUnsupported:
-			c.probeMu.Unlock()
-			return c.sampleDeltaFallback(ctx, name, joinAttrs, fromRate, toRate, seed)
-
-		case probeSupported:
-			c.probeMu.Unlock()
-			t, price, err := c.sampleDeltaCall(ctx, name, joinAttrs, fromRate, toRate, seed)
-			if errors.Is(err, errEndpointUnsupported) {
-				// The server lost the endpoint (a rollback behind the same
-				// URL); downgrade once and fall back like everyone after us.
-				c.probeMu.Lock()
-				c.probeState = probeUnsupported
-				c.probeMu.Unlock()
-				return c.sampleDeltaFallback(ctx, name, joinAttrs, fromRate, toRate, seed)
-			}
-			return t, price, err
-
-		case probeInFlight:
-			done := c.probeDone
-			c.probeMu.Unlock()
-			select {
-			case <-done:
-				// Re-read the verdict; a transiently failed probe resets to
-				// unknown and this caller becomes the next prober.
-			case <-ctx.Done():
-				return nil, 0, ctx.Err()
-			}
-
-		default: // probeUnknown: become the prober
-			c.probeState = probeInFlight
-			done := make(chan struct{})
-			c.probeDone = done
-			c.probeMu.Unlock()
-			t, price, err := c.sampleDeltaCall(ctx, name, joinAttrs, fromRate, toRate, seed)
-			verdict := probeUnknown // transient failure: next caller re-probes
-			switch {
-			case err == nil:
-				verdict = probeSupported
-			case errors.Is(err, errEndpointUnsupported):
-				verdict = probeUnsupported
-			}
-			c.probeMu.Lock()
-			c.probeState = verdict
-			c.probeDone = nil
-			c.probeMu.Unlock()
-			close(done)
-			if verdict == probeUnsupported {
-				return c.sampleDeltaFallback(ctx, name, joinAttrs, fromRate, toRate, seed)
-			}
-			return t, price, err
-		}
-	}
 }
 
 // ExecuteProjection implements Market.

@@ -41,18 +41,6 @@ type sampleOrder struct {
 	units []float64
 }
 
-// sampleRange returns the (from, to] rows of t in canonical order under
-// (joinAttrs, seed), ranking t once through a one-off index that keeps no
-// order: the table an indexed listing of t answers with.
-func sampleRange(t *relation.Table, joinAttrs []string, from, to float64, seed uint64) (*relation.Table, error) {
-	var x sellerIndex
-	o, err := x.get(t, joinAttrs, seed)
-	if err != nil {
-		return nil, err
-	}
-	return o.cut(t, from, to), nil
-}
-
 // newSampleOrder ranks every row of t by its join-attribute hash unit.
 // cols are the join attributes' column positions in t.
 func newSampleOrder(t *relation.Table, cols []int, h sampling.Hasher) *sampleOrder {

@@ -291,14 +291,6 @@ func TestNaNRateIsRejected(t *testing.T) {
 		"SampleDelta from NaN": func() error { _, _, err := m.SampleDelta(bg, "alpha", []string{"k"}, nan, 0.5, 1); return err },
 		"SampleDelta to NaN":   func() error { _, _, err := m.SampleDelta(bg, "alpha", []string{"k"}, 0.1, nan, 1); return err },
 		"SampleDelta both NaN": func() error { _, _, err := m.SampleDelta(bg, "alpha", []string{"k"}, nan, nan, 1); return err },
-		"client fallback from NaN": func() error {
-			_, _, err := NewClient("http://127.0.0.1:0").sampleDeltaFallback(bg, "alpha", []string{"k"}, nan, 0.5, 1)
-			return err
-		},
-		"client fallback to NaN": func() error {
-			_, _, err := NewClient("http://127.0.0.1:0").sampleDeltaFallback(bg, "alpha", []string{"k"}, 0.1, nan, 1)
-			return err
-		},
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, ErrBadRate) {

@@ -235,51 +235,9 @@ func TestIdempotentSampleBillsOnce(t *testing.T) {
 	}
 }
 
-// TestNoDeltaProbeSingleFlight pins the capability probe against a pre-delta
-// server: N concurrent first SampleDelta calls probe /sample_delta exactly
-// once, and every call still returns the correct fallback delta.
-func TestNoDeltaProbeSingleFlight(t *testing.T) {
-	backend := demoMarket()
-	var deltaHits atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/sample_delta") {
-			deltaHits.Add(1)
-			http.NotFound(w, r)
-			return
-		}
-		Handler(backend).ServeHTTP(w, r)
-	})
-	c, _ := retryClient(t, h)
-
-	want, _, err := backend.SampleDelta(bg, "alpha", []string{"k"}, 0.2, 0.7, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, _, err := c.SampleDelta(bg, "alpha", []string{"k"}, 0.2, 0.7, 9)
-			if err != nil {
-				t.Errorf("SampleDelta: %v", err)
-				return
-			}
-			if got.NumRows() != want.NumRows() {
-				t.Errorf("delta rows = %d, want %d", got.NumRows(), want.NumRows())
-			}
-		}()
-	}
-	wg.Wait()
-	if got := deltaHits.Load(); got != 1 {
-		t.Fatalf("probe hit /sample_delta %d times, want exactly 1", got)
-	}
-}
-
-// TestDeltaProbeStaysSupported: against a delta-capable server the probe
-// settles on supported and every concurrent call uses the real endpoint.
-func TestDeltaProbeStaysSupported(t *testing.T) {
+// TestConcurrentDeltasBillDeltas: concurrent SampleDelta calls all buy from
+// /sample_delta; no full sample is billed.
+func TestConcurrentDeltasBillDeltas(t *testing.T) {
 	backend := demoMarket()
 	c, _ := retryClient(t, Handler(backend))
 	const n = 6
@@ -294,13 +252,6 @@ func TestDeltaProbeStaysSupported(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.probeMu.Lock()
-	state := c.probeState
-	c.probeMu.Unlock()
-	if state != probeSupported {
-		t.Fatalf("probe state = %d, want supported", state)
-	}
-	// Deltas, not full samples, were billed.
 	if m := backend.Ledger().TotalByKind("sample"); m != 0 {
 		t.Fatalf("full samples billed on a delta-capable server: %v", m)
 	}

@@ -28,8 +28,8 @@ import (
 //     so a join copies no column and re-encodes no value; extending a path
 //     by a hop gathers its row-id vectors, never its columns. Probe values
 //     find their build-side group through the build dictionaries, never
-//     through byte-string keys. Materialize gathers a path's columns once,
-//     for a caller that keeps the join.
+//     through byte-string keys. Only FilterRows gathers columns, into a
+//     stored relation of the rows it is given.
 //
 // Columnar values are immutable after construction (a dictionary's lookup
 // maps are rebuilt at most once, under sync.Once): instances built once per
@@ -1005,40 +1005,31 @@ type gatherBack struct {
 }
 
 // gatherCol gathers src at the base rows, carving the output from the
-// front of back. Output codes share the source dictionary. workers > 1
-// parallelizes the row sweep; gathers are element-wise, so the output is
-// trivially identical for every worker count.
-func gatherCol(src *CCol, rows []int32, workers int, back *gatherBack) CCol {
+// front of back. Output codes share the source dictionary.
+func gatherCol(src *CCol, rows []int32, back *gatherBack) CCol {
 	n := len(rows)
 	if src.Codes != nil {
 		dc := back.codes[:n:n]
 		back.codes = back.codes[n:]
-		sc := src.Codes
-		runChunks(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dc[i] = sc[rows[i]]
-			}
-		})
+		for i, r := range rows {
+			dc[i] = src.Codes[r]
+		}
 		return CCol{Codes: dc, Dict: src.Dict}
 	}
 	dn, du := back.nums[:n:n], back.null[:n:n]
 	back.nums, back.null = back.nums[n:], back.null[n:]
-	sn, su := src.Nums, src.Null
-	runChunks(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dn[i] = sn[rows[i]]
-			du[i] = su[rows[i]]
-		}
-	})
+	for i, r := range rows {
+		dn[i] = src.Nums[r]
+		du[i] = src.Null[r]
+	}
 	return CCol{Nums: dn, Null: du}
 }
 
-// store returns a stored relation of n rows whose column j is c's column j
-// gathered at the base rows rowsOf(j), into a plain allocation.
-func (c *Columnar) store(n int, rowsOf func(j int) []int32, workers int) *Columnar {
-	if n < parallelMinRows {
-		workers = 1
-	}
+// FilterRows returns a new stored relation holding the given rows of c, in
+// order, gathered into a plain allocation; a join path's columns are read
+// through its row ids. Dictionaries are shared with c's base relations.
+func (c *Columnar) FilterRows(rows []int32) *Columnar {
+	n := len(rows)
 	out := &Columnar{Name: c.Name, schema: c.schema, n: n}
 	out.cols = make([]CCol, len(c.cols))
 	coded := 0
@@ -1055,28 +1046,16 @@ func (c *Columnar) store(n int, rowsOf func(j int) []int32, workers int) *Column
 		back.nums, back.null = make([]float64, num*n), make([]bool, num*n)
 	}
 	for j := range c.cols {
-		out.cols[j] = gatherCol(&c.cols[j], rowsOf(j), workers, &back)
+		at := rows
+		if ids := c.rowsOf(j); ids != nil {
+			at = make([]int32, n)
+			for i, r := range rows {
+				at[i] = ids[r]
+			}
+		}
+		out.cols[j] = gatherCol(&c.cols[j], at, &back)
 	}
 	return out
-}
-
-// Materialize returns c with every column stored: a join path's columns
-// gathered once through its row ids, into a plain allocation, for a caller
-// that keeps the join (an execute's purchase). Up to workers goroutines
-// run the gathers of a large path; the result is identical for every
-// worker count. A stored relation is returned as it is. Dictionaries are
-// shared with the base relations.
-func (c *Columnar) Materialize(workers int) *Columnar {
-	if c.ids == nil {
-		return c
-	}
-	return c.store(c.n, c.rowsOf, workers)
-}
-
-// FilterRows returns a new stored relation holding the given rows of c, in
-// order. Dictionaries are shared with c.
-func (c *Columnar) FilterRows(rows []int32) *Columnar {
-	return c.Materialize(1).store(len(rows), func(int) []int32 { return rows }, 1)
 }
 
 // JoinOptions tunes EquiJoinColumnar and EquiJoinPairs.

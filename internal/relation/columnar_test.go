@@ -306,6 +306,23 @@ func TestColumnarFilterRows(t *testing.T) {
 	if c.FilterRows(nil).NumRows() != 0 {
 		t.Fatal("FilterRows(nil) must be empty")
 	}
+
+	// A join path's rows are gathered through its row ids.
+	b := NewTable("g", NewSchema(Cat("k", KindInt), Num("w", KindFloat)))
+	for i := 0; i < 20; i++ {
+		b.AppendValues(IntValue(int64(i%7)), FloatValue(float64(i)))
+	}
+	path, err := EquiJoinColumnar(c, ToColumnar(b), []string{"k"}, nil, JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := path.NumRows()
+	pick := []int{n - 1, 0, n / 2, n / 2}
+	keep = make([]int32, len(pick))
+	for i, r := range pick {
+		keep[i] = int32(r)
+	}
+	tablesEqual(t, selectRows(path.ToTable(), pick), path.FilterRows(keep).ToTable())
 }
 
 func TestToColumnarSubset(t *testing.T) {

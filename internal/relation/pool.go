@@ -7,12 +7,12 @@ import "sync"
 // relation, over base columns that are immutable (a search's instance
 // views), and every kernel reads a path's columns through those row ids. So
 // a hop allocates row-id vectors, never gathered columns, and only
-// Materialize copies a column. Every buffer a kernel touches falls in one of
+// FilterRows copies a column. Every buffer a kernel touches falls in one of
 // three classes:
 //
 //   - Results that escape into a value someone may keep — a published join
-//     prefix's row-id vectors, a view, a JoinIndex, a Realize result (the one
-//     join that is materialized), anything stored in a memo — are plain
+//     prefix's row-id vectors, a view, a JoinIndex, a Realize result (the
+//     execute's join path), anything stored in a memo — are plain
 //     allocations. They are immutable, shared across workers, and retained
 //     for as long as a cache holds them.
 //   - Temporaries dead before the function returns (probe maps, remap and

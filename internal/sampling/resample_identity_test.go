@@ -29,7 +29,7 @@ func (c *recordingCache) Put(key string, v *relation.Columnar) {
 }
 
 // unfusedPath is the oracle of ResampledJoinPathColumnar: every hop is the
-// serial join materialized (every column gathered), and a tripped η
+// serial join gathered (every column stored), and a tripped η
 // re-samples it afterwards with CorrelatedSampleColumnar. It returns every
 // intermediate, re-sampled where η tripped.
 func unfusedPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.PathJoinOptions) ([]*relation.Columnar, sampling.ResampleStats) {
@@ -41,7 +41,7 @@ func unfusedPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.Path
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := path.Materialize(1)
+		j := gather(path)
 		stats.IntermediateSizes = append(stats.IntermediateSizes, j.NumRows())
 		resampled := opts.Eta > 0 && i < len(steps)-1 && j.NumRows() > opts.Eta
 		if resampled {
@@ -53,6 +53,16 @@ func unfusedPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.Path
 		inter = append(inter, j)
 	}
 	return inter, stats
+}
+
+// gather stores every row of a join path, its columns gathered through the
+// path's row ids: the materialized join the oracle joins on.
+func gather(c *relation.Columnar) *relation.Columnar {
+	rows := make([]int32, c.NumRows())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return c.FilterRows(rows)
 }
 
 // assertColumnarIdentical requires got to be want bit for bit: name,

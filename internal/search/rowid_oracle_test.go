@@ -15,9 +15,9 @@ import (
 )
 
 // gatheredPath is the oracle of the evaluator's row-id join paths: the
-// gathered formulation they replaced. Every hop is joined and materialized
-// — each kept column gathered — and a tripped η re-samples the gathered
-// intermediate with CorrelatedSampleColumnar.
+// gathered formulation they replaced. Every hop is joined and each kept
+// column gathered, and a tripped η re-samples the gathered intermediate
+// with CorrelatedSampleColumnar.
 func gatheredPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.PathJoinOptions) (*relation.Columnar, sampling.ResampleStats) {
 	t.Helper()
 	var stats sampling.ResampleStats
@@ -27,7 +27,7 @@ func gatheredPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.Pat
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc = path.Materialize(1)
+		acc = gather(path)
 		stats.IntermediateSizes = append(stats.IntermediateSizes, acc.NumRows())
 		resampled := opts.Eta > 0 && i < len(steps)-1 && acc.NumRows() > opts.Eta
 		if resampled {
@@ -38,6 +38,16 @@ func gatheredPath(t *testing.T, steps []sampling.ColumnarStep, opts sampling.Pat
 		stats.Resampled = append(stats.Resampled, resampled)
 	}
 	return acc, stats
+}
+
+// gather stores every row of a join path, its columns gathered through the
+// path's row ids: the materialized join the oracle joins on.
+func gather(c *relation.Columnar) *relation.Columnar {
+	rows := make([]int32, c.NumRows())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return c.FilterRows(rows)
 }
 
 // sameJoin reports how got differs from want, the oracle's gathered join:

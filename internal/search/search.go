@@ -477,8 +477,9 @@ type FullStep struct {
 // Sec 6 evaluation protocol. Only Correlation and Quality of the returned
 // metrics are set; weight and price are the caller's. The join runs on up
 // to req.Workers goroutines (≤ 0: one per CPU) and is bit-identical for
-// every worker count. Its hops extend a join path of row ids; the
-// returned join is the path materialized, once.
+// every worker count. Its hops extend a join path of row ids, and the
+// returned join is that path, measured where it stands: no column of it is
+// gathered.
 //
 // Tables without a prebuilt encoding are encoded for this call only, and
 // float measure columns that are never joined or grouped on stay raw
@@ -514,19 +515,17 @@ func Realize(steps []FullStep, req Request, fds []fd.FD) (*relation.Columnar, Me
 		}
 		csteps[i] = sampling.ColumnarStep{C: c, On: st.On}
 	}
-	// Eta 0 never re-samples: a plain left-deep join path, materialized
-	// once because the purchase keeps it.
+	// Eta 0 never re-samples: a plain left-deep join path.
 	opts := sampling.PathJoinOptions{Workers: parallel.DefaultWorkers(req.Workers)}
 	path, _, err := sampling.ResampledJoinPathColumnar(csteps, opts, nil, nil)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	j := path.Materialize(opts.Workers)
 	var m Metrics
-	if err := m.measure(j, x, y, fds, nil); err != nil {
+	if err := m.measure(path, x, y, fds, nil); err != nil {
 		return nil, Metrics{}, err
 	}
-	return j, m, nil
+	return path, m, nil
 }
 
 // encodeFull encodes t for Realize: non-categorical float columns that are
